@@ -10,8 +10,11 @@ replaces the interpreted per-gate loop:
 - **adjoint reverse sweep** — one batched vector-Jacobian product through
   the paper-scale VQC (4 qubits, 16 features, 50 weights), with shared and
   per-sample weights;
+- **folded adjoint** — the row sweep against the folded sweep (rows
+  sharing a weight row folded into one matrix at the trailing block) over
+  batch sizes and weight groups around the ``B = G * 2**n`` crossover;
 - **end-to-end training** — quantum-framework ``train_epoch`` env steps/s
-  with the program tier off (the PR 1/2 suffix-compiled baseline) and on;
+  with the program tier off (interpreted) and on;
 - **seam overhead** (numpy only) — the compiled kernels, which now dispatch
   through the array-backend seam, against a twin executor running the same
   kernel algorithm through direct numpy calls (``--check`` gates this
@@ -28,9 +31,10 @@ Run under the benchmark harness::
     pytest benchmarks/bench_circuit_kernels.py --benchmark-only
 
 or standalone for a summary table plus the machine-readable
-``BENCH_circuit_kernels.json`` (tracked across PRs)::
+``BENCH_circuit_kernels.json`` (tracked across PRs; ``--runs N`` records
+the median of N full measurements)::
 
-    PYTHONPATH=src python benchmarks/bench_circuit_kernels.py [--smoke]
+    PYTHONPATH=src python benchmarks/bench_circuit_kernels.py [--smoke] [--runs 5]
 """
 
 import argparse
@@ -46,6 +50,7 @@ from benchio import write_bench_json
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.marl.frameworks import build_framework
 from repro.quantum import backend as qback
+from repro.quantum import gradients
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
 from repro.quantum.gradients import adjoint_backward
@@ -59,6 +64,8 @@ GATE_BATCH = 256
 GATE_QUBITS = 6
 GATE_OPS = 60
 ADJOINT_BATCH = 128
+FOLD_BATCHES = (16, 128, 1600)
+FOLD_GROUPS = (1, 4)
 EPISODE_LIMIT = 25
 EPISODES_PER_EPOCH = 8
 ROLLOUT_ENVS = 8
@@ -177,6 +184,53 @@ def _adjoint_rates(repeats):
     return results
 
 
+def _folded_adjoint_rates(repeats):
+    """Row sweep vs folded sweep around the ``B = G * 2**n`` crossover.
+
+    The paper-scale VQC (``2**n = 16``) with ``G`` weight groups (one
+    shared vector for ``G = 1``) and no input gradients, as the actor-team
+    and critic-pair updates call it.  Each path is forced in turn; ``auto``
+    is the one the shape rule picks.  The trailing-block unitaries are
+    cached, as the forward pass of an update leaves them.
+    """
+    rng = np.random.default_rng(SEED)
+    vqc = build_vqc(4, 16, 50, seed=3)
+    chooser = gradients._folds
+    rows = []
+    try:
+        for n_groups in FOLD_GROUPS:
+            weights = np.stack(
+                [vqc.initial_weights(rng) for _ in range(n_groups)]
+            )
+            if n_groups == 1:
+                weights = weights[0]
+            for batch in FOLD_BATCHES:
+                inputs = rng.uniform(size=(batch, 16))
+                upstream = rng.normal(size=(batch, 4))
+                times = {}
+                for path in ("row", "folded"):
+                    gradients._folds = lambda *_, fold=path == "folded": fold
+                    times[path] = _measure(
+                        lambda: adjoint_backward(
+                            vqc.circuit, vqc.observables, inputs, weights,
+                            upstream, input_grads=False,
+                        ),
+                        repeats,
+                    )
+                rows.append({
+                    "batch": batch,
+                    "groups": n_groups,
+                    "crossover_batch": n_groups * 16,
+                    "auto": "folded" if batch > n_groups * 16 else "row",
+                    "row_sweeps_per_s": 1.0 / times["row"],
+                    "folded_sweeps_per_s": 1.0 / times["folded"],
+                    "fold_speedup": times["row"] / times["folded"],
+                })
+    finally:
+        gradients._folds = chooser
+    return rows
+
+
 def _legacy_generator(plan, psi):
     """Pre-seam generator kernel: fancy-index gather + fresh multiply."""
     if plan.gen_kind == "diag":
@@ -285,9 +339,13 @@ def _direct_step(plan, psi, theta, out):
         if cos.ndim == 1:
             cos, sin = cos[:, None], sin[:, None]
         g_psi = _direct_generator(plan, psi)
+        g_psi *= -1j * sin
         if plan.proj is None:
-            return cos * psi + (-1j * sin) * g_psi
-        return psi * (1.0 + (cos - 1.0) * plan.proj) + (-1j * sin) * g_psi
+            out = psi * cos
+        else:
+            out = psi * (1.0 + (cos - 1.0) * plan.proj)
+        out += g_psi
+        return out
     return plan.apply_forward(psi, theta)
 
 
@@ -467,17 +525,29 @@ def _train_epoch_rate(program, n_epochs):
 
 
 def _train_epoch_rates(n_epochs):
-    baseline = _train_epoch_rate(False, n_epochs)
+    interpreted = _train_epoch_rate(False, n_epochs)
     program = _train_epoch_rate(True, n_epochs)
     return {
         "framework": "proposed",
         "episode_limit": EPISODE_LIMIT,
         "episodes_per_epoch": EPISODES_PER_EPOCH,
         "rollout_envs": ROLLOUT_ENVS,
-        "suffix_compiled_steps_per_s": baseline,
+        "interpreted_steps_per_s": interpreted,
         "program_steps_per_s": program,
-        "speedup": program / baseline,
+        "speedup": program / interpreted,
     }
+
+
+def _median_document(runs):
+    """Per-leaf median of several runs' result documents."""
+    first = runs[0]
+    if isinstance(first, dict):
+        return {key: _median_document([run[key] for run in runs]) for key in first}
+    if isinstance(first, list):
+        return [_median_document(list(items)) for items in zip(*runs)]
+    if all(run == first for run in runs):
+        return first
+    return float(np.median(runs))
 
 
 # -- pytest-benchmark harness entry points ----------------------------------
@@ -534,6 +604,61 @@ def test_adjoint_program(benchmark):
     )
 
 
+def _measure_all(repeats, n_epochs, backend_name):
+    """One full measurement of every section."""
+    return {
+        "gate_classes": _gate_class_rates(repeats),
+        "adjoint": _adjoint_rates(repeats),
+        "adjoint_folded": _folded_adjoint_rates(repeats),
+        "train_epoch": _train_epoch_rates(n_epochs),
+        "seam_overhead": (
+            _seam_overhead(repeats) if backend_name == "numpy" else None
+        ),
+    }
+
+
+def _print_summary(document):
+    print(f"{'gate class':>12}  {'interp gates/s':>15}  {'program gates/s':>16}  {'speedup':>8}")
+    for name, row in document["gate_classes"].items():
+        print(
+            f"{name:>12}  {row['interpreted_gates_per_s']:>15.0f}  "
+            f"{row['program_gates_per_s']:>16.0f}  {row['speedup']:>7.2f}x"
+        )
+    print(f"\n{'adjoint':>12}  {'interp sweeps/s':>15}  {'program sweeps/s':>16}  {'speedup':>8}")
+    for name, row in document["adjoint"].items():
+        print(
+            f"{name:>12}  {row['interpreted_sweeps_per_s']:>15.1f}  "
+            f"{row['program_sweeps_per_s']:>16.1f}  {row['speedup']:>7.2f}x"
+        )
+    print(f"\n{'folded':>12}  {'G':>3}  {'row sweeps/s':>13}  {'folded/s':>10}  {'fold':>7}  auto")
+    for row in document["adjoint_folded"]:
+        print(
+            f"{'B=%d' % row['batch']:>12}  {row['groups']:>3}  "
+            f"{row['row_sweeps_per_s']:>13.1f}  {row['folded_sweeps_per_s']:>10.1f}  "
+            f"{row['fold_speedup']:>6.2f}x  {row['auto']}"
+        )
+    train = document["train_epoch"]
+    print(
+        f"\ntrain_epoch: {train['interpreted_steps_per_s']:.1f} -> "
+        f"{train['program_steps_per_s']:.1f} env steps/s "
+        f"({train['speedup']:.2f}x)"
+    )
+    seam = document["seam_overhead"]
+    if seam is not None:
+        print(
+            f"\n{'seam overhead':>14}  {'direct gates/s':>14}  "
+            f"{'seam gates/s':>13}  {'dispatch':>9}  {'pages/evolve pre->seam':>22}"
+        )
+        for name in GATE_CLASSES:
+            row = seam[name]
+            print(
+                f"{name:>14}  {row['direct_gates_per_s']:>14.0f}  "
+                f"{row['seam_gates_per_s']:>13.0f}  {row['overhead_pct']:>8.2f}%  "
+                f"{row['preseam_pages_per_evolve']:>10.0f} -> "
+                f"{row['seam_pages_per_evolve']:.0f}"
+            )
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--json-dir", default=None)
@@ -549,6 +674,12 @@ def main():
         help="array backend the program tier runs on (default: process default)",
     )
     parser.add_argument(
+        "--runs",
+        type=int,
+        default=1,
+        help="full measurements to take; the artifact records their median",
+    )
+    parser.add_argument(
         "--check",
         action="store_true",
         help=f"fail if numpy seam overhead exceeds {SEAM_OVERHEAD_BUDGET_PCT}%% "
@@ -562,61 +693,22 @@ def main():
     repeats = 2 if args.smoke else 5
     n_epochs = 1 if args.smoke else 4
 
-    gate_classes = _gate_class_rates(repeats)
-    print(f"{'gate class':>12}  {'interp gates/s':>15}  {'program gates/s':>16}  {'speedup':>8}")
-    for name, row in gate_classes.items():
-        print(
-            f"{name:>12}  {row['interpreted_gates_per_s']:>15.0f}  "
-            f"{row['program_gates_per_s']:>16.0f}  {row['speedup']:>7.2f}x"
-        )
-
-    adjoint = _adjoint_rates(repeats)
-    print(f"\n{'adjoint':>12}  {'interp sweeps/s':>15}  {'program sweeps/s':>16}  {'speedup':>8}")
-    for name, row in adjoint.items():
-        print(
-            f"{name:>12}  {row['interpreted_sweeps_per_s']:>15.1f}  "
-            f"{row['program_sweeps_per_s']:>16.1f}  {row['speedup']:>7.2f}x"
-        )
-
-    train = _train_epoch_rates(n_epochs)
-    print(
-        f"\ntrain_epoch: {train['suffix_compiled_steps_per_s']:.1f} -> "
-        f"{train['program_steps_per_s']:.1f} env steps/s "
-        f"({train['speedup']:.2f}x)"
+    runs = [
+        _measure_all(repeats, n_epochs, backend_name) for _ in range(args.runs)
+    ]
+    document = _median_document(runs)
+    document.update(
+        benchmark="circuit_kernels",
+        cpu_count=os.cpu_count(),
+        smoke=bool(args.smoke),
+        runs=args.runs,
+        array_backend=backend_name,
     )
-
-    seam = None
-    if backend_name == "numpy":
-        seam = _seam_overhead(repeats)
-        print(
-            f"\n{'seam overhead':>14}  {'direct gates/s':>14}  "
-            f"{'seam gates/s':>13}  {'dispatch':>9}  {'pages/evolve pre->seam':>22}"
-        )
-        for name in GATE_CLASSES:
-            row = seam[name]
-            print(
-                f"{name:>14}  {row['direct_gates_per_s']:>14.0f}  "
-                f"{row['seam_gates_per_s']:>13.0f}  {row['overhead_pct']:>8.2f}%  "
-                f"{row['preseam_pages_per_evolve']:>10.0f} -> "
-                f"{row['seam_pages_per_evolve']:.0f}"
-            )
-
-    path = write_bench_json(
-        "BENCH_circuit_kernels.json",
-        {
-            "benchmark": "circuit_kernels",
-            "cpu_count": os.cpu_count(),
-            "smoke": bool(args.smoke),
-            "array_backend": backend_name,
-            "gate_classes": gate_classes,
-            "adjoint": adjoint,
-            "train_epoch": train,
-            "seam_overhead": seam,
-        },
-        args.json_dir,
-    )
+    _print_summary(document)
+    path = write_bench_json("BENCH_circuit_kernels.json", document, args.json_dir)
     print(f"\nwrote {path}")
 
+    seam = document["seam_overhead"]
     if args.check:
         if seam is None:
             print("seam-overhead check requires the numpy backend; skipped")

@@ -207,6 +207,10 @@ class QuantumActor(Module):
         outputs = self.layer.backend.run(
             vqc.circuit, vqc.observables, observations, self.layer.weights.data
         )
+        return self._probs_np(outputs)
+
+    def _probs_np(self, outputs):
+        """Numpy ``(B, A)`` action probabilities from circuit expectations."""
         if self.policy_head == "born":
             return self._born_probs_np(outputs)
         return _stable_softmax_np(outputs * self.logit_scale)
@@ -462,20 +466,19 @@ class ActorGroup:
 
 
 class QuantumActorGroup(ActorGroup):
-    """Quantum team with single-circuit batched, compiled rollouts.
+    """Quantum team with single-circuit batched rollouts and updates.
 
     All actors must share one circuit structure (same ansatz seed); each
     keeps its own weight vector.  ``act`` stacks the team's observations
     ``(N, obs)`` and weights ``(N, n_weights)`` and evaluates the shared
-    circuit once with per-sample weights — one simulator call per
-    environment step instead of N.  On the exact statevector backend the
-    frozen variational block is additionally *compiled* into per-agent
-    unitaries that are cached between weight updates
-    (:class:`~repro.quantum.compile.CompiledCircuit`), so a rollout step
-    costs one encoding pass plus one small matmul.
+    circuit once with grouped weights — one simulator call per environment
+    step instead of N.  On the program tier the frozen variational block
+    runs as per-agent unitaries cached between weight updates (see
+    :meth:`~repro.quantum.program.CircuitProgram.suffix_unitary`), so a
+    rollout step costs one encoding pass plus one small matmul.
     """
 
-    def __init__(self, actors, compile_rollouts=True):
+    def __init__(self, actors):
         super().__init__(actors)
         first = self.actors[0]
         if not all(
@@ -498,15 +501,6 @@ class QuantumActorGroup(ActorGroup):
             if isinstance(backend, StatevectorBackend) and backend.shots is None
             else None
         )
-        self._compiled = None
-        if compile_rollouts and self._fast_backend is not None:
-            from repro.quantum.compile import CompiledCircuit
-
-            self._compiled = CompiledCircuit(
-                self._circuit,
-                self._observables,
-                array_backend=getattr(self._fast_backend, "array_backend", None),
-            )
 
     def team_probabilities(self, observations):
         """``(n_agents, A)`` action probabilities for the whole team at once.
@@ -534,12 +528,11 @@ class QuantumActorGroup(ActorGroup):
 
         Stacks all copies' observations into ``(N * n_agents)`` rows
         (copy-major) with the agents' weight rows cycled over the batch, so
-        the whole fleet of policies is one batched simulator call.  On the
-        compiled path only the ``n_agents`` distinct weight-only suffix
-        unitaries are compiled, cached between weight updates with a key
-        independent of ``N`` — a rollout step costs one encoding pass plus
-        one batched matmul.  For ``N = 1`` this is exactly
-        :meth:`team_probabilities` — same arrays, same floats.
+        the whole fleet of policies is one batched simulator call.  Only
+        the ``n_agents`` distinct trailing-block unitaries are built, cached
+        between weight updates independently of ``N`` — a rollout step
+        costs one encoding pass plus one batched matmul.  For ``N = 1`` this
+        is exactly :meth:`team_probabilities` — same arrays, same floats.
         """
         observations = np.asarray(observations, dtype=np.float64)
         if self._fast_backend is None:
@@ -548,76 +541,58 @@ class QuantumActorGroup(ActorGroup):
             return super().batch_probabilities(observations)
         n_envs, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(n_envs * n_agents, -1)
-        weights = np.stack([a.layer.weights.data for a in self.actors])
-        if self._compiled is not None:
-            # Untiled weights: the compiled path cycles the n_agents weight
-            # rows over the batch, caching only the distinct suffix
-            # unitaries (key independent of n_envs).
-            outputs = self._compiled.run(flat_obs, weights)
-        else:
-            outputs = self._fast_backend.run(
-                self._circuit, self._observables, flat_obs,
-                np.tile(weights, (n_envs, 1)),
-            )
-        if self._head_actor.policy_head == "born":
-            probs = self._head_actor._born_probs_np(outputs)
-        else:
-            probs = _stable_softmax_np(outputs * self._logit_scale)
-        return probs.reshape(n_envs, n_agents, -1)
+        outputs = self._fast_backend.run(
+            self._circuit, self._observables, flat_obs, self._team_weights()
+        )
+        return self._head_actor._probs_np(outputs).reshape(n_envs, n_agents, -1)
 
     def rows_probabilities(self, observations, agent_indices):
         """``(R, A)`` ragged-row probabilities via one circuit evaluation.
 
-        Gathers each row's weight vector (``weights[agent_indices]``) and
-        runs the whole micro-batch as a single stacked simulator call.  On
-        the compiled path only the ``n_agents`` distinct suffix unitaries
-        are built — the same cache entry the rollout paths use, so serving
-        and training never recompile each other's work.
+        Runs the whole micro-batch as a single stacked simulator call in
+        which row ``r`` uses agent ``agent_indices[r]``'s weights.  Only the
+        ``n_agents`` distinct trailing-block unitaries are built — the same
+        cache entry the rollout paths use, so serving and training never
+        rebuild each other's work.
         """
         observations, agent_indices = self._check_rows(
             observations, agent_indices
         )
         if self._fast_backend is None or observations.shape[0] == 0:
             return super().rows_probabilities(observations, agent_indices)
-        weights = np.stack([a.layer.weights.data for a in self.actors])
-        if self._compiled is not None:
-            outputs = self._compiled.run_rows(
-                observations, weights, agent_indices
-            )
-        else:
-            outputs = self._fast_backend.run(
-                self._circuit, self._observables, observations,
-                weights[agent_indices],
-            )
-        if self._head_actor.policy_head == "born":
-            return self._head_actor._born_probs_np(outputs)
-        return _stable_softmax_np(outputs * self._logit_scale)
+        outputs = self._fast_backend.run_rows(
+            self._circuit, self._observables, observations,
+            self._team_weights(), agent_indices,
+        )
+        return self._head_actor._probs_np(outputs)
+
+    def _team_weights(self):
+        """The agents' weight vectors as one ``(n_agents, n_weights)`` matrix."""
+        return np.stack([a.layer.weights.data for a in self.actors])
 
     def _stacked_expectations(self, observations):
         """Differentiable ``(B * n_agents, n_obs)`` team expectations.
 
-        One batched circuit evaluation with per-sample weights (the agents'
-        weight rows cycled over the batch) whose backward pass runs one
-        adjoint sweep for the whole team and routes each agent's slice of
-        the per-sample weight gradient back into that agent's own
-        ``Parameter``.
+        One batched circuit evaluation with the agents' weight rows cycled
+        over the batch, whose backward pass runs one adjoint sweep for the
+        whole team and routes each agent's weight-gradient row back into
+        that agent's own ``Parameter``.
         """
         b, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(b * n_agents, -1)
         weight_params = [actor.layer.weights for actor in self.actors]
-        tiled = np.tile(np.stack([w.data for w in weight_params]), (b, 1))
-        backend = self._fast_backend
+        weights = self._team_weights()
         circuit, observables = self._circuit, self._observables
 
-        out_data = backend.run(circuit, observables, flat_obs, tiled)
+        out_data = self._fast_backend.run(circuit, observables, flat_obs, weights)
 
         def backward_fn(grad):
             _, weight_grads = _qbackward(
-                circuit, observables, flat_obs, tiled, grad, method="adjoint"
+                circuit, observables, flat_obs, weights, grad,
+                method="adjoint", input_grads=False,
             )
-            per_agent = weight_grads.reshape(b, n_agents, -1).sum(axis=0)
-            for n, param in enumerate(weight_params):
-                param._accumulate(per_agent[n])
+            for param, row in zip(weight_params, weight_grads):
+                param._accumulate(row)
 
         return Tensor._from_op(out_data, tuple(weight_params), backward_fn)
 

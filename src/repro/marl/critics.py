@@ -150,11 +150,11 @@ def paired_critic_values(critic, target, states, next_states):
     over ``next_states``.  On a stackable quantum pair
     (:func:`critic_pair_stackable`) both forwards run as **one** batched
     circuit evaluation: the ``2B`` states interleave row-wise and the two
-    weight vectors ride the per-sample weight axis, halving the update's
-    forward circuit evaluations.  The backward pass is unchanged — one
-    adjoint sweep over the online half only (the target is frozen).  Any
-    other pair falls back to the plain two-pass path, bit-identically to
-    the pre-batched trainer.
+    weight vectors are two weight groups cycled over them, halving the
+    update's forward circuit evaluations.  The backward pass is one adjoint
+    sweep over the online half only (the target is frozen), without input
+    gradients.  Any other pair falls back to the plain two-pass path,
+    bit-identically to the pre-batched trainer.
     """
     if not critic_pair_stackable(critic, target):
         return critic(states), target.values(next_states)
@@ -175,11 +175,9 @@ def paired_critic_values(critic, target, states, next_states):
     stacked = np.empty((2 * batch, states.shape[1]))
     stacked[0::2] = states
     stacked[1::2] = next_states
-    weight_rows = np.tile(
-        np.stack([online_weights.data, target.layer.weights.data]),
-        (batch, 1),
-    )
-    outputs = backend.run(circuit, observables, stacked, weight_rows)
+    # Rows alternate online/target: two weight groups cycled over the batch.
+    weights = np.stack([online_weights.data, target.layer.weights.data])
+    outputs = backend.run(circuit, observables, stacked, weights)
     online_out, target_out = outputs[0::2], outputs[1::2]
     next_values = target_out.mean(axis=1) * target.value_scale
 
@@ -193,7 +191,7 @@ def paired_critic_values(critic, target, states, next_states):
         )
         _, weight_grads = _qbackward(
             circuit, observables, states, online_weights.data, upstream,
-            method="adjoint",
+            method="adjoint", input_grads=False,
         )
         online_weights._accumulate(weight_grads)
 

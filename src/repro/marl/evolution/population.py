@@ -13,15 +13,15 @@ Row-to-member mapping
 Lockstep env row ``e`` (global index) belongs to member ``e % P``: members
 are interleaved round-robin, so with ``k`` copies per member the global
 layout is ``k`` repeats of the population.  The interleaving is what makes
-the stacked quantum path line up with the per-sample-weight axis of
-:class:`~repro.quantum.compile.CompiledCircuit`: flattening observations
-copy-major gives row ``b = e * n_agents + a``, whose weight row is
-``member(e) * n_agents + a`` — exactly the ``b``-th row of the
+the stacked quantum path line up with the grouped-weight contract of the
+circuit backends (batch row ``b`` uses weight row ``b % G``): flattening
+observations copy-major gives row ``b = e * n_agents + a``, whose weight
+row is ``member(e) * n_agents + a`` — exactly the ``b``-th row of the
 ``(n_rows * n_agents, n_weights)`` weight matrix this class builds.  A
 worker that owns rows ``[first_row, first_row + n)`` sets ``row_offset``
 and the same expansion yields its shard's slice of that matrix, so the
 whole generation is **one** circuit evaluation per env step on every
-process, with the compiled suffix unitaries cached for the generation
+process, with the trailing-block unitaries cached for the generation
 (weights only change between generations).
 
 Two evaluation paths, one semantic contract:
@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.marl.actors import ActorGroup, QuantumActorGroup, _stable_softmax_np
+from repro.marl.actors import ActorGroup, QuantumActorGroup
 from repro.marl.evolution import es as _es
 
 __all__ = [
@@ -113,7 +113,6 @@ class PopulationActorGroup(ActorGroup):
             raise ValueError("member_vectors must have shape (P, D)")
         self.row_offset = int(row_offset)
         self.stacked = bool(stacked)
-        self._row_weights_cache = None  # (n_rows, matrix); see _member_row_weights
         # The stacked path needs every actor's trainable state to be the
         # single per-agent weight vector the shared circuit consumes (true
         # for QuantumActorGroup teams; MLP teams have per-layer matrices).
@@ -140,12 +139,10 @@ class PopulationActorGroup(ActorGroup):
         if member_vectors.ndim != 2:
             raise ValueError("member_vectors must have shape (P, D)")
         self.member_vectors = member_vectors
-        self._row_weights_cache = None
 
     def set_row_offset(self, row_offset):
         """Adopt this process's global first-row index (worker shards)."""
         self.row_offset = int(row_offset)
-        self._row_weights_cache = None
 
     def load_broadcast(self, payload):
         """Rebuild the generation from a ``(base, sigma, seeds)`` broadcast.
@@ -193,56 +190,32 @@ class PopulationActorGroup(ActorGroup):
         in-process engines always do) only the one-period
         ``(P * n_agents, n_weights)`` matrix is returned and the circuit
         batch cycles it group-major (row ``b`` uses weight row ``b % G``),
-        so the compiled tier caches exactly the ``P * n_agents`` distinct
-        suffix unitaries however many env copies each member owns.
+        so the program tier caches exactly the ``P * n_agents`` distinct
+        trailing-block unitaries however many env copies each member owns.
         Misaligned worker shards fall back to the fully expanded per-row
-        matrix.  Constant within a generation either way (cached here,
-        invalidated by :meth:`set_members` / :meth:`set_row_offset`).
+        matrix.
         """
         n_rows = int(n_rows)
-        if (
-            self._row_weights_cache is not None
-            and self._row_weights_cache[0] == n_rows
-        ):
-            return self._row_weights_cache[1]
-        n_agents = self.n_agents
         population = self.population
-        team_weights = self.member_vectors.reshape(
-            population, n_agents, -1
-        )
+        team_weights = self.member_vectors.reshape(population, self.n_agents, -1)
         if self.row_offset % population == 0 and n_rows % population == 0:
-            matrix = team_weights.reshape(population * n_agents, -1)
-        else:
-            matrix = team_weights[self.members_for_rows(n_rows)].reshape(
-                n_rows * n_agents, -1
-            )
-        self._row_weights_cache = (n_rows, matrix)
-        return matrix
+            return team_weights.reshape(population * self.n_agents, -1)
+        return team_weights[self.members_for_rows(n_rows)].reshape(
+            n_rows * self.n_agents, -1
+        )
 
     def _stacked_probabilities(self, observations):
         """One per-sample-weight circuit evaluation for every row and agent."""
         template = self.template
         n_rows, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(n_rows * n_agents, -1)
-        weights = self._member_row_weights(n_rows)
-        if template._compiled is not None:
-            outputs = template._compiled.run(flat_obs, weights)
-        else:
-            # The uncompiled backend wants one weight row per batch row;
-            # tile a one-period matrix out to the full batch.
-            if weights.shape[0] != flat_obs.shape[0]:
-                weights = np.tile(
-                    weights, (flat_obs.shape[0] // weights.shape[0], 1)
-                )
-            outputs = template._fast_backend.run(
-                template._circuit, template._observables, flat_obs, weights
-            )
-        head = template._head_actor
-        if head.policy_head == "born":
-            probs = head._born_probs_np(outputs)
-        else:
-            probs = _stable_softmax_np(outputs * template._logit_scale)
-        return probs.reshape(n_rows, n_agents, -1)
+        outputs = template._fast_backend.run(
+            template._circuit, template._observables, flat_obs,
+            self._member_row_weights(n_rows),
+        )
+        return template._head_actor._probs_np(outputs).reshape(
+            n_rows, n_agents, -1
+        )
 
     def _member_loop_probabilities(self, observations):
         """Reference path: load each member into the template and evaluate.

@@ -30,12 +30,12 @@ from repro.quantum.channels import (
     phase_flip,
 )
 from repro.quantum.circuit import Operation, ParameterRef, QuantumCircuit
-from repro.quantum.compile import CompiledCircuit, split_index
 from repro.quantum.program import (
     CircuitProgram,
     compile_program,
     program_enabled,
     set_program_enabled,
+    split_index,
     using_program,
 )
 from repro.quantum.encoding import (
@@ -66,7 +66,6 @@ __all__ = [
     "QuantumCircuit",
     "Operation",
     "ParameterRef",
-    "CompiledCircuit",
     "split_index",
     "CircuitProgram",
     "compile_program",

@@ -128,16 +128,21 @@ class StatevectorBackend:
     def evolve(self, circuit, inputs=None, weights=None, batch_size=None):
         """Run the circuit, returning the final state batch ``(B, 2**n)``.
 
-        Dispatches to the program-compiled kernel tier (pre-planned, fused
-        gate applications — see :mod:`repro.quantum.program`) unless the
-        tier is disabled, in which case the interpreted per-gate reference
-        loop runs.  Both produce the same states to float round-off.
+        ``weights`` is a shared ``(n_weights,)`` vector or a grouped
+        ``(G, n_weights)`` matrix whose row ``b % G`` drives batch row ``b``
+        (see :func:`repro.quantum.program.expand_weights`).  Dispatches to
+        the program-compiled kernel tier (pre-planned, fused gate
+        applications — see :mod:`repro.quantum.program`) unless the tier is
+        disabled, in which case the interpreted per-gate reference loop
+        runs.  Both produce the same states to float round-off.
         """
         inputs, batch = _normalise_run_args(circuit, inputs, batch_size)
         if self._use_program():
             return _program.compile_program(circuit, self._array_backend()).evolve(
                 inputs, weights, batch
             )
+        if circuit.n_weights:
+            weights = _program.expand_weights(weights, batch)
         psi = _sv.zero_state(circuit.n_qubits, batch)
         for op in circuit.operations:
             theta = circuit.resolve_angle(op, inputs, weights)
@@ -147,6 +152,18 @@ class StatevectorBackend:
     def run(self, circuit, observables, inputs=None, weights=None, batch_size=None):
         """Expectation values, shape ``(B, n_observables)``."""
         psi = self.evolve(circuit, inputs, weights, batch_size)
+        return self.measure(psi, observables, circuit.n_qubits)
+
+    def run_rows(self, circuit, observables, inputs, weights, rows):
+        """Expectations where batch row ``b`` uses weight row ``rows[b]`` —
+        the ragged form of the grouped contract (serving micro-batches)."""
+        inputs, _ = _normalise_run_args(circuit, inputs, None)
+        if self._use_program():
+            psi = _program.compile_program(
+                circuit, self._array_backend()
+            ).evolve_rows(inputs, weights, rows)
+        else:
+            psi = self.evolve(circuit, inputs, np.asarray(weights)[rows])
         return self.measure(psi, observables, circuit.n_qubits)
 
     def measure(self, psi, observables, n_qubits):
@@ -244,6 +261,8 @@ class DensityMatrixBackend:
     def evolve(self, circuit, inputs=None, weights=None, batch_size=None):
         """Run the circuit with noise, returning ``(B, 2**n, 2**n)`` states."""
         inputs, batch = _normalise_run_args(circuit, inputs, batch_size)
+        if circuit.n_weights:
+            weights = _program.expand_weights(weights, batch)
         rho = _dm.zero_density(circuit.n_qubits, batch)
         for op in circuit.operations:
             theta = circuit.resolve_angle(op, inputs, weights)

@@ -21,10 +21,13 @@ quantum layer participate in end-to-end classical backpropagation):
 All methods return ``(input_grads, weight_grads)`` with shapes
 ``(B, n_inputs)`` and ``(n_weights,)`` given an upstream gradient of shape
 ``(B, n_observables)`` — i.e. they implement the vector-Jacobian product of
-the map ``(inputs, weights) -> expectations``.  With *per-sample* weights
-``(B, n_weights)`` (ensemble evaluation: each batch row runs its own weight
-vector through the shared circuit structure) the weight gradient is returned
-per-sample as ``(B, n_weights)`` instead of summed over the batch.
+the map ``(inputs, weights) -> expectations``.  With *grouped* weights
+``(G, n_weights)`` (ensemble evaluation: batch row ``b`` runs weight row
+``b % G`` through the shared circuit structure, ``G == B`` being plain
+per-sample weights) the weight gradient is returned per group as
+``(G, n_weights)`` instead of summed over the batch.  ``input_grads=False``
+skips the input gradients (returned as ``None``) for callers that discard
+them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.quantum import backend as _backend
-from repro.quantum import gates as _gates
 from repro.quantum import program as _program
 from repro.quantum import statevector as _sv
 from repro.quantum.backends import StatevectorBackend
@@ -79,33 +81,45 @@ def _flatten_observables(observables, upstream):
     return paulis, coefficients
 
 
-def _accumulate(op, grad_per_sample, input_grads, weight_grads):
-    """Route one gate's per-sample angle gradient to its parameter source.
+def _accumulate(op, grad, input_grads, weight_grads):
+    """Route one gate's angle gradient to its parameter source.
 
-    ``weight_grads`` is ``(n_weights,)`` for batch-shared weights (the
-    per-sample gradients sum over the batch) or ``(B, n_weights)`` for
-    per-sample weights (each sample keeps its own row — used when a batch
-    row belongs to a different ensemble member, e.g. one stacked update
-    pass over every agent's actor).
+    ``grad`` holds one value per batch row (or per weight group, from the
+    folded sweep).  ``weight_grads`` is ``(n_weights,)`` for batch-shared
+    weights (everything sums) or ``(G, n_weights)`` for grouped weights,
+    where batch row ``b`` belongs to group ``b % G`` — e.g. one stacked
+    update pass over every agent's actor.  Input gradients are dropped when
+    ``input_grads`` is None.
     """
     ref = op.param
-    scaled = grad_per_sample * ref.scale
+    scaled = grad * ref.scale
     if ref.kind == "weight":
         if weight_grads.ndim == 2:
+            n_groups = weight_grads.shape[0]
+            if scaled.shape[0] != n_groups:
+                scaled = scaled.reshape(-1, n_groups).sum(axis=0)
             weight_grads[:, ref.index] += scaled
         else:
             weight_grads[ref.index] += scaled.sum()
-    elif ref.kind == "input":
+    elif ref.kind == "input" and input_grads is not None:
         input_grads[:, ref.index] += scaled
 
 
-def _weight_grad_buffer(circuit, weights, batch, xp=np):
-    """Zeroed weight-gradient buffer, per-sample when ``weights`` is 2-D."""
+def _gradient_buffers(circuit, weights, batch, input_grads, xp=np):
+    """Zeroed ``(input_grads, weight_grads)``, per group for 2-D weights."""
+    inputs = (
+        xp.zeros((batch, circuit.n_inputs))
+        if input_grads and circuit.n_inputs else None
+    )
     if not circuit.n_weights:
-        return None
-    if weights is not None and np.asarray(weights).ndim == 2:
-        return xp.zeros((batch, circuit.n_weights))
-    return xp.zeros(circuit.n_weights)
+        return inputs, None
+    if weights is not None and np.ndim(weights) == 2:
+        return inputs, xp.zeros((np.shape(weights)[0], circuit.n_weights))
+    return inputs, xp.zeros(circuit.n_weights)
+
+
+def _needs_grad(op, with_inputs):
+    return op.is_trainable or (with_inputs and op.is_input)
 
 
 def _inverse_matrix(op, theta):
@@ -118,7 +132,10 @@ def _inverse_matrix(op, theta):
     return spec.fixed_matrix.conj().T
 
 
-def adjoint_backward(circuit, observables, inputs, weights, upstream, array_backend=None):
+def adjoint_backward(
+    circuit, observables, inputs, weights, upstream, array_backend=None,
+    input_grads=True,
+):
     """Vector-Jacobian product via adjoint differentiation (exact, pure state).
 
     Args:
@@ -126,21 +143,30 @@ def adjoint_backward(circuit, observables, inputs, weights, upstream, array_back
         observables: List of PauliString / Hamiltonian observables.
         inputs: ``(B, n_inputs)`` features or ``None``.
         weights: ``(n_weights,)`` trainable angles shared across the batch,
-            ``(B, n_weights)`` per-sample weights (ensemble evaluation — the
-            returned weight gradient is then per-sample ``(B, n_weights)``),
-            or ``None``.
+            ``(G, n_weights)`` grouped weights (row ``b`` uses weight row
+            ``b % G``; the returned weight gradient is then per group,
+            ``(G, n_weights)``), or ``None``.
         upstream: ``(B, n_observables)`` upstream gradient
             ``dL/d<O_j>`` per sample.
         array_backend: Array backend for the program-compiled sweep (name,
             instance, or ``None`` for the process default).  The whole
             reverse sweep — gradient accumulators included — stays on the
             device; results come back as host arrays at the end.
+        input_grads: ``False`` skips the input gradients (returned as
+            ``None``) and, with no weight among the encoding gates, their
+            per-row sweep.
 
     Returns:
         ``(input_grads, weight_grads)``; ``input_grads`` is ``None`` when the
-        circuit encodes no inputs.
+        circuit encodes no inputs or they were not requested.
+
+    On the program tier, when ``B > G * 2**n``, the trailing input-free
+    block is swept *folded*: the rows sharing weight row ``g`` become one
+    matrix ``M_g = sum_b |phi_b><beta_b|`` (encoded state, bra pulled back
+    through the block unitary ``U_g``), and one reverse sweep over the
+    ``2 G 2**n`` rows ``{U_g e_l, U_g M_g e_l}`` yields the block's weight
+    gradients exactly (see ``docs/quantum_kernels.md``, "Folded adjoint").
     """
-    backend = StatevectorBackend(array_backend=array_backend)
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim == 1:
@@ -149,75 +175,149 @@ def adjoint_backward(circuit, observables, inputs, weights, upstream, array_back
     if upstream.ndim == 1:
         upstream = upstream[None, :]
     batch = upstream.shape[0]
-    n = circuit.n_qubits
-
-    # Forward pass to the final state.
-    psi = backend.evolve(circuit, inputs, weights, batch_size=batch)
-    if psi.shape[0] != batch:
+    if inputs is not None and inputs.shape[0] != batch:
         raise ValueError(
-            f"upstream batch {batch} != evolved batch {psi.shape[0]}"
+            f"upstream batch {batch} != input batch {inputs.shape[0]}"
         )
-
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    n = circuit.n_qubits
+    ops = circuit.operations
+    n_groups = _program.weight_groups(weights, batch)
     # Effective observable with per-sample coefficients: one reverse sweep
     # then serves every observable and every sample at once.
     paulis, coefficients = _flatten_observables(observables, upstream)
     effective = Hamiltonian(coefficients, paulis)
-    bra = effective.apply(psi, n)
-    ket = psi
-
-    # Resolve all angles once (cheap) so the reverse sweep can invert gates.
-    angles = [
-        circuit.resolve_angle(op, inputs, weights) for op in circuit.operations
-    ]
-
-    if _program.program_enabled():
-        # Program-compiled sweep: each gate's pre-planned inverse kernel is
-        # applied to the stacked (2B, dim) bra/ket block in ONE call, and
-        # generators run as compiled diagonal/gather kernels (Pauli
-        # generators are never dense).  Same math, fewer passes.  Gradient
-        # accumulators live on the program's array backend so the whole
-        # sweep is device-resident; the final buffers cross to the host
-        # exactly once.
-        prog = _program.compile_program(circuit, backend._array_backend())
-        xp = prog.array_backend
-        input_grads = (
-            xp.zeros((batch, circuit.n_inputs)) if circuit.n_inputs else None
-        )
-        weight_grads = _weight_grad_buffer(circuit, weights, batch, xp)
-        stacked = xp.concatenate([bra, ket], axis=0)
-        for i in range(len(circuit.operations) - 1, -1, -1):
-            op = circuit.operations[i]
-            theta = angles[i]
-            if op.is_trainable or op.is_input:
-                # d<H>/dtheta = Im(<bra| G |ket>), ket = psi_i (pre-inverse).
-                g_ket = prog.apply_generator(i, stacked[batch:])
-                grad = xp.imag(_sv.inner_products(stacked[:batch], g_ket))
-                _accumulate(op, grad, input_grads, weight_grads)
-            if theta is not None and np.ndim(theta) == 1:
-                theta = np.concatenate([theta, theta])
-            stacked = prog.apply_inverse(i, stacked, theta)
-        if input_grads is not None:
-            input_grads = xp.to_host(input_grads)
-        if weight_grads is not None:
-            weight_grads = xp.to_host(weight_grads)
-        return input_grads, weight_grads
-
-    input_grads = (
-        np.zeros((batch, circuit.n_inputs)) if circuit.n_inputs else None
+    # Gates below the lowest one needing a gradient are never swept.
+    stop = next(
+        (i for i, op in enumerate(ops) if _needs_grad(op, input_grads)),
+        len(ops),
     )
-    weight_grads = _weight_grad_buffer(circuit, weights, batch)
 
-    for op, theta in zip(reversed(circuit.operations), reversed(angles)):
-        needs_grad = op.is_trainable or op.is_input
-        if needs_grad:
+    if not _program.program_enabled():
+        return _interpreted_adjoint(
+            circuit, effective, inputs, weights, batch, stop, input_grads
+        )
+
+    # Program-compiled sweep: each gate's pre-planned inverse kernel is
+    # applied to the stacked bra/ket block in ONE call, and generators run
+    # as compiled diagonal/gather kernels (Pauli generators are never
+    # dense).  Gradient accumulators live on the program's array backend
+    # so the whole sweep is device-resident; the final buffers cross to
+    # the host exactly once.
+    prog = _program.compile_program(
+        circuit, _backend.get_array_backend(array_backend)
+    )
+    xp = prog.array_backend
+    gi, gw = _gradient_buffers(circuit, weights, batch, input_grads, xp)
+    split, dim = prog.split, prog.dim
+    top = len(ops)
+    if _folds(prog, batch, n_groups):
+        phi = prog.prefix_states(inputs, weights, batch)
+        unitary = prog.suffix_unitary(weights)
+        bra = effective.apply(prog.apply_suffix(phi, unitary), n)
+        # beta_b = U_g^+ bra_b; as a row vector, bra_b^T conj(U_g).
+        beta = xp.matmul(
+            bra.reshape(-1, n_groups, 1, dim), xp.conj(unitary)
+        ).reshape(-1, n_groups, dim)
+        # M_g = sum_b |phi_b><beta_b| over the rows of group g.
+        fold = xp.matmul(
+            xp.transpose(phi.reshape(-1, n_groups, dim), (1, 2, 0)),
+            xp.transpose(xp.conj(beta), (1, 0, 2)),
+        )
+        # Rows U_g e_l (bra half) and U_g M_g e_l = rows of M_g^T U_g^T.
+        transposed = xp.swapaxes(unitary, -1, -2)
+        block = xp.concatenate([
+            transposed, xp.matmul(xp.swapaxes(fold, -1, -2), transposed)
+        ], axis=0).reshape(2 * n_groups * dim, dim)
+
+        def group_angle(op):
+            ref = op.param
+            if ref is not None and ref.kind == "weight" and weights.ndim == 2:
+                return np.repeat(weights[:, ref.index] * ref.scale, dim)
+            return circuit.resolve_angle(op, None, weights)
+
+        _sweep(
+            prog, circuit, block, range(top - 1, max(stop, split) - 1, -1),
+            group_angle, lambda grad: grad.reshape(n_groups, dim).sum(axis=1),
+            None, gw,
+        )
+        top = split
+        bra_ket = (beta.reshape(batch, dim), phi)
+    else:
+        psi = prog.apply(prog.zero_state(batch), inputs, weights)
+        bra_ket = (effective.apply(psi, n), psi)
+    if stop < top:
+        row_weights = _program.expand_weights(weights, batch)
+        _sweep(
+            prog, circuit, xp.concatenate(bra_ket, axis=0),
+            range(top - 1, stop - 1, -1),
+            lambda op: circuit.resolve_angle(op, inputs, row_weights),
+            lambda grad: grad, gi, gw,
+        )
+    return (
+        None if gi is None else xp.to_host(gi),
+        None if gw is None else xp.to_host(gw),
+    )
+
+
+def _folds(prog, batch, n_groups):
+    """Whether to fold the trailing block: its ``2 G 2**n`` fold rows
+    against the ``2 B`` rows of the row sweep, decided by shapes alone."""
+    return prog.suffix_has_weights and batch > n_groups * prog.dim
+
+
+def _sweep(prog, circuit, stacked, indices, angle, reduce, input_grads,
+           weight_grads):
+    """Compiled reverse sweep over ``indices`` (descending).
+
+    ``stacked`` is the ``(2R, dim)`` bra-over-ket block (the states right
+    after gate ``indices[0]``); ``angle(op)`` is a gate's angle for one
+    half, and ``reduce`` maps the per-row gradients onto what
+    :func:`_accumulate` routes.  The lowest gate is not inverted: nothing
+    below it is swept.
+    """
+    xp = prog.array_backend
+    half = stacked.shape[0] // 2
+    ops = circuit.operations
+    lowest = indices[-1] if len(indices) else None
+    for i in indices:
+        op = ops[i]
+        if _needs_grad(op, input_grads is not None):
+            # d<H>/dtheta = Im(<bra| G |ket>), ket = psi_i (pre-inverse).
+            g_ket = prog.apply_generator(i, stacked[half:])
+            grad = xp.imag(_sv.inner_products(stacked[:half], g_ket))
+            _accumulate(op, reduce(grad), input_grads, weight_grads)
+        if i == lowest:
+            break
+        theta = angle(op)
+        if theta is not None and np.ndim(theta) == 1:
+            theta = np.concatenate([theta, theta])
+        stacked = prog.apply_inverse(i, stacked, theta)
+
+
+def _interpreted_adjoint(circuit, effective, inputs, weights, batch, stop,
+                         input_grads):
+    """The per-gate reference sweep (interpreted tier, host numpy)."""
+    n = circuit.n_qubits
+    row_weights = _program.expand_weights(weights, batch)
+    ket = StatevectorBackend(program=False).evolve(
+        circuit, inputs, row_weights, batch_size=batch
+    )
+    bra = effective.apply(ket, n)
+    input_grads, weight_grads = _gradient_buffers(
+        circuit, weights, batch, input_grads
+    )
+    for i in range(len(circuit.operations) - 1, stop - 1, -1):
+        op = circuit.operations[i]
+        if _needs_grad(op, input_grads is not None):
             # d<H>/dtheta = Im(<bra| G |ket>) with ket = psi_k (pre-inverse).
             g_ket = _sv.apply_matrix(ket, op.spec.generator, op.wires, n)
             grad = np.imag(_sv.inner_products(bra, g_ket))
             _accumulate(op, grad, input_grads, weight_grads)
-        inverse = _inverse_matrix(op, theta)
+        inverse = _inverse_matrix(op, circuit.resolve_angle(op, inputs, row_weights))
         ket = _sv.apply_matrix(ket, inverse, op.wires, n)
         bra = _sv.apply_matrix(bra, inverse, op.wires, n)
-
     return input_grads, weight_grads
 
 
@@ -282,71 +382,71 @@ def _per_gate_angle_grad(executor, circuit, observables, inputs, weights, op_ind
     raise ValueError(f"gate has no shift rule: {rule!r}")
 
 
+def _shift_backward(circuit, upstream, weights, backend, input_grads,
+                    angle_grad):
+    """The VJP loop shared by the shift-based methods.
+
+    ``angle_grad(executor, row_weights, i)`` is ``d<O_j>/d theta_i`` for one
+    gate occurrence, shape ``(B, n_obs)``.
+    """
+    executor = _ShiftExecutor(
+        backend if backend is not None else StatevectorBackend()
+    )
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.ndim == 1:
+        upstream = upstream[None, :]
+    batch = upstream.shape[0]
+    input_grads, weight_grads = _gradient_buffers(
+        circuit, weights, batch, input_grads
+    )
+    row_weights = _program.expand_weights(weights, batch)
+    for i, op in enumerate(circuit.operations):
+        if _needs_grad(op, input_grads is not None):
+            grad_obs = angle_grad(executor, row_weights, i)
+            _accumulate(
+                op, np.sum(grad_obs * upstream, axis=1), input_grads,
+                weight_grads,
+            )
+    return input_grads, weight_grads
+
+
 def parameter_shift_backward(
-    circuit, observables, inputs, weights, upstream, backend=None
+    circuit, observables, inputs, weights, upstream, backend=None,
+    input_grads=True,
 ):
     """Vector-Jacobian product via the parameter-shift rule.
 
     Works on any backend, including noisy density-matrix execution (the
     shift rule holds channel-wise) and shot-based estimation.
     """
-    if backend is None:
-        backend = StatevectorBackend()
-    executor = _ShiftExecutor(backend)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None, :]
-    batch = upstream.shape[0]
-
-    input_grads = (
-        np.zeros((batch, circuit.n_inputs)) if circuit.n_inputs else None
-    )
-    weight_grads = _weight_grad_buffer(circuit, weights, batch)
-
-    for i, op in enumerate(circuit.operations):
-        if not (op.is_trainable or op.is_input):
-            continue
-        rule = op.spec.shift_rule
-        grad_obs = _per_gate_angle_grad(
-            executor, circuit, observables, inputs, weights, i, rule
+    def angle_grad(executor, row_weights, i):
+        return _per_gate_angle_grad(
+            executor, circuit, observables, inputs, row_weights, i,
+            circuit.operations[i].spec.shift_rule,
         )
-        grad = np.sum(grad_obs * upstream, axis=1)
-        _accumulate(op, grad, input_grads, weight_grads)
 
-    return input_grads, weight_grads
+    return _shift_backward(
+        circuit, upstream, weights, backend, input_grads, angle_grad
+    )
 
 
 def finite_difference_backward(
-    circuit, observables, inputs, weights, upstream, backend=None, epsilon=1e-6
+    circuit, observables, inputs, weights, upstream, backend=None, epsilon=1e-6,
+    input_grads=True,
 ):
     """Vector-Jacobian product via central finite differences (testing aid)."""
-    if backend is None:
-        backend = StatevectorBackend()
-    executor = _ShiftExecutor(backend)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if upstream.ndim == 1:
-        upstream = upstream[None, :]
-    batch = upstream.shape[0]
+    def angle_grad(executor, row_weights, i):
+        plus, minus = (
+            _shifted_expectations(
+                executor, circuit, observables, inputs, row_weights, i, delta
+            )
+            for delta in (epsilon, -epsilon)
+        )
+        return (plus - minus) / (2.0 * epsilon)
 
-    input_grads = (
-        np.zeros((batch, circuit.n_inputs)) if circuit.n_inputs else None
+    return _shift_backward(
+        circuit, upstream, weights, backend, input_grads, angle_grad
     )
-    weight_grads = _weight_grad_buffer(circuit, weights, batch)
-
-    for i, op in enumerate(circuit.operations):
-        if not (op.is_trainable or op.is_input):
-            continue
-        plus = _shifted_expectations(
-            executor, circuit, observables, inputs, weights, i, epsilon
-        )
-        minus = _shifted_expectations(
-            executor, circuit, observables, inputs, weights, i, -epsilon
-        )
-        grad_obs = (plus - minus) / (2.0 * epsilon)
-        grad = np.sum(grad_obs * upstream, axis=1)
-        _accumulate(op, grad, input_grads, weight_grads)
-
-    return input_grads, weight_grads
 
 
 GRADIENT_METHODS = ("adjoint", "parameter_shift", "finite_diff")
@@ -360,8 +460,13 @@ def backward(
     upstream,
     method="adjoint",
     backend=None,
+    input_grads=True,
 ):
-    """Dispatch to one of the gradient methods by name."""
+    """Dispatch to one of the gradient methods by name.
+
+    ``input_grads=False`` returns ``None`` input gradients without computing
+    them — for callers that only train weights.
+    """
     if method == "adjoint":
         if backend is not None and not getattr(backend, "supports_adjoint", False):
             raise ValueError(
@@ -377,14 +482,17 @@ def backward(
             weights,
             upstream,
             array_backend=getattr(backend, "array_backend", None),
+            input_grads=input_grads,
         )
     if method == "parameter_shift":
         return parameter_shift_backward(
-            circuit, observables, inputs, weights, upstream, backend
+            circuit, observables, inputs, weights, upstream, backend,
+            input_grads=input_grads,
         )
     if method == "finite_diff":
         return finite_difference_backward(
-            circuit, observables, inputs, weights, upstream, backend
+            circuit, observables, inputs, weights, upstream, backend,
+            input_grads=input_grads,
         )
     raise ValueError(
         f"unknown gradient method {method!r}; choose from {GRADIENT_METHODS}"

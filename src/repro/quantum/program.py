@@ -22,13 +22,17 @@ On top of the per-op plans the forward execution path *fuses*:
 - runs of adjacent input-independent gates whose combined wire set stays
   within two qubits are pre-merged into single small unitaries (constant
   ones folded at compile time, weight-dependent ones cached by weight
-  content — the in-circuit analogue of
-  :class:`~repro.quantum.compile.CompiledCircuit`'s suffix folding);
+  content);
 - consecutive constant diagonal/monomial kernels are composed into one
   full-state gather (a CNOT ring collapses to a single index take).
 
 Fusion never crosses an input-dependent operation, so per-sample encoding
 angles always see exactly the gates the symbolic circuit specifies.
+
+Grouped 2-D weights ``(G, n_weights)`` (row ``b`` uses weight row
+``b % G``, :func:`expand_weights`) run the encoding prefix per row and the
+input-free trailing block (from :func:`split_index` on) as ``G`` cached
+``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`).
 
 The per-op (unfused) plans double as the adjoint-differentiation kernels:
 each op exposes a compiled **inverse** plan (for the reverse sweep, applied
@@ -57,6 +61,7 @@ from __future__ import annotations
 import hashlib
 import os
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -68,9 +73,12 @@ from repro.quantum import statevector as _sv
 __all__ = [
     "CircuitProgram",
     "compile_program",
+    "expand_weights",
     "program_enabled",
     "set_program_enabled",
+    "split_index",
     "using_program",
+    "weight_groups",
     "weights_key",
 ]
 
@@ -114,21 +122,54 @@ def using_program(enabled):
 
 
 # ---------------------------------------------------------------------------
-# Weight content keys (shared with CompiledCircuit's unitary cache)
+# Weights: content keys and the grouped 2-D contract
 # ---------------------------------------------------------------------------
 
 
 def weights_key(weights):
-    """Content key of a weight array (weights mutate in place under Adam).
+    """Content key of a 1-D weight vector (weights mutate in place under Adam).
 
-    Includes the shape: a ``(1, n)`` per-sample weight matrix and an
-    ``(n,)`` vector share bytes but compile to different kernels.
+    Keys the fused weight-step matrices; grouped 2-D weights never need it
+    (their per-op kernels read the angles directly).
     """
-    if weights is None:
-        return "none"
     array = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
     digest = hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
     return (array.shape, digest)
+
+
+def split_index(circuit):
+    """Index of the first operation after the last input-dependent one:
+    the trailing block from there on is one fixed unitary per weight vector.
+    Takes anything with an ``operations`` list (a circuit or a program)."""
+    last_input = -1
+    for i, op in enumerate(circuit.operations):
+        if op.is_input:
+            last_input = i
+    return last_input + 1
+
+
+def weight_groups(weights, batch):
+    """``G`` of grouped ``(G, n)`` weights, which serve a ``k * G``-row batch
+    (row ``b`` uses weight row ``b % G``; other batch sizes are rejected).
+    A shared 1-D vector (or ``None``) is one group."""
+    if weights is None or np.ndim(weights) != 2:
+        return 1
+    n_groups = np.shape(weights)[0]
+    if n_groups == 0 or batch % n_groups:
+        raise ValueError(
+            f"{n_groups} weight rows for batch {batch}: the batch must be a "
+            f"multiple of the weight rows"
+        )
+    return n_groups
+
+
+def expand_weights(weights, batch):
+    """One weight row per batch row (see :func:`weight_groups`); 1-D
+    weights and ``None`` pass through."""
+    n_groups = weight_groups(weights, batch)
+    if weights is None or np.ndim(weights) != 2 or n_groups == batch:
+        return weights
+    return np.asarray(weights)[np.arange(batch) % n_groups]
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +300,6 @@ class _DensePlan:
     def apply(self, psi, matrix):
         xp = self._xp
         batch = psi.shape[0]
-        if matrix.ndim == 3 and matrix.shape[0] != batch:
-            raise ValueError(
-                f"batched matrix has batch {matrix.shape[0]}, "
-                f"state has {batch}"
-            )
         if self._bit_perm is not None:
             matrix = matrix[..., self._bit_perm, :][..., :, self._bit_perm]
         view = psi.reshape((batch,) + self._view_shape)
@@ -331,6 +367,10 @@ def _diag_phases(theta, unique_coeff, index_map, xp):
 # ---------------------------------------------------------------------------
 # Per-operation plans
 # ---------------------------------------------------------------------------
+
+
+def _as_inputs(inputs):
+    return None if inputs is None else np.asarray(inputs, dtype=np.float64)
 
 
 def _resolve(resolver, inputs, weights):
@@ -477,11 +517,16 @@ class _OpPlan:
             # upload them one-way (identity on numpy).
             cos = self.xp.asarray(cos[:, None])
             sin = self.xp.asarray(sin[:, None])
+        # The generator kernel returns a fresh array: scale and add in place.
         g_psi = self.apply_generator(psi)
+        g_psi *= -1j * sin
         if self.proj is None:
-            return cos * psi + (-1j * sin) * g_psi
-        # G^2 = P (diagonal projector): rotate only the projected subspace.
-        return psi * (1.0 + (cos - 1.0) * self.proj) + (-1j * sin) * g_psi
+            out = psi * cos
+        else:
+            # G^2 = P (diagonal projector): rotate only the projected subspace.
+            out = psi * (1.0 + (cos - 1.0) * self.proj)
+        out += g_psi
+        return out
 
     def _apply_dense(self, psi, matrix):
         if self.dense is not None:
@@ -690,12 +735,10 @@ class _FusedWeightStep:
 
     The fused matrix is rebuilt only when the weight *content* changes
     (detected through the program-level weights key), so it stays cached
-    across every rollout step between optimiser updates — the in-circuit
-    counterpart of :class:`~repro.quantum.compile.CompiledCircuit`'s suffix
-    unitary cache.  With 2-D per-sample weights, fusing would build a
-    batched ``(B, d, d)`` matrix stack per weight change; the constituent
-    per-op rotation kernels are cheaper there, so the step falls back to
-    applying its ops individually.
+    across every call between optimiser updates.  With 2-D per-row
+    weights, fusing would build a batched ``(B, d, d)`` matrix stack per
+    weight change; the constituent per-op rotation kernels are cheaper
+    there, so the step falls back to applying its ops individually.
     """
 
     __slots__ = ("ops", "wires", "kind", "_plan", "_parts", "_op_plans",
@@ -828,8 +871,7 @@ class CircuitProgram:
     Args:
         n_qubits: Register width.
         operations: Ordered :class:`~repro.quantum.circuit.Operation` list
-            (a whole circuit, or a slice of one — e.g.
-            :class:`~repro.quantum.compile.CompiledCircuit`'s prefix).
+            (a whole circuit, or a slice of one).
         array_backend: Array backend (name, instance or ``None`` for the
             current default) the program's kernels run on.  Compile-time
             constants are materialised on it once, here.
@@ -837,7 +879,9 @@ class CircuitProgram:
     Two views of the same circuit are compiled:
 
     - :attr:`steps` — the fused forward plan used by :meth:`apply` /
-      :meth:`evolve`;
+      :meth:`evolve`, in two parts split at :attr:`split`: the encoding
+      prefix and the input-free trailing block (fusion never crosses an
+      input op, so the parts are exactly the steps of the whole);
     - :attr:`op_plans` — one un-fused plan per operation, exposing
       :meth:`apply_inverse` and :meth:`apply_generator` for the adjoint
       reverse sweep (which needs per-gate granularity).
@@ -845,6 +889,8 @@ class CircuitProgram:
 
     # Scratch buffers are kept for at most this many distinct batch shapes.
     _SCRATCH_SHAPE_LIMIT = 8
+    # Weight matrices whose trailing-block unitaries stay cached.
+    _SUFFIX_CACHE_SIZE = 4
 
     def __init__(self, n_qubits, operations, array_backend=None):
         self.n_qubits = int(n_qubits)
@@ -852,23 +898,30 @@ class CircuitProgram:
         self.operations = tuple(operations)
         self.array_backend = _backend.get_array_backend(array_backend)
         self.op_plans = [_compile_op(op, self.n_qubits) for op in self.operations]
-        self.steps = self._build_steps()
+        self.split = split_index(self)
+        prefix, suffix = self.operations[:self.split], self.operations[self.split:]
+        self._prefix_steps = self._build_steps(prefix, self.op_plans[:self.split])
+        self._suffix_steps = self._build_steps(suffix, self.op_plans[self.split:])
+        self.steps = self._prefix_steps + self._suffix_steps
         self._materialize(self.array_backend)
-        # Frozen at compile time so the telemetry publish in apply() is a
+        # Frozen at compile time so the telemetry publish per call is a
         # tuple walk, not a per-call histogram rebuild.
         self._kind_counts = tuple(sorted(self.kernel_counts().items()))
+        self._grouped_kind_counts = tuple(sorted(Counter(
+            [step.kind for step in self._prefix_steps] + ["suffix"]
+        ).items()))
         self._fused_weights = any(
             isinstance(step, _FusedWeightStep) for step in self.steps
         )
-        self._has_weight_ops = any(op.is_trainable for op in self.operations)
+        self.prefix_has_weights = any(op.is_trainable for op in prefix)
+        self.suffix_has_weights = any(op.is_trainable for op in suffix)
+        self._suffix_cache = []  # [(weights, unitary)], most recent last
         # Per-program ping-pong scratch (numpy path): forward diag/gather/
         # pdiag steps write into preallocated buffers instead of allocating a
         # fresh state per step.  The final step always allocates, so returned
         # states never alias program-owned scratch.
         self._scratch = {}
-        self._use_scratch = (
-            self.array_backend.supports_scratch and len(self.steps) > 1
-        )
+        self._use_scratch = self.array_backend.supports_scratch
 
     def _materialize(self, xp):
         """Upload every plan's constants to ``xp``'s device (once)."""
@@ -890,7 +943,7 @@ class CircuitProgram:
 
     # -- compilation ----------------------------------------------------------
 
-    def _build_steps(self):
+    def _build_steps(self, operations, op_plans):
         steps = []
         group = []  # (op, plan) pairs of the pending fusion run
         group_wires = set()
@@ -927,7 +980,7 @@ class CircuitProgram:
             group.clear()
             group_wires.clear()
 
-        for op, plan in zip(self.operations, self.op_plans):
+        for op, plan in zip(operations, op_plans):
             fusable = not op.is_input and len(op.wires) <= 2
             if fusable and len(group_wires | set(op.wires)) <= 2:
                 group.append((op, plan))
@@ -988,35 +1041,19 @@ class CircuitProgram:
             self._scratch[shape] = pair
         return pair
 
-    def apply(self, psi, inputs=None, weights=None):
-        """Run the program on an existing state batch ``(B, 2**n)``."""
-        if inputs is not None:
-            inputs = np.asarray(inputs, dtype=np.float64)
-        weights_arr = None if weights is None else np.asarray(weights)
-        if (
-            self._has_weight_ops
-            and weights_arr is not None
-            and weights_arr.ndim == 2
-            and weights_arr.shape[0] != psi.shape[0]
-        ):
-            # Same contract (and message) as the interpreted tier, which
-            # rejects the mismatch inside apply_matrix — broadcasting a
-            # short per-sample weight matrix would silently diverge.
-            raise ValueError(
-                f"batched matrix has batch {weights_arr.shape[0]}, "
-                f"state has {psi.shape[0]}"
-            )
-        key = None
-        if self._fused_weights and weights_arr is not None:
-            key = weights_key(weights_arr)
+    def _publish(self, rows, kind_counts):
         if obs.enabled():
             obs.counter("program.evals").inc()
-            obs.counter("program.rows").inc(psi.shape[0])
-            obs.counter("program.kernel_dispatches").inc(len(self.steps))
-            for kind, count in self._kind_counts:
+            obs.counter("program.rows").inc(rows)
+            obs.counter("program.kernel_dispatches").inc(
+                sum(count for _, count in kind_counts)
+            )
+            for kind, count in kind_counts:
                 obs.counter(f"program.kernels.{kind}").inc(count)
-        steps = self.steps
-        if self._use_scratch and psi.dtype == np.complex128:
+
+    def _run(self, steps, psi, inputs, weights, key=None):
+        """Apply ``steps`` to ``psi``; 2-D ``weights`` hold one row per state."""
+        if self._use_scratch and len(steps) > 1 and psi.dtype == np.complex128:
             # Strict A/B alternation guarantees a step never writes the
             # buffer its input state may alias; the last step gets no
             # scratch so the returned state is always freshly owned.
@@ -1024,15 +1061,119 @@ class CircuitProgram:
             last = len(steps) - 1
             for i, step in enumerate(steps):
                 out = scratch[i & 1] if i != last else None
-                psi = step.apply(psi, inputs, weights_arr, key, out)
+                psi = step.apply(psi, inputs, weights, key, out)
             return psi
         for step in steps:
-            psi = step.apply(psi, inputs, weights_arr, key)
+            psi = step.apply(psi, inputs, weights, key)
         return psi
 
+    def _step_weights(self, weights, batch, rows=None):
+        """``(weights, key)`` as the step kernels take them: a grouped matrix
+        expanded to one row per state (never hashed), a 1-D vector with the
+        content key of the fused weight steps."""
+        if weights is None:
+            return None, None
+        weights = np.asarray(weights)
+        if weights.ndim == 2:
+            if rows is None:
+                return expand_weights(weights, batch), None
+            return weights[rows], None
+        return weights, weights_key(weights) if self._fused_weights else None
+
+    def apply(self, psi, inputs=None, weights=None):
+        """Run every step on an existing state batch ``(B, 2**n)``, row by row.
+
+        2-D weights follow the grouped contract (:func:`expand_weights`).
+        """
+        has_weights = self.prefix_has_weights or self.suffix_has_weights
+        weights, key = self._step_weights(
+            weights if has_weights else None, psi.shape[0]
+        )
+        self._publish(psi.shape[0], self._kind_counts)
+        return self._run(self.steps, psi, _as_inputs(inputs), weights, key)
+
     def evolve(self, inputs=None, weights=None, batch_size=1):
-        """Run the program from ``|0...0>``, returning ``(B, 2**n)``."""
+        """Run the program from ``|0...0>``, returning ``(B, 2**n)``.
+
+        Grouped 2-D weights run the prefix per row and the trailing block
+        as the cached unitaries of :meth:`suffix_unitary`.
+        """
+        if np.ndim(weights) == 2:
+            weight_groups(weights, batch_size)
+            return self._evolve_grouped(inputs, weights, batch_size, None)
         return self.apply(self.zero_state(batch_size), inputs, weights)
+
+    def evolve_rows(self, inputs, weights, rows):
+        """Final states where row ``b`` uses weight row ``rows[b]`` of the
+        ``(G, n_weights)`` matrix — the ragged form of the grouped contract
+        (serving micro-batches), sharing its cached unitaries."""
+        weights = np.asarray(weights)
+        rows = np.asarray(rows, dtype=np.intp)
+        batch = rows.shape[0] if inputs is None else np.shape(inputs)[0]
+        if rows.shape != (batch,):
+            raise ValueError(f"rows must have shape ({batch},), got {rows.shape}")
+        return self._evolve_grouped(inputs, weights, batch, rows)
+
+    def _evolve_grouped(self, inputs, weights, batch, rows):
+        self._publish(batch, self._grouped_kind_counts)
+        phi = self.prefix_states(inputs, weights, batch, rows)
+        return self.apply_suffix(phi, self.suffix_unitary(weights), rows)
+
+    def prefix_states(self, inputs, weights, batch, rows=None):
+        """Encoded states at :attr:`split`, ``(B, 2**n)``; row ``b`` uses
+        weight row ``rows[b]`` (or ``b % G``) for any weight gate there."""
+        weights, key = self._step_weights(
+            weights if self.prefix_has_weights else None, batch, rows
+        )
+        return self._run(
+            self._prefix_steps, self.zero_state(batch), _as_inputs(inputs),
+            weights, key,
+        )
+
+    def suffix_unitary(self, weights):
+        """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
+        (a 1-D vector is one group), cached by weight content.  Built by
+        per-row kernels, so each is bit-identical whatever the other rows.
+        """
+        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        cache = self._suffix_cache
+        for i, (cached, unitary) in enumerate(cache):
+            if cached.shape == weights.shape and np.array_equal(cached, weights):
+                if obs.enabled():
+                    obs.counter("program.suffix_hit").inc()
+                cache.append(cache.pop(i))
+                return unitary
+        if obs.enabled():
+            obs.counter("program.suffix_build").inc()
+        n_groups, dim = weights.shape[0], self.dim
+        xp = self.array_backend
+        # Row l of group g evolves the basis state |l>, so each (dim, dim)
+        # block of the result is U_g^T.  Built on the host, uploaded once
+        # per (rare) rebuild.
+        basis = xp.asarray(np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1)))
+        states = self._run(
+            self._suffix_steps, basis, None, np.repeat(weights, dim, axis=0)
+        )
+        unitary = xp.transpose(states.reshape(n_groups, dim, dim), (0, 2, 1))
+        if len(cache) >= self._SUFFIX_CACHE_SIZE:
+            cache.pop(0)
+        cache.append((weights.copy(), unitary))
+        return unitary
+
+    def apply_suffix(self, phi, unitary, rows=None):
+        """``U_g |phi_b>`` with ``g = b % G`` or ``rows[b]``: one ``(1, dim)
+        @ (dim, dim)`` product per row, independent of the rest."""
+        xp = self.array_backend
+        batch, dim = phi.shape[0], self.dim
+        transposed = xp.swapaxes(unitary, -1, -2)  # rows U_g|l>, contiguous
+        if rows is not None:
+            out = xp.matmul(phi[:, None, :], transposed[xp.asarray(rows)])
+        else:
+            n_groups = unitary.shape[0]
+            out = xp.matmul(
+                phi.reshape(batch // n_groups, n_groups, 1, dim), transposed
+            )
+        return out.reshape(batch, dim)
 
     # -- adjoint kernels ------------------------------------------------------
 
@@ -1067,8 +1208,8 @@ class CircuitProgram:
     def __repr__(self):
         return (
             f"CircuitProgram(n_qubits={self.n_qubits}, "
-            f"ops={len(self.operations)}, steps={self.n_steps}, "
-            f"kernels={self.kernel_counts()})"
+            f"ops={len(self.operations)}, split={self.split}, "
+            f"steps={self.n_steps}, kernels={self.kernel_counts()})"
         )
 
 

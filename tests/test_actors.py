@@ -12,6 +12,7 @@ from repro.marl.actors import (
 )
 from repro.nn.tensor import Tensor
 from repro.quantum.backends import StatevectorBackend
+from repro.quantum.program import using_program
 from repro.quantum.vqc import build_vqc
 
 
@@ -189,21 +190,14 @@ class TestRowsProbabilities:
             assert np.allclose(rows[r], direct, atol=1e-12), r
 
     def test_compiled_matches_uncompiled_path(self, shared_vqc, rng):
-        def team(compile_rollouts):
-            actors = [
-                QuantumActor(shared_vqc, np.random.default_rng(i))
-                for i in range(3)
-            ]
-            return QuantumActorGroup(actors,
-                                     compile_rollouts=compile_rollouts)
-
+        """The program tier's ragged gather against the interpreted oracle."""
+        group = quantum_team(shared_vqc, n=3)
         observations = rng.uniform(size=(6, 4))
         agents = [0, 2, 2, 1, 0, 1]
-        assert np.allclose(
-            team(True).rows_probabilities(observations, agents),
-            team(False).rows_probabilities(observations, agents),
-            atol=1e-12,
-        )
+        compiled = group.rows_probabilities(observations, agents)
+        with using_program(False):
+            interpreted = group.rows_probabilities(observations, agents)
+        assert np.allclose(compiled, interpreted, atol=1e-12)
 
     def test_classical_group_rows(self, rng):
         group = ActorGroup(
@@ -269,6 +263,24 @@ class TestStackedLogPolicies:
         loop_grads = [a.layer.weights.grad.copy() for a in group.actors]
         for fast, slow in zip(stacked_grads, loop_grads):
             assert np.allclose(fast, slow, atol=1e-9)
+
+    def test_folded_gradients_match_interpreted(self, shared_vqc, rng,
+                                                sweep_rows):
+        """Above 2**n rows per agent the team backward folds each agent's
+        rows into one matrix; it must match the interpreted oracle."""
+        group = quantum_team(shared_vqc, n=3)
+        obs = rng.uniform(size=(24, 3, 4))
+        upstream = rng.normal(size=(24, 3, 4))
+        grads = []
+        for enabled in (True, False):
+            group.zero_grad()
+            with using_program(enabled):
+                group.stacked_log_policies(obs).backward(upstream)
+            grads.append([a.layer.weights.grad.copy() for a in group.actors])
+        # One folded sweep over 3 agents x 16 basis states, no encoding sweep.
+        assert sweep_rows == [2 * 3 * 16]
+        for fast, slow in zip(*grads):
+            assert np.allclose(fast, slow, atol=1e-12)
 
     def test_born_head_stacked_matches(self, shared_vqc, rng):
         actors = [

@@ -11,6 +11,7 @@ from repro.marl.critics import (
 )
 from repro.nn.tensor import Tensor
 from repro.quantum.backends import StatevectorBackend
+from repro.quantum.program import using_program
 from repro.quantum.vqc import build_vqc
 
 
@@ -199,6 +200,25 @@ class TestPairedCriticValues:
         assert np.allclose(stacked_grad, reference_grad, atol=1e-12)
         # The frozen target accumulated nothing.
         assert target.layer.weights.grad is None
+
+    def test_folded_backward_matches_interpreted(self, critic_vqc, rng,
+                                                 sweep_rows):
+        """More than 2**n states: the online backward folds every row."""
+        critic, target = self.quantum_pair(critic_vqc)
+        states = rng.uniform(size=(24, 16))
+        next_states = rng.uniform(size=(24, 16))
+        upstream = rng.normal(size=24)
+        grads = []
+        for enabled in (True, False):
+            critic.zero_grad()
+            with using_program(enabled):
+                values, _ = paired_critic_values(
+                    critic, target, states, next_states
+                )
+                (values * upstream).sum().backward()
+            grads.append(critic.layer.weights.grad.copy())
+        assert sweep_rows == [2 * 16]
+        assert np.allclose(grads[0], grads[1], atol=1e-12)
 
     def test_mismatched_shapes_rejected(self, critic_vqc, rng):
         critic, target = self.quantum_pair(critic_vqc)

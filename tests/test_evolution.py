@@ -243,20 +243,26 @@ class TestPopulationActorGroup:
         assert np.array_equal(probs[0::2], expected)
 
 
+def count_circuit_runs(trainer, monkeypatch):
+    """Record every batched circuit evaluation of the team's backend."""
+    backend = trainer.actors._fast_backend
+    calls = []
+    original = backend.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(backend, "run", counting_run)
+    return calls
+
+
 class TestSingleCircuitCallPerStep:
     def test_one_stacked_evaluation_per_env_step(self, monkeypatch):
         """A whole generation runs one circuit evaluation per env step —
         no per-member python loop over circuit calls."""
         trainer = quantum_es_trainer(rollout_mode="vector")
-        compiled = trainer.actors._compiled
-        calls = []
-        original = compiled.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(compiled, "run", counting_run)
+        calls = count_circuit_runs(trainer, monkeypatch)
         trainer.train_epoch()
         # episodes_per_epoch=2 per member over 1 env row per member
         # -> 2 lockstep rounds of episode_limit steps each.
@@ -265,15 +271,7 @@ class TestSingleCircuitCallPerStep:
 
     def test_member_loop_pays_one_call_per_member_per_step(self, monkeypatch):
         trainer = quantum_es_trainer(rollout_mode="serial")
-        compiled = trainer.actors._compiled
-        calls = []
-        original = compiled.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(compiled, "run", counting_run)
+        calls = count_circuit_runs(trainer, monkeypatch)
         trainer.train_epoch()
         expected_steps = 2 * SMALL_ENV.episode_limit
         assert len(calls) == expected_steps * trainer.population

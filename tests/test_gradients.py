@@ -20,7 +20,10 @@ from repro.quantum.gradients import (
     jacobians,
     parameter_shift_backward,
 )
+from repro.quantum.encoding import AngleEncoding
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
+from repro.quantum.program import using_program
+from repro.quantum.templates import BasicEntanglerTemplate
 from repro.quantum.vqc import build_vqc
 
 
@@ -136,6 +139,187 @@ class TestMethodAgreement:
         )
         assert gi.shape == (1, vqc.n_features)
         assert gw.shape == (vqc.n_weights,)
+
+
+# -- the folded adjoint sweep --------------------------------------------------
+
+N_QUBITS = 3
+DIM = 2**N_QUBITS
+FOLD_TOL = 1e-12
+
+
+def _grouped_weights(rng, template_weights, n_groups):
+    """``n_groups`` weight rows; one group is the shared 1-D vector."""
+    rows = np.stack([template_weights(rng) for _ in range(n_groups)])
+    return rows[0] if n_groups == 1 else rows
+
+
+def _row_sweeps(circuit, observables, inputs, weights, upstream, n_groups,
+                input_grads):
+    """The same VJP from chunks of ``G * 2**n`` rows, each below the fold
+    threshold (chunks keep every row's weight group)."""
+    chunk = n_groups * DIM
+    gi_parts, gw_total = [], 0.0
+    for lo in range(0, upstream.shape[0], chunk):
+        gi, gw = adjoint_backward(
+            circuit, observables, inputs[lo:lo + chunk], weights,
+            upstream[lo:lo + chunk], input_grads=input_grads,
+        )
+        gi_parts.append(gi)
+        gw_total = gw_total + gw
+    return (np.concatenate(gi_parts) if input_grads else None), gw_total
+
+
+def _reuploading_circuit(trailing):
+    """Encoding and weight layers interleaved; ``trailing`` appends a final
+    input-free weight block."""
+    circuit = QuantumCircuit(N_QUBITS)
+    for layer in range(2):
+        BasicEntanglerTemplate(N_QUBITS, 1).apply(
+            circuit, weight_offset=N_QUBITS * layer
+        )
+        AngleEncoding(N_QUBITS).apply(circuit)
+    if trailing:
+        BasicEntanglerTemplate(N_QUBITS, 2).apply(
+            circuit, weight_offset=2 * N_QUBITS
+        )
+    return circuit
+
+
+def _check_fold(circuit, observables, inputs, weights, upstream, n_groups,
+                input_grads, sweep_rows, folded):
+    """Program sweep == interpreted oracle (== row sweeps when folded)."""
+    gi, gw = adjoint_backward(
+        circuit, observables, inputs, weights, upstream,
+        input_grads=input_grads,
+    )
+    batch = upstream.shape[0]
+    assert sweep_rows[0] == (2 * n_groups * DIM if folded else 2 * batch)
+    with using_program(False):
+        gi_ref, gw_ref = adjoint_backward(
+            circuit, observables, inputs, weights, upstream,
+            input_grads=input_grads,
+        )
+    assert gw.shape == np.shape(weights)
+    assert np.allclose(gw, gw_ref, atol=FOLD_TOL)
+    if input_grads:
+        assert np.allclose(gi, gi_ref, atol=FOLD_TOL)
+    else:
+        assert gi is None and gi_ref is None
+    if folded:
+        gi_row, gw_row = _row_sweeps(
+            circuit, observables, inputs, weights, upstream, n_groups,
+            input_grads,
+        )
+        assert np.allclose(gw, gw_row, atol=FOLD_TOL)
+        if input_grads:
+            assert np.allclose(gi, gi_row, atol=FOLD_TOL)
+
+
+@pytest.mark.usefixtures("array_backend")
+class TestFoldedAdjoint:
+    """Rows sharing a weight row fold into one matrix at the trailing
+    block's boundary whenever ``B > G * 2**n`` — exact against the row
+    sweep and the interpreted oracle."""
+
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("per_group", [4, 8, 16])  # B/G vs 2**n = 8
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    @pytest.mark.parametrize(
+        "template", ["random", "basic_entangler", "strongly_entangling"]
+    )
+    def test_fold_matches_row_sweep_and_interpreted(
+        self, template, n_groups, per_group, input_grads, sweep_rows
+    ):
+        rng = np.random.default_rng(per_group + 10 * n_groups)
+        vqc = build_vqc(N_QUBITS, 6, 18, seed=3, template=template)
+        batch = n_groups * per_group
+        weights = _grouped_weights(rng, vqc.initial_weights, n_groups)
+        inputs = rng.uniform(size=(batch, 6))
+        upstream = rng.normal(size=(batch, vqc.n_outputs))
+        _check_fold(
+            vqc.circuit, vqc.observables, inputs, weights, upstream,
+            n_groups, input_grads, sweep_rows, folded=per_group > DIM,
+        )
+
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    def test_hamiltonian_observables(self, n_groups, sweep_rows):
+        rng = np.random.default_rng(5)
+        vqc = build_vqc(N_QUBITS, 3, 12, seed=2)
+        observables = [
+            Hamiltonian(
+                [0.5, -1.5, 2.0],
+                [PauliString.z(0), PauliString({1: "Z", 2: "Z"}),
+                 PauliString({0: "X"})],
+            ),
+            PauliString({1: "Y", 2: "X"}),
+        ]
+        batch = n_groups * 2 * DIM
+        weights = _grouped_weights(rng, vqc.initial_weights, n_groups)
+        _check_fold(
+            vqc.circuit, observables, rng.uniform(size=(batch, 3)), weights,
+            rng.normal(size=(batch, 2)), n_groups, True, sweep_rows,
+            folded=True,
+        )
+
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    def test_reuploading_without_trailing_block_takes_row_sweep(
+        self, n_groups, input_grads, sweep_rows
+    ):
+        rng = np.random.default_rng(6)
+        circuit = _reuploading_circuit(trailing=False)
+        batch = n_groups * 2 * DIM
+        weights = _grouped_weights(
+            rng, lambda r: r.uniform(0, 2 * np.pi, circuit.n_weights), n_groups
+        )
+        _check_fold(
+            circuit, all_z_observables(N_QUBITS),
+            rng.uniform(size=(batch, N_QUBITS)), weights,
+            rng.normal(size=(batch, N_QUBITS)), n_groups, input_grads,
+            sweep_rows, folded=False,
+        )
+
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    def test_reuploading_with_trailing_block_folds_it(
+        self, n_groups, input_grads, sweep_rows
+    ):
+        """Weights on both sides of the split: the block folds, the
+        encoding layers are swept per row even without input gradients."""
+        rng = np.random.default_rng(7)
+        circuit = _reuploading_circuit(trailing=True)
+        batch = n_groups * 2 * DIM
+        weights = _grouped_weights(
+            rng, lambda r: r.uniform(0, 2 * np.pi, circuit.n_weights), n_groups
+        )
+        _check_fold(
+            circuit, all_z_observables(N_QUBITS),
+            rng.uniform(size=(batch, N_QUBITS)), weights,
+            rng.normal(size=(batch, N_QUBITS)), n_groups, input_grads,
+            sweep_rows, folded=True,
+        )
+        assert sweep_rows[1] == 2 * batch
+
+
+@pytest.mark.parametrize("input_grads", [True, False])
+def test_folded_sweep_downloads_only_the_gradients(input_grads):
+    """Device residency: the folded sweep crosses to the host exactly once
+    per returned gradient buffer, and matches numpy bit for bit."""
+    mock = qback.get_array_backend("mock")
+    rng = np.random.default_rng(8)
+    vqc = build_vqc(N_QUBITS, 6, 18, seed=3)
+    weights = _grouped_weights(rng, vqc.initial_weights, 4)
+    inputs = rng.uniform(size=(64, 6))
+    upstream = rng.normal(size=(64, vqc.n_outputs))
+    args = (vqc.circuit, vqc.observables, inputs, weights, upstream)
+    gi_ref, gw_ref = adjoint_backward(*args, input_grads=input_grads)
+    mock.reset_counts()
+    gi, gw = adjoint_backward(*args, array_backend=mock, input_grads=input_grads)
+    assert mock.counts["d2h"] == (2 if input_grads else 1)
+    assert type(gw) is np.ndarray and np.array_equal(gw, gw_ref)
+    if input_grads:
+        assert np.array_equal(gi, gi_ref)
 
 
 class TestNoisyGradients:

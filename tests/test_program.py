@@ -1,11 +1,12 @@
 """Equivalence and structure tests for the program-compiled kernel tier.
 
 The contract under test: :class:`repro.quantum.program.CircuitProgram`
-execution (fused diagonal / gather / dense kernels) and the
-program-compiled adjoint sweep are numerically identical — ``allclose`` at
-1e-12, usually bit-identical — to the interpreted per-gate reference path,
-across every registered gate, batched encoding angles and 2-D per-sample
-weights.  Fusion must never merge across an input-dependent operation.
+execution (fused diagonal / gather / dense kernels, the cached trailing-block
+unitaries) and the program-compiled adjoint sweep are numerically identical
+— ``allclose`` at 1e-12, usually bit-identical — to the interpreted per-gate
+reference path, across every registered gate, batched encoding angles and
+grouped 2-D weights.  Fusion must never merge across an input-dependent
+operation.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from repro.quantum import backend as qback
 from repro.quantum import program as qprog
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
-from repro.quantum.compile import CompiledCircuit
 from repro.quantum.encoding import DataReuploadingEncoding, AngleEncoding
+from repro.quantum.templates import BasicEntanglerTemplate
 from repro.quantum.gates import GATE_REGISTRY
 from repro.quantum.gradients import adjoint_backward
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
@@ -161,15 +162,21 @@ class TestProgramEquivalence:
             compile_program(circuit).evolve(None, None, batch_size=1)
 
     def test_short_per_sample_weights_rejected_like_interpreted(self, rng):
-        """A (1, n) weight matrix over batch 6 must raise on both tiers,
-        not silently broadcast on the program tier."""
+        """4 weight rows cannot cycle over batch 6: both tiers raise the
+        same error instead of silently broadcasting."""
         circuit = QuantumCircuit(2)
+        circuit.add("ry", (1,), ParameterRef.input(0))
         circuit.add("rx", (0,), ParameterRef.weight(0))
-        weights = rng.uniform(size=(1, 1))
-        with pytest.raises(ValueError, match="batched matrix has batch"):
-            _interpreted().evolve(circuit, None, weights, batch_size=6)
-        with pytest.raises(ValueError, match="batched matrix has batch"):
-            compile_program(circuit).evolve(None, weights, batch_size=6)
+        inputs = rng.uniform(size=(6, 1))
+        weights = rng.uniform(size=(4, 1))
+        program = compile_program(circuit)
+        for run in (
+            lambda: _interpreted().evolve(circuit, inputs, weights),
+            lambda: program.evolve(inputs, weights, batch_size=6),
+            lambda: program.apply(program.zero_state(6), inputs, weights),
+        ):
+            with pytest.raises(ValueError, match="4 weight rows for batch 6"):
+                run()
 
     def test_recompiles_after_circuit_mutation(self, rng):
         circuit = QuantumCircuit(2)
@@ -267,29 +274,132 @@ class TestFusion:
 
 @pytest.mark.usefixtures("array_backend")
 class TestCompiledCircuitIntegration:
+    """The circuit as encoding prefix plus compiled trailing block."""
+
     def test_prefix_program_matches_interpreted(self, rng):
         vqc = build_vqc(4, 8, 30, seed=5)
         weights = vqc.initial_weights(rng)
         inputs = rng.uniform(size=(6, 8))
-        compiled = CompiledCircuit(vqc.circuit, vqc.observables)
-        with using_program(False):
-            interpreted = compiled.run(inputs, weights)
-        compiled_fresh = CompiledCircuit(vqc.circuit, vqc.observables)
-        with using_program(True):
-            program_out = compiled_fresh.run(inputs, weights)
-        assert np.allclose(program_out, interpreted, atol=ATOL)
+        program = compile_program(vqc.circuit)
+        psi = program.apply_suffix(
+            program.prefix_states(inputs, weights, 6),
+            program.suffix_unitary(weights),
+        )
+        exact = _interpreted().evolve(vqc.circuit, inputs, weights)
+        assert np.allclose(qback.to_host(psi), exact, atol=ATOL)
 
     def test_ensemble_weights_through_program_prefix(self, rng):
         vqc = build_vqc(3, 3, 12, seed=5)
         n_sets, k = 3, 4
         weights = np.stack([vqc.initial_weights(rng) for _ in range(n_sets)])
         inputs = rng.uniform(size=(k * n_sets, 3))
-        compiled = CompiledCircuit(vqc.circuit, vqc.observables)
-        outputs = compiled.run(inputs, weights)
+        outputs = StatevectorBackend().run(
+            vqc.circuit, vqc.observables, inputs, weights
+        )
         exact = _interpreted().run(
             vqc.circuit, vqc.observables, inputs, np.tile(weights, (k, 1))
         )
         assert np.allclose(outputs, exact, atol=ATOL)
+
+
+def _reuploading_circuit(trailing=True):
+    """Encoding and weight layers interleaved, optionally ending in a
+    trailing weight block (so both halves hold fused weight steps)."""
+    circuit = QuantumCircuit(3)
+    for layer in range(2):
+        BasicEntanglerTemplate(3, 1).apply(circuit, weight_offset=3 * layer)
+        AngleEncoding(3).apply(circuit)
+    if trailing:
+        BasicEntanglerTemplate(3, 2).apply(circuit, weight_offset=6)
+    return circuit
+
+
+class TestGroupedWeights:
+    """The 2-D weight contract: ``(G, n_weights)`` over ``k * G`` rows."""
+
+    @pytest.mark.usefixtures("array_backend")
+    def test_rows_gather_matches_interpreted(self, rng):
+        vqc = build_vqc(3, 3, 12, seed=2)
+        weights = np.stack([vqc.initial_weights(rng) for _ in range(3)])
+        inputs = rng.uniform(size=(7, 3))
+        rows = np.array([2, 0, 1, 1, 0, 2, 2])
+        program = compile_program(vqc.circuit)
+        psi = program.evolve_rows(inputs, weights, rows)
+        exact = _interpreted().evolve(vqc.circuit, inputs, weights[rows])
+        assert np.allclose(qback.to_host(psi), exact, atol=ATOL)
+        # The ragged gather and the cycled batch share one cache entry.
+        unitary = program.suffix_unitary(weights)
+        program.evolve(inputs[:6], weights, batch_size=6)
+        assert program.suffix_unitary(weights) is unitary
+        with pytest.raises(ValueError, match="rows must have shape"):
+            program.evolve_rows(inputs, weights, rows[:3])
+
+    def test_grouped_forwards_never_hash_weights(self, rng, monkeypatch):
+        """Only 1-D weights key the fused steps; a grouped forward must not
+        pay a content hash over its weight matrix."""
+        def hashed(_weights):
+            raise AssertionError("grouped weights were hashed")
+
+        circuit = _reuploading_circuit()
+        program = compile_program(circuit)
+        assert program._fused_weights and program.prefix_has_weights
+        monkeypatch.setattr(qprog, "weights_key", hashed)
+        weights = rng.uniform(size=(2, circuit.n_weights))
+        inputs = rng.uniform(size=(4, 3))
+        program.evolve(inputs, weights, batch_size=4)
+        program.evolve_rows(inputs, weights, [1, 0, 0, 1])
+        program.apply(program.zero_state(4), inputs, weights)
+
+    def test_reuploading_grouped_forward_matches_interpreted(self, rng):
+        circuit = _reuploading_circuit()
+        weights = rng.uniform(size=(2, circuit.n_weights))
+        inputs = rng.uniform(size=(6, 3))
+        out = compile_program(circuit).evolve(inputs, weights, batch_size=6)
+        exact = _interpreted().evolve(circuit, inputs, np.tile(weights, (3, 1)))
+        assert np.allclose(out, exact, atol=ATOL)
+
+    @pytest.mark.usefixtures("array_backend")
+    def test_prefix_states_match_interpreted(self, rng):
+        """Encoded states at the split, with every parameter kind and a
+        weight gate in the prefix, for shared and grouped weights."""
+        circuit = QuantumCircuit(3)
+        circuit.add("h", (0,))
+        circuit.add("h", (2,))
+        circuit.add("rx", (0,), ParameterRef.input(0, scale=np.pi))
+        circuit.add("rx", (1,), ParameterRef.input(1))
+        circuit.add("rx", (0,), ParameterRef.input(2))
+        circuit.add("rz", (1,), ParameterRef.fixed(0.4))
+        circuit.add("rz", (2,), ParameterRef.fixed(-1.1))
+        circuit.add("ry", (2,), ParameterRef.weight(0))
+        circuit.add("ry", (0,), ParameterRef.weight(1, scale=0.5))
+        circuit.add("rx", (1,), ParameterRef.input(0))
+        circuit.add("cnot", (0, 1))
+        circuit.add("crx", (1, 2), ParameterRef.weight(2))
+        program = compile_program(circuit)
+        prefix = QuantumCircuit(3)
+        prefix.operations = list(circuit.operations[: program.split])
+        inputs = rng.uniform(size=(6, 3))
+        for weights in (rng.uniform(size=3), rng.uniform(size=(2, 3))):
+            phi = program.prefix_states(inputs, weights, 6)
+            exact = _interpreted().evolve(prefix, inputs, weights)
+            assert np.allclose(qback.to_host(phi), exact, atol=ATOL)
+            out = program.evolve(inputs, weights, batch_size=6)
+            exact = _interpreted().evolve(circuit, inputs, weights)
+            assert np.allclose(qback.to_host(out), exact, atol=ATOL)
+
+    def test_suffix_unitaries_bit_identical_for_any_composition(self, rng):
+        """A weight row's unitary, and a row's final state, do not depend on
+        which other rows share the call."""
+        vqc = build_vqc(4, 4, 30, seed=1)
+        weights = np.stack([vqc.initial_weights(rng) for _ in range(5)])
+        program = compile_program(vqc.circuit)
+        alone = program.suffix_unitary(weights[2])[0]
+        assert np.array_equal(program.suffix_unitary(weights[1:4])[1], alone)
+        assert np.array_equal(program.suffix_unitary(weights)[2], alone)
+        inputs = rng.uniform(size=(20, 4))
+        many = program.evolve(inputs, weights, batch_size=20)
+        few = program.evolve(inputs[:5], weights, batch_size=5)
+        assert np.array_equal(many[:5], few)
 
 
 @pytest.mark.usefixtures("array_backend")
@@ -453,7 +563,7 @@ class TestProgramIntrospection:
         assert "CircuitProgram" in repr(program)
 
     def test_subcircuit_program(self, rng):
-        """Programs compile from op slices (CompiledCircuit's halves)."""
+        """Programs compile from op slices (e.g. a circuit's two halves)."""
         vqc = build_vqc(3, 3, 9, seed=0)
         split = 3
         prefix = CircuitProgram(3, vqc.circuit.operations[:split])
