@@ -15,16 +15,9 @@ replaces the interpreted per-gate loop:
   batch sizes and weight groups around the ``B = G * 2**n`` crossover;
 - **end-to-end training** — quantum-framework ``train_epoch`` env steps/s
   with the program tier off (interpreted) and on;
-- **seam overhead** (numpy only) — the compiled kernels, which now dispatch
-  through the array-backend seam, against a twin executor running the same
-  kernel algorithm through direct numpy calls (``--check`` gates this
-  dispatch cost at ≤5% per gate class), plus the allocation churn of the
-  pre-seam fresh-allocation idioms vs the scratch kernels, counted as
-  deterministic freshly-mapped pages per evolve.
-
-``--backend NAME`` runs the program tier on another array backend
-(``mock`` in CPU-only CI; ``cupy``/``torch`` where installed) and stamps
-the choice into the artifact.
+- **scratch pages** — the allocation churn of fresh-allocation kernels vs
+  the program's scratch-buffer kernels (same results, bit for bit),
+  counted as deterministic freshly-mapped pages per evolve.
 
 Run under the benchmark harness::
 
@@ -40,7 +33,6 @@ the median of N full measurements)::
 import argparse
 import os
 import resource
-import sys
 import time
 
 import numpy as np
@@ -49,15 +41,12 @@ from benchio import write_bench_json
 
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.marl.frameworks import build_framework
-from repro.quantum import backend as qback
 from repro.quantum import gradients
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
 from repro.quantum.gradients import adjoint_backward
 from repro.quantum.program import _resolve, compile_program, using_program
 from repro.quantum.vqc import build_vqc
-
-SEAM_OVERHEAD_BUDGET_PCT = 5.0
 
 SEED = 7
 GATE_BATCH = 256
@@ -231,8 +220,8 @@ def _folded_adjoint_rates(repeats):
     return rows
 
 
-def _legacy_generator(plan, psi):
-    """Pre-seam generator kernel: fancy-index gather + fresh multiply."""
+def _fresh_generator(plan, psi):
+    """Generator kernel with a fancy-index gather and a fresh multiply."""
     if plan.gen_kind == "diag":
         return psi * plan.gen_data
     if plan.gen_kind == "gather":
@@ -242,13 +231,13 @@ def _legacy_generator(plan, psi):
     return plan.apply_generator(psi)
 
 
-def _legacy_step(plan, psi, theta):
-    """One gate application written with the pre-seam idioms.
+def _fresh_step(plan, psi, theta):
+    """One gate application that allocates every intermediate afresh.
 
     Fresh allocation per gather/multiply, fancy indexing instead of
-    ``take(out=)``, no in-place reuse of per-sample phase tables — exactly
-    the numpy code the program tier ran before the backend seam landed.
-    Dense kernels are unchanged on numpy and reuse the plan directly.
+    ``take(out=)``, no in-place reuse of per-sample phase tables — the
+    program's kernel algorithm without its scratch buffers.  Dense kernels
+    allocate the same either way and reuse the plan directly.
     """
     kind = plan.kind
     if kind == "diag":
@@ -267,15 +256,15 @@ def _legacy_step(plan, psi, theta):
         cos, sin = np.cos(half), np.sin(half)
         if cos.ndim == 1:
             cos, sin = cos[:, None], sin[:, None]
-        g_psi = _legacy_generator(plan, psi)
+        g_psi = _fresh_generator(plan, psi)
         if plan.proj is None:
             return cos * psi + (-1j * sin) * g_psi
         return psi * (1.0 + (cos - 1.0) * plan.proj) + (-1j * sin) * g_psi
     return plan.apply_forward(psi, theta)
 
 
-def _legacy_evolve(program, inputs, batch):
-    """Run a compiled program through the pre-seam reference kernels."""
+def _fresh_evolve(program, inputs, batch):
+    """Run a compiled program through the fresh-allocation kernels."""
     psi = program.zero_state(batch)
     for step in program.steps:
         plan = getattr(step, "plan", None)
@@ -283,91 +272,9 @@ def _legacy_evolve(program, inputs, batch):
             # Fused weight steps run the same cached matmul either way.
             psi = step.apply(psi, inputs, None, None)
         elif plan.resolver is None:
-            psi = _legacy_step(plan, psi, None)
+            psi = _fresh_step(plan, psi, None)
         else:
-            psi = _legacy_step(plan, psi, _resolve(plan.resolver, inputs, None))
-    return psi
-
-
-def _direct_generator(plan, psi):
-    """Current generator kernel, direct numpy (no seam dispatch)."""
-    if plan.gen_kind == "diag":
-        return psi * plan.gen_data
-    if plan.gen_kind == "gather":
-        source, phase = plan.gen_data
-        taken = psi[:, source]
-        return taken if phase is None else np.multiply(taken, phase, out=taken)
-    return plan.apply_generator(psi)
-
-
-def _direct_step(plan, psi, theta, out):
-    """One gate with the *current* kernel algorithm, but direct ``np.*``
-    calls — the dispatch-free twin of ``apply_forward``.  Scratch reuse,
-    ``take(out=, mode="clip")``, in-place phase multiplies: everything the
-    seam path does, minus the backend indirection being measured.  Dense
-    kinds fall through to the plan (their seam ops are the numpy functions
-    themselves, so there is no indirection left to strip).
-    """
-    kind = plan.kind
-    if kind == "diag":
-        if plan.phase is None:
-            return psi
-        if out is not None:
-            return np.multiply(psi, plan.phase, out=out)
-        return psi * plan.phase
-    if kind == "gather":
-        if out is not None:
-            taken = np.take(psi, plan.source, axis=1, out=out, mode="clip")
-        else:
-            taken = psi[:, plan.source]
-        if plan.phase is None:
-            return taken
-        return np.multiply(taken, plan.phase, out=taken)
-    if kind == "pdiag":
-        unique_coeff, index_map = plan.coeff
-        if np.ndim(theta) == 1:
-            table = np.exp(1j * np.asarray(theta)[:, None] * unique_coeff)
-            phases = np.take(table, index_map, axis=1)
-            return np.multiply(psi, phases, out=phases)
-        phases = np.take(np.exp(1j * theta * unique_coeff), index_map, axis=0)
-        if out is not None:
-            return np.multiply(psi, phases, out=out)
-        return psi * phases
-    if kind == "prot":
-        half = 0.5 * np.asarray(theta)
-        cos, sin = np.cos(half), np.sin(half)
-        if cos.ndim == 1:
-            cos, sin = cos[:, None], sin[:, None]
-        g_psi = _direct_generator(plan, psi)
-        g_psi *= -1j * sin
-        if plan.proj is None:
-            out = psi * cos
-        else:
-            out = psi * (1.0 + (cos - 1.0) * plan.proj)
-        out += g_psi
-        return out
-    return plan.apply_forward(psi, theta)
-
-
-def _direct_evolve(program, inputs, batch):
-    """Run a compiled program through the dispatch-free twin kernels."""
-    psi = program.zero_state(batch)
-    steps = program.steps
-    scratch = program._scratch_pair(psi.shape)
-    last = len(steps) - 1
-    for i, step in enumerate(steps):
-        out = scratch[i & 1] if i != last else None
-        plan = getattr(step, "plan", None)
-        if plan is None:
-            # Fused weight steps run the same cached matmul either way.
-            psi = step.apply(psi, inputs, None, None)
-            continue
-        theta = (
-            None
-            if plan.resolver is None
-            else _resolve(plan.resolver, inputs, None)
-        )
-        psi = _direct_step(plan, psi, theta, out)
+            psi = _fresh_step(plan, psi, _resolve(plan.resolver, inputs, None))
     return psi
 
 
@@ -377,8 +284,9 @@ def _pin_allocator(threshold=8 << 20):
     glibc adapts the threshold dynamically, which makes any fresh-allocation
     path bimodal across processes: state-sized buffers either recycle
     through the heap or round-trip through mmap at ~200 minor page faults
-    per evolve, a per-process coin flip that swamps a 5% overhead budget.
-    Pinning removes the coin flip so the tables here are reproducible.
+    per evolve, a per-process coin flip that swamps the differences being
+    measured.  Pinning removes the coin flip so the tables here are
+    reproducible.
     No-op off glibc.
     """
     try:
@@ -388,36 +296,6 @@ def _pin_allocator(threshold=8 << 20):
         libc.mallopt(-3, threshold)  # M_MMAP_THRESHOLD = -3
     except Exception:
         pass
-
-
-def _paired_overhead(run_base, run_seam, pairs):
-    """Median per-pair time ratio between the two executors.
-
-    This container's throughput drifts in multi-second bands (noisy
-    neighbours, frequency scaling), so any estimator that times one
-    executor for a stretch and then the other reads the band, not the
-    code.  Instead each base/seam pair runs back to back inside the same
-    ~ms window — a band perturbs both members alike — the order alternates
-    to cancel ordering bias, and the median across pairs discards the
-    stragglers a band boundary still splits.
-    """
-    samples = []
-    order = (run_base, run_seam)
-    for i in range(pairs):
-        first, second = order if i % 2 == 0 else order[::-1]
-        t0 = time.perf_counter()
-        first()
-        t1 = time.perf_counter()
-        second()
-        t2 = time.perf_counter()
-        t_first, t_second = t1 - t0, t2 - t1
-        samples.append(
-            (t_first, t_second) if i % 2 == 0 else (t_second, t_first)
-        )
-    t_base = float(np.median([s[0] for s in samples]))
-    t_seam = float(np.median([s[1] for s in samples]))
-    ratio = float(np.median([s / b for b, s in samples]))
-    return t_base, t_seam, ratio
 
 
 def _trim_heap():
@@ -450,57 +328,36 @@ def _fresh_pages(fn, iters):
     return total / iters
 
 
-def _seam_overhead(repeats):
-    """Seam cost on the numpy path per gate class, two ways.
-
-    ``overhead_pct`` (the gated number) is pure dispatch cost: the seam
-    path against a twin executor running the *same* kernel algorithm
-    through direct ``np.*`` calls.  The allocation win of the scratch
-    kernels over the pre-seam fresh-allocation idioms is reported as
-    deterministic page counts (``preseam_pages_per_evolve`` vs
-    ``seam_pages_per_evolve``) rather than wall clock, because a
-    fresh-allocation baseline's speed is allocator-luck — it swings tens
-    of percent either way with heap history.
+def _scratch_pages(repeats):
+    """Freshly mapped pages per evolve, per gate class: the fresh-allocation
+    kernels (``fresh_pages_per_evolve``) against the program's scratch
+    kernels (``scratch_pages_per_evolve``), after checking that both produce
+    the same states bit for bit.  Counted in pages rather than wall clock,
+    because a fresh-allocating executor's speed is allocator luck — it
+    swings tens of percent either way with heap history.
     """
     rng = np.random.default_rng(SEED)
     inputs = rng.uniform(size=(GATE_BATCH, GATE_QUBITS))
-    pairs = 30 * repeats
     fault_iters = 5 * repeats
     results = {}
     for name, builder in GATE_CLASSES.items():
         circuit = builder()
         program = compile_program(circuit)
-        seam = program.evolve(inputs, None, GATE_BATCH)
-        for reference in (
-            _direct_evolve(program, inputs, GATE_BATCH),
-            _legacy_evolve(program, inputs, GATE_BATCH),
+        if not np.array_equal(
+            program.evolve(inputs, None, GATE_BATCH),
+            _fresh_evolve(program, inputs, GATE_BATCH),
         ):
-            if not np.array_equal(seam, reference):
-                raise AssertionError(
-                    f"seam and reference kernels disagree on {name}"
-                )
-        t_direct, t_seam, ratio = _paired_overhead(
-            lambda: _direct_evolve(program, inputs, GATE_BATCH),
-            lambda: program.evolve(inputs, None, GATE_BATCH),
-            pairs,
-        )
-        pages_legacy = _fresh_pages(
-            lambda: _legacy_evolve(program, inputs, GATE_BATCH), fault_iters
-        )
-        pages_seam = _fresh_pages(
-            lambda: program.evolve(inputs, None, GATE_BATCH), fault_iters
-        )
+            raise AssertionError(
+                f"scratch and fresh-allocation kernels disagree on {name}"
+            )
         results[name] = {
-            "direct_gates_per_s": circuit.n_operations / t_direct,
-            "seam_gates_per_s": circuit.n_operations / t_seam,
-            "overhead_pct": (ratio - 1.0) * 100.0,
-            "preseam_pages_per_evolve": pages_legacy,
-            "seam_pages_per_evolve": pages_seam,
+            "fresh_pages_per_evolve": _fresh_pages(
+                lambda: _fresh_evolve(program, inputs, GATE_BATCH), fault_iters
+            ),
+            "scratch_pages_per_evolve": _fresh_pages(
+                lambda: program.evolve(inputs, None, GATE_BATCH), fault_iters
+            ),
         }
-    results["budget_pct"] = SEAM_OVERHEAD_BUDGET_PCT
-    results["max_overhead_pct"] = max(
-        results[name]["overhead_pct"] for name in GATE_CLASSES
-    )
     return results
 
 
@@ -604,16 +461,14 @@ def test_adjoint_program(benchmark):
     )
 
 
-def _measure_all(repeats, n_epochs, backend_name):
+def _measure_all(repeats, n_epochs):
     """One full measurement of every section."""
     return {
         "gate_classes": _gate_class_rates(repeats),
         "adjoint": _adjoint_rates(repeats),
         "adjoint_folded": _folded_adjoint_rates(repeats),
         "train_epoch": _train_epoch_rates(n_epochs),
-        "seam_overhead": (
-            _seam_overhead(repeats) if backend_name == "numpy" else None
-        ),
+        "scratch_pages": _scratch_pages(repeats),
     }
 
 
@@ -643,20 +498,12 @@ def _print_summary(document):
         f"{train['program_steps_per_s']:.1f} env steps/s "
         f"({train['speedup']:.2f}x)"
     )
-    seam = document["seam_overhead"]
-    if seam is not None:
+    print(f"\n{'pages/evolve':>12}  {'fresh':>7}  {'scratch':>7}")
+    for name, row in document["scratch_pages"].items():
         print(
-            f"\n{'seam overhead':>14}  {'direct gates/s':>14}  "
-            f"{'seam gates/s':>13}  {'dispatch':>9}  {'pages/evolve pre->seam':>22}"
+            f"{name:>12}  {row['fresh_pages_per_evolve']:>7.0f}  "
+            f"{row['scratch_pages_per_evolve']:>7.0f}"
         )
-        for name in GATE_CLASSES:
-            row = seam[name]
-            print(
-                f"{name:>14}  {row['direct_gates_per_s']:>14.0f}  "
-                f"{row['seam_gates_per_s']:>13.0f}  {row['overhead_pct']:>8.2f}%  "
-                f"{row['preseam_pages_per_evolve']:>10.0f} -> "
-                f"{row['seam_pages_per_evolve']:.0f}"
-            )
 
 
 def main():
@@ -668,61 +515,27 @@ def main():
         help="fewer repeats (CI smoke run; numbers are noisier)",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        choices=qback.available_array_backends(),
-        help="array backend the program tier runs on (default: process default)",
-    )
-    parser.add_argument(
         "--runs",
         type=int,
         default=1,
         help="full measurements to take; the artifact records their median",
     )
-    parser.add_argument(
-        "--check",
-        action="store_true",
-        help=f"fail if numpy seam overhead exceeds {SEAM_OVERHEAD_BUDGET_PCT}%% "
-        "on any gate class",
-    )
     args = parser.parse_args()
     _pin_allocator()
-    if args.backend is not None:
-        qback.set_default_array_backend(args.backend)
-    backend_name = qback.default_array_backend().name
     repeats = 2 if args.smoke else 5
     n_epochs = 1 if args.smoke else 4
 
-    runs = [
-        _measure_all(repeats, n_epochs, backend_name) for _ in range(args.runs)
-    ]
+    runs = [_measure_all(repeats, n_epochs) for _ in range(args.runs)]
     document = _median_document(runs)
     document.update(
         benchmark="circuit_kernels",
         cpu_count=os.cpu_count(),
         smoke=bool(args.smoke),
         runs=args.runs,
-        array_backend=backend_name,
     )
     _print_summary(document)
     path = write_bench_json("BENCH_circuit_kernels.json", document, args.json_dir)
     print(f"\nwrote {path}")
-
-    seam = document["seam_overhead"]
-    if args.check:
-        if seam is None:
-            print("seam-overhead check requires the numpy backend; skipped")
-        elif seam["max_overhead_pct"] > SEAM_OVERHEAD_BUDGET_PCT:
-            print(
-                f"FAIL: seam overhead {seam['max_overhead_pct']:.2f}% exceeds "
-                f"budget {SEAM_OVERHEAD_BUDGET_PCT}%"
-            )
-            sys.exit(1)
-        else:
-            print(
-                f"seam overhead {seam['max_overhead_pct']:.2f}% within "
-                f"{SEAM_OVERHEAD_BUDGET_PCT}% budget"
-            )
 
 
 if __name__ == "__main__":

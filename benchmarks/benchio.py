@@ -19,17 +19,6 @@ import platform
 __all__ = ["host_metadata", "write_bench_json"]
 
 
-def _active_array_backend():
-    """Name of the quantum kernels' active array backend (``None`` if the
-    quantum substrate isn't importable in this environment)."""
-    try:
-        from repro.quantum.backend import default_array_backend
-
-        return default_array_backend().name
-    except Exception:
-        return None
-
-
 def host_metadata():
     """The machine identity block stamped into every bench artifact."""
     return {
@@ -37,7 +26,6 @@ def host_metadata():
         "platform": platform.platform(),
         "machine": platform.machine(),
         "python": platform.python_version(),
-        "array_backend": _active_array_backend(),
     }
 
 

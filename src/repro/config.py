@@ -118,12 +118,6 @@ class VQCConfig:
             distribution of the action qubits and can become deterministic.
         gradient_method: ``"adjoint"`` (simulator-exact default) or
             ``"parameter_shift"`` (hardware-faithful, required with noise).
-        array_backend: Array backend the exact statevector kernels run on:
-            ``None`` (process default — numpy unless
-            ``REPRO_QUANTUM_BACKEND`` overrides it), ``"numpy"``,
-            ``"cupy"``/``"torch"`` when installed, or ``"mock"`` (the
-            transfer-counting CI backend).  See
-            :mod:`repro.quantum.backend`.
         actor_ansatz_seed / critic_ansatz_seed: Seeds fixing the *structure*
             of the random ansatz.  These are architecture choices (part of
             the configuration), deliberately independent of the framework's
@@ -140,7 +134,6 @@ class VQCConfig:
     actor_logit_scale: float = 1.0
     actor_policy_head: str = "softmax"
     gradient_method: str = "adjoint"
-    array_backend: str = None
     actor_ansatz_seed: int = 1001
     critic_ansatz_seed: int = 2002
 

@@ -294,9 +294,7 @@ def build_framework(
         else:
             def backend_factory():
                 return StatevectorBackend(
-                    shots=shots,
-                    rng=seeds.rng("backend-shots"),
-                    array_backend=vqc_config.array_backend,
+                    shots=shots, rng=seeds.rng("backend-shots")
                 )
         if vqc_config.gradient_method == "adjoint":
             vqc_config = VQCConfig(
@@ -304,7 +302,7 @@ def build_framework(
             )
     else:
         def backend_factory():
-            return StatevectorBackend(array_backend=vqc_config.array_backend)
+            return StatevectorBackend()
 
     env = SingleHopOffloadEnv(env_config, rng=seeds.rng("env"))
 

@@ -73,9 +73,8 @@ class QuantumLayer(Module):
 
         def backward_fn(grad):
             # The backend is passed for every method: the adjoint path
-            # inherits its array backend (device-resident reverse sweep),
-            # the shift/finite-diff paths execute on it directly.  Results
-            # are host numpy arrays either way.
+            # checks it supports exact adjoint differentiation, the
+            # shift/finite-diff paths execute on it directly.
             input_grads, weight_grads = _qbackward(
                 vqc.circuit,
                 vqc.observables,

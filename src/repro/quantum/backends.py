@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantum import backend as _backend
 from repro.quantum import density as _dm
 from repro.quantum import gates as _gates
 from repro.quantum import program as _program
@@ -96,34 +95,22 @@ class StatevectorBackend:
             interpreted gate tier for this backend; ``None`` (default)
             follows the global :func:`repro.quantum.program.program_enabled`
             switch.
-        array_backend: Array backend the compiled-program tier runs on —
-            a name (``"numpy"``, ``"mock"``, ``"cupy"``, ``"torch"``), an
-            :class:`~repro.quantum.backend.ArrayBackend` instance, or
-            ``None`` (default) to follow the process-wide default
-            (``REPRO_QUANTUM_BACKEND`` /
-            :func:`repro.quantum.backend.set_default_array_backend`).
-            Measurement results always come back as host numpy arrays;
-            the interpreted oracle path ignores this and stays on numpy.
     """
 
     name = "statevector"
     supports_adjoint = True
 
-    def __init__(self, shots=None, rng=None, program=None, array_backend=None):
+    def __init__(self, shots=None, rng=None, program=None):
         if shots is not None and shots < 1:
             raise ValueError("shots must be None or >= 1")
         self.shots = shots
         self.rng = rng if rng is not None else np.random.default_rng()
         self.program = program
-        self.array_backend = array_backend
 
     def _use_program(self):
         if self.program is not None:
             return self.program
         return _program.program_enabled()
-
-    def _array_backend(self):
-        return _backend.get_array_backend(self.array_backend)
 
     def evolve(self, circuit, inputs=None, weights=None, batch_size=None):
         """Run the circuit, returning the final state batch ``(B, 2**n)``.
@@ -138,7 +125,7 @@ class StatevectorBackend:
         """
         inputs, batch = _normalise_run_args(circuit, inputs, batch_size)
         if self._use_program():
-            return _program.compile_program(circuit, self._array_backend()).evolve(
+            return _program.compile_program(circuit).evolve(
                 inputs, weights, batch
             )
         if circuit.n_weights:
@@ -159,9 +146,9 @@ class StatevectorBackend:
         the ragged form of the grouped contract (serving micro-batches)."""
         inputs, _ = _normalise_run_args(circuit, inputs, None)
         if self._use_program():
-            psi = _program.compile_program(
-                circuit, self._array_backend()
-            ).evolve_rows(inputs, weights, rows)
+            psi = _program.compile_program(circuit).evolve_rows(
+                inputs, weights, rows
+            )
         else:
             psi = self.evolve(circuit, inputs, np.asarray(weights)[rows])
         return self.measure(psi, observables, circuit.n_qubits)
@@ -178,14 +165,7 @@ class StatevectorBackend:
         (``program=`` override or the global switch), so a
         ``program=False`` backend measures through the interpreted
         reference path even when the global tier is on, and vice versa.
-
-        Device states cross back to the host exactly once: shot sampling
-        converts ``psi`` up front (the sampler uses the host RNG), the
-        exact path converts the stacked result after all expectations are
-        computed on device.
         """
-        if self.shots is not None:
-            psi = _backend.to_host(psi)
         with _program.using_program(self._use_program()):
             columns = [None] * len(observables)
             if self.shots is None and self._use_program():
@@ -197,25 +177,21 @@ class StatevectorBackend:
                     and not obs.is_identity()
                 ]
                 if diag_indices:
-                    xp = _backend.array_namespace(psi)
-                    probs = _sv.probabilities(psi)
-                    signs = xp.device_constant(
-                        _sv.stacked_z_signs(
-                            n_qubits,
-                            tuple(observables[j].wires for j in diag_indices),
-                        )
+                    signs = _sv.stacked_z_signs(
+                        n_qubits,
+                        tuple(observables[j].wires for j in diag_indices),
                     )
-                    values = probs @ signs
+                    values = _sv.probabilities(psi) @ signs
                     for column, j in enumerate(diag_indices):
                         columns[j] = values[:, column]
             for j, obs in enumerate(observables):
                 if columns[j] is None:
                     columns[j] = self._measure_one(psi, obs, n_qubits)
-            return _backend.to_host(np.stack(columns, axis=1))
+            return np.stack(columns, axis=1)
 
     def _measure_one(self, psi, obs, n_qubits):
         if isinstance(obs, Hamiltonian):
-            total = _backend.array_namespace(psi).zeros(psi.shape[0])
+            total = np.zeros(psi.shape[0])
             for j, pauli in enumerate(obs.paulis):
                 coeff = obs.coefficients[..., j]
                 total = total + coeff * self._measure_one(psi, pauli, n_qubits)
@@ -230,9 +206,9 @@ class StatevectorBackend:
         return _sample_mean_signs(probs, signs, self.shots, self.rng)
 
     def probabilities(self, circuit, inputs=None, weights=None, batch_size=None):
-        """Computational-basis probabilities of the final state (host array)."""
+        """Computational-basis probabilities of the final state."""
         psi = self.evolve(circuit, inputs, weights, batch_size)
-        return _backend.to_host(_sv.probabilities(psi))
+        return _sv.probabilities(psi)
 
     def __repr__(self):
         return f"StatevectorBackend(shots={self.shots})"

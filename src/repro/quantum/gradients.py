@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantum import backend as _backend
 from repro.quantum import program as _program
 from repro.quantum import statevector as _sv
 from repro.quantum.backends import StatevectorBackend
@@ -105,17 +104,17 @@ def _accumulate(op, grad, input_grads, weight_grads):
         input_grads[:, ref.index] += scaled
 
 
-def _gradient_buffers(circuit, weights, batch, input_grads, xp=np):
+def _gradient_buffers(circuit, weights, batch, input_grads):
     """Zeroed ``(input_grads, weight_grads)``, per group for 2-D weights."""
     inputs = (
-        xp.zeros((batch, circuit.n_inputs))
+        np.zeros((batch, circuit.n_inputs))
         if input_grads and circuit.n_inputs else None
     )
     if not circuit.n_weights:
         return inputs, None
     if weights is not None and np.ndim(weights) == 2:
-        return inputs, xp.zeros((np.shape(weights)[0], circuit.n_weights))
-    return inputs, xp.zeros(circuit.n_weights)
+        return inputs, np.zeros((np.shape(weights)[0], circuit.n_weights))
+    return inputs, np.zeros(circuit.n_weights)
 
 
 def _needs_grad(op, with_inputs):
@@ -133,8 +132,7 @@ def _inverse_matrix(op, theta):
 
 
 def adjoint_backward(
-    circuit, observables, inputs, weights, upstream, array_backend=None,
-    input_grads=True,
+    circuit, observables, inputs, weights, upstream, input_grads=True,
 ):
     """Vector-Jacobian product via adjoint differentiation (exact, pure state).
 
@@ -148,10 +146,6 @@ def adjoint_backward(
             ``(G, n_weights)``), or ``None``.
         upstream: ``(B, n_observables)`` upstream gradient
             ``dL/d<O_j>`` per sample.
-        array_backend: Array backend for the program-compiled sweep (name,
-            instance, or ``None`` for the process default).  The whole
-            reverse sweep — gradient accumulators included — stays on the
-            device; results come back as host arrays at the end.
         input_grads: ``False`` skips the input gradients (returned as
             ``None``) and, with no weight among the encoding gates, their
             per-row sweep.
@@ -202,14 +196,9 @@ def adjoint_backward(
     # Program-compiled sweep: each gate's pre-planned inverse kernel is
     # applied to the stacked bra/ket block in ONE call, and generators run
     # as compiled diagonal/gather kernels (Pauli generators are never
-    # dense).  Gradient accumulators live on the program's array backend
-    # so the whole sweep is device-resident; the final buffers cross to
-    # the host exactly once.
-    prog = _program.compile_program(
-        circuit, _backend.get_array_backend(array_backend)
-    )
-    xp = prog.array_backend
-    gi, gw = _gradient_buffers(circuit, weights, batch, input_grads, xp)
+    # dense).
+    prog = _program.compile_program(circuit)
+    gi, gw = _gradient_buffers(circuit, weights, batch, input_grads)
     split, dim = prog.split, prog.dim
     top = len(ops)
     if _folds(prog, batch, n_groups):
@@ -217,18 +206,18 @@ def adjoint_backward(
         unitary = prog.suffix_unitary(weights)
         bra = effective.apply(prog.apply_suffix(phi, unitary), n)
         # beta_b = U_g^+ bra_b; as a row vector, bra_b^T conj(U_g).
-        beta = xp.matmul(
-            bra.reshape(-1, n_groups, 1, dim), xp.conj(unitary)
+        beta = np.matmul(
+            bra.reshape(-1, n_groups, 1, dim), np.conj(unitary)
         ).reshape(-1, n_groups, dim)
         # M_g = sum_b |phi_b><beta_b| over the rows of group g.
-        fold = xp.matmul(
-            xp.transpose(phi.reshape(-1, n_groups, dim), (1, 2, 0)),
-            xp.transpose(xp.conj(beta), (1, 0, 2)),
+        fold = np.matmul(
+            np.transpose(phi.reshape(-1, n_groups, dim), (1, 2, 0)),
+            np.transpose(np.conj(beta), (1, 0, 2)),
         )
         # Rows U_g e_l (bra half) and U_g M_g e_l = rows of M_g^T U_g^T.
-        transposed = xp.swapaxes(unitary, -1, -2)
-        block = xp.concatenate([
-            transposed, xp.matmul(xp.swapaxes(fold, -1, -2), transposed)
+        transposed = np.swapaxes(unitary, -1, -2)
+        block = np.concatenate([
+            transposed, np.matmul(np.swapaxes(fold, -1, -2), transposed)
         ], axis=0).reshape(2 * n_groups * dim, dim)
 
         def group_angle(op):
@@ -250,15 +239,12 @@ def adjoint_backward(
     if stop < top:
         row_weights = _program.expand_weights(weights, batch)
         _sweep(
-            prog, circuit, xp.concatenate(bra_ket, axis=0),
+            prog, circuit, np.concatenate(bra_ket, axis=0),
             range(top - 1, stop - 1, -1),
             lambda op: circuit.resolve_angle(op, inputs, row_weights),
             lambda grad: grad, gi, gw,
         )
-    return (
-        None if gi is None else xp.to_host(gi),
-        None if gw is None else xp.to_host(gw),
-    )
+    return gi, gw
 
 
 def _folds(prog, batch, n_groups):
@@ -277,7 +263,6 @@ def _sweep(prog, circuit, stacked, indices, angle, reduce, input_grads,
     :func:`_accumulate` routes.  The lowest gate is not inverted: nothing
     below it is swept.
     """
-    xp = prog.array_backend
     half = stacked.shape[0] // 2
     ops = circuit.operations
     lowest = indices[-1] if len(indices) else None
@@ -286,7 +271,7 @@ def _sweep(prog, circuit, stacked, indices, angle, reduce, input_grads,
         if _needs_grad(op, input_grads is not None):
             # d<H>/dtheta = Im(<bra| G |ket>), ket = psi_i (pre-inverse).
             g_ket = prog.apply_generator(i, stacked[half:])
-            grad = xp.imag(_sv.inner_products(stacked[:half], g_ket))
+            grad = np.imag(_sv.inner_products(stacked[:half], g_ket))
             _accumulate(op, reduce(grad), input_grads, weight_grads)
         if i == lowest:
             break
@@ -298,7 +283,7 @@ def _sweep(prog, circuit, stacked, indices, angle, reduce, input_grads,
 
 def _interpreted_adjoint(circuit, effective, inputs, weights, batch, stop,
                          input_grads):
-    """The per-gate reference sweep (interpreted tier, host numpy)."""
+    """The per-gate reference sweep (interpreted tier)."""
     n = circuit.n_qubits
     row_weights = _program.expand_weights(weights, batch)
     ket = StatevectorBackend(program=False).evolve(
@@ -481,7 +466,6 @@ def backward(
             inputs,
             weights,
             upstream,
-            array_backend=getattr(backend, "array_backend", None),
             input_grads=input_grads,
         )
     if method == "parameter_shift":

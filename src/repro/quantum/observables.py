@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.quantum import backend as _backend
 from repro.quantum import gates as _gates
 from repro.quantum import program as _program
 from repro.quantum import statevector as _sv
@@ -84,8 +83,7 @@ class PauliString:
     def apply(self, psi, n_qubits):
         """Return ``O |psi>`` for a batch of statevectors."""
         if self.terms and self.is_diagonal and _program.program_enabled():
-            xp = _backend.array_namespace(psi)
-            return psi * xp.device_constant(self.z_signs(n_qubits))
+            return psi * self.z_signs(n_qubits)
         out = psi
         for wire, pauli in self.terms.items():
             out = _sv.apply_matrix(out, _PAULI_MATRICES[pauli], (wire,), n_qubits)
@@ -98,8 +96,7 @@ class PauliString:
         if self.is_diagonal and _program.program_enabled():
             # <psi| diag(s) |psi> = sum_i s_i |psi_i|^2: one probability
             # pass and a matvec against the cached sign diagonal.
-            xp = _backend.array_namespace(psi)
-            return _sv.probabilities(psi) @ xp.device_constant(self.z_signs(n_qubits))
+            return _sv.probabilities(psi) @ self.z_signs(n_qubits)
         applied = self.apply(psi, n_qubits)
         return np.real(_sv.inner_products(psi, applied))
 
@@ -151,17 +148,13 @@ class Hamiltonian:
 
     def apply(self, psi, n_qubits):
         """Return ``H |psi>`` per batch sample."""
-        xp = _backend.array_namespace(psi)
-        out = xp.zeros_like(psi)
-        # Batched coefficients move to the device once for the whole sum;
-        # unbatched ones stay host scalars (portable on every backend).
-        coeffs = xp.asarray(self.coefficients) if self.batched else self.coefficients
+        out = np.zeros_like(psi)
         for j, pauli in enumerate(self.paulis):
             term = pauli.apply(psi, n_qubits)
             if self.batched:
-                out += coeffs[:, j][:, None] * term
+                out += self.coefficients[:, j][:, None] * term
             else:
-                out += coeffs[j] * term
+                out += self.coefficients[j] * term
         return out
 
     def expectation(self, psi, n_qubits):

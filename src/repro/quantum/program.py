@@ -43,17 +43,6 @@ a gather instead of an einsum).
 Everything here is numerically the same linear map as the interpreted
 path — identical gate matrices, associatively regrouped — and is pinned
 against it by the equivalence suite in ``tests/test_program.py``.
-
-The kernels dispatch through the array-backend seam
-(:mod:`repro.quantum.backend`): each program is compiled **against one**
-:class:`~repro.quantum.backend.ArrayBackend` (numpy by default, cupy/torch
-when requested, the transfer-counting mock in CI) and its constant data —
-phase vectors, index tables, generator diagonals, fused unitaries — is
-materialised on that backend's device once at compile time.  Per-call host
-data (encoding angles, cos/sin vectors) is uploaded one-way; states never
-leave the device inside a program.  On the numpy backend every seam op is
-the numpy function itself and the materialisation is the identity, so the
-default path runs the exact pre-seam calls bit for bit.
 """
 
 from __future__ import annotations
@@ -67,7 +56,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro import obs
-from repro.quantum import backend as _backend
 from repro.quantum import statevector as _sv
 
 __all__ = [
@@ -256,18 +244,11 @@ class _DensePlan:
     """
 
     __slots__ = ("_bit_perm", "_strategy", "_view_shape", "_gate_dim",
-                 "_fwd_axes", "_back_axes", "dim", "_xp")
+                 "_fwd_axes", "_back_axes", "dim")
 
     _BMM_MIN_TRAILING = 8
 
-    def bind(self, xp):
-        """Attach the array backend; uploads the bit-permutation table."""
-        self._xp = xp
-        if self._bit_perm is not None:
-            self._bit_perm = xp.device_constant(_BIT_SWAP_2Q)
-
     def __init__(self, wires, n_qubits):
-        self._xp = _backend.get_array_backend("numpy")
         wires = tuple(int(w) for w in wires)
         k = len(wires)
         if k not in (1, 2):
@@ -298,7 +279,6 @@ class _DensePlan:
             self._back_axes = (0, 1, 4, 2, 5, 3)
 
     def apply(self, psi, matrix):
-        xp = self._xp
         batch = psi.shape[0]
         if self._bit_perm is not None:
             matrix = matrix[..., self._bit_perm, :][..., :, self._bit_perm]
@@ -306,12 +286,12 @@ class _DensePlan:
         d = self._gate_dim
         if self._strategy == "bmm":
             operand = matrix if matrix.ndim == 2 else matrix[:, None]
-            return xp.matmul(operand, view).reshape(batch, self.dim)
-        moved = xp.transpose(view, self._fwd_axes)
+            return np.matmul(operand, view).reshape(batch, self.dim)
+        moved = np.transpose(view, self._fwd_axes)
         rest_shape = moved.shape
         flat = moved.reshape(batch, self.dim // d, d)
-        out = xp.matmul(flat, xp.swapaxes(matrix, -1, -2))
-        out = xp.transpose(out.reshape(rest_shape), self._back_axes)
+        out = np.matmul(flat, np.swapaxes(matrix, -1, -2))
+        out = np.transpose(out.reshape(rest_shape), self._back_axes)
         return out.reshape(batch, self.dim)
 
 
@@ -348,20 +328,18 @@ _PARAM_DIAG_COEFFS = {
 }
 
 
-def _diag_phases(theta, unique_coeff, index_map, xp):
+def _diag_phases(theta, unique_coeff, index_map):
     """``exp(1j * theta * coeff)`` for scalar or per-sample ``theta``.
 
     The exponential runs over the few *unique* coefficients (2–3 for
     ``rz``/``crz``) and is spread over the full state by a precompiled
     index map — same per-element values, a fraction of the transcendental
-    work.  The transcendentals run on the host (over 2–3 values per sample);
-    only the tiny unique-phase table is uploaded, and the spread to the full
-    state is a device-side gather over the materialised index map.
+    work.
     """
     if np.ndim(theta) == 1:
         phases = np.exp(1j * np.asarray(theta)[:, None] * unique_coeff)
-        return xp.take(xp.asarray(phases), index_map, axis=1)
-    return xp.take(xp.asarray(np.exp(1j * theta * unique_coeff)), index_map, axis=0)
+        return np.take(phases, index_map, axis=1)
+    return np.take(np.exp(1j * theta * unique_coeff), index_map, axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +383,7 @@ class _OpPlan:
     __slots__ = (
         "ops", "wires", "kind", "resolver", "phase", "inv_phase", "source",
         "inv_source", "coeff", "matrix", "inv_matrix", "matrix_fn", "dense",
-        "gen_kind", "gen_data", "proj", "n_qubits", "xp",
+        "gen_kind", "gen_data", "proj", "n_qubits",
     )
 
     def __init__(self, ops, wires, kind, n_qubits):
@@ -413,7 +391,6 @@ class _OpPlan:
         self.wires = tuple(wires)
         self.kind = kind
         self.n_qubits = n_qubits
-        self.xp = _backend.get_array_backend("numpy")
         self.resolver = None
         self.phase = self.inv_phase = None
         self.source = self.inv_source = None
@@ -438,33 +415,32 @@ class _OpPlan:
         so even without scratch it allocates once instead of twice.
         """
         kind = self.kind
-        xp = self.xp
         if kind == "diag":
             if self.phase is None:
                 return psi
             if out is not None:
-                return xp.multiply(psi, self.phase, out=out)
+                return np.multiply(psi, self.phase, out=out)
             return psi * self.phase
         if kind == "gather":
             if out is not None:
                 # mode="clip" never clips (source is a compile-time
                 # permutation) but skips the bounds-checked buffered path
                 # numpy falls into when ``out`` is combined with "raise".
-                taken = xp.take(psi, self.source, axis=1, out=out, mode="clip")
+                taken = np.take(psi, self.source, axis=1, out=out, mode="clip")
             else:
                 taken = psi[:, self.source]
             if self.phase is None:
                 return taken
-            return xp.multiply(taken, self.phase, out=taken)
+            return np.multiply(taken, self.phase, out=taken)
         if kind == "pdiag":
             unique_coeff, index_map = self.coeff
-            phases = _diag_phases(theta, unique_coeff, index_map, xp)
+            phases = _diag_phases(theta, unique_coeff, index_map)
             if phases.ndim == 2:
                 # The per-sample phase table is freshly built this call —
                 # multiplying into it saves the product allocation.
-                return xp.multiply(psi, phases, out=phases)
+                return np.multiply(psi, phases, out=phases)
             if out is not None:
-                return xp.multiply(psi, phases, out=out)
+                return np.multiply(psi, phases, out=out)
             return psi * phases
         if kind == "prot":
             return self._apply_rotation(psi, theta, 1.0)
@@ -476,19 +452,18 @@ class _OpPlan:
 
     def apply_inverse(self, psi, theta=None):
         kind = self.kind
-        xp = self.xp
         if kind == "diag":
             return psi if self.inv_phase is None else psi * self.inv_phase
         if kind == "gather":
             taken = psi[:, self.inv_source]
             if self.inv_phase is None:
                 return taken
-            return xp.multiply(taken, self.inv_phase, out=taken)
+            return np.multiply(taken, self.inv_phase, out=taken)
         if kind == "pdiag":
             unique_coeff, index_map = self.coeff
-            phases = _diag_phases(-np.asarray(theta), unique_coeff, index_map, xp)
+            phases = _diag_phases(-np.asarray(theta), unique_coeff, index_map)
             if phases.ndim == 2:
-                return xp.multiply(psi, phases, out=phases)
+                return np.multiply(psi, phases, out=phases)
             return psi * phases
         if kind == "prot":
             return self._apply_rotation(psi, theta, -1.0)
@@ -504,7 +479,7 @@ class _OpPlan:
             taken = psi[:, source]
             if phase is None:
                 return taken
-            return self.xp.multiply(taken, phase, out=taken)
+            return np.multiply(taken, phase, out=taken)
         return _sv.apply_matrix(psi, self.gen_data, self.wires, self.n_qubits)
 
     def _apply_rotation(self, psi, theta, sign):
@@ -513,10 +488,8 @@ class _OpPlan:
         cos = np.cos(half)
         sin = np.sin(half) if sign > 0 else -np.sin(half)
         if cos.ndim == 1:
-            # Per-sample angles: the cos/sin vectors are per-call host data —
-            # upload them one-way (identity on numpy).
-            cos = self.xp.asarray(cos[:, None])
-            sin = self.xp.asarray(sin[:, None])
+            cos = cos[:, None]
+            sin = sin[:, None]
         # The generator kernel returns a fresh array: scale and add in place.
         g_psi = self.apply_generator(psi)
         g_psi *= -1j * sin
@@ -530,49 +503,8 @@ class _OpPlan:
 
     def _apply_dense(self, psi, matrix):
         if self.dense is not None:
-            return self.dense.apply(psi, self.xp.asarray(matrix))
+            return self.dense.apply(psi, matrix)
         return _sv.apply_matrix(psi, matrix, self.wires, self.n_qubits)
-
-
-def _materialize_plan(plan, xp):
-    """Move one plan's compile-time constants onto the backend's device.
-
-    Runs once per (program, backend) right after compilation.  On the numpy
-    backend ``device_constant`` is the identity, so this is free and the
-    plan keeps the exact arrays the compiler built.  The unique-coefficient
-    half of a ``pdiag`` plan stays on the host — the per-call transcendental
-    runs there (see :func:`_diag_phases`); only its index map is resident.
-    """
-    plan.xp = xp
-    constant = xp.device_constant
-    if plan.phase is not None:
-        plan.phase = constant(plan.phase)
-    if plan.inv_phase is not None:
-        plan.inv_phase = constant(plan.inv_phase)
-    if plan.source is not None:
-        plan.source = constant(plan.source)
-    if plan.inv_source is not None:
-        plan.inv_source = constant(plan.inv_source)
-    if plan.proj is not None:
-        plan.proj = constant(plan.proj)
-    if plan.coeff is not None:
-        unique_coeff, index_map = plan.coeff
-        plan.coeff = (unique_coeff, constant(index_map))
-    if plan.matrix is not None:
-        plan.matrix = constant(plan.matrix)
-    if plan.inv_matrix is not None:
-        plan.inv_matrix = constant(plan.inv_matrix)
-    if plan.gen_kind == "diag":
-        plan.gen_data = constant(plan.gen_data)
-    elif plan.gen_kind == "gather":
-        source, phase = plan.gen_data
-        plan.gen_data = (
-            constant(source), None if phase is None else constant(phase)
-        )
-    # Dense generators stay host-side: they run through the apply_matrix
-    # reference fallback, which follows the state's namespace.
-    if plan.dense is not None:
-        plan.dense.bind(xp)
 
 
 def _fixed_plan(ops, matrix, wires, n_qubits):
@@ -742,12 +674,7 @@ class _FusedWeightStep:
     """
 
     __slots__ = ("ops", "wires", "kind", "_plan", "_parts", "_op_plans",
-                 "_key", "_matrix", "_matrix_dev", "xp")
-
-    def bind(self, xp):
-        """Attach the array backend (constituent plans bind separately)."""
-        self.xp = xp
-        self._plan.bind(xp)
+                 "_key", "_matrix")
 
     def __init__(self, ops, wires, n_qubits, op_plans):
         self.ops = tuple(ops)
@@ -773,19 +700,13 @@ class _FusedWeightStep:
                 )
         self._key = object()  # sentinel: never equal to a content key
         self._matrix = None
-        self._matrix_dev = None
-        self.xp = _backend.get_array_backend("numpy")
 
     def matrix(self, weights, key):
-        """Fused unitary for a 1-D weight vector (2-D goes through apply).
-
-        Built on the host per weight-content change and uploaded once per
-        build — on the numpy backend the "device" copy *is* the host matrix.
-        """
+        """Fused unitary for a 1-D weight vector (2-D goes through apply)."""
         if key == self._key:
             if obs.enabled():
                 obs.counter("program.fused_hit").inc()
-            return self._matrix_dev
+            return self._matrix
         if obs.enabled():
             obs.counter("program.fused_build").inc()
         total = None
@@ -799,8 +720,7 @@ class _FusedWeightStep:
             total = matrix if total is None else matrix @ total
         self._key = key
         self._matrix = total
-        self._matrix_dev = self.xp.asarray(total)
-        return self._matrix_dev
+        return total
 
     def apply(self, psi, inputs, weights, key, out=None):
         if weights is None:
@@ -872,9 +792,6 @@ class CircuitProgram:
         n_qubits: Register width.
         operations: Ordered :class:`~repro.quantum.circuit.Operation` list
             (a whole circuit, or a slice of one).
-        array_backend: Array backend (name, instance or ``None`` for the
-            current default) the program's kernels run on.  Compile-time
-            constants are materialised on it once, here.
 
     Two views of the same circuit are compiled:
 
@@ -892,18 +809,16 @@ class CircuitProgram:
     # Weight matrices whose trailing-block unitaries stay cached.
     _SUFFIX_CACHE_SIZE = 4
 
-    def __init__(self, n_qubits, operations, array_backend=None):
+    def __init__(self, n_qubits, operations):
         self.n_qubits = int(n_qubits)
         self.dim = 2**self.n_qubits
         self.operations = tuple(operations)
-        self.array_backend = _backend.get_array_backend(array_backend)
         self.op_plans = [_compile_op(op, self.n_qubits) for op in self.operations]
         self.split = split_index(self)
         prefix, suffix = self.operations[:self.split], self.operations[self.split:]
         self._prefix_steps = self._build_steps(prefix, self.op_plans[:self.split])
         self._suffix_steps = self._build_steps(suffix, self.op_plans[self.split:])
         self.steps = self._prefix_steps + self._suffix_steps
-        self._materialize(self.array_backend)
         # Frozen at compile time so the telemetry publish per call is a
         # tuple walk, not a per-call histogram rebuild.
         self._kind_counts = tuple(sorted(self.kernel_counts().items()))
@@ -916,30 +831,11 @@ class CircuitProgram:
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
         self._suffix_cache = []  # [(weights, unitary)], most recent last
-        # Per-program ping-pong scratch (numpy path): forward diag/gather/
-        # pdiag steps write into preallocated buffers instead of allocating a
-        # fresh state per step.  The final step always allocates, so returned
+        # Per-program ping-pong scratch: forward diag/gather/pdiag steps
+        # write into preallocated buffers instead of allocating a fresh
+        # state per step.  The final step always allocates, so returned
         # states never alias program-owned scratch.
         self._scratch = {}
-        self._use_scratch = self.array_backend.supports_scratch
-
-    def _materialize(self, xp):
-        """Upload every plan's constants to ``xp``'s device (once)."""
-        seen = set()
-
-        def visit(plan):
-            if id(plan) in seen:
-                return
-            seen.add(id(plan))
-            _materialize_plan(plan, xp)
-
-        for plan in self.op_plans:
-            visit(plan)
-        for step in self.steps:
-            if isinstance(step, _FusedWeightStep):
-                step.bind(xp)
-            else:
-                visit(step.plan)
 
     # -- compilation ----------------------------------------------------------
 
@@ -1021,22 +917,17 @@ class CircuitProgram:
     # -- execution ------------------------------------------------------------
 
     def zero_state(self, batch_size=1):
-        """``|0...0>`` on this program's device, shape ``(B, 2**n)``."""
-        psi = self.array_backend.zeros(
-            (batch_size, self.dim), np.complex128
-        )
-        psi[:, 0] = 1.0
-        return psi
+        """``|0...0>``, shape ``(B, 2**n)``."""
+        return _sv.zero_state(self.n_qubits, batch_size)
 
     def _scratch_pair(self, shape):
         pair = self._scratch.get(shape)
         if pair is None:
             if len(self._scratch) >= self._SCRATCH_SHAPE_LIMIT:
                 self._scratch.clear()
-            xp = self.array_backend
             pair = (
-                xp.empty(shape, np.complex128),
-                xp.empty(shape, np.complex128),
+                np.empty(shape, np.complex128),
+                np.empty(shape, np.complex128),
             )
             self._scratch[shape] = pair
         return pair
@@ -1053,7 +944,7 @@ class CircuitProgram:
 
     def _run(self, steps, psi, inputs, weights, key=None):
         """Apply ``steps`` to ``psi``; 2-D ``weights`` hold one row per state."""
-        if self._use_scratch and len(steps) > 1 and psi.dtype == np.complex128:
+        if len(steps) > 1 and psi.dtype == np.complex128:
             # Strict A/B alternation guarantees a step never writes the
             # buffer its input state may alias; the last step gets no
             # scratch so the returned state is always freshly owned.
@@ -1146,15 +1037,13 @@ class CircuitProgram:
         if obs.enabled():
             obs.counter("program.suffix_build").inc()
         n_groups, dim = weights.shape[0], self.dim
-        xp = self.array_backend
         # Row l of group g evolves the basis state |l>, so each (dim, dim)
-        # block of the result is U_g^T.  Built on the host, uploaded once
-        # per (rare) rebuild.
-        basis = xp.asarray(np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1)))
+        # block of the result is U_g^T.
+        basis = np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1))
         states = self._run(
             self._suffix_steps, basis, None, np.repeat(weights, dim, axis=0)
         )
-        unitary = xp.transpose(states.reshape(n_groups, dim, dim), (0, 2, 1))
+        unitary = np.transpose(states.reshape(n_groups, dim, dim), (0, 2, 1))
         if len(cache) >= self._SUFFIX_CACHE_SIZE:
             cache.pop(0)
         cache.append((weights.copy(), unitary))
@@ -1163,14 +1052,13 @@ class CircuitProgram:
     def apply_suffix(self, phi, unitary, rows=None):
         """``U_g |phi_b>`` with ``g = b % G`` or ``rows[b]``: one ``(1, dim)
         @ (dim, dim)`` product per row, independent of the rest."""
-        xp = self.array_backend
         batch, dim = phi.shape[0], self.dim
-        transposed = xp.swapaxes(unitary, -1, -2)  # rows U_g|l>, contiguous
+        transposed = np.swapaxes(unitary, -1, -2)  # rows U_g|l>, contiguous
         if rows is not None:
-            out = xp.matmul(phi[:, None, :], transposed[xp.asarray(rows)])
+            out = np.matmul(phi[:, None, :], transposed[rows])
         else:
             n_groups = unitary.shape[0]
-            out = xp.matmul(
+            out = np.matmul(
                 phi.reshape(batch // n_groups, n_groups, 1, dim), transposed
             )
         return out.reshape(batch, dim)
@@ -1221,17 +1109,15 @@ _PROGRAM_CACHE = {}
 _CACHE_FALLBACK_LIMIT = 512
 
 
-def compile_program(circuit, array_backend=None):
+def compile_program(circuit):
     """Compile (and cache) the program for a symbolic circuit.
 
-    The cache is keyed on (circuit identity, array backend) and validated
-    against the operation list, so appending to a circuit after running it
-    triggers a clean recompile instead of stale kernels, and each backend
-    gets its own device-materialised program.  Entries are evicted when the
+    The cache is keyed on circuit identity and validated against the
+    operation list, so appending to a circuit after running it triggers a
+    clean recompile instead of stale kernels.  Entries are evicted when the
     circuit is garbage collected.
     """
-    xp = _backend.get_array_backend(array_backend)
-    key = (id(circuit), id(xp))
+    key = id(circuit)
     entry = _PROGRAM_CACHE.get(key)
     if entry is not None:
         snapshot, program, _ref = entry
@@ -1244,7 +1130,7 @@ def compile_program(circuit, array_backend=None):
             return program
     if obs.enabled():
         obs.counter("program.compile").inc()
-    program = CircuitProgram(circuit.n_qubits, circuit.operations, xp)
+    program = CircuitProgram(circuit.n_qubits, circuit.operations)
     try:
         ref = weakref.ref(circuit, lambda _r, _k=key: _PROGRAM_CACHE.pop(_k, None))
     except TypeError:

@@ -15,7 +15,6 @@ import functools
 
 import numpy as np
 
-from repro.quantum import backend as _backend
 from repro.quantum import gates as _gates
 
 __all__ = [
@@ -82,14 +81,7 @@ def apply_matrix(psi, matrix, wires, n_qubits):
     _check_wires(n_qubits, wires)
     k = len(wires)
     dim_gate = 2**k
-    xp = _backend.array_namespace(psi)
-    if not isinstance(psi, np.ndarray):
-        # Non-numpy-compatible device arrays (torch/cupy): reference
-        # fallback via an explicit host round-trip.  The program tier's
-        # compiled kernels never take this path for registry gates.
-        host = apply_matrix(xp.to_host(psi), matrix, wires, n_qubits)
-        return xp.asarray(host)
-    matrix = xp.asarray(matrix, dtype=np.complex128)
+    matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape[-2:] != (dim_gate, dim_gate):
         raise ValueError(
             f"matrix shape {matrix.shape} incompatible with wires {wires}"
@@ -143,35 +135,19 @@ def normalize(psi):
     return psi / n[:, None]
 
 
-# Per-shape scratch for the imag**2 temporary in probabilities().  The
-# returned probability array is always freshly allocated (callers keep it);
-# only the intermediate square is recycled.  Keyed by shape, bounded.
-_PROB_SCRATCH = {}
-_PROB_SCRATCH_LIMIT = 8
-
-
 def probabilities(psi):
     """Measurement probabilities in the computational basis, ``(B, 2**n)``.
 
     Computed as ``real**2 + imag**2`` — same quantity as ``abs(psi)**2``
     without the intermediate square root, and this runs once per measured
-    observable in every rollout step.  On the host path the ``imag**2``
-    temporary is computed into a per-shape scratch buffer so each call
-    allocates exactly one array (the result) instead of three.
+    observable in every rollout step.  Holds no state between calls, so
+    threads may call it concurrently.
     """
     re = psi.real
     im = psi.imag
-    if type(psi) is np.ndarray:
-        out = np.multiply(re, re)
-        if len(_PROB_SCRATCH) >= _PROB_SCRATCH_LIMIT and psi.shape not in _PROB_SCRATCH:
-            _PROB_SCRATCH.clear()
-        tmp = _PROB_SCRATCH.get(psi.shape)
-        if tmp is None:
-            tmp = _PROB_SCRATCH[psi.shape] = np.empty(psi.shape, dtype=np.float64)
-        np.multiply(im, im, out=tmp)
-        out += tmp
-        return out
-    return re * re + im * im
+    out = re * re
+    out += im * im
+    return out
 
 
 def marginal_probabilities(psi, wires, n_qubits):
@@ -224,9 +200,6 @@ def sample_bitstrings(psi, shots, rng):
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    # Shot sampling uses the host RNG: device states cross the boundary
-    # here, explicitly, once per sampling call.
-    psi = _backend.to_host(psi)
     probs = probabilities(psi)
     # Guard against tiny negative round-off and renormalise.
     probs = np.clip(probs, 0.0, None)
@@ -282,14 +255,12 @@ def stacked_z_signs(n_qubits, wire_sets):
 def expectation_pauli_z(psi, wire, n_qubits):
     """``<Z_wire>`` for each batch sample, shape ``(B,)``, exact (infinite shots)."""
     _check_wires(n_qubits, (wire,))
-    xp = _backend.array_namespace(psi)
-    return probabilities(psi) @ xp.device_constant(_z_signs(n_qubits, wire))
+    return probabilities(psi) @ _z_signs(n_qubits, wire)
 
 
 def inner_products(bra, ket):
     """Per-sample inner products ``<bra|ket>``, shape ``(B,)``."""
-    xp = _backend.array_namespace(bra)
-    return xp.sum(xp.conj(bra) * ket, axis=-1)
+    return np.sum(np.conj(bra) * ket, axis=-1)
 
 
 class Statevector:

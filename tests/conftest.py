@@ -35,3 +35,35 @@ def sweep_rows(monkeypatch):
 
     monkeypatch.setattr(gradients, "_sweep", spy)
     return rows
+
+
+@pytest.fixture(params=["fresh", "reused"])
+def program_state(request, monkeypatch):
+    """Run a test on fresh compiled programs, then on reused ones.
+
+    ``reused`` runs every step sequence a program executes on a decoy batch
+    of the same shape first (another state, other inputs and weights), so
+    the scratch buffers and fused-weight matrices the real call meets hold
+    another call's data.  The real call must then leave the decoy's returned
+    state untouched: no returned state aliases program-owned scratch.
+    """
+    if request.param == "fresh":
+        return
+    from repro.quantum import program
+
+    run = program.CircuitProgram._run
+
+    def reused(self, steps, psi, inputs, weights, key=None):
+        decoy_weights = None if weights is None else weights + 0.25
+        decoy = run(
+            self, steps, np.roll(psi, 1, axis=-1),
+            None if inputs is None else inputs + 0.5,
+            decoy_weights,
+            None if key is None else program.weights_key(decoy_weights),
+        )
+        kept = decoy.copy()
+        out = run(self, steps, psi, inputs, weights, key)
+        assert np.array_equal(decoy, kept), "a later call overwrote a returned state"
+        return out
+
+    monkeypatch.setattr(program.CircuitProgram, "_run", reused)

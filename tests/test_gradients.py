@@ -9,7 +9,6 @@ evidence each is correct.
 import numpy as np
 import pytest
 
-from repro.quantum import backend as qback
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
@@ -35,20 +34,7 @@ def _random_problem(rng, n_qubits=3, n_features=6, n_weights=14, batch=4, seed=0
     return vqc, inputs, weights, upstream
 
 
-@pytest.fixture(params=qback.available_array_backends())
-def array_backend(request):
-    """Run the method-agreement suite once per importable array backend.
-
-    The adjoint sweep dispatches through the seam (device arrays on mock /
-    cupy / torch); shift and finite-difference stay on host numpy, so each
-    parametrization cross-checks the seamed sweep against two independent
-    host derivations.
-    """
-    with qback.using_array_backend(request.param):
-        yield qback.get_array_backend(request.param)
-
-
-@pytest.mark.usefixtures("array_backend")
+@pytest.mark.usefixtures("program_state")
 class TestMethodAgreement:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_adjoint_vs_parameter_shift(self, rng, seed):
@@ -216,7 +202,7 @@ def _check_fold(circuit, observables, inputs, weights, upstream, n_groups,
             assert np.allclose(gi, gi_row, atol=FOLD_TOL)
 
 
-@pytest.mark.usefixtures("array_backend")
+@pytest.mark.usefixtures("program_state")
 class TestFoldedAdjoint:
     """Rows sharing a weight row fold into one matrix at the trailing
     block's boundary whenever ``B > G * 2**n`` — exact against the row
@@ -300,26 +286,6 @@ class TestFoldedAdjoint:
             sweep_rows, folded=True,
         )
         assert sweep_rows[1] == 2 * batch
-
-
-@pytest.mark.parametrize("input_grads", [True, False])
-def test_folded_sweep_downloads_only_the_gradients(input_grads):
-    """Device residency: the folded sweep crosses to the host exactly once
-    per returned gradient buffer, and matches numpy bit for bit."""
-    mock = qback.get_array_backend("mock")
-    rng = np.random.default_rng(8)
-    vqc = build_vqc(N_QUBITS, 6, 18, seed=3)
-    weights = _grouped_weights(rng, vqc.initial_weights, 4)
-    inputs = rng.uniform(size=(64, 6))
-    upstream = rng.normal(size=(64, vqc.n_outputs))
-    args = (vqc.circuit, vqc.observables, inputs, weights, upstream)
-    gi_ref, gw_ref = adjoint_backward(*args, input_grads=input_grads)
-    mock.reset_counts()
-    gi, gw = adjoint_backward(*args, array_backend=mock, input_grads=input_grads)
-    assert mock.counts["d2h"] == (2 if input_grads else 1)
-    assert type(gw) is np.ndarray and np.array_equal(gw, gw_ref)
-    if input_grads:
-        assert np.array_equal(gi, gi_ref)
 
 
 class TestNoisyGradients:

@@ -7,13 +7,18 @@ unitaries) and the program-compiled adjoint sweep are numerically identical
 reference path, across every registered gate, batched encoding angles and
 grouped 2-D weights.  Fusion must never merge across an input-dependent
 operation.
+
+The equivalence suites run on fresh programs and on reused ones whose
+scratch buffers and fused-weight matrices hold another call's data (the
+``program_state`` fixture); the scratch path itself must give the bits of
+allocating every step.
 """
 
 import numpy as np
 import pytest
 
-from repro.quantum import backend as qback
 from repro.quantum import program as qprog
+from repro.quantum import statevector as sv
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
 from repro.quantum.encoding import DataReuploadingEncoding, AngleEncoding
@@ -29,18 +34,6 @@ from repro.quantum.program import (
 from repro.quantum.vqc import build_vqc
 
 ATOL = 1e-12
-
-# Every array backend importable here: always ["numpy", "mock"], plus
-# cupy / torch when installed.  The equivalence suites below run once per
-# backend — the interpreted oracle always stays on host numpy, so each
-# parametrization pins "program tier on backend X == interpreted numpy".
-ARRAY_BACKENDS = qback.available_array_backends()
-
-
-@pytest.fixture(params=ARRAY_BACKENDS)
-def array_backend(request):
-    with qback.using_array_backend(request.param):
-        yield qback.get_array_backend(request.param)
 
 
 def _interpreted():
@@ -106,24 +99,26 @@ def _random_circuit(rng, n_qubits=4, n_ops=40):
     return circuit, n_weights
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestProgramEquivalence:
+    @pytest.mark.usefixtures("program_state")
     def test_all_registered_gates(self, rng):
         circuit = _all_gates_circuit()
         inputs = rng.uniform(size=(6, 3))
         weights = rng.uniform(-np.pi, np.pi, size=4)
         exact = _interpreted().evolve(circuit, inputs, weights)
         out = compile_program(circuit).evolve(inputs, weights, batch_size=6)
-        assert np.allclose(qback.to_host(out), exact, atol=ATOL)
+        assert np.allclose(out, exact, atol=ATOL)
 
+    @pytest.mark.usefixtures("program_state")
     def test_all_gates_per_sample_weights(self, rng):
         circuit = _all_gates_circuit()
         inputs = rng.uniform(size=(5, 3))
         weights = rng.uniform(-np.pi, np.pi, size=(5, 4))
         exact = _interpreted().evolve(circuit, inputs, weights)
         out = compile_program(circuit).evolve(inputs, weights, batch_size=5)
-        assert np.allclose(qback.to_host(out), exact, atol=ATOL)
+        assert np.allclose(out, exact, atol=ATOL)
 
+    @pytest.mark.usefixtures("program_state")
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_circuits(self, seed):
         rng = np.random.default_rng(seed)
@@ -132,8 +127,9 @@ class TestProgramEquivalence:
         weights = rng.uniform(-np.pi, np.pi, size=max(n_weights, 1))
         exact = _interpreted().evolve(circuit, inputs, weights)
         out = compile_program(circuit).evolve(inputs, weights, batch_size=4)
-        assert np.allclose(qback.to_host(out), exact, atol=ATOL)
+        assert np.allclose(out, exact, atol=ATOL)
 
+    @pytest.mark.usefixtures("program_state")
     def test_standard_vqc_batched_encoding(self, rng):
         vqc = build_vqc(4, 16, 50, seed=7)
         weights = vqc.initial_weights(rng)
@@ -144,6 +140,7 @@ class TestProgramEquivalence:
         )
         assert np.allclose(program_out, exact, atol=ATOL)
 
+    @pytest.mark.usefixtures("program_state")
     def test_backend_follows_global_switch(self, rng):
         vqc = build_vqc(3, 3, 9, seed=2)
         weights = vqc.initial_weights(rng)
@@ -186,7 +183,7 @@ class TestProgramEquivalence:
         second = compile_program(circuit)
         assert first is not second
         exact = _interpreted().evolve(circuit, batch_size=1)
-        assert np.allclose(qback.to_host(second.evolve(batch_size=1)), exact, atol=ATOL)
+        assert np.allclose(second.evolve(batch_size=1), exact, atol=ATOL)
 
     def test_cache_hit_returns_same_program(self):
         circuit = QuantumCircuit(2)
@@ -272,7 +269,7 @@ class TestFusion:
         )
 
 
-@pytest.mark.usefixtures("array_backend")
+@pytest.mark.usefixtures("program_state")
 class TestCompiledCircuitIntegration:
     """The circuit as encoding prefix plus compiled trailing block."""
 
@@ -286,7 +283,7 @@ class TestCompiledCircuitIntegration:
             program.suffix_unitary(weights),
         )
         exact = _interpreted().evolve(vqc.circuit, inputs, weights)
-        assert np.allclose(qback.to_host(psi), exact, atol=ATOL)
+        assert np.allclose(psi, exact, atol=ATOL)
 
     def test_ensemble_weights_through_program_prefix(self, rng):
         vqc = build_vqc(3, 3, 12, seed=5)
@@ -317,7 +314,7 @@ def _reuploading_circuit(trailing=True):
 class TestGroupedWeights:
     """The 2-D weight contract: ``(G, n_weights)`` over ``k * G`` rows."""
 
-    @pytest.mark.usefixtures("array_backend")
+    @pytest.mark.usefixtures("program_state")
     def test_rows_gather_matches_interpreted(self, rng):
         vqc = build_vqc(3, 3, 12, seed=2)
         weights = np.stack([vqc.initial_weights(rng) for _ in range(3)])
@@ -326,7 +323,7 @@ class TestGroupedWeights:
         program = compile_program(vqc.circuit)
         psi = program.evolve_rows(inputs, weights, rows)
         exact = _interpreted().evolve(vqc.circuit, inputs, weights[rows])
-        assert np.allclose(qback.to_host(psi), exact, atol=ATOL)
+        assert np.allclose(psi, exact, atol=ATOL)
         # The ragged gather and the cycled batch share one cache entry.
         unitary = program.suffix_unitary(weights)
         program.evolve(inputs[:6], weights, batch_size=6)
@@ -358,7 +355,7 @@ class TestGroupedWeights:
         exact = _interpreted().evolve(circuit, inputs, np.tile(weights, (3, 1)))
         assert np.allclose(out, exact, atol=ATOL)
 
-    @pytest.mark.usefixtures("array_backend")
+    @pytest.mark.usefixtures("program_state")
     def test_prefix_states_match_interpreted(self, rng):
         """Encoded states at the split, with every parameter kind and a
         weight gate in the prefix, for shared and grouped weights."""
@@ -382,10 +379,10 @@ class TestGroupedWeights:
         for weights in (rng.uniform(size=3), rng.uniform(size=(2, 3))):
             phi = program.prefix_states(inputs, weights, 6)
             exact = _interpreted().evolve(prefix, inputs, weights)
-            assert np.allclose(qback.to_host(phi), exact, atol=ATOL)
+            assert np.allclose(phi, exact, atol=ATOL)
             out = program.evolve(inputs, weights, batch_size=6)
             exact = _interpreted().evolve(circuit, inputs, weights)
-            assert np.allclose(qback.to_host(out), exact, atol=ATOL)
+            assert np.allclose(out, exact, atol=ATOL)
 
     def test_suffix_unitaries_bit_identical_for_any_composition(self, rng):
         """A weight row's unitary, and a row's final state, do not depend on
@@ -402,7 +399,78 @@ class TestGroupedWeights:
         assert np.array_equal(many[:5], few)
 
 
-@pytest.mark.usefixtures("array_backend")
+def _scratch_case(name):
+    """``(circuit, n_features, n_weights)`` for the scratch-path suite."""
+    if name == "all_gates":
+        return _all_gates_circuit(), 3, 4
+    if name == "random_circuit":
+        circuit, n_weights = _random_circuit(np.random.default_rng(0))
+        return circuit, 4, max(n_weights, 1)
+    if name == "reuploading":
+        circuit = _reuploading_circuit()
+        return circuit, 3, circuit.n_weights
+    vqc = build_vqc(4, 8, 30, seed=2, template=name)
+    return vqc.circuit, 8, vqc.n_weights
+
+
+class TestScratchBuffers:
+    """The ping-pong scratch buffers and ``out=`` kernels give the bits of
+    the allocating kernels, and are kept per batch shape, boundedly."""
+
+    @pytest.mark.parametrize("name", sorted(GATE_REGISTRY))
+    def test_gate_kernel_with_and_without_scratch(self, rng, name):
+        """Each gate on random states, wires out of order: writing into a
+        NaN-filled target matches allocating bit for bit, and both match
+        the interpreted gate."""
+        spec = GATE_REGISTRY[name]
+        wires = (2, 0, 1)[: spec.n_qubits]
+        circuit = QuantumCircuit(3)
+        circuit.add(name, wires, ParameterRef.weight(0) if spec.n_params else None)
+        plan = compile_program(circuit).op_plans[0]
+        theta = 0.9 if spec.n_params else None
+        matrix = spec.matrix_fn(theta) if spec.n_params else spec.fixed_matrix
+        psi = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
+        allocated = plan.apply_forward(psi, theta)
+        written = plan.apply_forward(psi, theta, out=np.full_like(psi, np.nan))
+        assert np.array_equal(written, allocated)
+        assert np.allclose(allocated, sv.apply_matrix(psi, matrix, wires, 3), atol=ATOL)
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize(
+        "case",
+        ["all_gates", "random_circuit", "reuploading", "random",
+         "basic_entangler", "strongly_entangling"],
+    )
+    def test_scratch_run_matches_allocating_steps(self, rng, case, grouped):
+        circuit, n_features, n_weights = _scratch_case(case)
+        program = compile_program(circuit)
+        assert program.n_steps > 1  # the run takes the scratch path
+        inputs = rng.uniform(size=(6, n_features))
+        weights = rng.uniform(
+            -np.pi, np.pi, size=(3, n_weights) if grouped else n_weights
+        )
+        out = program.apply(program.zero_state(6), inputs, weights)
+        psi = program.zero_state(6)
+        row_weights = qprog.expand_weights(weights, 6)
+        key = None if grouped else qprog.weights_key(weights)
+        for step in program.steps:
+            psi = step.apply(psi, inputs, row_weights, key)
+        assert np.array_equal(out, psi)
+
+    def test_scratch_pairs_cached_per_shape_and_bounded(self, rng):
+        vqc = build_vqc(3, 3, 12, seed=1)
+        program = compile_program(vqc.circuit)
+        weights = vqc.initial_weights(rng)
+        program.evolve(rng.uniform(size=(4, 3)), weights, batch_size=4)
+        pair = program._scratch[(4, 8)]
+        program.evolve(rng.uniform(size=(4, 3)), weights, batch_size=4)
+        assert program._scratch[(4, 8)] is pair
+        for batch in range(1, 2 * program._SCRATCH_SHAPE_LIMIT):
+            program.evolve(rng.uniform(size=(batch, 3)), weights, batch_size=batch)
+        assert 0 < len(program._scratch) <= program._SCRATCH_SHAPE_LIMIT
+
+
+@pytest.mark.usefixtures("program_state")
 class TestProgramAdjoint:
     def _grads(self, circuit, observables, inputs, weights, upstream):
         with using_program(True):
@@ -468,8 +536,8 @@ class TestProgramAdjoint:
         assert np.allclose(gw_p, gw_i, atol=ATOL)
 
 
-@pytest.mark.usefixtures("array_backend")
 class TestMeasurementKernels:
+    @pytest.mark.usefixtures("program_state")
     def test_diagonal_measure_matches_interpreted(self, rng):
         vqc = build_vqc(3, 3, 9, seed=4)
         weights = vqc.initial_weights(rng)
@@ -490,16 +558,12 @@ class TestMeasurementKernels:
         assert np.allclose(fast, reference, atol=ATOL)
 
     def test_z_sign_cache_returns_shared_readonly_arrays(self):
-        from repro.quantum import statevector as sv
-
         first = sv.pauli_z_string_signs(3, (0, 2))
         second = sv.pauli_z_string_signs(3, (0, 2))
         assert first is second
         assert not first.flags.writeable
 
     def test_probabilities_match_abs_square(self, rng):
-        from repro.quantum import statevector as sv
-
         psi = rng.normal(size=(3, 8)) + 1j * rng.normal(size=(3, 8))
         assert np.allclose(sv.probabilities(psi), np.abs(psi) ** 2, atol=ATOL)
 
@@ -508,8 +572,6 @@ class TestVectorizedSampling:
     def test_sample_bitstrings_stream_matches_choice_loop(self, rng):
         """The batched inverse-CDF sampler consumes the generator exactly
         like the previous per-sample ``rng.choice`` loop."""
-        from repro.quantum import statevector as sv
-
         psi = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
         psi = sv.normalize(psi)
         probs = sv.probabilities(psi)

@@ -1,5 +1,8 @@
 """Unit tests for the batched statevector simulator."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,34 @@ class TestMeasurement:
     def test_inner_products(self, rng):
         psi = random_state(rng, 2, batch=3)
         assert np.allclose(sv.inner_products(psi, psi), 1.0)
+
+    def test_probabilities_thread_safe(self, rng):
+        """Two threads measuring same-shape batches (serving's reload
+        watcher and event loop) each get their own state's probabilities."""
+        calls = 5000
+        states = [random_state(rng, 4, batch=4) for _ in range(2)]
+        expected = [psi.real * psi.real + psi.imag * psi.imag for psi in states]
+        wrong = [0, 0]
+        barrier = threading.Barrier(2)
+
+        def measure(slot):
+            barrier.wait()
+            for _ in range(calls):
+                if not np.array_equal(sv.probabilities(states[slot]), expected[slot]):
+                    wrong[slot] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=measure, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [0, 0]
 
 
 class TestStatevectorClass:
