@@ -159,12 +159,8 @@ class QueueBank:
                 the bank's shape).
             inflow: ``b_t`` per queue (scalar or broadcastable array).
         """
-        outflow = np.broadcast_to(
-            np.asarray(outflow, dtype=np.float64), self.shape
-        )
-        inflow = np.broadcast_to(
-            np.asarray(inflow, dtype=np.float64), self.shape
-        )
+        outflow = self._flow(outflow)
+        inflow = self._flow(inflow)
         if np.any(outflow < 0) or np.any(inflow < 0):
             raise ValueError("outflow and inflow must be non-negative")
         previous = self.levels.copy()
@@ -172,6 +168,20 @@ class QueueBank:
         update = QueueUpdate(previous, raw, self.capacity)
         self.levels = update.levels.copy()
         return update
+
+    def _flow(self, flow):
+        """A flow as float64; ``ValueError`` unless it broadcasts to the
+        bank's shape (``broadcast_shapes`` raises for incompatible shapes,
+        the comparison catches extra axes)."""
+        flow = np.asarray(flow, dtype=np.float64)
+        if flow.ndim and flow.shape != self.shape and (
+            np.broadcast_shapes(flow.shape, self.shape) != self.shape
+        ):
+            raise ValueError(
+                f"flow of shape {flow.shape} does not broadcast to the "
+                f"bank's shape {self.shape}"
+            )
+        return flow
 
     def __repr__(self):
         return (

@@ -33,6 +33,7 @@ __all__ = [
     "ActorGroup",
     "QuantumActorGroup",
     "categorical_from_draws",
+    "check_policy_rows",
 ]
 
 
@@ -59,6 +60,27 @@ def categorical_from_draws(probs, draws):
     draws = np.asarray(draws, dtype=np.float64)
     actions = (cdf <= draws[:, None]).sum(axis=1)
     return np.minimum(actions, probs.shape[1] - 1)
+
+
+def check_policy_rows(probs, first_row=0):
+    """Raise ``ValueError`` unless every ``(N, n_agents, A)`` policy row is
+    finite and sums to a positive value.
+
+    The batched engines' counterpart of ``Generator.choice`` rejecting a bad
+    distribution in the serial loop: categorical inversion and ``argmax``
+    would otherwise turn such a row into action 0.  One reduction per round;
+    the message names the first bad row (env rows offset by ``first_row``).
+    """
+    sums = probs.sum(axis=-1)
+    if not sums.size or (sums.min() > 0.0 and np.isfinite(sums.max())):
+        return
+    bad = ~(np.isfinite(sums) & (sums > 0.0))
+    env, agent = np.argwhere(bad)[0]
+    raise ValueError(
+        f"policy probabilities of env row {first_row + env}, agent {agent} "
+        f"are not finite or do not sum to a positive value: "
+        f"{probs[env, agent]}"
+    )
 
 
 def _sample_categorical_rows(probs, rng):
@@ -418,6 +440,7 @@ class ActorGroup:
                         "evaluate it stochastically"
                     )
         probs = self.batch_probabilities(observations)
+        check_policy_rows(probs)
         n_envs, n_agents, n_actions = probs.shape
         if greedy:
             return np.argmax(probs, axis=2)

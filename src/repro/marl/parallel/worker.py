@@ -53,7 +53,7 @@ import numpy as np
 
 from repro import obs
 from repro.envs.vector import make_vector_env
-from repro.marl.actors import categorical_from_draws
+from repro.marl.actors import categorical_from_draws, check_policy_rows
 from repro.marl.rollout import VectorRolloutCollector
 from repro.marl.parallel.transport import (
     get_rng_state,
@@ -100,6 +100,7 @@ class ShardActionAdapter:
             return self.actors.act_batch(observations, rng, greedy=True)
         observations = np.asarray(observations, dtype=np.float64)
         probs = self.actors.batch_probabilities(observations)
+        check_policy_rows(probs, self.first_row)
         n_rows, n_agents, n_actions = probs.shape
         draws = rng.random(self.n_envs_total * n_agents)
         start = self.first_row * n_agents

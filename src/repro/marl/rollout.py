@@ -56,18 +56,33 @@ from repro.obs import flight as _flight
 __all__ = ["RoundState", "VectorRolloutCollector"]
 
 
+#: Episode columns in ``Episode.from_arrays`` order, with their dtypes.
+_STAGING_DTYPES = (
+    np.float64,  # states
+    np.float64,  # observations
+    np.int64,  # actions
+    np.float64,  # rewards
+    np.float64,  # next_states
+    np.float64,  # next_observations
+    bool,  # dones
+)
+
+
 class RoundState:
     """Mutable loop state of one collection pass, resumable across calls.
 
-    Holds the per-copy staging (in-flight :class:`Episode` objects and the
-    Fig. 3 stat accumulators) plus the completed output lists.  Each
-    completion is tagged with the 1-based lockstep round it finished on
-    (``completed_rounds``) so the sharded parent can interleave shards
-    back into global (round, row) completion order.
+    Holds the per-copy staging plus the completed output lists.  Staging is
+    columnar: ``columns`` holds one ``(n_envs, capacity, ...)`` buffer per
+    :class:`Episode` column (``from_arrays`` order), allocated on the first
+    round, where row ``i``'s in-flight transitions fill ``[:steps[i]]``;
+    next to it sit the Fig. 3 stat accumulators.  Each completion is tagged
+    with the 1-based lockstep round it finished on (``completed_rounds``)
+    so the sharded parent can interleave shards back into global (round,
+    row) completion order.
     """
 
     __slots__ = (
-        "episodes",
+        "columns",
         "queue_sums",
         "empty_sums",
         "overflow_sums",
@@ -79,7 +94,7 @@ class RoundState:
     )
 
     def __init__(self, n_envs):
-        self.episodes = [Episode() for _ in range(n_envs)]
+        self.columns = None
         self.queue_sums = np.zeros(n_envs)
         self.empty_sums = np.zeros(n_envs)
         self.overflow_sums = np.zeros(n_envs)
@@ -216,7 +231,7 @@ class VectorRolloutCollector:
         completions append in (round, copy index) order.
         """
         env = self.vector_env
-        n = env.n_envs
+        rows = np.arange(env.n_envs)
         while True:
             if max_rounds is not None and state.rounds >= max_rounds:
                 break
@@ -228,54 +243,66 @@ class VectorRolloutCollector:
                 self._observations, rng, greedy=greedy
             )
             result = env.step(actions)
-            self._fresh[:] = False
-            for i in range(n):
-                state.episodes[i].add(
-                    self._states[i],
-                    self._observations[i],
-                    actions[i],
-                    result.rewards[i],
-                    result.final_states[i],
-                    result.final_observations[i],
-                    result.dones[i],
-                )
-                state.queue_sums[i] += result.mean_queues[i]
-                state.empty_sums[i] += result.empty_ratios[i]
-                state.overflow_sums[i] += result.overflow_ratios[i]
-                state.steps[i] += 1
-                if result.dones[i]:
-                    if (self._ragged and _flight.enabled()
-                            and result.overflow_ratios[i] > 0.0):
-                        _flight.record(
-                            "overflow_termination", row=i,
-                            round=int(state.rounds),
-                            length=int(state.steps[i]),
-                        )
-                    episode = state.episodes[i].finish()
-                    state.completed.append(episode)
-                    state.completed_stats.append({
-                        "total_reward": episode.total_reward,
-                        "length": int(state.steps[i]),
-                        "mean_queue": float(
-                            state.queue_sums[i] / state.steps[i]
-                        ),
-                        "empty_ratio": float(
-                            state.empty_sums[i] / state.steps[i]
-                        ),
-                        "overflow_ratio": float(
-                            state.overflow_sums[i] / state.steps[i]
-                        ),
-                    })
-                    state.completed_rounds.append(state.rounds)
-                    state.episodes[i] = Episode()
-                    state.queue_sums[i] = 0.0
-                    state.empty_sums[i] = 0.0
-                    state.overflow_sums[i] = 0.0
-                    state.steps[i] = 0
-                    self._fresh[i] = True
+            values = (
+                self._states, self._observations, actions, result.rewards,
+                result.final_states, result.final_observations, result.dones,
+            )
+            if state.columns is None:
+                state.columns = self._allocate_columns(values)
+            for column, value in zip(state.columns, values):
+                column[rows, state.steps] = value
+            state.queue_sums += result.mean_queues
+            state.empty_sums += result.empty_ratios
+            state.overflow_sums += result.overflow_ratios
+            state.steps += 1
+            self._fresh[:] = result.dones
+            finished = np.flatnonzero(result.dones)
+            if finished.size:
+                self._finish_rows(state, finished, result)
             self._observations = result.observations
             self._states = result.states
         return state
+
+    def _allocate_columns(self, values):
+        """Staging buffers shaped ``(n_envs, episode_limit, ...)`` after
+        the first round's values: every episode ends by ``episode_limit``
+        (``VectorEnv._row_done``), so a row never outgrows its buffer."""
+        capacity = self.vector_env.episode_limit
+        return tuple(
+            np.empty(
+                (self.n_envs, capacity) + np.shape(value)[1:], dtype=dtype
+            )
+            for value, dtype in zip(values, _STAGING_DTYPES)
+        )
+
+    def _finish_rows(self, state, finished, result):
+        """Turn this round's finished rows into episodes and stats, in
+        ascending row order, and restart their staging."""
+        for i in finished.tolist():
+            length = int(state.steps[i])
+            if (self._ragged and _flight.enabled()
+                    and result.overflow_ratios[i] > 0.0):
+                _flight.record(
+                    "overflow_termination", row=i,
+                    round=int(state.rounds), length=length,
+                )
+            # Copies, so episodes own their arrays: the buffers are reused.
+            episode = Episode.from_arrays(
+                *(column[i, :length].copy() for column in state.columns)
+            )
+            state.completed.append(episode)
+            state.completed_stats.append({
+                "total_reward": episode.total_reward,
+                "length": length,
+                "mean_queue": float(state.queue_sums[i] / length),
+                "empty_ratio": float(state.empty_sums[i] / length),
+                "overflow_ratio": float(state.overflow_sums[i] / length),
+            })
+            state.completed_rounds.append(state.rounds)
+        state.queue_sums[finished] = 0.0
+        state.empty_sums[finished] = 0.0
+        state.overflow_sums[finished] = 0.0
+        state.steps[finished] = 0
 
     def snapshot_rounds(self, state):
         """Deep-copied resume point of a running pass.
@@ -292,7 +319,7 @@ class VectorRolloutCollector:
             "vector_env": self.vector_env,
             "carry": self.carry_state(),
             "staging": {
-                "episodes": state.episodes,
+                "columns": state.columns,
                 "queue_sums": state.queue_sums,
                 "empty_sums": state.empty_sums,
                 "overflow_sums": state.overflow_sums,
@@ -312,7 +339,7 @@ class VectorRolloutCollector:
         self.vector_env = snapshot["vector_env"]
         self.restore_carry_state(snapshot["carry"])
         staging = snapshot["staging"]
-        state.episodes = staging["episodes"]
+        state.columns = staging["columns"]
         state.queue_sums = staging["queue_sums"]
         state.empty_sums = staging["empty_sums"]
         state.overflow_sums = staging["overflow_sums"]

@@ -68,18 +68,20 @@ def _sample_mean_signs(probs, signs, shots, rng):
     return signs[drawn].mean(axis=1)
 
 
-def _normalise_run_args(circuit, inputs, batch_size):
+def _normalise_run_args(n_inputs, inputs, batch_size):
+    """``(inputs, batch)`` checked against the ``n_inputs`` features the
+    circuit (or its compiled program) references."""
     if inputs is not None:
         inputs = np.asarray(inputs, dtype=np.float64)
         if inputs.ndim == 1:
             inputs = inputs[None, :]
-        if inputs.shape[1] < circuit.n_inputs:
+        if inputs.shape[1] < n_inputs:
             raise ValueError(
-                f"circuit needs {circuit.n_inputs} input features, "
+                f"circuit needs {n_inputs} input features, "
                 f"got {inputs.shape[1]}"
             )
         return inputs, inputs.shape[0]
-    if circuit.n_inputs > 0:
+    if n_inputs > 0:
         raise ValueError("circuit references inputs but none were given")
     return None, batch_size if batch_size is not None else 1
 
@@ -123,11 +125,13 @@ class StatevectorBackend:
         disabled, in which case the interpreted per-gate reference loop
         runs.  Both produce the same states to float round-off.
         """
-        inputs, batch = _normalise_run_args(circuit, inputs, batch_size)
         if self._use_program():
-            return _program.compile_program(circuit).evolve(
-                inputs, weights, batch
+            program = _program.compile_program(circuit)
+            inputs, batch = _normalise_run_args(
+                program.n_inputs, inputs, batch_size
             )
+            return program.evolve(inputs, weights, batch)
+        inputs, batch = _normalise_run_args(circuit.n_inputs, inputs, batch_size)
         if circuit.n_weights:
             weights = _program.expand_weights(weights, batch)
         psi = _sv.zero_state(circuit.n_qubits, batch)
@@ -144,12 +148,12 @@ class StatevectorBackend:
     def run_rows(self, circuit, observables, inputs, weights, rows):
         """Expectations where batch row ``b`` uses weight row ``rows[b]`` —
         the ragged form of the grouped contract (serving micro-batches)."""
-        inputs, _ = _normalise_run_args(circuit, inputs, None)
         if self._use_program():
-            psi = _program.compile_program(circuit).evolve_rows(
-                inputs, weights, rows
-            )
+            program = _program.compile_program(circuit)
+            inputs, _ = _normalise_run_args(program.n_inputs, inputs, None)
+            psi = program.evolve_rows(inputs, weights, rows)
         else:
+            inputs, _ = _normalise_run_args(circuit.n_inputs, inputs, None)
             psi = self.evolve(circuit, inputs, np.asarray(weights)[rows])
         return self.measure(psi, observables, circuit.n_qubits)
 
@@ -159,7 +163,8 @@ class StatevectorBackend:
         On the exact path all diagonal (Z-string) observables share one
         probability pass and a single matmul against their stacked cached
         sign diagonals — the common case (the paper measures ``Z`` on every
-        qubit) costs one ``|psi|^2`` and one ``(B, dim) @ (dim, m)``.
+        qubit) costs one ``|psi|^2`` and one ``(B, dim) @ (dim, m)``, whose
+        result is returned as is when every observable is such a string.
 
         The whole measurement runs under this backend's effective tier
         (``program=`` override or the global switch), so a
@@ -182,6 +187,8 @@ class StatevectorBackend:
                         tuple(observables[j].wires for j in diag_indices),
                     )
                     values = _sv.probabilities(psi) @ signs
+                    if len(diag_indices) == len(observables):
+                        return values
                     for column, j in enumerate(diag_indices):
                         columns[j] = values[:, column]
             for j, obs in enumerate(observables):
@@ -236,7 +243,7 @@ class DensityMatrixBackend:
 
     def evolve(self, circuit, inputs=None, weights=None, batch_size=None):
         """Run the circuit with noise, returning ``(B, 2**n, 2**n)`` states."""
-        inputs, batch = _normalise_run_args(circuit, inputs, batch_size)
+        inputs, batch = _normalise_run_args(circuit.n_inputs, inputs, batch_size)
         if circuit.n_weights:
             weights = _program.expand_weights(weights, batch)
         rho = _dm.zero_density(circuit.n_qubits, batch)

@@ -342,7 +342,7 @@ class _ShiftExecutor:
 def _shifted_expectations(executor, circuit, observables, inputs, weights, op_index, delta):
     from repro.quantum.backends import _normalise_run_args
 
-    inputs_arr, batch = _normalise_run_args(circuit, inputs, None)
+    inputs_arr, batch = _normalise_run_args(circuit.n_inputs, inputs, None)
     n = circuit.n_qubits
     state = executor.initial_state(n, batch)
     for i, op in enumerate(circuit.operations):

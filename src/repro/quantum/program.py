@@ -47,6 +47,7 @@ against it by the equivalence suite in ``tests/test_program.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import weakref
@@ -633,6 +634,73 @@ def _compile_op(op, n_qubits):
 
 
 # ---------------------------------------------------------------------------
+# First encoding layer: a product state on the fresh register
+# ---------------------------------------------------------------------------
+
+
+class _ProductLayer:
+    """A leading run of input-encoded one-qubit rotations of one kind on
+    wires ``0, 1, ..., k - 1``, in that order (every encoder's first layer).
+
+    On ``|0...0>`` such a run prepares a product state, built here without
+    touching the full register: the gate's own kernel, compiled on one
+    qubit, turns ``(B * k, 2)`` zero states into every wire's column, and a
+    Kronecker chain multiplies the columns in gate order.  On a fresh wire
+    one term of each rotation is exactly zero, so every amplitude is the
+    product the full-register kernels form, in the same order — only the
+    sign of zero amplitudes can differ (``docs/quantum_kernels.md``, "First
+    encoding layer").
+    """
+
+    __slots__ = ("n_gates", "_kernel", "_indices", "_scales", "_stride")
+
+    def __init__(self, operations, n_qubits):
+        self.n_gates = len(operations)
+        self._kernel = _compile_op(
+            dataclasses.replace(operations[0], wires=(0,)), 1
+        )
+        self._indices = np.array([op.param.index for op in operations])
+        self._scales = np.array([op.param.scale for op in operations])
+        # Wires past the run stay |0>: the product lands on every
+        # ``stride``-th amplitude.
+        self._stride = 2 ** (n_qubits - self.n_gates)
+
+    @classmethod
+    def detect(cls, operations, op_plans, n_qubits):
+        """The layer leading ``operations``, or ``None`` when fewer than two
+        gates qualify.  Gate order must be wire order: the chain multiplies
+        in gate order and lays the columns out in wire order."""
+        run = []
+        for wire, (op, plan) in enumerate(zip(operations, op_plans)):
+            if not (
+                op.is_input
+                and op.wires == (wire,)
+                and op.spec is operations[0].spec
+                and plan.kind == "prot"
+            ):
+                break
+            run.append(op)
+        return cls(run, n_qubits) if len(run) >= 2 else None
+
+    def states(self, inputs, batch):
+        """``(B, 2**n)`` states after the layer, from ``(B, n_inputs)``."""
+        if inputs is None:
+            raise ValueError("circuit references inputs but none were given")
+        theta = (inputs[:, self._indices] * self._scales).T.ravel()
+        columns = self._kernel.apply_forward(
+            _sv.zero_state(1, theta.shape[0]), theta
+        ).reshape(self.n_gates, batch, 2)
+        psi = columns[0]
+        for column in columns[1:]:
+            psi = (psi[:, :, None] * column[:, None, :]).reshape(batch, -1)
+        if self._stride == 1:
+            return psi
+        out = np.zeros((batch, psi.shape[1] * self._stride), np.complex128)
+        out[:, ::self._stride] = psi
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Forward execution steps (fused)
 # ---------------------------------------------------------------------------
 
@@ -815,6 +883,17 @@ class CircuitProgram:
         self.operations = tuple(operations)
         self.op_plans = [_compile_op(op, self.n_qubits) for op in self.operations]
         self.split = split_index(self)
+        # Input features referenced (max index + 1), as QuantumCircuit's
+        # n_inputs — cached so per-call input checks skip the op scan.
+        self.n_inputs = 1 + max(
+            (op.param.index for op in self.operations if op.is_input),
+            default=-1,
+        )
+        # Input ops are never fused, so the layer's gates are exactly the
+        # first prefix steps, which prefix_states skips.
+        self._layer = _ProductLayer.detect(
+            self.operations, self.op_plans, self.n_qubits
+        )
         prefix, suffix = self.operations[:self.split], self.operations[self.split:]
         self._prefix_steps = self._build_steps(prefix, self.op_plans[:self.split])
         self._suffix_steps = self._build_steps(suffix, self.op_plans[self.split:])
@@ -1012,13 +1091,21 @@ class CircuitProgram:
 
     def prefix_states(self, inputs, weights, batch, rows=None):
         """Encoded states at :attr:`split`, ``(B, 2**n)``; row ``b`` uses
-        weight row ``rows[b]`` (or ``b % G``) for any weight gate there."""
+        weight row ``rows[b]`` (or ``b % G``) for any weight gate there.
+        A leading first encoding layer is built as a product state
+        (:class:`_ProductLayer`); the remaining steps run as compiled."""
         weights, key = self._step_weights(
             weights if self.prefix_has_weights else None, batch, rows
         )
+        inputs = _as_inputs(inputs)
+        if self._layer is None:
+            return self._run(
+                self._prefix_steps, self.zero_state(batch), inputs, weights,
+                key,
+            )
         return self._run(
-            self._prefix_steps, self.zero_state(batch), _as_inputs(inputs),
-            weights, key,
+            self._prefix_steps[self._layer.n_gates:],
+            self._layer.states(inputs, batch), inputs, weights, key,
         )
 
     def suffix_unitary(self, weights):

@@ -2,6 +2,7 @@
 rollout subsystem (``repro.marl.parallel``), over both transition
 transports (pickle-pipe and shared-memory ring)."""
 
+import copy
 import os
 
 import numpy as np
@@ -15,12 +16,14 @@ from repro.marl.parallel import ShardedRolloutCollector
 from repro.marl.rollout import VectorRolloutCollector
 
 from tests.helpers import (
+    EPISODE_COLUMNS,
     OFFLOAD_ENV_KINDS,
     RAGGED_ENV_KINDS,
     ROLLOUT_ENGINES,
     assert_cross_engine_equivalence,
     assert_episodes_equal,
     make_classical_team,
+    make_engine_trainer,
     make_offload_env,
 )
 
@@ -607,3 +610,69 @@ class TestRaggedEpisodes:
         env, actors = single_hop_setup()
         with sharded(env, actors, 4, 2) as pool:
             assert not pool.ragged
+
+
+class TestStagedEpisodes:
+    """Rounds are staged in shared per-row buffers whose rows restart with
+    every finished episode; returned episodes must own their arrays."""
+
+    @pytest.mark.parametrize("env_kind", ["single_hop", "single_hop_ragged"])
+    def test_episodes_own_their_arrays(self, env_kind):
+        env, actors = engine_setup(env_kind)
+        collector = VectorRolloutCollector(make_vector_env(env, 2), actors)
+        rng = np.random.default_rng(5)
+        first, _ = collector.collect(5, rng)
+        kept = copy.deepcopy(first)
+        second, _ = collector.collect(5, rng)
+        assert_episodes_equal(first, kept)
+        arrays = [
+            getattr(episode, column)
+            for episode in first + second
+            for column in EPISODE_COLUMNS
+        ]
+        for i, array in enumerate(arrays):
+            for other in arrays[i + 1:]:
+                assert not np.shares_memory(array, other)
+
+
+class TestNonFinitePolicy:
+    """A policy that is not a distribution stops collection, as the serial
+    loop's ``Generator.choice`` does, instead of acting 0 on every row."""
+
+    @staticmethod
+    def _poisoned(engine):
+        trainer = make_engine_trainer("single_hop", engine)
+        for param in trainer.actors.parameters():
+            param.data[...] = np.nan
+        return trainer
+
+    def test_vector_engine_raises(self):
+        trainer = self._poisoned("vector")
+        try:
+            with pytest.raises(ValueError, match="env row 0, agent 0"):
+                trainer.train_epoch()
+        finally:
+            trainer.close()
+
+    def test_greedy_batch_raises(self):
+        trainer = self._poisoned("vector")
+        observations = np.zeros((2, trainer.env.n_agents,
+                                 trainer.env.observation_size))
+        try:
+            with pytest.raises(ValueError, match="not finite"):
+                trainer.actors.act_batch(
+                    observations, np.random.default_rng(0), greedy=True
+                )
+        finally:
+            trainer.close()
+
+    def test_sharded_pipe_engine_raises_worker_task_error(self):
+        from repro.marl.parallel import WorkerTaskError
+
+        trainer = self._poisoned("sharded-pipe")
+        try:
+            with pytest.raises(WorkerTaskError) as info:
+                trainer.train_epoch()
+            assert "ValueError: policy probabilities" in str(info.value)
+        finally:
+            trainer.close()

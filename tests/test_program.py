@@ -21,7 +21,11 @@ from repro.quantum import program as qprog
 from repro.quantum import statevector as sv
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
-from repro.quantum.encoding import DataReuploadingEncoding, AngleEncoding
+from repro.quantum.encoding import (
+    AngleEncoding,
+    DataReuploadingEncoding,
+    MultiLayerAngleEncoding,
+)
 from repro.quantum.templates import BasicEntanglerTemplate
 from repro.quantum.gates import GATE_REGISTRY
 from repro.quantum.gradients import adjoint_backward
@@ -397,6 +401,131 @@ class TestGroupedWeights:
         many = program.evolve(inputs, weights, batch_size=20)
         few = program.evolve(inputs[:5], weights, batch_size=5)
         assert np.array_equal(many[:5], few)
+
+
+def _layer_circuit(name):
+    """``(circuit, n_features, first-layer gate count)``: a first encoding
+    layer followed by weight gates, some of them inside the prefix."""
+    circuit = QuantumCircuit(4)
+    if name in ("angle_rx", "angle_ry"):
+        AngleEncoding(4, rotation=name[-2:]).apply(circuit)
+        n_features, n_gates = 4, 4
+    elif name == "multilayer":
+        # The critic's shape: 16 features folded onto 4 qubits.
+        MultiLayerAngleEncoding(4, 16).apply(circuit)
+        n_features, n_gates = 16, 4
+    else:
+        circuit.add("ry", (0,), ParameterRef.input(1, scale=np.pi))
+        circuit.add("ry", (1,), ParameterRef.input(0, scale=0.5))
+        circuit.add("rx", (2,), ParameterRef.weight(2))
+        circuit.add("cnot", (1, 3))
+        circuit.add("rx", (3,), ParameterRef.input(2))
+        n_features, n_gates = 3, 2
+    circuit.add("crz", (0, 2), ParameterRef.weight(0))
+    circuit.add("rx", (1,), ParameterRef.input(0))
+    BasicEntanglerTemplate(4, 2).apply(circuit, weight_offset=3)
+    return circuit, n_features, n_gates
+
+
+def _per_op_prefix(program, inputs, row_weights):
+    """Encoded states from ``zero_state`` through the unfused per-op plans."""
+    psi = program.zero_state(inputs.shape[0])
+    for plan in program.op_plans[:program.split]:
+        theta = None
+        if plan.resolver is not None:
+            theta = qprog._resolve(plan.resolver, inputs, row_weights)
+        psi = plan.apply_forward(psi, theta)
+    return psi
+
+
+class TestFirstEncodingLayer:
+    """The product-state build of the leading encoding layer gives the
+    values the per-op kernels do (``array_equal``: only zero signs may
+    differ), on every path that starts from ``prefix_states``."""
+
+    @pytest.mark.usefixtures("program_state")
+    @pytest.mark.parametrize(
+        "name", ["angle_rx", "angle_ry", "multilayer", "two_of_four"]
+    )
+    def test_prefix_states_equal_per_op_kernels(self, rng, name):
+        circuit, n_features, n_gates = _layer_circuit(name)
+        program = compile_program(circuit)
+        assert program._layer.n_gates == n_gates
+        inputs = rng.uniform(size=(6, n_features))
+        inputs[0] = 0.0  # zero angles: sin terms vanish exactly
+        weights = rng.uniform(-np.pi, np.pi, size=(3, circuit.n_weights))
+        rows = np.array([2, 0, 1, 1, 0, 2])
+        expected = _per_op_prefix(program, inputs, weights[rows])
+        assert np.array_equal(
+            program.prefix_states(inputs, weights, 6, rows), expected
+        )
+        assert np.array_equal(
+            program.evolve_rows(inputs, weights, rows),
+            program.apply_suffix(
+                expected, program.suffix_unitary(weights), rows
+            ),
+        )
+        cycled = _per_op_prefix(program, inputs, qprog.expand_weights(weights, 6))
+        assert np.array_equal(program.prefix_states(inputs, weights, 6), cycled)
+        assert np.array_equal(
+            program.evolve(inputs, weights, batch_size=6),
+            program.apply_suffix(cycled, program.suffix_unitary(weights)),
+        )
+
+    def test_folded_adjoint_unchanged(self, rng, sweep_rows):
+        """The folded sweep starts from prefix_states: its gradients are
+        the bits of the same sweep from the per-op kernels."""
+        circuit, n_features, _ = _layer_circuit("multilayer")
+        program = compile_program(circuit)
+        weights = rng.uniform(-np.pi, np.pi, size=(2, circuit.n_weights))
+        inputs = rng.uniform(size=(40, n_features))
+        upstream = rng.normal(size=(40, 4))
+        observables = all_z_observables(4)
+        layered = adjoint_backward(
+            circuit, observables, inputs, weights, upstream
+        )
+        assert sweep_rows[0] == 2 * 2 * program.dim  # the folded sweep ran
+        layer, program._layer = program._layer, None
+        try:
+            per_op = adjoint_backward(
+                circuit, observables, inputs, weights, upstream
+            )
+        finally:
+            program._layer = layer
+        for got, want in zip(layered, per_op):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "first_ops",
+        [
+            [("rx", (1,), "input"), ("rx", (0,), "input")],
+            [("rx", (0,), "input"), ("ry", (1,), "input")],
+            [("rz", (0,), "input"), ("rz", (1,), "input")],
+            [("rx", (0,), "weight"), ("rx", (1,), "input")],
+            [("rx", (0,), "input"), ("cnot", (0, 1), None)],
+        ],
+        ids=["descending_wires", "mixed_kinds", "rz_first", "weight_first",
+             "single_gate"],
+    )
+    def test_no_layer_detected(self, rng, first_ops):
+        circuit = QuantumCircuit(3)
+        for index, (gate, wires, kind) in enumerate(first_ops):
+            param = None
+            if kind == "input":
+                param = ParameterRef.input(index)
+            elif kind == "weight":
+                param = ParameterRef.weight(0)
+            circuit.add(gate, wires, param)
+        circuit.add("rx", (2,), ParameterRef.input(2))
+        program = compile_program(circuit)
+        assert program._layer is None
+        inputs = rng.uniform(size=(4, 3))
+        weights = np.array([0.7])
+        assert np.allclose(
+            program.evolve(inputs, weights, batch_size=4),
+            _interpreted().evolve(circuit, inputs, weights),
+            atol=ATOL,
+        )
 
 
 def _scratch_case(name):

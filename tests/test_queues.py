@@ -93,6 +93,41 @@ class TestQueueBank:
         with pytest.raises(ValueError):
             bank.step(outflow=0.0, inflow=-0.1)
 
+    def test_batched_flows_broadcast_to_the_bank(self):
+        """Scalar, per-queue and per-env flows combine by broadcasting,
+        exactly as if expanded to the bank's shape first."""
+        flows = [
+            (0.1, [0.0, 0.2]),
+            (np.array([[0.05], [0.0], [0.3]]), 0.25),
+            ([0.2, 0.1], np.full((3, 2), 0.1)),
+        ]
+        bank = QueueBank(2, 1.0, initial_level=0.5, n_envs=3)
+        expanded = QueueBank(2, 1.0, initial_level=0.5, n_envs=3)
+        bank.reset()
+        expanded.reset()
+        for outflow, inflow in flows:
+            update = bank.step(outflow=outflow, inflow=inflow)
+            reference = expanded.step(
+                outflow=np.broadcast_to(outflow, (3, 2)),
+                inflow=np.broadcast_to(inflow, (3, 2)),
+            )
+            assert update.raw.shape == (3, 2)
+            assert np.array_equal(update.raw, reference.raw)
+            assert np.array_equal(bank.levels, expanded.levels)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 3), (2, 3, 2), (4,)],
+        ids=["too_many_columns", "extra_leading_axis", "wrong_width"],
+    )
+    @pytest.mark.parametrize("flow", ["inflow", "outflow"])
+    def test_flow_that_does_not_broadcast_rejected(self, shape, flow):
+        bank = QueueBank(2, 1.0, initial_level=0.5, n_envs=3)
+        bank.reset()
+        flows = {"inflow": 0.0, "outflow": 0.0, flow: np.zeros(shape)}
+        with pytest.raises(ValueError):
+            bank.step(**flows)
+        assert np.array_equal(bank.levels, np.full((3, 2), 0.5))
+
     def test_levels_always_in_bounds(self, rng):
         bank = QueueBank(4, 1.0, initial_level=0.5)
         bank.reset()
