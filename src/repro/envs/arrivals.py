@@ -50,6 +50,13 @@ class UniformArrivals(ArrivalProcess):
         if w_p < 0:
             raise ValueError("w_p must be non-negative")
         self.high = float(w_p) * float(q_max)
+        # NaN slips past the sign check above; the batched kernel would
+        # return non-finite arrivals instead of raising at the first step.
+        if not (np.isfinite(self.high) and self.high >= 0.0):
+            raise ValueError(
+                f"arrival bound w_p * q_max must be finite and >= 0, got "
+                f"w_p={w_p!r}, q_max={q_max!r}"
+            )
 
     @property
     def mean(self):
@@ -59,6 +66,20 @@ class UniformArrivals(ArrivalProcess):
     def sample(self, rng, n):
         """Arrival volume for ``n`` queues."""
         return rng.uniform(0.0, self.high, size=n)
+
+    def sample_batch(self, rngs, n):
+        """Arrival volumes ``(len(rngs), n)`` — row ``i`` from ``rngs[i]``.
+
+        ``uniform(0, high, n)`` is ``0.0 + high * r`` over ``n`` doubles
+        ``r`` from ``random``, so filling the block with raw doubles and
+        scaling it once gives the same bits and leaves every generator in
+        the same state, without one argument-parsing call per row.
+        """
+        block = np.empty((len(rngs), n))
+        for rng, row in zip(rngs, block):
+            rng.random(out=row)
+        block *= self.high
+        return block
 
     def __repr__(self):
         return f"UniformArrivals(high={self.high})"

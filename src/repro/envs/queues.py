@@ -92,8 +92,10 @@ class QueueBank:
     def __init__(self, n_queues, capacity, initial_level=0.5, n_envs=None):
         if n_queues < 1:
             raise ValueError("n_queues must be >= 1")
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
+        if not (np.isfinite(capacity) and capacity > 0):
+            raise ValueError(
+                f"capacity must be positive and finite, got {capacity!r}"
+            )
         if n_envs is not None and n_envs < 1:
             raise ValueError("n_envs must be None or >= 1")
         self.n_queues = int(n_queues)

@@ -18,15 +18,17 @@ PopulationActorGroup`, whose row-to-member mapping each worker applies to
   (:func:`~repro.marl.evolution.es.perturb_population`).
 
 Everything else — shard layout, per-row env streams, the global
-action-sampling stream replay, both transition transports, crash
-restart-and-requeue from checkpoints, the ``(round, row)`` reassembly
-order — is inherited unchanged, which is exactly why sharded ES is
-bit-identical to in-process ES for any worker count over either transport
-(pinned by the ES axis of the unified cross-engine harness).  That
-includes the ragged-env round protocol, but the ES *trainer* rejects
-ragged envs up front: its fitness attribution maps episode position to
-population member positionally, which only holds under lockstep
-completion (see :class:`~repro.marl.evolution.trainer.ESTrainer`).
+action-sampling stream replay, crash restart-and-requeue from checkpoints,
+the ``(round, row)`` reassembly order — is inherited unchanged, which is
+exactly why sharded ES is bit-identical to in-process ES for any worker
+count over either transport (pinned by the ES axis of the unified
+cross-engine harness).  That includes the ragged-env round protocol, but
+the ES *trainer* rejects ragged envs up front: its fitness attribution
+maps episode position to population member positionally, which only holds
+under lockstep completion (see
+:class:`~repro.marl.evolution.trainer.ESTrainer`).  The trainer collects
+generations stats-only (``transitions=False``), so no transition block
+crosses the transport.
 """
 
 from __future__ import annotations

@@ -33,14 +33,16 @@ gradient trainer's collection engines:
 - ``"vector"`` (and ``"auto"`` without workers) — in-process stacked
   single-circuit-call evaluation;
 - ``"sharded"`` (and ``"auto"`` with workers) — the population sharded
-  across worker processes over either transition transport, receiving only
-  base-plus-seeds broadcasts
+  across worker processes, receiving only base-plus-seeds broadcasts
   (:class:`~repro.marl.evolution.collector.PopulationRolloutCollector`).
 
-All engines are bit-identical — same episodes, fitness, updates, and RNG
-stream positions — pinned by the ES axis of the unified cross-engine
-harness; and ``population=1, sigma=0`` reproduces plain unperturbed
-evaluation of the team bit-for-bit.
+Fitness needs episode returns only, so every engine collects stats-only
+(``transitions=False``): no transitions are staged, and sharded workers
+return per-episode stats instead of episodes.  All engines are
+bit-identical — same stats, fitness, updates, and RNG stream positions —
+pinned by the ES axis of the unified cross-engine harness; and
+``population=1, sigma=0`` reproduces plain unperturbed evaluation of the
+team bit-for-bit.
 """
 
 from __future__ import annotations
@@ -197,9 +199,11 @@ class ESTrainer:
         return self._sharded_collector
 
     def collect_generation(self, seeds):
-        """Roll out the whole population once; returns ``(episodes, stats)``.
+        """Roll out the whole population once; returns ``(None, stats)``.
 
-        Episodes arrive in the engines' shared completion order —
+        A stats-only collect: fitness reads episode returns alone, so no
+        transitions are staged or shipped, and the episode slot is
+        ``None``.  Stats arrive in the engines' shared completion order —
         round-major, global-row-minor — so episode ``j`` belongs to member
         ``j % n_envs % population``.
         """
@@ -207,14 +211,15 @@ class ESTrainer:
         if self.sharded_rollouts:
             collector = self.sharded_collector()
             collector.set_generation(self.base_vector, seeds, self.sigma)
-            return collector.collect(n_episodes, self.rng, greedy=False)
-        self._population_group.set_members(
-            _es.perturb_population(
-                self.base_vector, seeds, self.sigma, self.population
+        else:
+            self._population_group.set_members(
+                _es.perturb_population(
+                    self.base_vector, seeds, self.sigma, self.population
+                )
             )
-        )
-        return self.vector_collector().collect(
-            n_episodes, self.rng, greedy=False
+            collector = self.vector_collector()
+        return collector.collect(
+            n_episodes, self.rng, greedy=False, transitions=False
         )
 
     def member_fitness(self, stats):
@@ -252,7 +257,7 @@ class ESTrainer:
             else _es.draw_generation_seeds(self.rng, self.population)
         )
         with obs.span("trainer.rollout"):
-            episodes, stats = self.collect_generation(seeds)
+            _, stats = self.collect_generation(seeds)
         with obs.span("trainer.update"):
             fitness = self.member_fitness(stats)
             self.base_vector, info = self.optimizer.step(

@@ -100,7 +100,7 @@ class Framework:
                 make_vector_env(self.env, n_episodes), self.actors
             )
             _, all_stats = collector.collect(
-                n_episodes, self._eval_rng, greedy=greedy
+                n_episodes, self._eval_rng, greedy=greedy, transitions=False
             )
         else:
             all_stats = []

@@ -13,7 +13,9 @@ regime).  The parent broadcasts the current actor weights with every collect
 command (so each :meth:`~repro.marl.trainer.CTDETrainer.update` is visible
 to the mirrors) and reassembles episodes in deterministic global order.
 Both transports produce bit-identical episodes, stats, and RNG stream
-positions; the choice is purely a throughput knob.
+positions; the choice is purely a throughput knob.  A stats-only collect
+(``transitions=False``, what ES generations use) ships no episode blocks at
+all, so the transport carries nothing but the control replies.
 
 Determinism contract (pinned by ``tests/test_parallel_rollout.py``):
 
@@ -418,13 +420,16 @@ class ShardedRolloutCollector:
             raise
         return replies
 
-    def collect(self, n_episodes, rng, greedy=False):
+    def collect(self, n_episodes, rng, greedy=False, transitions=True):
         """Collect ``n_episodes`` episodes; returns ``(episodes, stats)``.
 
         Same signature, ordering, and stat accounting as
         :meth:`~repro.marl.rollout.VectorRolloutCollector.collect`; ``rng``
         (the shared action-sampling stream) is advanced to exactly the
-        position the in-process engine would leave it at.
+        position the in-process engine would leave it at.  With
+        ``transitions=False`` the workers stage and ship no transitions —
+        nothing rides the transport but the stats — and ``episodes`` is
+        ``None``.
         """
         if self._closed:
             raise RuntimeError("collector is closed")
@@ -442,6 +447,7 @@ class ShardedRolloutCollector:
                 "bound": int(bound),
                 "finalize": bool(finalize),
                 "greedy": greedy,
+                "transitions": bool(transitions),
                 "action_rng": action_state,
                 "weights": weight_states,
                 "telemetry": telemetry,
@@ -484,11 +490,12 @@ class ShardedRolloutCollector:
                     obs.merge_snapshot(snap)
 
         # Reassemble in the in-process completion order — round-major,
-        # global-row-minor.  Each worker ships its episodes in local
-        # (round, row) order plus per-round completion counts; interleaving
-        # by counts restores the global order for fixed and ragged envs
-        # alike (fixed envs complete n_rows per worker every episode_limit
-        # rounds, reducing this to the historical block interleave).
+        # global-row-minor.  Each worker ships its stats (and episodes) in
+        # local (round, row) order plus per-round completion counts;
+        # interleaving by counts restores the global order for fixed and
+        # ragged envs alike (fixed envs complete n_rows per worker every
+        # episode_limit rounds, reducing this to the historical block
+        # interleave).
         episodes, stats = [], []
         offsets = [0] * len(replies)
         for r in range(stop_round):
@@ -496,10 +503,14 @@ class ShardedRolloutCollector:
                 count = reply["counts"][r]
                 if count:
                     lo = offsets[w]
-                    episodes.extend(reply["episodes"][lo:lo + count])
+                    if transitions:
+                        episodes.extend(reply["episodes"][lo:lo + count])
                     stats.extend(reply["stats"][lo:lo + count])
                     offsets[w] = lo + count
-        return episodes[:n_episodes], stats[:n_episodes]
+        return (
+            episodes[:n_episodes] if transitions else None,
+            stats[:n_episodes],
+        )
 
     def _negotiate_stop_round(self, n_episodes, command_for):
         """Pin the global stopping round for a ragged collect.

@@ -167,6 +167,8 @@ class _WorkerState:
         parent-side merging.  ``spec["trace"]`` (when the parent has a
         trace open) joins this process to it: local spans parent to the
         sender's span and export to a per-pid sibling file.
+        ``spec["transitions"]`` is false for a stats-only pass: the shard
+        stages rewards alone and the commit ships no episodes.
         """
         if obs.enabled() != bool(spec["telemetry"]):
             obs.set_enabled(bool(spec["telemetry"]))
@@ -174,7 +176,7 @@ class _WorkerState:
         self._load_weights(spec["weights"])
         return {
             "rng": rng_from_state(spec["action_rng"]),
-            "state": self.collector.begin_rounds(),
+            "state": self.collector.begin_rounds(bool(spec["transitions"])),
             "greedy": bool(spec["greedy"]),
             "snapshot": None,
         }
@@ -197,10 +199,11 @@ class _WorkerState:
 
         Non-final commands reply with the pass's full per-round completion
         counts and keep it open; ``spec["finalize"]`` commits at exactly
-        the bound and returns episodes, stats, RNG positions, and the
-        crash checkpoint.  Bounds are absolute, so a replayed command on a
-        freshly restarted worker (no open session) reproduces the dead
-        incarnation's trajectory bit-exactly from the committed state.
+        the bound and returns stats, RNG positions, the crash checkpoint
+        and, unless the pass is stats-only, episodes.  Bounds are
+        absolute, so a replayed command on a freshly restarted worker (no
+        open session) reproduces the dead incarnation's trajectory
+        bit-exactly from the committed state.
         """
         session = self._session
         if session is None:
@@ -239,13 +242,16 @@ class _WorkerState:
         if obs.enabled():
             self.collector.publish_telemetry(state)
         reply = {
-            "episodes": state.completed,
             "stats": state.completed_stats,
             "counts": state.counts_per_round(),
             "action_rng": get_rng_state(session["rng"]),
             "row_rngs": [get_rng_state(r) for r in self.vector_env.rngs],
             "checkpoint": checkpoint,
         }
+        if state.transitions:
+            # Only episodes ride the shm ring; a stats-only reply is all
+            # control payload and stays on the pipe.
+            reply["episodes"] = state.completed
         if telemetry:
             reply["telemetry"] = obs.snapshot(reset=True)
         return reply

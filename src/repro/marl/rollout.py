@@ -31,6 +31,12 @@ Partially collected episodes left in flight when ``collect`` returns are
 discarded, and their copies are re-initialised at the start of the next
 call.
 
+A caller that reads only the per-episode stats (ES fitness, vectorized
+evaluation) passes ``transitions=False``: the pass then stages just the
+reward column, builds no :class:`~repro.marl.buffer.Episode`, and returns
+``None`` in place of the episode list.  Stats, RNG stream positions and the
+between-call carry-over are identical either way.
+
 This collector is also the engine each worker of the process-sharded
 subsystem runs over its shard (:mod:`repro.marl.parallel`): the worker
 substitutes an actor-group adapter whose ``act_batch`` consumes the global
@@ -66,6 +72,8 @@ _STAGING_DTYPES = (
     np.float64,  # next_observations
     bool,  # dones
 )
+#: What a stats-only pass stages: the rewards column alone.
+_STATS_DTYPES = (np.float64,)
 
 
 class RoundState:
@@ -75,13 +83,16 @@ class RoundState:
     columnar: ``columns`` holds one ``(n_envs, capacity, ...)`` buffer per
     :class:`Episode` column (``from_arrays`` order), allocated on the first
     round, where row ``i``'s in-flight transitions fill ``[:steps[i]]``;
-    next to it sit the Fig. 3 stat accumulators.  Each completion is tagged
-    with the 1-based lockstep round it finished on (``completed_rounds``)
-    so the sharded parent can interleave shards back into global (round,
-    row) completion order.
+    next to it sit the Fig. 3 stat accumulators.  A stats-only pass
+    (``transitions=False``) stages the rewards column alone and leaves
+    ``completed`` empty; ``completed_stats`` counts completions in both
+    modes.  Each completion is tagged with the 1-based lockstep round it
+    finished on (``completed_rounds``) so the sharded parent can interleave
+    shards back into global (round, row) completion order.
     """
 
     __slots__ = (
+        "transitions",
         "columns",
         "queue_sums",
         "empty_sums",
@@ -93,7 +104,8 @@ class RoundState:
         "rounds",
     )
 
-    def __init__(self, n_envs):
+    def __init__(self, n_envs, transitions=True):
+        self.transitions = bool(transitions)
         self.columns = None
         self.queue_sums = np.zeros(n_envs)
         self.empty_sums = np.zeros(n_envs)
@@ -183,7 +195,7 @@ class VectorRolloutCollector:
             )
             self._fresh[stale] = True
 
-    def collect(self, n_episodes, rng, greedy=False):
+    def collect(self, n_episodes, rng, greedy=False, transitions=True):
         """Collect ``n_episodes`` completed episodes; returns ``(episodes, stats)``.
 
         ``stats`` carries one dict per episode with the same keys and
@@ -192,11 +204,13 @@ class VectorRolloutCollector:
         ``overflow_ratio``.  Episodes are ordered by completion (step, copy
         index); all copies keep stepping until the quota is reached, so a
         final lockstep round may finish more episodes than requested — the
-        surplus is discarded deterministically.
+        surplus is discarded deterministically.  With ``transitions=False``
+        no transitions are staged and ``episodes`` is ``None``; the stats
+        are the same.
         """
         if n_episodes < 1:
             raise ValueError("n_episodes must be >= 1")
-        state = self.begin_rounds()
+        state = self.begin_rounds(transitions)
         self.run_rounds(state, rng, greedy=greedy, episode_quota=n_episodes)
         # Boundary-level accounting: the per-step quantities are already
         # tracked by the loop, so telemetry costs one publish per collect,
@@ -204,21 +218,23 @@ class VectorRolloutCollector:
         # worker's local registry and ride the snapshot reply to the parent.
         if obs.enabled():
             self.publish_telemetry(state)
-        return state.completed[:n_episodes], state.completed_stats[:n_episodes]
+        episodes = state.completed[:n_episodes] if transitions else None
+        return episodes, state.completed_stats[:n_episodes]
 
     # -- round-bounded session API (the sharded ragged protocol) --------------
 
-    def begin_rounds(self):
+    def begin_rounds(self, transitions=True):
         """Start a collection pass: prepare all rows, return a fresh state.
 
         After :meth:`_prepare` every copy sits at an episode start, so the
         returned :class:`RoundState` (empty staging, zeroed accumulators)
         describes the loop exactly — which is what makes
         :meth:`snapshot_rounds` / :meth:`restore_rounds` sufficient for
-        replaying the pass from any captured point.
+        replaying the pass from any captured point.  ``transitions=False``
+        opens a stats-only pass (see :class:`RoundState`).
         """
         self._prepare()
-        return RoundState(self.vector_env.n_envs)
+        return RoundState(self.vector_env.n_envs, transitions)
 
     def run_rounds(self, state, rng, greedy=False, *, max_rounds=None,
                    episode_quota=None):
@@ -236,19 +252,26 @@ class VectorRolloutCollector:
             if max_rounds is not None and state.rounds >= max_rounds:
                 break
             if (episode_quota is not None
-                    and len(state.completed) >= episode_quota):
+                    and len(state.completed_stats) >= episode_quota):
                 break
             state.rounds += 1
             actions = self.actors.act_batch(
                 self._observations, rng, greedy=greedy
             )
             result = env.step(actions)
-            values = (
-                self._states, self._observations, actions, result.rewards,
-                result.final_states, result.final_observations, result.dones,
-            )
+            if state.transitions:
+                values = (
+                    self._states, self._observations, actions, result.rewards,
+                    result.final_states, result.final_observations,
+                    result.dones,
+                )
+            else:
+                values = (result.rewards,)
             if state.columns is None:
-                state.columns = self._allocate_columns(values)
+                state.columns = self._allocate_columns(
+                    values,
+                    _STAGING_DTYPES if state.transitions else _STATS_DTYPES,
+                )
             for column, value in zip(state.columns, values):
                 column[rows, state.steps] = value
             state.queue_sums += result.mean_queues
@@ -263,7 +286,7 @@ class VectorRolloutCollector:
             self._states = result.states
         return state
 
-    def _allocate_columns(self, values):
+    def _allocate_columns(self, values, dtypes):
         """Staging buffers shaped ``(n_envs, episode_limit, ...)`` after
         the first round's values: every episode ends by ``episode_limit``
         (``VectorEnv._row_done``), so a row never outgrows its buffer."""
@@ -272,12 +295,13 @@ class VectorRolloutCollector:
             np.empty(
                 (self.n_envs, capacity) + np.shape(value)[1:], dtype=dtype
             )
-            for value, dtype in zip(values, _STAGING_DTYPES)
+            for value, dtype in zip(values, dtypes)
         )
 
     def _finish_rows(self, state, finished, result):
-        """Turn this round's finished rows into episodes and stats, in
-        ascending row order, and restart their staging."""
+        """Turn this round's finished rows into stats (and, unless the pass
+        is stats-only, episodes), in ascending row order, and restart their
+        staging."""
         for i in finished.tolist():
             length = int(state.steps[i])
             if (self._ragged and _flight.enabled()
@@ -286,13 +310,20 @@ class VectorRolloutCollector:
                     "overflow_termination", row=i,
                     round=int(state.rounds), length=length,
                 )
-            # Copies, so episodes own their arrays: the buffers are reused.
-            episode = Episode.from_arrays(
-                *(column[i, :length].copy() for column in state.columns)
-            )
-            state.completed.append(episode)
+            if state.transitions:
+                # Copies, so episodes own their arrays: the buffers are
+                # reused.
+                episode = Episode.from_arrays(
+                    *(column[i, :length].copy() for column in state.columns)
+                )
+                state.completed.append(episode)
+                total_reward = episode.total_reward
+            else:
+                # The same pairwise sum Episode.total_reward takes over its
+                # copy of this slice, so the value is bit-identical.
+                total_reward = float(np.sum(state.columns[0][i, :length]))
             state.completed_stats.append({
-                "total_reward": episode.total_reward,
+                "total_reward": total_reward,
                 "length": length,
                 "mean_queue": float(state.queue_sums[i] / length),
                 "empty_ratio": float(state.empty_sums[i] / length),
@@ -326,7 +357,7 @@ class VectorRolloutCollector:
                 "steps": state.steps,
             },
             "rounds": state.rounds,
-            "n_completed": len(state.completed),
+            "n_completed": len(state.completed_stats),
         })
 
     def restore_rounds(self, snapshot, state):
@@ -354,7 +385,7 @@ class VectorRolloutCollector:
         """One rollout-counter publish for a finished pass."""
         obs.counter("rollout.env_steps").inc(state.rounds)
         obs.counter("rollout.env_rows").inc(state.rounds * self.n_envs)
-        obs.counter("rollout.episodes").inc(len(state.completed))
+        obs.counter("rollout.episodes").inc(len(state.completed_stats))
 
     def __repr__(self):
         return (

@@ -1112,10 +1112,13 @@ class CircuitProgram:
         """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
         (a 1-D vector is one group), cached by weight content.  Built by
         per-row kernels, so each is bit-identical whatever the other rows.
+        The cache is scanned newest first: a rollout round hits the entry
+        built for the current weights, which sits last.
         """
         weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
         cache = self._suffix_cache
-        for i, (cached, unitary) in enumerate(cache):
+        for i in reversed(range(len(cache))):
+            cached, unitary = cache[i]
             if cached.shape == weights.shape and np.array_equal(cached, weights):
                 if obs.enabled():
                     obs.counter("program.suffix_hit").inc()

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.config import SingleHopConfig
 from repro.envs.arrivals import (
     BernoulliBurstArrivals,
     DeterministicArrivals,
     TruncatedPoissonArrivals,
     UniformArrivals,
 )
+from repro.envs.multi_hop import MultiHopOffloadEnv, layered_topology
+from repro.envs.single_hop import SingleHopOffloadEnv
 
 
 class TestUniformArrivals:
@@ -29,6 +32,58 @@ class TestUniformArrivals:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             UniformArrivals(-0.1, 1.0)
+
+    @pytest.mark.parametrize("n_rows", [1, 16])
+    @pytest.mark.parametrize("high", [0.0, 0.3, 7.5])
+    def test_sample_batch_matches_per_row_draws(self, n_rows, high):
+        """The one-block kernel is bitwise the stack of serial draws and
+        leaves every row generator where the serial draws leave it."""
+        process = UniformArrivals(high, 1.0)
+        block_rngs = [np.random.default_rng(seed) for seed in range(n_rows)]
+        row_rngs = [np.random.default_rng(seed) for seed in range(n_rows)]
+        for _ in range(20):
+            block = process.sample_batch(block_rngs, 4)
+            rows = np.stack([process.sample(rng, 4) for rng in row_rngs])
+            assert block.dtype == rows.dtype
+            assert block.tobytes() == rows.tobytes()
+        for got, expected in zip(block_rngs, row_rngs):
+            assert got.bit_generator.state == expected.bit_generator.state
+
+
+class TestNonFiniteArrivalBounds:
+    """A NaN or infinite arrival bound is rejected when the env is built,
+    not at the first step (nor returned as non-finite arrivals)."""
+
+    @pytest.mark.parametrize(
+        "w_p, q_max",
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (0.3, float("nan")),
+            (0.3, float("inf")),
+            (0.0, float("inf")),
+        ],
+    )
+    def test_uniform_arrivals_reject(self, w_p, q_max):
+        with pytest.raises(ValueError, match="finite"):
+            UniformArrivals(w_p, q_max)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"w_p": float("nan")},
+            {"w_p": float("inf")},
+            # "uniform" start: a fixed 0.5 start is already range-checked.
+            {"queue_capacity": float("nan"), "initial_queue_level": "uniform"},
+        ],
+    )
+    def test_single_hop_env_rejects(self, overrides):
+        with pytest.raises(ValueError):
+            SingleHopOffloadEnv(SingleHopConfig(**overrides))
+
+    def test_multi_hop_env_rejects(self):
+        with pytest.raises(ValueError):
+            MultiHopOffloadEnv(layered_topology((3, 2, 1)), w_p=float("nan"))
 
 
 class TestBernoulliBurstArrivals:

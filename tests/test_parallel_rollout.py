@@ -2,12 +2,14 @@
 rollout subsystem (``repro.marl.parallel``), over both transition
 transports (pickle-pipe and shared-memory ring)."""
 
+import contextlib
 import copy
 import os
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.vector import make_vector_env
 from repro.marl.actors import ActorGroup, ClassicalActor
@@ -633,6 +635,88 @@ class TestStagedEpisodes:
         for i, array in enumerate(arrays):
             for other in arrays[i + 1:]:
                 assert not np.shares_memory(array, other)
+
+
+class TestStatsOnlyCollection:
+    """``collect(..., transitions=False)`` returns the same stats with no
+    episodes, and leaves every stream and the carry-over exactly where a
+    full collect would."""
+
+    STATS_ENGINES = ("vector", "sharded-pipe", "sharded-shm")
+
+    @staticmethod
+    def _collector(engine, env_kind, stack):
+        env, actors = engine_setup(env_kind)
+        if engine == "vector":
+            return env, VectorRolloutCollector(make_vector_env(env, 4), actors)
+        transport = engine.split("-")[1]
+        return env, stack.enter_context(sharded(env, actors, 4, 2, transport))
+
+    @staticmethod
+    def _row_rng_states(collector):
+        if isinstance(collector, VectorRolloutCollector):
+            envs = [collector.vector_env]
+        else:
+            envs = [w.checkpoint["vector_env"] for w in collector._workers]
+        return [r.bit_generator.state for env in envs for r in env.rngs]
+
+    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
+    @pytest.mark.parametrize("engine", STATS_ENGINES)
+    def test_stats_match_a_full_collect(self, engine, env_kind):
+        with contextlib.ExitStack() as stack:
+            env_full, full = self._collector(engine, env_kind, stack)
+            env_stats, stats_only = self._collector(engine, env_kind, stack)
+            rng_full = np.random.default_rng(11)
+            rng_stats = np.random.default_rng(11)
+            # A quota that is not a multiple of N discards surplus episodes.
+            episodes, expected = full.collect(6, rng_full)
+            none, got = stats_only.collect(6, rng_stats, transitions=False)
+            assert none is None
+            assert len(episodes) == 6
+            assert got == expected
+            assert (rng_stats.bit_generator.state
+                    == rng_full.bit_generator.state)
+            assert (env_stats.rng.bit_generator.state
+                    == env_full.rng.bit_generator.state)
+            assert (self._row_rng_states(stats_only)
+                    == self._row_rng_states(full))
+            # The carry-over is intact: the next full collect agrees.
+            episodes_full, stats_full = full.collect(5, rng_full)
+            episodes_after, stats_after = stats_only.collect(5, rng_stats)
+        assert_episodes_equal(episodes_full, episodes_after)
+        assert stats_full == stats_after
+
+    def test_shm_ring_carries_nothing(self):
+        """Workers count ring publishes after their reply's telemetry
+        snapshot, so a collect's blocks surface with the next reply: the
+        stats-only collects run first, on a pool that never published."""
+        env, actors = single_hop_setup()
+        rng = np.random.default_rng(0)
+        with obs.telemetry(), sharded(env, actors, 4, 2, "shm") as pool:
+            obs.reset()
+            for _ in range(2):
+                pool.collect(4, rng, transitions=False)
+            stats_only = obs.snapshot(reset=True)["counters"]
+            for _ in range(2):
+                pool.collect(4, rng)
+            full = obs.snapshot(reset=True)["counters"]
+        assert stats_only.get("rollout.episodes", 0) == 8
+        assert stats_only.get("shm.blocks", 0) == 0
+        assert stats_only.get("shm.payload_bytes", 0) == 0
+        assert full.get("shm.blocks", 0) > 0
+        assert full.get("shm.payload_bytes", 0) > 0
+
+    def test_vectorized_evaluate_matches_full_collect_stats(self):
+        framework = build_framework("comp2", seed=5)
+        got = framework.evaluate(n_episodes=4, greedy=False, vectorized=True)
+        twin = build_framework("comp2", seed=5)
+        collector = VectorRolloutCollector(
+            make_vector_env(twin.env, 4), twin.actors
+        )
+        _, stats = collector.collect(4, twin._eval_rng, greedy=False)
+        assert got == {
+            key: float(np.mean([s[key] for s in stats])) for key in stats[0]
+        }
 
 
 class TestNonFinitePolicy:

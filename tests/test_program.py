@@ -438,6 +438,61 @@ def _per_op_prefix(program, inputs, row_weights):
     return psi
 
 
+class TestSuffixCache:
+    """The content-keyed cache of trailing-block unitaries: newest-first
+    lookup, move-to-newest on a hit, least-recently-used eviction."""
+
+    @staticmethod
+    def _filled(rng):
+        """A program whose cache holds four weight sets, oldest first."""
+        vqc = build_vqc(3, 3, 12, seed=2)
+        program = compile_program(vqc.circuit)
+        sets = [
+            np.stack([vqc.initial_weights(rng) for _ in range(2)])
+            for _ in range(CircuitProgram._SUFFIX_CACHE_SIZE)
+        ]
+        unitaries = [program.suffix_unitary(weights) for weights in sets]
+        return vqc, program, sets, unitaries
+
+    @staticmethod
+    def _count_comparisons(monkeypatch):
+        calls = []
+        array_equal = np.array_equal
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return array_equal(*args, **kwargs)
+
+        monkeypatch.setattr(qprog.np, "array_equal", counting)
+        return calls
+
+    def test_hit_on_newest_compares_once(self, rng, monkeypatch):
+        _, program, sets, unitaries = self._filled(rng)
+        calls = self._count_comparisons(monkeypatch)
+        assert program.suffix_unitary(sets[-1]) is unitaries[-1]
+        assert len(calls) == 1
+
+    def test_hit_on_oldest_moves_it_to_newest(self, rng, monkeypatch):
+        _, program, sets, unitaries = self._filled(rng)
+        assert program.suffix_unitary(sets[0]) is unitaries[0]
+        calls = self._count_comparisons(monkeypatch)
+        assert program.suffix_unitary(sets[0]) is unitaries[0]
+        assert len(calls) == 1
+
+    def test_fifth_set_evicts_least_recently_used(self, rng):
+        vqc, program, sets, unitaries = self._filled(rng)
+        program.suffix_unitary(sets[0])  # now sets[1] is the LRU entry
+        program.suffix_unitary(
+            np.stack([vqc.initial_weights(rng) for _ in range(2)])
+        )
+        rebuilt = program.suffix_unitary(sets[1])
+        assert rebuilt is not unitaries[1]
+        assert np.array_equal(rebuilt, unitaries[1])
+        # Rebuilding sets[1] evicted sets[2]; the rest are still cached.
+        assert program.suffix_unitary(sets[3]) is unitaries[3]
+        assert program.suffix_unitary(sets[0]) is unitaries[0]
+
+
 class TestFirstEncodingLayer:
     """The product-state build of the leading encoding layer gives the
     values the per-op kernels do (``array_equal``: only zero signs may

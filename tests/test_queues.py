@@ -151,5 +151,10 @@ class TestQueueBank:
         with pytest.raises(ValueError):
             QueueBank(**kwargs)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf")])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(ValueError, match="finite"):
+            QueueBank(2, capacity)
+
     def test_repr(self):
         assert "n_queues=2" in repr(QueueBank(2, 1.0))
