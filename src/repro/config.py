@@ -21,6 +21,15 @@ __all__ = [
 ]
 
 
+def check_env_quantity(name, value, positive=False):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is finite and
+    ``>= 0`` (``> 0`` with ``positive``).  NaN fails both comparisons, so
+    it cannot slip through as a sign check alone would let it."""
+    if not (np.isfinite(value) and (value > 0 if positive else value >= 0)):
+        bound = "> 0" if positive else ">= 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SingleHopConfig:
     """Single-hop offloading environment (Tables I & II).
@@ -70,10 +79,11 @@ class SingleHopConfig:
             raise ValueError("need at least one cloud and one agent")
         if not self.packet_amounts:
             raise ValueError("packet_amounts must be non-empty")
-        if any(p < 0 for p in self.packet_amounts):
-            raise ValueError("packet amounts must be non-negative")
-        if self.queue_capacity <= 0:
-            raise ValueError("queue_capacity must be positive")
+        for amount in self.packet_amounts:
+            check_env_quantity("packet_amounts", amount)
+        check_env_quantity("cloud_service_rate", self.cloud_service_rate)
+        check_env_quantity("w_r", self.w_r)
+        check_env_quantity("queue_capacity", self.queue_capacity, positive=True)
         if self.episode_limit < 1:
             raise ValueError("episode_limit must be >= 1")
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import networkx as nx
 import numpy as np
 
+from repro.config import check_env_quantity
 from repro.envs.arrivals import UniformArrivals
 from repro.envs.base import Discrete, FeatureSpace, MultiAgentEnv, StepResult
 from repro.envs.queues import QueueBank
@@ -136,6 +137,11 @@ class MultiHopOffloadEnv(MultiAgentEnv):
         self.w_r = float(w_r)
         self.service_rate = float(service_rate)
         self.queue_capacity = float(queue_capacity)
+        for amount in self.packet_amounts:
+            check_env_quantity("packet_amounts", amount)
+        check_env_quantity("service_rate", self.service_rate)
+        check_env_quantity("w_r", self.w_r)
+        check_env_quantity("queue_capacity", self.queue_capacity, positive=True)
         self.episode_limit = int(episode_limit)
         self.terminate_on_overflow = bool(terminate_on_overflow)
         self.has_data_dependent_termination = self.terminate_on_overflow

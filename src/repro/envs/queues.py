@@ -163,7 +163,9 @@ class QueueBank:
         """
         outflow = self._flow(outflow)
         inflow = self._flow(inflow)
-        if np.any(outflow < 0) or np.any(inflow < 0):
+        # ``.min() < 0`` gives np.any(flow < 0)'s verdict (NaN passes both)
+        # without the Python-level wrapper; flows are never empty here.
+        if outflow.min() < 0 or inflow.min() < 0:
             raise ValueError("outflow and inflow must be non-negative")
         previous = self.levels.copy()
         raw = previous - outflow + inflow

@@ -133,6 +133,27 @@ class VectorStepResult:
         )
 
 
+def _joint_rewards_and_stats(update, n_agents, w_r):
+    """Eq. (1) rewards over the penalised columns ``n_agents:`` of a joint
+    ``QueueUpdate`` (clouds, or every non-agent node), and the vectorized
+    Fig. 3 stats over all of its columns."""
+    penalised = slice(n_agents, None)
+    empty_penalty = np.where(
+        update.empty[:, penalised], update.q_tilde[:, penalised], 0.0
+    )
+    overflow_penalty = np.where(
+        update.overflow[:, penalised], update.q_hat[:, penalised] * w_r, 0.0
+    )
+    rewards = -np.sum(empty_penalty + overflow_penalty, axis=1)
+    n_slots = update.levels.shape[1]
+    stats = (
+        update.levels.mean(axis=1),
+        update.empty.sum(axis=1) / n_slots,
+        update.overflow.sum(axis=1) / n_slots,
+    )
+    return rewards, stats
+
+
 class VectorEnv:
     """N lockstep environment copies sharing one configuration.
 
@@ -234,7 +255,7 @@ class VectorEnv:
                 f"expected actions of shape {(self.n_envs, self.n_agents)}, "
                 f"got {actions.shape}"
             )
-        if np.any(actions < 0) or np.any(actions >= self.n_actions):
+        if actions.min() < 0 or actions.max() >= self.n_actions:
             raise ValueError(
                 f"action indices must lie in [0, {self.n_actions})"
             )
@@ -290,14 +311,16 @@ class SingleHopVectorEnv(VectorEnv):
         self.state_size = cfg.state_size
         self.episode_limit = cfg.episode_limit
 
-        self.edge_queues = QueueBank(
-            cfg.n_agents, cfg.queue_capacity, cfg.initial_queue_level,
-            n_envs=self.n_envs,
+        # One bank over the joint columns ``[edge | cloud]``: every queue
+        # update is elementwise, so a step is one QueueBank.step whose
+        # columns hold exactly what the serial env's two banks hold.
+        self._queues = QueueBank(
+            cfg.n_agents + cfg.n_clouds, cfg.queue_capacity,
+            cfg.initial_queue_level, n_envs=self.n_envs,
         )
-        self.cloud_queues = QueueBank(
-            cfg.n_clouds, cfg.queue_capacity, cfg.initial_queue_level,
-            n_envs=self.n_envs,
-        )
+        # Cloud columns drain at the fixed service rate; each step writes
+        # only the edge columns.
+        self._outflow = np.full(self._queues.shape, cfg.cloud_service_rate)
         self._prev_edge_levels = np.zeros((self.n_envs, self.n_agents))
         self._amounts = np.asarray(cfg.packet_amounts, dtype=np.float64)
         self._env_index = np.arange(self.n_envs)
@@ -315,103 +338,79 @@ class SingleHopVectorEnv(VectorEnv):
         return dones
 
     def _reset_rows(self, rows):
-        # Same draw order as the serial env's reset: edge bank, then clouds.
+        # One uniform draw over [edge | cloud] is the serial env's two
+        # draws (edge bank, then clouds): the same doubles in the same order.
         for row in rows:
-            rng = self.rngs[row]
-            self.edge_queues.reset_row(row, rng)
-            self.cloud_queues.reset_row(row, rng)
-        self._prev_edge_levels[rows] = self.edge_queues.levels[rows]
+            self._queues.reset_row(row, self.rngs[row])
+        self._prev_edge_levels[rows] = self._queues.levels[rows, :self.n_agents]
 
     def _observations(self):
+        n = self.n_agents
         q_max = self.config.queue_capacity
+        levels = self._queues.levels / q_max
         obs = np.empty(
             (self.n_envs, self.n_agents, self.observation_size)
         )
-        obs[:, :, 0] = self.edge_queues.levels / q_max
+        obs[:, :, 0] = levels[:, :n]
         obs[:, :, 1] = self._prev_edge_levels / q_max
-        obs[:, :, 2:] = (self.cloud_queues.levels / q_max)[:, None, :]
+        obs[:, :, 2:] = levels[:, None, n:]
         return obs
 
     def _apply_actions(self, actions):
         cfg = self.config
+        n = self.n_agents
+        levels = self._queues.levels
         n_amounts = len(self._amounts)
         destinations = actions // n_amounts
         scheduled = self._amounts[actions % n_amounts]
         if cfg.conserve_packets:
-            sent = np.minimum(scheduled, self.edge_queues.levels)
+            sent = np.minimum(scheduled, levels[:, :n])
         else:
             sent = scheduled
 
-        cloud_inflow = np.zeros((self.n_envs, self.n_clouds))
+        inflow = np.empty(self._queues.shape)
+        inflow[:, :n] = self.arrivals.sample_batch(self.rngs, n)
+        cloud_inflow = inflow[:, n:]
+        cloud_inflow[...] = 0.0
         np.add.at(
             cloud_inflow, (self._env_index[:, None], destinations), sent
         )
+        self._outflow[:, :n] = sent
+        self._prev_edge_levels[...] = levels[:, :n]
+        update = self._queues.step(outflow=self._outflow, inflow=inflow)
 
-        prev_edge_levels = self.edge_queues.levels.copy()
-        cloud_update = self.cloud_queues.step(
-            outflow=cfg.cloud_service_rate, inflow=cloud_inflow
-        )
-        edge_update = self.edge_queues.step(
-            outflow=scheduled if not cfg.conserve_packets else sent,
-            inflow=self.arrivals.sample_batch(self.rngs, self.n_agents),
-        )
-        self._prev_edge_levels = prev_edge_levels
-
-        empty_penalty = np.where(cloud_update.empty, cloud_update.q_tilde, 0.0)
-        overflow_penalty = np.where(
-            cloud_update.overflow, cloud_update.q_hat * cfg.w_r, 0.0
-        )
-        rewards = -np.sum(empty_penalty + overflow_penalty, axis=1)
+        rewards, stats = _joint_rewards_and_stats(update, n, cfg.w_r)
         if cfg.terminate_on_overflow:
             # Stash for _row_done; .any(axis=1) allocates a fresh mask, so
             # the step result never aliases reused storage.
-            self._overflow_terminated = cloud_update.overflow.any(axis=1)
-
-        n_slots = self.n_agents + self.n_clouds
-        stats = (
-            np.concatenate(
-                [edge_update.levels, cloud_update.levels], axis=1
-            ).mean(axis=1),
-            (cloud_update.empty.sum(axis=1) + edge_update.empty.sum(axis=1))
-            / n_slots,
-            (cloud_update.overflow.sum(axis=1)
-             + edge_update.overflow.sum(axis=1)) / n_slots,
-        )
+            self._overflow_terminated = update.overflow[:, n:].any(axis=1)
         t_next = self._t + 1
         return rewards, stats, (
-            lambda: self._build_infos(
-                t_next, cloud_update, edge_update, destinations, sent
-            )
+            lambda: self._build_infos(t_next, update, destinations, sent)
         )
 
-    def _build_infos(self, t_next, cloud_update, edge_update, destinations,
-                     sent):
-        n_slots = self.n_agents + self.n_clouds
-        cloud_excess = cloud_update.overflow_excess.sum(axis=1)
-        edge_excess = edge_update.overflow_excess.sum(axis=1)
+    def _build_infos(self, t_next, update, destinations, sent):
+        n = self.n_agents
+        n_slots = self._queues.n_queues
+        excess = update.overflow_excess
+        # Summed per bank, as the serial env's overflow_amount is.
+        cloud_excess = excess[:, n:].sum(axis=1)
+        edge_excess = excess[:, :n].sum(axis=1)
         infos = []
         for i in range(self.n_envs):
-            all_levels = np.concatenate(
-                [edge_update.levels[i], cloud_update.levels[i]]
-            )
+            levels, empty = update.levels[i], update.empty[i]
+            overflow = update.overflow[i]
             infos.append({
                 "t": int(t_next[i]),
-                "cloud_levels": cloud_update.levels[i].copy(),
-                "edge_levels": edge_update.levels[i].copy(),
-                "cloud_empty": cloud_update.empty[i].copy(),
-                "cloud_overflow": cloud_update.overflow[i].copy(),
-                "edge_empty": edge_update.empty[i].copy(),
-                "edge_overflow": edge_update.overflow[i].copy(),
-                "mean_queue": float(all_levels.mean()),
-                "empty_ratio": float(
-                    (cloud_update.empty[i].sum() + edge_update.empty[i].sum())
-                    / n_slots
-                ),
-                "overflow_ratio": float(
-                    (cloud_update.overflow[i].sum()
-                     + edge_update.overflow[i].sum())
-                    / n_slots
-                ),
+                "cloud_levels": levels[n:].copy(),
+                "edge_levels": levels[:n].copy(),
+                "cloud_empty": empty[n:].copy(),
+                "cloud_overflow": overflow[n:].copy(),
+                "edge_empty": empty[:n].copy(),
+                "edge_overflow": overflow[:n].copy(),
+                "mean_queue": float(levels.mean()),
+                "empty_ratio": float(empty.sum() / n_slots),
+                "overflow_ratio": float(overflow.sum() / n_slots),
                 "overflow_amount": float(cloud_excess[i] + edge_excess[i]),
                 "destinations": destinations[i].copy(),
                 "sent": sent[i].copy(),
@@ -483,15 +482,16 @@ class MultiHopVectorEnv(VectorEnv):
         self._relay_targets = np.asarray(relay_targets, dtype=np.int64)
         self._relay_amounts = np.asarray(relay_amounts, dtype=np.float64)
 
-        initial_level = template._agent_queues.initial_level
-        self._agent_queues = QueueBank(
-            self.n_agents, template.queue_capacity, initial_level,
-            n_envs=self.n_envs,
+        # One bank over the joint columns ``[agent | network]`` (see
+        # SingleHopVectorEnv): one QueueBank.step per env step.
+        self._queues = QueueBank(
+            self.n_agents + self._n_network, template.queue_capacity,
+            template._agent_queues.initial_level, n_envs=self.n_envs,
         )
-        self._network_queues = QueueBank(
-            self._n_network, template.queue_capacity, initial_level,
-            n_envs=self.n_envs,
-        )
+        # Network columns drain at the fixed service rate.
+        self._outflow = np.full(self._queues.shape, template.service_rate)
+        # Observed successor levels, as columns of the joint bank.
+        self._succ_columns = self._succ_table + self.n_agents
         self._prev_agent_levels = np.zeros((self.n_envs, self.n_agents))
         self._env_index = np.arange(self.n_envs)
         self._agent_index = np.arange(self.n_agents)
@@ -509,38 +509,42 @@ class MultiHopVectorEnv(VectorEnv):
         return dones
 
     def _reset_rows(self, rows):
-        # Same draw order as the serial env: agent bank, then network bank.
+        # One draw over [agent | network] is the serial env's agent-bank
+        # then network-bank draws.
         for row in rows:
-            rng = self.rngs[row]
-            self._agent_queues.reset_row(row, rng)
-            self._network_queues.reset_row(row, rng)
-        self._prev_agent_levels[rows] = self._agent_queues.levels[rows]
+            self._queues.reset_row(row, self.rngs[row])
+        self._prev_agent_levels[rows] = self._queues.levels[rows, :self.n_agents]
 
     def _observations(self):
         q_max = self._template.queue_capacity
+        levels = self._queues.levels / q_max
         obs = np.empty(
             (self.n_envs, self.n_agents, self.observation_size)
         )
-        obs[:, :, 0] = self._agent_queues.levels / q_max
+        obs[:, :, 0] = levels[:, :self.n_agents]
         obs[:, :, 1] = self._prev_agent_levels / q_max
-        obs[:, :, 2:] = (
-            self._network_queues.levels[:, self._succ_table] / q_max
-        )
+        obs[:, :, 2:] = levels[:, self._succ_columns]
         return obs
 
     def _apply_actions(self, actions):
         template = self._template
+        n = self.n_agents
         n_amounts = len(self._amounts)
         successor_index = actions // n_amounts
         scheduled = self._amounts[actions % n_amounts]
         targets = self._succ_table[self._agent_index, successor_index]
 
+        inflow = np.empty(self._queues.shape)
+        inflow[:, :n] = self.arrivals.sample_batch(self.rngs, n)
         # Match the serial accumulation order exactly: agent contributions
         # first (agent-major), then the relay constants edge by edge.
-        inflow = np.zeros((self.n_envs, self._n_network))
-        np.add.at(inflow, (self._env_index[:, None], targets), scheduled)
+        network_inflow = inflow[:, n:]
+        network_inflow[...] = 0.0
         np.add.at(
-            inflow,
+            network_inflow, (self._env_index[:, None], targets), scheduled
+        )
+        np.add.at(
+            network_inflow,
             (
                 self._env_index[:, None],
                 np.broadcast_to(
@@ -550,64 +554,35 @@ class MultiHopVectorEnv(VectorEnv):
             ),
             self._relay_amounts,
         )
+        self._outflow[:, :n] = scheduled
+        self._prev_agent_levels[...] = self._queues.levels[:, :n]
+        update = self._queues.step(outflow=self._outflow, inflow=inflow)
 
-        prev_agent_levels = self._agent_queues.levels.copy()
-        network_update = self._network_queues.step(
-            outflow=template.service_rate, inflow=inflow
-        )
-        agent_update = self._agent_queues.step(
-            outflow=scheduled,
-            inflow=self.arrivals.sample_batch(self.rngs, self.n_agents),
-        )
-        self._prev_agent_levels = prev_agent_levels
-
-        empty_penalty = np.where(
-            network_update.empty, network_update.q_tilde, 0.0
-        )
-        overflow_penalty = np.where(
-            network_update.overflow, network_update.q_hat * template.w_r, 0.0
-        )
-        rewards = -np.sum(empty_penalty + overflow_penalty, axis=1)
+        rewards, stats = _joint_rewards_and_stats(update, n, template.w_r)
         if template.terminate_on_overflow:
-            self._overflow_terminated = network_update.overflow.any(axis=1)
-
-        n_slots = self.n_agents + self._n_network
-        stats = (
-            np.concatenate(
-                [agent_update.levels, network_update.levels], axis=1
-            ).mean(axis=1),
-            (agent_update.empty.sum(axis=1) + network_update.empty.sum(axis=1))
-            / n_slots,
-            (agent_update.overflow.sum(axis=1)
-             + network_update.overflow.sum(axis=1)) / n_slots,
-        )
+            self._overflow_terminated = update.overflow[:, n:].any(axis=1)
         t_next = self._t + 1
         return rewards, stats, (
-            lambda: self._build_infos(t_next, agent_update, network_update)
+            lambda: self._build_infos(t_next, update)
         )
 
-    def _build_infos(self, t_next, agent_update, network_update):
-        n_slots = self.n_agents + self._n_network
-        agent_excess = agent_update.overflow_excess.sum(axis=1)
-        network_excess = network_update.overflow_excess.sum(axis=1)
+    def _build_infos(self, t_next, update):
+        n = self.n_agents
+        n_slots = self._queues.n_queues
+        excess = update.overflow_excess
+        # Summed per bank, as the serial env's overflow_amount is.
+        agent_excess = excess[:, :n].sum(axis=1)
+        network_excess = excess[:, n:].sum(axis=1)
         infos = []
         for i in range(self.n_envs):
-            all_levels = np.concatenate(
-                [agent_update.levels[i], network_update.levels[i]]
-            )
+            levels = update.levels[i]
             infos.append({
                 "t": int(t_next[i]),
-                "agent_levels": agent_update.levels[i].copy(),
-                "network_levels": network_update.levels[i].copy(),
-                "mean_queue": float(all_levels.mean()),
-                "empty_ratio": float(
-                    (agent_update.empty[i].sum()
-                     + network_update.empty[i].sum()) / n_slots
-                ),
-                "overflow_ratio": float(
-                    (agent_update.overflow[i].sum()
-                     + network_update.overflow[i].sum()) / n_slots
-                ),
+                "agent_levels": levels[:n].copy(),
+                "network_levels": levels[n:].copy(),
+                "mean_queue": float(levels.mean()),
+                "empty_ratio": float(update.empty[i].sum() / n_slots),
+                "overflow_ratio": float(update.overflow[i].sum() / n_slots),
                 "overflow_amount": float(agent_excess[i] + network_excess[i]),
             })
         return infos

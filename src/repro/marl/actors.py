@@ -38,9 +38,11 @@ __all__ = [
 
 
 def _stable_softmax_np(logits):
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exps = np.exp(shifted)
-    return exps / exps.sum(axis=-1, keepdims=True)
+    # Exponentiate and normalise in the freshly shifted array.
+    exps = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(exps, out=exps)
+    exps /= exps.sum(axis=-1, keepdims=True)
+    return exps
 
 
 def categorical_from_draws(probs, draws):

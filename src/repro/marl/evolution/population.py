@@ -192,14 +192,21 @@ class PopulationActorGroup(ActorGroup):
         batch cycles it group-major (row ``b`` uses weight row ``b % G``),
         so the program tier caches exactly the ``P * n_agents`` distinct
         trailing-block unitaries however many env copies each member owns.
-        Misaligned worker shards fall back to the fully expanded per-row
-        matrix.
+        A shard whose rows are consecutive members without wrapping (every
+        worker of a population split evenly) gets a slice of the member
+        matrix, a view; other misaligned shards fall back to the fully
+        expanded per-row matrix.
         """
         n_rows = int(n_rows)
         population = self.population
         team_weights = self.member_vectors.reshape(population, self.n_agents, -1)
-        if self.row_offset % population == 0 and n_rows % population == 0:
+        first = self.row_offset % population
+        if first == 0 and n_rows % population == 0:
             return team_weights.reshape(population * self.n_agents, -1)
+        if first + n_rows <= population:
+            return team_weights[first:first + n_rows].reshape(
+                n_rows * self.n_agents, -1
+            )
         return team_weights[self.members_for_rows(n_rows)].reshape(
             n_rows * self.n_agents, -1
         )

@@ -68,6 +68,36 @@ def _sample_mean_signs(probs, signs, shots, rng):
     return signs[drawn].mean(axis=1)
 
 
+# id(observable list) -> (snapshot, n_qubits, stacked signs); only lists of
+# non-identity Z strings are entered.
+_ALL_Z_SIGNS = {}
+_ALL_Z_SIGNS_LIMIT = 64
+
+
+def _all_z_signs(observables, n_qubits):
+    """The stacked ``(2**n, m)`` sign operand when every observable is a
+    non-identity Z string, else ``None``.
+
+    Cached per list and validated against its contents like the program
+    cache: a hit is one dict lookup and one tuple comparison, with no
+    per-observable classification.
+    """
+    snapshot = tuple(observables)
+    entry = _ALL_Z_SIGNS.get(id(observables))
+    if entry is not None and entry[1] == n_qubits and entry[0] == snapshot:
+        return entry[2]
+    if not snapshot or not all(
+        isinstance(obs, PauliString) and obs.is_diagonal and not obs.is_identity()
+        for obs in snapshot
+    ):
+        return None
+    signs = _sv.stacked_z_signs(n_qubits, tuple(obs.wires for obs in snapshot))
+    if len(_ALL_Z_SIGNS) >= _ALL_Z_SIGNS_LIMIT:
+        _ALL_Z_SIGNS.clear()
+    _ALL_Z_SIGNS[id(observables)] = (snapshot, n_qubits, signs)
+    return signs
+
+
 def _normalise_run_args(n_inputs, inputs, batch_size):
     """``(inputs, batch)`` checked against the ``n_inputs`` features the
     circuit (or its compiled program) references."""
@@ -162,18 +192,25 @@ class StatevectorBackend:
 
         On the exact path all diagonal (Z-string) observables share one
         probability pass and a single matmul against their stacked cached
-        sign diagonals — the common case (the paper measures ``Z`` on every
-        qubit) costs one ``|psi|^2`` and one ``(B, dim) @ (dim, m)``, whose
-        result is returned as is when every observable is such a string.
+        sign diagonals.  The common case — a list made only of such strings,
+        as the actor and the critic measure ``Z`` on every qubit — is
+        recognised by one cached lookup (:func:`_all_z_signs`) and costs one
+        ``|psi|^2`` and one ``(B, dim) @ (dim, m)``.  Every other list (X/Y
+        strings, the identity, Hamiltonians, shots) takes the general path.
 
         The whole measurement runs under this backend's effective tier
         (``program=`` override or the global switch), so a
         ``program=False`` backend measures through the interpreted
         reference path even when the global tier is on, and vice versa.
         """
+        exact_program = self.shots is None and self._use_program()
+        if exact_program:
+            signs = _all_z_signs(observables, n_qubits)
+            if signs is not None:
+                return _sv.probabilities(psi) @ signs
         with _program.using_program(self._use_program()):
             columns = [None] * len(observables)
-            if self.shots is None and self._use_program():
+            if exact_program:
                 diag_indices = [
                     j
                     for j, obs in enumerate(observables)
@@ -187,8 +224,6 @@ class StatevectorBackend:
                         tuple(observables[j].wires for j in diag_indices),
                     )
                     values = _sv.probabilities(psi) @ signs
-                    if len(diag_indices) == len(observables):
-                        return values
                     for column, j in enumerate(diag_indices):
                         columns[j] = values[:, column]
             for j, obs in enumerate(observables):

@@ -643,22 +643,29 @@ class _ProductLayer:
     wires ``0, 1, ..., k - 1``, in that order (every encoder's first layer).
 
     On ``|0...0>`` such a run prepares a product state, built here without
-    touching the full register: the gate's own kernel, compiled on one
-    qubit, turns ``(B * k, 2)`` zero states into every wire's column, and a
-    Kronecker chain multiplies the columns in gate order.  On a fresh wire
-    one term of each rotation is exactly zero, so every amplitude is the
-    product the full-register kernels form, in the same order — only the
-    sign of zero amplitudes can differ (``docs/quantum_kernels.md``, "First
-    encoding layer").
+    touching the full register.  Every wire's column is what the gate's
+    rotation kernel makes of a fresh ``|0>``,
+    ``|0> * cos + (G|0>) * (-1j * sin)``, with ``G|0>`` taken once from the
+    gate's compiled one-qubit generator kernel: the same elementwise
+    operations, so the same bits, zero signs included.  A Kronecker chain
+    then multiplies the columns in gate order with the batch rows last, so
+    numpy's inner loop runs over the rows.  On a fresh wire one term of
+    each rotation is exactly zero, so every amplitude is the product the
+    full-register kernels form, in the same order — only the sign of zero
+    amplitudes can differ (``docs/quantum_kernels.md``, "First encoding
+    layer").
     """
 
-    __slots__ = ("n_gates", "_kernel", "_indices", "_scales", "_stride")
+    __slots__ = ("n_gates", "_zero", "_g_zero", "_indices", "_scales",
+                 "_stride")
 
     def __init__(self, operations, n_qubits):
         self.n_gates = len(operations)
-        self._kernel = _compile_op(
-            dataclasses.replace(operations[0], wires=(0,)), 1
-        )
+        kernel = _compile_op(dataclasses.replace(operations[0], wires=(0,)), 1)
+        zero = _sv.zero_state(1, 1)
+        # ``(amplitude, 1)`` columns that broadcast over the batch rows.
+        self._zero = zero.T
+        self._g_zero = kernel.apply_generator(zero).T
         self._indices = np.array([op.param.index for op in operations])
         self._scales = np.array([op.param.scale for op in operations])
         # Wires past the run stay |0>: the product lands on every
@@ -686,17 +693,20 @@ class _ProductLayer:
         """``(B, 2**n)`` states after the layer, from ``(B, n_inputs)``."""
         if inputs is None:
             raise ValueError("circuit references inputs but none were given")
-        theta = (inputs[:, self._indices] * self._scales).T.ravel()
-        columns = self._kernel.apply_forward(
-            _sv.zero_state(1, theta.shape[0]), theta
-        ).reshape(self.n_gates, batch, 2)
+        # Gate-major and contiguous, as the rotation kernel took the angles.
+        half = 0.5 * (inputs[:, self._indices] * self._scales).T.ravel()
+        half = half.reshape(self.n_gates, 1, batch)
+        # ``(gate, amplitude, row)`` columns.
+        columns = (
+            self._zero * np.cos(half) + self._g_zero * (-1j * np.sin(half))
+        )
         psi = columns[0]
         for column in columns[1:]:
-            psi = (psi[:, :, None] * column[:, None, :]).reshape(batch, -1)
+            psi = (psi[:, None, :] * column[None, :, :]).reshape(-1, batch)
         if self._stride == 1:
-            return psi
-        out = np.zeros((batch, psi.shape[1] * self._stride), np.complex128)
-        out[:, ::self._stride] = psi
+            return psi.T.copy()
+        out = np.zeros((batch, psi.shape[0] * self._stride), np.complex128)
+        out[:, ::self._stride] = psi.T
         return out
 
 
@@ -897,6 +907,11 @@ class CircuitProgram:
         prefix, suffix = self.operations[:self.split], self.operations[self.split:]
         self._prefix_steps = self._build_steps(prefix, self.op_plans[:self.split])
         self._suffix_steps = self._build_steps(suffix, self.op_plans[self.split:])
+        # The prefix steps that follow the layer (none in an actor circuit).
+        self._after_layer = (
+            None if self._layer is None
+            else self._prefix_steps[self._layer.n_gates:]
+        )
         self.steps = self._prefix_steps + self._suffix_steps
         # Frozen at compile time so the telemetry publish per call is a
         # tuple walk, not a per-call histogram rebuild.
@@ -1094,19 +1109,17 @@ class CircuitProgram:
         weight row ``rows[b]`` (or ``b % G``) for any weight gate there.
         A leading first encoding layer is built as a product state
         (:class:`_ProductLayer`); the remaining steps run as compiled."""
+        inputs = _as_inputs(inputs)
+        if self._layer is None:
+            psi, steps = self.zero_state(batch), self._prefix_steps
+        else:
+            psi, steps = self._layer.states(inputs, batch), self._after_layer
+            if not steps:
+                return psi
         weights, key = self._step_weights(
             weights if self.prefix_has_weights else None, batch, rows
         )
-        inputs = _as_inputs(inputs)
-        if self._layer is None:
-            return self._run(
-                self._prefix_steps, self.zero_state(batch), inputs, weights,
-                key,
-            )
-        return self._run(
-            self._prefix_steps[self._layer.n_gates:],
-            self._layer.states(inputs, batch), inputs, weights, key,
-        )
+        return self._run(steps, psi, inputs, weights, key)
 
     def suffix_unitary(self, weights):
         """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
@@ -1203,18 +1216,18 @@ def compile_program(circuit):
     """Compile (and cache) the program for a symbolic circuit.
 
     The cache is keyed on circuit identity and validated against the
-    operation list, so appending to a circuit after running it triggers a
-    clean recompile instead of stale kernels.  Entries are evicted when the
-    circuit is garbage collected.
+    operation list, so appending to a circuit after running it, or
+    replacing one of its operations, triggers a clean recompile instead of
+    stale kernels.  Entries are evicted when the circuit is garbage
+    collected.
     """
     key = id(circuit)
     entry = _PROGRAM_CACHE.get(key)
     if entry is not None:
         snapshot, program, _ref = entry
-        ops = circuit.operations
-        if len(snapshot) == len(ops) and all(
-            a is b for a, b in zip(snapshot, ops)
-        ):
+        # Tuple equality checks identity first per element, so a hit is a
+        # pointer walk in C; an equal-valued replacement compiles the same.
+        if snapshot == tuple(circuit.operations):
             if obs.enabled():
                 obs.counter("program.cache_hit").inc()
             return program

@@ -17,6 +17,12 @@ With ``--log-requests`` every request additionally emits one structured
 JSON access-log line at flush time (request id, batch id, queue-wait µs,
 flush reason) to stderr.
 
+Every request is checked before it joins a micro-batch: its observation
+width must equal the policy's, every value must be finite and every agent
+must lie in ``[0, n_agents)``.  A failure answers 400 for that request
+alone; it never reaches the batch, so it cannot fail the requests flushed
+with it.
+
 Connections are keep-alive; each request parks on the batcher until its
 micro-batch flushes, so thousands of idle connections cost only their
 coroutine.  Overload (``max_pending`` exceeded) answers 503 — shedding at
@@ -35,7 +41,7 @@ import sys
 import numpy as np
 
 from repro import obs
-from repro.config import ServingConfig
+from repro.config import ServingConfig, SingleHopConfig
 from repro.obs import flight as _flight
 from repro.obs import trace as _trace
 from repro.marl.checkpoint import checkpoint_info
@@ -121,6 +127,11 @@ class PolicyServer:
                 self.config, checkpoint_path,
             )
         self.engine = engine
+        env_config = engine.spec.env_config
+        if env_config is None:
+            env_config = SingleHopConfig()
+        self._observation_size = env_config.observation_size
+        self._n_agents = env_config.n_agents
         # Swappable sink for the structured access log (tests point it at a
         # StringIO); one JSON line per request, written at flush time.
         self.access_log_stream = sys.stderr
@@ -329,6 +340,23 @@ class PolicyServer:
             return None
         return f"{obs.trace_id()}:{span_id}"
 
+    def _check_rows(self, observations, agents):
+        """Reject a malformed request before it joins a micro-batch (one
+        bad request must not fail every request flushed with it)."""
+        if observations.shape[1] != self._observation_size:
+            raise ValueError(
+                f"observations need {self._observation_size} features, "
+                f"got {observations.shape[1]}"
+            )
+        if not np.isfinite(observations).all():
+            raise ValueError("observations must be finite")
+        for agent in agents:
+            if not 0 <= agent < self._n_agents:
+                raise ValueError(
+                    f"agent indices must be in [0, {self._n_agents}), "
+                    f"got {agent}"
+                )
+
     async def _act(self, body):
         payload = json.loads(body)
         observation = np.asarray(payload["observation"], dtype=np.float64)
@@ -336,6 +364,7 @@ class PolicyServer:
             raise ValueError("observation must be a flat vector")
         agent = int(payload["agent"])
         greedy = bool(payload.get("greedy", False))
+        self._check_rows(observation[None], (agent,))
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self.batcher.submit(
                 observation[None], [agent], [greedy], meta=self._next_meta()
@@ -365,6 +394,7 @@ class PolicyServer:
             raise ValueError(
                 "observations, agents, and greedy must agree in length"
             )
+        self._check_rows(observations, agents)
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self.batcher.submit(
                 observations, agents, greedy, meta=self._next_meta()

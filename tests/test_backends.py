@@ -83,6 +83,67 @@ class TestStatevectorBackend:
             StatevectorBackend(shots=0)
 
 
+class TestAllZMeasurement:
+    """A list made only of non-identity Z strings is recognised by one
+    cached lookup; every other list keeps the per-observable path."""
+
+    @staticmethod
+    def _states(rng, n_qubits=3, batch=4):
+        psi = rng.normal(size=(batch, 2**n_qubits)) + 1j * rng.normal(
+            size=(batch, 2**n_qubits)
+        )
+        return psi / np.linalg.norm(psi, axis=1, keepdims=True)
+
+    def test_cached_lookup_skips_classification(self, rng, monkeypatch):
+        backend = StatevectorBackend()
+        observables = all_z_observables(3) + [PauliString({0: "Z", 2: "Z"})]
+        psi = self._states(rng)
+        first = backend.measure(psi, observables, 3)
+        reads = []
+        is_diagonal = PauliString.is_diagonal
+
+        def counting(obs):
+            reads.append(1)
+            return is_diagonal.fget(obs)
+
+        monkeypatch.setattr(PauliString, "is_diagonal", property(counting))
+        again = backend.measure(psi, observables, 3)
+        assert reads == []
+        assert again.tobytes() == first.tobytes()
+        for column, obs in zip(again.T, observables):
+            assert np.allclose(column, obs.expectation(psi, 3), atol=1e-12)
+
+    def test_changed_list_is_reclassified(self, rng):
+        backend = StatevectorBackend()
+        observables = all_z_observables(3)
+        psi = self._states(rng)
+        backend.measure(psi, observables, 3)
+        observables[1] = PauliString.z(2)
+        out = backend.measure(psi, observables, 3)
+        assert np.allclose(out[:, 1], PauliString.z(2).expectation(psi, 3))
+
+    def test_mixed_list_equals_each_alone(self, rng):
+        backend = StatevectorBackend()
+        hamiltonian = Hamiltonian(
+            [0.5, -1.5], [PauliString({0: "X", 1: "Z"}), PauliString.z(2)]
+        )
+        observables = [
+            PauliString.z(0),
+            PauliString({1: "X"}),
+            PauliString.z(2),
+            PauliString(),
+            hamiltonian,
+            PauliString({0: "Z", 1: "Z"}),
+        ]
+        psi = self._states(rng)
+        out = backend.measure(psi, observables, 3)
+        assert out.shape == (4, len(observables))
+        for column, obs in zip(out.T, observables):
+            alone = backend.measure(psi, [obs], 3)[:, 0]
+            assert np.allclose(column, alone, atol=1e-12)
+        assert np.allclose(out[:, 3], 1.0)
+
+
 class TestShotSampling:
     def test_shot_estimate_close_to_exact(self, rng):
         vqc = build_vqc(3, 3, 12, seed=2)

@@ -62,6 +62,34 @@ class TestSingleHopConfig:
         with pytest.raises(ValueError):
             SingleHopConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("packet_amounts", (0.1, np.nan)),
+            ("packet_amounts", (np.inf, 0.2)),
+            ("cloud_service_rate", np.nan),
+            ("cloud_service_rate", np.inf),
+            ("cloud_service_rate", -0.1),
+            ("w_r", np.nan),
+            ("w_r", np.inf),
+            ("w_r", -1.0),
+            ("queue_capacity", np.nan),
+            ("queue_capacity", np.inf),
+        ],
+    )
+    def test_bad_quantities_raise_at_construction(self, field, value):
+        """NaN rates used to score the best reward (-0.0), infinite ones
+        -inf, and a negative w_r turned the overflow penalty into a bonus;
+        each now fails at construction, naming its field."""
+        with pytest.raises(ValueError, match=field):
+            SingleHopConfig(**{field: value})
+
+    def test_zero_quantities_stay_legal(self):
+        cfg = SingleHopConfig(
+            packet_amounts=(0.0, 0.2), cloud_service_rate=0.0, w_r=0.0
+        )
+        assert cfg.w_r == 0.0
+
 
 class TestVQCConfig:
     def test_table2_defaults(self):

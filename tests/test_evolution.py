@@ -215,6 +215,51 @@ class TestPopulationActorGroup:
             probs = shard.batch_probabilities(observations[lo:hi])
             assert np.array_equal(probs, reference[lo:hi])
 
+    @pytest.mark.parametrize("row_offset", [0, 16])
+    def test_consecutive_shard_rows_view_the_member_matrix(self, row_offset):
+        """A shard whose rows are consecutive members without wrapping
+        (P = 32 split over two 16-row workers) reads its weight rows as a
+        view of ``member_vectors`` instead of gathering them."""
+        team = quantum_team()
+        base = flat_team_vector(team)
+        vectors = base[None, :] + 0.1 * np.random.default_rng(9).normal(
+            size=(32, base.size)
+        )
+        group = PopulationActorGroup(team, vectors, row_offset=row_offset)
+        rows = group._member_row_weights(16)
+        assert np.shares_memory(rows, group.member_vectors)
+        members = vectors.reshape(32, team.n_agents, -1)
+        assert np.array_equal(
+            rows,
+            members[row_offset:row_offset + 16].reshape(16 * team.n_agents, -1),
+        )
+
+    @pytest.mark.parametrize(
+        "population, row_offset, n_rows", [(5, 3, 4), (3, 2, 7)]
+    )
+    def test_wrapping_shard_rows_are_gathered(self, population, row_offset,
+                                              n_rows):
+        team = quantum_team()
+        rng = np.random.default_rng(10)
+        base = flat_team_vector(team)
+        vectors = base[None, :] + 0.1 * rng.normal(size=(population, base.size))
+        stacked = PopulationActorGroup(team, vectors, row_offset=row_offset)
+        members = (row_offset + np.arange(n_rows)) % population
+        assert np.array_equal(
+            stacked._member_row_weights(n_rows),
+            vectors.reshape(population, team.n_agents, -1)[members].reshape(
+                n_rows * team.n_agents, -1
+            ),
+        )
+        loop = PopulationActorGroup(
+            team, vectors, row_offset=row_offset, stacked=False
+        )
+        observations = rng.uniform(0.0, 1.0, size=(n_rows, team.n_agents, 3))
+        assert np.array_equal(
+            stacked.batch_probabilities(observations),
+            loop.batch_probabilities(observations),
+        )
+
     def test_load_broadcast_reconstructs_the_generation(self):
         team = quantum_team()
         base = flat_team_vector(team)

@@ -136,6 +136,38 @@ class TestValidation:
         with pytest.raises(ValueError):
             MultiHopOffloadEnv(graph)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("packet_amounts", (np.nan, 0.2)),
+            ("packet_amounts", (0.1, -0.2)),
+            ("packet_amounts", (0.1, np.inf)),
+            ("service_rate", np.nan),
+            ("service_rate", np.inf),
+            ("service_rate", -0.3),
+            ("w_r", np.nan),
+            ("w_r", np.inf),
+            ("w_r", -4.0),
+            ("queue_capacity", np.nan),
+            ("queue_capacity", np.inf),
+            ("queue_capacity", 0.0),
+        ],
+    )
+    def test_bad_quantities_raise_at_construction(self, field, value):
+        """A NaN service rate used to score -0.0 rewards, a NaN w_r NaN
+        rewards, and a negative rate or amount raised only at the first
+        step; each now fails at construction, naming its field."""
+        with pytest.raises(ValueError, match=field):
+            MultiHopOffloadEnv(layered_topology((2, 2)), **{field: value})
+
+    def test_zero_quantities_stay_legal(self):
+        env = MultiHopOffloadEnv(
+            layered_topology((2, 2)), packet_amounts=(0.0, 0.2),
+            service_rate=0.0, w_r=0.0,
+        )
+        env.reset()
+        assert env.step([0, 1]).reward <= 0.0
+
     def test_action_validation(self):
         env = make_env((2, 2))
         env.reset()

@@ -14,13 +14,15 @@ scratch buffers and fused-weight matrices hold another call's data (the
 allocating every step.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.quantum import program as qprog
 from repro.quantum import statevector as sv
 from repro.quantum.backends import StatevectorBackend
-from repro.quantum.circuit import ParameterRef, QuantumCircuit
+from repro.quantum.circuit import Operation, ParameterRef, QuantumCircuit
 from repro.quantum.encoding import (
     AngleEncoding,
     DataReuploadingEncoding,
@@ -193,6 +195,21 @@ class TestProgramEquivalence:
         circuit = QuantumCircuit(2)
         circuit.add("h", (0,))
         assert compile_program(circuit) is compile_program(circuit)
+
+    def test_recompiles_after_operation_replacement(self):
+        """Equal length, a different gate in the middle: the cache's one
+        tuple comparison still sees the change."""
+        circuit = QuantumCircuit(2)
+        circuit.add("h", (0,))
+        circuit.add("x", (1,))
+        circuit.add("cnot", (0, 1))
+        first = compile_program(circuit)
+        circuit.operations[1] = Operation("y", (1,))
+        second = compile_program(circuit)
+        assert second is not first
+        assert second.operations[1].gate == "y"
+        exact = _interpreted().evolve(circuit, batch_size=1)
+        assert np.allclose(second.evolve(batch_size=1), exact, atol=ATOL)
 
 
 class TestFusion:
@@ -525,6 +542,35 @@ class TestFirstEncodingLayer:
         assert np.array_equal(
             program.evolve(inputs, weights, batch_size=6),
             program.apply_suffix(cycled, program.suffix_unitary(weights)),
+        )
+
+    @pytest.mark.parametrize("batch", [1, 5, 64])
+    @pytest.mark.parametrize("rotation", ["rx", "ry"])
+    def test_states_are_the_kernel_bits(self, rng, rotation, batch):
+        """``tobytes`` equal to each gate's compiled one-qubit kernel on
+        fresh ``|0>`` columns, chained in gate order: the compile-time
+        ``G|0>`` columns keep every zero sign, which ``array_equal``
+        would not see."""
+        circuit = QuantumCircuit(4)
+        AngleEncoding(4, rotation=rotation).apply(circuit)
+        program = compile_program(circuit)
+        inputs = rng.uniform(-1.0, 1.0, size=(batch, 4))
+        inputs[0] = 0.0
+        inputs[-1, 1] = -0.0
+        psi = None
+        for op in circuit.operations:
+            kernel = qprog._compile_op(dataclasses.replace(op, wires=(0,)), 1)
+            column = kernel.apply_forward(
+                sv.zero_state(1, batch), inputs[:, op.param.index] * op.param.scale
+            )
+            psi = column if psi is None else (
+                psi[:, :, None] * column[:, None, :]
+            ).reshape(batch, -1)
+        states = program._layer.states(inputs, batch)
+        assert states.shape == psi.shape
+        assert states.tobytes() == psi.tobytes()
+        assert program.prefix_states(inputs, None, batch).tobytes() == (
+            psi.tobytes()
         )
 
     def test_folded_adjoint_unchanged(self, rng, sweep_rows):

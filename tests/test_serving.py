@@ -503,6 +503,84 @@ class TestServerHTTP:
         assert out["stats"]["batcher"]["rows"] >= 4
 
 
+class TestRequestValidation:
+    """Each request is checked against the served policy before it joins
+    a micro-batch: a malformed one answers 400 alone and never fails the
+    requests flushed with it."""
+
+    @staticmethod
+    def _serve(checkpoints, scenario, max_wait_us):
+        async def main():
+            config = ServingConfig(port=0, reload_poll_ms=0, max_batch=8,
+                                   max_wait_us=max_wait_us)
+            server = PolicyServer(SPEC, config,
+                                  checkpoint_path=checkpoints["paths"]["a"])
+            await server.start()
+            try:
+                return await scenario(server.port)
+            finally:
+                await server.stop()
+
+        return run(main())
+
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"observation": [0.1, 0.2, 0.3], "agent": 0},
+            {"observation": [0.1, 0.2, 0.3, 0.4], "agent": 4},
+        ],
+        ids=["short_observation", "agent_out_of_range"],
+    )
+    def test_malformed_request_fails_alone(self, checkpoints, rng,
+                                           malformed):
+        observation = rng.uniform(size=ENV.observation_size)
+        expected = checkpoints["frameworks"]["a"].actors.rows_probabilities(
+            observation[None], [1]
+        )
+
+        async def scenario(port):
+            # A 50 ms window: both requests arrive while it is open.
+            async with AsyncServingClient("127.0.0.1", port) as good, \
+                    AsyncServingClient("127.0.0.1", port) as bad:
+                return await asyncio.gather(
+                    good.act(observation, 1, greedy=True),
+                    bad.request("POST", "/v1/act",
+                                dict(malformed, greedy=True)),
+                    return_exceptions=True,
+                )
+
+        good_reply, bad_reply = self._serve(checkpoints, scenario, 50000)
+        assert not isinstance(good_reply, BaseException), good_reply
+        assert good_reply["action"] == int(np.argmax(expected[0]))
+        assert isinstance(bad_reply, ServerError)
+        assert bad_reply.status == 400
+
+    @pytest.mark.parametrize(
+        "observation",
+        [[0.1, float("nan"), 0.3, 0.4], [0.1, 0.2, float("inf"), 0.4],
+         [0.1] * 9],
+        ids=["nan", "infinity", "over_wide"],
+    )
+    def test_bad_observation_answers_400(self, checkpoints, observation):
+        async def scenario(port):
+            statuses = []
+            async with AsyncServingClient("127.0.0.1", port) as client:
+                for call in (
+                    client.act(observation, 0),
+                    client.act_batch([observation, observation], [0, 1]),
+                ):
+                    with pytest.raises(ServerError) as excinfo:
+                        await call
+                    statuses.append(excinfo.value.status)
+                # The connection keeps serving well-formed requests.
+                reply = await client.act([0.5] * ENV.observation_size, 0)
+            return statuses, reply
+
+        statuses, reply = self._serve(checkpoints, scenario, 500)
+        assert statuses == [400, 400]
+        assert 0 <= reply["action"] < ENV.n_clouds * len(ENV.packet_amounts)
+
+
 class TestMetricsEndpoint:
     def test_metrics_under_load(self, checkpoints, rng):
         """GET /metrics surfaces the telemetry registry: batch-occupancy

@@ -12,6 +12,7 @@ import pytest
 
 from repro.config import SingleHopConfig
 from repro.envs.multi_hop import MultiHopOffloadEnv, layered_topology
+from repro.envs.queues import QueueBank
 from repro.envs.single_hop import SingleHopOffloadEnv
 from repro.envs.vector import (
     MultiHopVectorEnv,
@@ -256,6 +257,48 @@ def classical_group(cfg, seed=0):
             for _ in range(cfg.n_agents)
         ]
     )
+
+
+class TestJointQueueBank:
+    """Each vector env keeps one QueueBank over its joint queue columns
+    (``[edge | cloud]``, ``[agent | network]``) and steps it once per env
+    step; the step-for-step tests above pin the values."""
+
+    @staticmethod
+    def _single_hop():
+        return vector_single_hop(
+            3, SingleHopConfig(episode_limit=2, initial_queue_level="uniform")
+        )
+
+    @staticmethod
+    def _multi_hop():
+        return MultiHopVectorEnv(
+            3, layered_topology((3, 2, 2)), episode_limit=2,
+            initial_queue_level="uniform",
+            rngs=[np.random.default_rng(40 + i) for i in range(3)],
+        )
+
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_one_bank_step_per_env_step(self, monkeypatch, family):
+        vector = getattr(self, f"_{family}")()
+        vector.reset()
+        calls = []
+        step = QueueBank.step
+
+        def counting(bank, outflow, inflow):
+            calls.append(bank.n_queues)
+            return step(bank, outflow, inflow)
+
+        monkeypatch.setattr(QueueBank, "step", counting)
+        action_rng = np.random.default_rng(5)
+        for _ in range(5):  # crosses two auto-resets
+            vector.step(action_rng.integers(
+                0, vector.n_actions, size=(vector.n_envs, vector.n_agents)
+            ))
+        assert calls == [vector._queues.n_queues] * 5
+        assert vector._queues.n_queues == vector.n_agents + (
+            2 if family == "single_hop" else 4
+        )
 
 
 class TestActBatch:
