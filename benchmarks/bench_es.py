@@ -9,8 +9,8 @@ framework across its three interchangeable evaluation engines:
 - **stacked** — the in-process single-circuit-call path (all population
   members ride the per-sample-weight axis: one evaluation per env step for
   every ``P * k * n_agents`` observation),
-- **sharded** — the population split across worker processes over both
-  transition transports.
+- **sharded** — the population split across worker processes (rows keep
+  the ``_pipe`` suffix of the committed ``BENCH_es.json``).
 
 Reported per engine: generations/s, candidate evaluations/s (population
 members scored per second — the ES scaling axis), and env steps/s.  The
@@ -24,8 +24,7 @@ Run under the benchmark harness::
 
 or standalone::
 
-    PYTHONPATH=src python benchmarks/bench_es.py [--smoke] \
-        [--transports pipe shm]
+    PYTHONPATH=src python benchmarks/bench_es.py [--smoke]
 """
 
 import argparse
@@ -42,13 +41,11 @@ EPISODE_LIMIT = 25
 POPULATION = 8
 EPISODES_PER_MEMBER = 1
 WORKER_COUNTS = (2, 4)
-TRANSPORTS = ("pipe", "shm")
 JSON_NAME = "BENCH_es.json"
 
 
 def _build_trainer(population=POPULATION, episode_limit=EPISODE_LIMIT,
-                   rollout_mode="vector", rollout_workers=1,
-                   rollout_transport="auto"):
+                   rollout_mode="vector", rollout_workers=1):
     framework = build_framework(
         "proposed",
         seed=SEED,
@@ -59,7 +56,6 @@ def _build_trainer(population=POPULATION, episode_limit=EPISODE_LIMIT,
             es_population=population,
             rollout_mode=rollout_mode,
             rollout_workers=rollout_workers,
-            rollout_transport=rollout_transport,
         ),
     )
     return framework.trainer
@@ -86,9 +82,8 @@ def test_es_stacked(benchmark):
 
 
 def test_es_sharded_w2(benchmark):
-    """Population sharded over 2 worker processes (pipe transport)."""
-    trainer = _build_trainer(rollout_mode="sharded", rollout_workers=2,
-                             rollout_transport="pipe")
+    """Population sharded over 2 worker processes."""
+    trainer = _build_trainer(rollout_mode="sharded", rollout_workers=2)
     try:
         benchmark.pedantic(
             trainer.train_epoch, rounds=3, iterations=1, warmup_rounds=1
@@ -112,17 +107,14 @@ def _measure_generation(trainer, repeats=3):
 
 
 def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
-                  worker_counts=WORKER_COUNTS, transports=TRANSPORTS,
-                  repeats=3):
+                  worker_counts=WORKER_COUNTS, repeats=3):
     """Measure every ES engine; returns the result document."""
     engines = {}
 
-    def record_engine(name, rollout_mode, workers=1, transport="auto",
-                      extra=None):
+    def record_engine(name, rollout_mode, workers=1, extra=None):
         trainer = _build_trainer(
             population=population, episode_limit=episode_limit,
             rollout_mode=rollout_mode, rollout_workers=workers,
-            rollout_transport=transport,
         )
         try:
             seconds = _measure_generation(trainer, repeats)
@@ -146,21 +138,18 @@ def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
     stacked["speedup_vs_serial"] = (
         serial["seconds_per_generation"] / stacked["seconds_per_generation"]
     )
-    for transport in transports:
-        for workers in worker_counts:
-            entry = record_engine(
-                f"sharded_w{workers}_{transport}", "sharded",
-                workers=workers, transport=transport,
-                extra={"n_workers": workers, "transport": transport},
-            )
-            entry["speedup_vs_serial"] = (
-                serial["seconds_per_generation"]
-                / entry["seconds_per_generation"]
-            )
-            entry["speedup_vs_stacked"] = (
-                stacked["seconds_per_generation"]
-                / entry["seconds_per_generation"]
-            )
+    for workers in worker_counts:
+        entry = record_engine(
+            f"sharded_w{workers}_pipe", "sharded", workers=workers,
+            extra={"n_workers": workers},
+        )
+        entry["speedup_vs_serial"] = (
+            serial["seconds_per_generation"] / entry["seconds_per_generation"]
+        )
+        entry["speedup_vs_stacked"] = (
+            stacked["seconds_per_generation"]
+            / entry["seconds_per_generation"]
+        )
     return {
         "benchmark": "es",
         "framework": "proposed",
@@ -169,7 +158,6 @@ def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
         "episode_limit": episode_limit,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
-        "transports": list(transports),
         "engines": engines,
     }
 
@@ -180,20 +168,14 @@ def main():
         "--smoke", action="store_true",
         help="tiny sizes for CI (still exercises every engine)",
     )
-    parser.add_argument(
-        "--transports", nargs="+", default=list(TRANSPORTS),
-        choices=list(TRANSPORTS),
-        help="which sharded transition transports to measure",
-    )
     parser.add_argument("--json-dir", default=None)
     args = parser.parse_args()
     if args.smoke:
         document = run_benchmark(
             population=4, episode_limit=5, worker_counts=(2,), repeats=2,
-            transports=tuple(args.transports),
         )
     else:
-        document = run_benchmark(transports=tuple(args.transports))
+        document = run_benchmark()
 
     print(f"{'engine':>20}  {'candidates/s':>13}  {'generations/s':>14}  "
           f"{'vs serial':>10}")

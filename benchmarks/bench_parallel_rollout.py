@@ -10,8 +10,8 @@ actor framework ("proposed") for the three interchangeable engines:
 - the process-sharded worker pool
   (:class:`repro.marl.parallel.ShardedRolloutCollector`) at the same ``N``
   split across ``W`` worker processes, each evaluating its shard's circuits
-  locally — measured over **both transition transports** (the pickle-pipe
-  fallback and the zero-copy shared-memory ring).
+  locally and replying over its pickle-pipe (rows keep the ``_pipe``
+  suffix of the committed ``BENCH_parallel_rollout.json``).
 
 A **ragged axis** measures the batched engines on the overflow-terminating
 env family (``terminate_on_overflow=True``), where the sharded engine runs
@@ -21,13 +21,12 @@ episodes per second and a ``ragged_vs_fixed`` ratio against the same
 engine's fixed-length episode rate.
 
 The standalone entry point prints a summary table and writes the
-machine-readable ``BENCH_parallel_rollout.json`` (steps/s per engine and
-transport plus speedup ratios and host info) so the performance trajectory
-is tracked across PRs.  The sharded engine pays per-epoch serialization and
-process scheduling overhead, so its win over the single-process vector
-engine requires real cores: on a single-CPU container expect parity at
-best, and read ``cpu_count`` in the JSON alongside the ratios.  The
-``shm``-vs-``pipe`` ratio isolates just the transport cost.
+machine-readable ``BENCH_parallel_rollout.json`` (steps/s per engine plus
+speedup ratios and host info) so the performance trajectory is tracked
+across PRs.  The sharded engine pays per-epoch serialization and process
+scheduling overhead, so its win over the single-process vector engine
+requires real cores: on a single-CPU container expect parity at best, and
+read ``cpu_count`` in the JSON alongside the ratios.
 
 Run under the benchmark harness::
 
@@ -35,8 +34,7 @@ Run under the benchmark harness::
 
 or standalone::
 
-    PYTHONPATH=src python benchmarks/bench_parallel_rollout.py \
-        [--smoke] [--transports pipe shm]
+    PYTHONPATH=src python benchmarks/bench_parallel_rollout.py [--smoke]
 """
 
 import argparse
@@ -59,7 +57,6 @@ SEED = 3
 EPISODE_LIMIT = 25
 N_ENVS = 8
 WORKER_COUNTS = (2, 4)
-TRANSPORTS = ("pipe", "shm")
 JSON_NAME = "BENCH_parallel_rollout.json"
 
 
@@ -93,12 +90,11 @@ def _make_vector_collector(n_envs, actors=None, episode_limit=EPISODE_LIMIT,
 
 
 def _make_sharded_collector(n_envs, n_workers, actors=None,
-                            episode_limit=EPISODE_LIMIT, transport="pipe",
-                            ragged=False):
+                            episode_limit=EPISODE_LIMIT, ragged=False):
     actors = actors if actors is not None else _build_actors(episode_limit)
     return ShardedRolloutCollector(
         _make_env(episode_limit, ragged=ragged), actors,
-        n_envs=n_envs, n_workers=n_workers, transport=transport,
+        n_envs=n_envs, n_workers=n_workers,
     )
 
 
@@ -127,8 +123,8 @@ def test_vector_rollout(benchmark):
     benchmark.extra_info["env_steps_per_round"] = N_ENVS * EPISODE_LIMIT
 
 
-def _bench_sharded(benchmark, n_workers, transport="pipe"):
-    collector = _make_sharded_collector(N_ENVS, n_workers, transport=transport)
+def _bench_sharded(benchmark, n_workers):
+    collector = _make_sharded_collector(N_ENVS, n_workers)
     rng = np.random.default_rng(SEED + 1)
     try:
         benchmark.pedantic(
@@ -136,24 +132,18 @@ def _bench_sharded(benchmark, n_workers, transport="pipe"):
             rounds=3, iterations=1, warmup_rounds=1,
         )
         benchmark.extra_info["env_steps_per_round"] = N_ENVS * EPISODE_LIMIT
-        benchmark.extra_info["transport"] = transport
     finally:
         collector.close()
 
 
 def test_sharded_rollout_w2(benchmark):
-    """Worker-pool engine: N copies over 2 processes (pipe transport)."""
+    """Worker-pool engine: N copies over 2 processes."""
     _bench_sharded(benchmark, 2)
 
 
 def test_sharded_rollout_w4(benchmark):
-    """Worker-pool engine: N copies over 4 processes (pipe transport)."""
+    """Worker-pool engine: N copies over 4 processes."""
     _bench_sharded(benchmark, 4)
-
-
-def test_sharded_rollout_w2_shm(benchmark):
-    """Worker-pool engine over the shared-memory ring transport."""
-    _bench_sharded(benchmark, 2, transport="shm")
 
 
 def test_sharded_rollout_w2_ragged(benchmark):
@@ -186,10 +176,8 @@ def _measure(fn, env_steps, repeats=3):
 
 
 def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
-                  episode_limit=EPISODE_LIMIT, repeats=3,
-                  transports=TRANSPORTS):
-    """Measure all engines (sharded ones per transport); returns the
-    result document."""
+                  episode_limit=EPISODE_LIMIT, repeats=3):
+    """Measure all engines; returns the result document."""
     engines = {}
     rng = np.random.default_rng(SEED + 1)
 
@@ -208,39 +196,26 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
         "env_steps_per_s": vector_rate, "n_envs": n_envs,
     }
 
-    sharded_records = {}
-    for transport in transports:
-        for n_workers in worker_counts:
-            sharded = _make_sharded_collector(
-                n_envs, n_workers, episode_limit=episode_limit,
-                transport=transport,
-            )
-            try:
-                rate = _measure(
-                    lambda: sharded.collect(n_envs, rng),
-                    n_envs * episode_limit, repeats,
-                )
-            finally:
-                sharded.close()
-            record = {
-                "env_steps_per_s": rate,
-                "n_envs": n_envs,
-                "n_workers": n_workers,
-                "transport": transport,
-                "speedup_vs_vector": rate / vector_rate,
-                "speedup_vs_serial": rate / serial_rate,
-            }
-            sharded_records[(n_workers, transport)] = record
-            engines[f"sharded_n{n_envs}_w{n_workers}_{transport}"] = record
-    # The pipe-vs-shm ratio is filled in after all measurements so it does
-    # not depend on the order transports were requested in.
+    sharded_rates = {}
     for n_workers in worker_counts:
-        pipe_record = sharded_records.get((n_workers, "pipe"))
-        shm_record = sharded_records.get((n_workers, "shm"))
-        if pipe_record is not None and shm_record is not None:
-            shm_record["speedup_vs_pipe"] = (
-                shm_record["env_steps_per_s"] / pipe_record["env_steps_per_s"]
+        sharded = _make_sharded_collector(
+            n_envs, n_workers, episode_limit=episode_limit
+        )
+        try:
+            rate = _measure(
+                lambda: sharded.collect(n_envs, rng),
+                n_envs * episode_limit, repeats,
             )
+        finally:
+            sharded.close()
+        sharded_rates[n_workers] = rate
+        engines[f"sharded_n{n_envs}_w{n_workers}_pipe"] = {
+            "env_steps_per_s": rate,
+            "n_envs": n_envs,
+            "n_workers": n_workers,
+            "speedup_vs_vector": rate / vector_rate,
+            "speedup_vs_serial": rate / serial_rate,
+        }
 
     # Ragged axis: the same engines on the overflow-terminating env family
     # (the sharded engines run the bounded-probe stopping-round negotiation
@@ -263,29 +238,25 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
             ragged_vector_rate / (vector_rate / episode_limit)
         ),
     }
-    for transport in transports:
-        for n_workers in worker_counts:
-            sharded = _make_sharded_collector(
-                n_envs, n_workers, episode_limit=episode_limit,
-                transport=transport, ragged=True,
+    for n_workers in worker_counts:
+        sharded = _make_sharded_collector(
+            n_envs, n_workers, episode_limit=episode_limit, ragged=True,
+        )
+        try:
+            rate = _measure(
+                lambda: sharded.collect(n_envs, rng), n_envs, repeats
             )
-            try:
-                rate = _measure(
-                    lambda: sharded.collect(n_envs, rng), n_envs, repeats
-                )
-            finally:
-                sharded.close()
-            fixed = sharded_records[(n_workers, transport)]
-            engines[f"sharded_n{n_envs}_w{n_workers}_{transport}_ragged"] = {
-                "episodes_per_s": rate,
-                "n_envs": n_envs,
-                "n_workers": n_workers,
-                "transport": transport,
-                "ragged": True,
-                "ragged_vs_fixed": (
-                    rate / (fixed["env_steps_per_s"] / episode_limit)
-                ),
-            }
+        finally:
+            sharded.close()
+        engines[f"sharded_n{n_envs}_w{n_workers}_pipe_ragged"] = {
+            "episodes_per_s": rate,
+            "n_envs": n_envs,
+            "n_workers": n_workers,
+            "ragged": True,
+            "ragged_vs_fixed": (
+                rate / (sharded_rates[n_workers] / episode_limit)
+            ),
+        }
 
     for record in engines.values():
         if "env_steps_per_s" in record:
@@ -297,7 +268,6 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
         "episode_limit": episode_limit,
         "repeats": repeats,
         "cpu_count": os.cpu_count(),
-        "transports": list(transports),
         "engines": engines,
     }
 
@@ -308,20 +278,14 @@ def main():
         "--smoke", action="store_true",
         help="tiny sizes for CI (still exercises every engine)",
     )
-    parser.add_argument(
-        "--transports", nargs="+", default=list(TRANSPORTS),
-        choices=list(TRANSPORTS),
-        help="which sharded transition transports to measure",
-    )
     parser.add_argument("--json-dir", default=None)
     args = parser.parse_args()
     if args.smoke:
         document = run_benchmark(
             n_envs=4, worker_counts=(2,), episode_limit=5, repeats=2,
-            transports=tuple(args.transports),
         )
     else:
-        document = run_benchmark(transports=tuple(args.transports))
+        document = run_benchmark()
 
     serial_rate = document["engines"]["serial"]["env_steps_per_s"]
     print(f"{'engine':>34}  {'rate':>12}  {'relative':>10}")

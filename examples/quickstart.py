@@ -45,14 +45,8 @@ def main():
     #     any worker count reproduces the in-process N-copy run bit for bit.
     #     Worth it only with idle cores: try W = cores - 1 with at least ~4
     #     env rows per worker; on a single-core machine leave it at 1.
-    #   - rollout_transport picks how sharded workers ship transitions back:
-    #     "pipe" pickles them, "shm" uses zero-copy shared-memory rings,
-    #     "auto" (default) switches to shm once episode blocks grow large.
-    #     Bit-identical either way; only applies when a pool actually runs.
     parser.add_argument("--rollout-envs", type=int, default=4)
     parser.add_argument("--rollout-workers", type=int, default=1)
-    parser.add_argument("--rollout-transport", default="auto",
-                        choices=("auto", "pipe", "shm"))
     #   - trainer picks the training engine: "mapg" is the paper's
     #     gradient-based CTDE actor-critic; "es" is the gradient-free
     #     evolutionary-strategies engine (docs/evolutionary_training.md) —
@@ -121,7 +115,6 @@ def main():
             es_lr=0.12,
             rollout_envs=args.rollout_envs,
             rollout_workers=args.rollout_workers,
-            rollout_transport=args.rollout_transport,
         )
     else:
         train_config = TrainingConfig(
@@ -137,7 +130,6 @@ def main():
             # across worker processes (see repro.marl.parallel).
             rollout_envs=args.rollout_envs,
             rollout_workers=args.rollout_workers,
-            rollout_transport=args.rollout_transport,
         )
     framework = build_framework(
         "proposed",

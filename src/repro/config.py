@@ -199,14 +199,9 @@ class TrainingConfig:
             ``rollout_episode`` loop) / ``"vector"`` (the in-process batched
             engine, any copy count) / ``"sharded"`` (the worker-pool engine,
             any worker count).
-        rollout_transport: How the sharded engine's workers ship transition
-            blocks back — ``"pipe"`` (pickle over the command pipe),
-            ``"shm"`` (per-worker shared-memory ring buffers; zero pickling
-            on episode arrays), or ``"auto"`` (shm once estimated episode
-            blocks outgrow the pickling regime).  Bit-identical either way;
-            purely a throughput knob.  Only meaningful for sharded
-            collection: setting it explicitly alongside settings that can
-            never shard is rejected at construction.
+        rollout_transport: Only ``"auto"`` is legal: sharded workers
+            always reply over their pickle-pipe.  The shared-memory
+            transport the other values chose was removed; they raise.
         trainer: ``"mapg"`` — the paper's gradient-based CTDE actor-critic
             (:class:`~repro.marl.trainer.CTDETrainer`) — or ``"es"`` — the
             gradient-free evolutionary-strategies engine
@@ -250,7 +245,6 @@ class TrainingConfig:
     es_weight_decay: float = None
 
     _ROLLOUT_MODES = ("auto", "serial", "vector", "sharded")
-    _ROLLOUT_TRANSPORTS = ("auto", "pipe", "shm")
     _TRAINERS = ("mapg", "es")
 
     # Documented defaults the None-valued es_* knobs resolve to under
@@ -290,10 +284,11 @@ class TrainingConfig:
                 f"rollout_mode must be one of {self._ROLLOUT_MODES}, "
                 f"got {self.rollout_mode!r}"
             )
-        if self.rollout_transport not in self._ROLLOUT_TRANSPORTS:
+        if self.rollout_transport != "auto":
             raise ValueError(
-                f"rollout_transport must be one of "
-                f"{self._ROLLOUT_TRANSPORTS}, got {self.rollout_transport!r}"
+                f"rollout_transport={self.rollout_transport!r}: the "
+                f"shared-memory transport was removed and sharded workers "
+                f"always use the pickle pipe; leave rollout_transport='auto'"
             )
         if self.trainer not in self._TRAINERS:
             raise ValueError(
@@ -302,8 +297,7 @@ class TrainingConfig:
             )
         if self.trainer == "mapg":
             # Any explicitly set ES knob is inert under the gradient
-            # trainer; silently ignoring it would hide a misconfiguration
-            # (same policy as rollout_transport below).
+            # trainer; silently ignoring it would hide a misconfiguration.
             for knob in self._ES_DEFAULTS:
                 if getattr(self, knob) is not None:
                     raise ValueError(
@@ -356,27 +350,6 @@ class TrainingConfig:
                 raise ValueError(
                     f"es_weight_decay must be non-negative, "
                     f"got {self.es_weight_decay!r}"
-                )
-        if self.rollout_transport != "auto":
-            # A transport choice is inert unless the sharded engine can run;
-            # silently ignoring the knob would hide a misconfiguration.  The
-            # *effective* worker count is what decides — e.g. many workers
-            # over one effective env copy still collapse to in-process.
-            can_shard = self.rollout_mode == "sharded" or (
-                self.rollout_mode == "auto"
-                and self.effective_rollout_workers > 1
-            )
-            if not can_shard:
-                raise ValueError(
-                    f"rollout_transport={self.rollout_transport!r} only "
-                    f"affects process-sharded collection, but "
-                    f"rollout_mode={self.rollout_mode!r} with "
-                    f"rollout_workers={self.rollout_workers} over "
-                    f"{self.effective_rollout_envs} effective env copies "
-                    f"(rollout_envs={self.rollout_envs}, episodes_per_epoch="
-                    f"{self.episodes_per_epoch}) never starts a worker pool; "
-                    f"set rollout_mode='sharded' (or enough envs/workers "
-                    f"with mode 'auto'), or leave rollout_transport='auto'"
                 )
 
     @property
@@ -469,12 +442,7 @@ class ServingConfig:
             0 means unbounded.
         workers: Inference shard processes.  1 evaluates in-process; more
             fan each micro-batch across processes over the rollout
-            transport seam.
-        transport: How sharded workers ship probability blocks back —
-            ``"pipe"`` (pickle pipes) or ``"shm"`` (shared-memory ring);
-            ``"auto"`` resolves to ``"pipe"``, which wins for the small
-            blocks typical of serving.  Only meaningful with
-            ``workers > 1``.
+            workers' pipe protocol.
         reload_poll_ms: Hot-reload watcher poll interval in milliseconds;
             0 disables checkpoint watching.
         sample_seed: Seed for the server-owned action-sampling stream
@@ -492,14 +460,11 @@ class ServingConfig:
     max_wait_us: int = 2000
     max_pending: int = 0
     workers: int = 1
-    transport: str = "auto"
     reload_poll_ms: int = 200
     sample_seed: int = 0
     host: str = "127.0.0.1"
     port: int = 8123
     log_requests: bool = False
-
-    _TRANSPORTS = ("auto", "pipe", "shm")
 
     def __post_init__(self):
         if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
@@ -518,31 +483,12 @@ class ServingConfig:
             raise ValueError(
                 f"workers must be a positive integer, got {self.workers!r}"
             )
-        if self.transport not in self._TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {self._TRANSPORTS}, "
-                f"got {self.transport!r}"
-            )
-        if self.workers == 1 and self.transport != "auto":
-            # Same inert-knob policy as TrainingConfig.rollout_transport:
-            # with one worker there is no transport, so an explicit setting
-            # would silently do nothing.
-            raise ValueError(
-                f"transport={self.transport!r} only affects sharded serving, "
-                f"but workers=1 evaluates in-process; set workers > 1 or "
-                f"leave transport='auto'"
-            )
         if self.reload_poll_ms < 0:
             raise ValueError(
                 f"reload_poll_ms must be >= 0, got {self.reload_poll_ms!r}"
             )
         if not 0 <= self.port <= 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port!r}")
-
-    @property
-    def effective_transport(self):
-        """The transport the sharded tier actually uses (auto -> pipe)."""
-        return "pipe" if self.transport == "auto" else self.transport
 
 
 # Classical baseline shapes used by the paper's comparison (Section IV-C).

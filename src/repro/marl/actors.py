@@ -65,8 +65,9 @@ def categorical_from_draws(probs, draws):
 
 
 def check_policy_rows(probs, first_row=0):
-    """Raise ``ValueError`` unless every ``(N, n_agents, A)`` policy row is
-    finite and sums to a positive value.
+    """Raise ``ValueError`` unless every policy row — the last axis of
+    ``(N, n_agents, A)`` or ``(R, A)`` probabilities — is finite and sums to
+    a positive value.
 
     The batched engines' counterpart of ``Generator.choice`` rejecting a bad
     distribution in the serial loop: categorical inversion and ``argmax``
@@ -77,11 +78,13 @@ def check_policy_rows(probs, first_row=0):
     if not sums.size or (sums.min() > 0.0 and np.isfinite(sums.max())):
         return
     bad = ~(np.isfinite(sums) & (sums > 0.0))
-    env, agent = np.argwhere(bad)[0]
+    index = tuple(np.argwhere(bad)[0])
+    where = f"row {first_row + index[0]}"
+    if len(index) == 2:
+        where = f"env {where}, agent {index[1]}"
     raise ValueError(
-        f"policy probabilities of env row {first_row + env}, agent {agent} "
-        f"are not finite or do not sum to a positive value: "
-        f"{probs[env, agent]}"
+        f"policy probabilities of {where} are not finite or do not sum to "
+        f"a positive value: {probs[index]}"
     )
 
 

@@ -11,7 +11,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Episode", "TransitionBatch", "RolloutBuffer"]
+__all__ = ["EPISODE_COLUMNS", "Episode", "TransitionBatch", "RolloutBuffer"]
+
+#: The ordered column attributes of a finished :class:`Episode` — the
+#: argument order of :meth:`Episode.from_arrays`.
+EPISODE_COLUMNS = (
+    "states", "observations", "actions", "rewards",
+    "next_states", "next_observations", "dones",
+)
 
 
 class Episode:
@@ -59,8 +66,8 @@ class Episode:
         """Freeze the episode into stacked arrays; returns ``self``.
 
         The per-step staging lists are dropped afterwards so a finished
-        episode carries (and pickles, for the process-sharded pipe
-        transport) only the stacked arrays.
+        episode carries (and pickles, over the process-sharded workers'
+        pipes) only the stacked arrays.
         """
         if self._finished:
             return self
@@ -84,9 +91,10 @@ class Episode:
                     next_observations, dones):
         """Rebuild a finished episode directly from its stacked columns.
 
-        Used by the shared-memory transport to assemble episodes from ring
-        payload views without replaying per-step ``add`` calls; the caller
-        owns the arrays (copy views before the backing slots are released).
+        Used by the vectorized collectors to turn their columnar round
+        staging into episodes without replaying per-step ``add`` calls;
+        the episode keeps the given arrays (when their dtypes already
+        match), so pass copies of any buffer that will be reused.
         """
         episode = cls()
         episode.states = np.asarray(states, dtype=np.float64)

@@ -21,14 +21,14 @@ Everything else — shard layout, per-row env streams, the global
 action-sampling stream replay, crash restart-and-requeue from checkpoints,
 the ``(round, row)`` reassembly order — is inherited unchanged, which is
 exactly why sharded ES is bit-identical to in-process ES for any worker
-count over either transport (pinned by the ES axis of the unified
-cross-engine harness).  That includes the ragged-env round protocol, but
-the ES *trainer* rejects ragged envs up front: its fitness attribution
-maps episode position to population member positionally, which only holds
-under lockstep completion (see
+count (pinned by the ES axis of the unified cross-engine harness).  That
+includes the ragged-env round protocol, but the ES *trainer* rejects
+ragged envs up front: its fitness attribution maps episode position to
+population member positionally, which only holds under lockstep
+completion (see
 :class:`~repro.marl.evolution.trainer.ESTrainer`).  The trainer collects
 generations stats-only (``transitions=False``), so no transition block
-crosses the transport.
+crosses the worker pipes.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class PopulationRolloutCollector(ShardedRolloutCollector):
             (its template is mirrored into the workers at pool start).
         n_envs: Total lockstep rows ``k * P`` (``k`` copies per member).
         n_workers: Worker process count (clamped to ``n_envs``).
-        **kwargs: Transport and start-method knobs of the base class.
+        **kwargs: ``start_method`` of the base class.
     """
 
     def __init__(self, env, population_group, n_envs, n_workers, **kwargs):

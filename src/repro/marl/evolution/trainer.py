@@ -194,7 +194,6 @@ class ESTrainer:
                 self._population_group,
                 n_envs=self.n_envs,
                 n_workers=self.rollout_workers,
-                transport=self.config.rollout_transport,
             )
         return self._sharded_collector
 
@@ -237,8 +236,8 @@ class ESTrainer:
         """One ES generation: collect, score, update, record metrics.
 
         Traced like the gradient engine: one ``trainer.epoch`` span roots
-        the generation's tree, and sharded workers join it over the
-        transport seam.
+        the generation's tree, and sharded workers join it over their
+        pipes.
         """
         if obs.enabled():
             obs.begin_trace(label="trainer")

@@ -219,7 +219,6 @@ def build_framework(
     comp3_net=COMP3_NET,
     rollout_envs=None,
     rollout_workers=None,
-    rollout_transport=None,
     trainer=None,
     es_population=None,
     es_sigma=None,
@@ -249,9 +248,6 @@ def build_framework(
             processes the sharded rollout engine splits those copies across
             (in-process when 1; call ``framework.close()`` when done to shut
             the pool down).
-        rollout_transport: Convenience override of
-            ``train_config.rollout_transport`` — how sharded workers ship
-            transition blocks back (``"pipe"``, ``"shm"``, or ``"auto"``).
         trainer: Convenience override of ``train_config.trainer`` —
             ``"mapg"`` (the paper's gradient-based CTDE loop) or ``"es"``
             (the gradient-free evolutionary-strategies engine; no critic
@@ -268,10 +264,6 @@ def build_framework(
         train_config = replace(train_config, rollout_envs=int(rollout_envs))
     if rollout_workers is not None:
         train_config = replace(train_config, rollout_workers=int(rollout_workers))
-    if rollout_transport is not None:
-        train_config = replace(
-            train_config, rollout_transport=str(rollout_transport)
-        )
     if trainer is not None:
         train_config = replace(train_config, trainer=str(trainer))
     es_overrides = {

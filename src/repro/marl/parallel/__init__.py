@@ -10,49 +10,29 @@ Public surface:
 - :class:`~repro.marl.parallel.worker.ShardActionAdapter` — the worker-side
   action sampler that keeps the shared action stream bit-aligned across
   shards.
-- :mod:`~repro.marl.parallel.transport` — the transport seam the two sides
-  speak over: small control traffic (commands, weight broadcasts, RNG
-  states, checkpoints) always rides a pickle-pipe, while transition blocks
-  travel either in the reply pickle (``"pipe"``) or through per-worker
-  shared-memory ring buffers (``"shm"``, :class:`ShmRing` /
-  :class:`ShmRingChannel`) that hand the parent zero-copy views.  Both are
-  bit-identical; select via ``ShardedRolloutCollector(transport=...)`` or
-  ``TrainingConfig(rollout_transport=...)``.
+- :mod:`~repro.marl.parallel.transport` — the tagged pickle-pipe protocol
+  the two sides speak (:class:`PipeChannel` on the parent's end): commands,
+  weight broadcasts, RNG states, checkpoints and episode blocks all ride
+  it.
 """
 
-from repro.marl.parallel.collector import (
-    AUTO_SHM_MIN_BLOCK_BYTES,
-    ShardedRolloutCollector,
-    estimate_episode_block_bytes,
-)
+from repro.marl.parallel.collector import ShardedRolloutCollector
 from repro.marl.parallel.transport import (
     PipeChannel,
-    PipeTransport,
-    ShmRing,
-    ShmRingChannel,
-    ShmTransport,
     WorkerCrashError,
     WorkerTaskError,
     get_rng_state,
-    make_transport,
     rng_from_state,
 )
 from repro.marl.parallel.worker import ShardActionAdapter, worker_main
 
 __all__ = [
-    "AUTO_SHM_MIN_BLOCK_BYTES",
     "ShardedRolloutCollector",
-    "estimate_episode_block_bytes",
     "ShardActionAdapter",
     "PipeChannel",
-    "PipeTransport",
-    "ShmRing",
-    "ShmRingChannel",
-    "ShmTransport",
     "WorkerCrashError",
     "WorkerTaskError",
     "get_rng_state",
-    "make_transport",
     "rng_from_state",
     "worker_main",
 ]

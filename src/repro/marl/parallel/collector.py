@@ -5,17 +5,13 @@ vectorized engine.
 in-process vectorized engine (:mod:`repro.envs.vector`,
 :mod:`repro.marl.rollout`) into ``W`` contiguous row shards, each owned by a
 long-lived worker process that steps its shard with local batched circuit
-evaluation and ships completed episode blocks back over a per-worker
-transport (:mod:`repro.marl.parallel.transport`): the pickle-pipe fallback
-or a zero-copy shared-memory ring buffer, selected by the ``transport``
-argument (``"auto"`` picks shm once episode blocks outgrow the pickling
-regime).  The parent broadcasts the current actor weights with every collect
-command (so each :meth:`~repro.marl.trainer.CTDETrainer.update` is visible
-to the mirrors) and reassembles episodes in deterministic global order.
-Both transports produce bit-identical episodes, stats, and RNG stream
-positions; the choice is purely a throughput knob.  A stats-only collect
+evaluation and ships completed episode blocks back over its pickle-pipe
+(:mod:`repro.marl.parallel.transport`).  The parent broadcasts the current
+actor weights with every collect command (so each
+:meth:`~repro.marl.trainer.CTDETrainer.update` is visible to the mirrors) and
+reassembles episodes in deterministic global order.  A stats-only collect
 (``transitions=False``, what ES generations use) ships no episode blocks at
-all, so the transport carries nothing but the control replies.
+all: the replies carry nothing but stats, RNG positions and checkpoints.
 
 Determinism contract (pinned by ``tests/test_parallel_rollout.py``):
 
@@ -61,51 +57,13 @@ from repro.envs.vector import _spawn_row_rngs
 from repro.obs import flight as _flight
 from repro.obs import trace as _trace
 from repro.marl.parallel.transport import (
-    DEFAULT_N_SLOTS,
-    DEFAULT_SLOT_BYTES,
+    PipeChannel,
     WorkerCrashError,
     get_rng_state,
-    make_transport,
 )
 from repro.marl.parallel.worker import worker_main
 
-__all__ = ["ShardedRolloutCollector", "estimate_episode_block_bytes"]
-
-# The "auto" transport rule: shared memory pays once the per-episode
-# transition block outgrows what a pickle round-trip handles cheaply.  The
-# crossover on commodity hardware sits in the tens of kilobytes; below it
-# the pipe's simplicity wins, above it pickling dominates the collect.
-AUTO_SHM_MIN_BLOCK_BYTES = 32 * 1024
-
-_TRANSPORT_KINDS = ("auto", "pipe", "shm")
-
-
-def estimate_episode_block_bytes(env, episode_limit):
-    """Predicted size of one episode's transition block on the wire.
-
-    Counts the stacked per-step columns the workers ship back (states,
-    observations and their successors as float64, int64 actions, float64
-    rewards, bool dones) — the quantity the ``"auto"`` transport rule
-    compares against :data:`AUTO_SHM_MIN_BLOCK_BYTES`.
-
-    For ragged envs this is the **worst case**: ``episode_limit`` is the
-    horizon cap, so every episode block fits regardless of where
-    data-dependent termination actually cuts it.  Sizing rings from the
-    cap keeps shm allocation independent of the data; the on-wire framing
-    self-describes each block's actual length, so shorter episodes simply
-    occupy smaller slots.
-    """
-    n_agents = env.n_agents
-    state_size = int(getattr(env, "state_size", 0))
-    obs_size = int(env.observation_size)
-    per_step = (
-        8 * 2 * state_size          # states + next_states
-        + 8 * 2 * n_agents * obs_size  # observations + next_observations
-        + 8 * n_agents              # int64 actions
-        + 8                          # float64 reward
-        + 1                          # bool done
-    )
-    return int(episode_limit) * per_step
+__all__ = ["ShardedRolloutCollector"]
 
 
 def _default_start_method():
@@ -122,14 +80,13 @@ def _default_start_method():
 
 
 class _WorkerHandle:
-    """Parent-side record of one worker: process, channel, transport, shard,
+    """Parent-side record of one worker: process, channel, shard,
     checkpoint."""
 
-    def __init__(self, context, payload, name, transport):
+    def __init__(self, context, payload, name):
         self.context = context
         self.payload = payload
         self.name = name
-        self.transport = transport
         self.n_rows = len(payload["rngs"])
         self.checkpoint = None
         self.process = None
@@ -140,25 +97,19 @@ class _WorkerHandle:
     def start(self):
         """Spawn the process and initialise it (from a checkpoint if cached).
 
-        The transport is reset first, so a restart reclaims whatever a dead
-        incarnation left in its shared-memory ring before the replacement
-        begins publishing from the replayed checkpoint.  After init the
-        clock-alignment handshake pins the worker's monotonic clock to the
-        parent's timeline, and — when a flight dump directory is
-        configured — the worker is told to keep its flight ring in a file
-        the parent can recover if the process dies without warning.
+        After init the clock-alignment handshake pins the worker's
+        monotonic clock to the parent's timeline, and — when a flight dump
+        directory is configured — the worker is told to keep its flight
+        ring in a file the parent can recover if the process dies without
+        warning.
         """
-        self.transport.reset()
         parent_end, child_end = self.context.Pipe()
         self.process = self.context.Process(
-            target=worker_main,
-            args=(child_end, self.transport.worker_info()),
-            daemon=True,
-            name=self.name,
+            target=worker_main, args=(child_end,), daemon=True, name=self.name,
         )
         self.process.start()
         child_end.close()
-        self.channel = self.transport.parent_channel(self.process, parent_end)
+        self.channel = PipeChannel(self.process, parent_end)
         payload = dict(self.payload)
         payload["checkpoint"] = self.checkpoint
         payload["label"] = self.name
@@ -228,7 +179,6 @@ class _WorkerHandle:
             except Exception:  # noqa: BLE001 — dying worker; force below
                 pass
         self.terminate()
-        self.transport.close()
         if self.flight_ring is not None:
             try:
                 os.unlink(self.flight_ring)
@@ -252,31 +202,16 @@ class ShardedRolloutCollector:
         n_workers: Worker process count ``W`` (clamped to ``n_envs``).
         start_method: ``multiprocessing`` start method; defaults to
             ``"fork"`` where available, else ``"spawn"``.
-        transport: How transition blocks travel back from the workers —
-            ``"pipe"`` (pickle over the command pipe), ``"shm"`` (per-worker
-            shared-memory ring buffers, zero pickling on the episode
-            arrays), or ``"auto"`` (shm once the estimated per-episode
-            block exceeds :data:`AUTO_SHM_MIN_BLOCK_BYTES`).  Both
-            transports are bit-identical; the knob is purely throughput.
-        shm_slot_bytes: Ring slot granularity for the shm transport
-            (default 16 KiB).
-        shm_slots: Ring capacity in slots per worker (default 64).  Blocks
-            larger than one slot span contiguous slots; blocks larger than
-            the whole ring stream through chunk frames, so sizing is a
-            throughput knob, never a correctness one.
     """
 
-    def __init__(self, env, actors, n_envs, n_workers, start_method=None,
-                 transport="auto", shm_slot_bytes=None, shm_slots=None):
+    #: How worker replies travel: the pickle-pipe, the only transport.
+    transport = "pipe"
+
+    def __init__(self, env, actors, n_envs, n_workers, start_method=None):
         if n_envs < 1:
             raise ValueError("n_envs must be >= 1")
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if transport not in _TRANSPORT_KINDS:
-            raise ValueError(
-                f"transport must be one of {_TRANSPORT_KINDS}, "
-                f"got {transport!r}"
-            )
         if env.n_agents != actors.n_agents:
             raise ValueError(
                 f"env has {env.n_agents} agents, group has {actors.n_agents}"
@@ -294,8 +229,7 @@ class ShardedRolloutCollector:
                 "ShardedRolloutCollector needs a horizon cap: the env "
                 "declares no episode_limit (neither on itself nor on its "
                 "config), so episodes may be unbounded — the cap is what "
-                "bounds shm block sizing and guarantees the ragged round "
-                "protocol makes progress"
+                "guarantees the ragged round protocol makes progress"
             )
         episode_limit = int(episode_limit)
         if episode_limit < 1:
@@ -314,18 +248,6 @@ class ShardedRolloutCollector:
         self.episode_limit = episode_limit
         self._closed = False
 
-        if transport == "auto":
-            block_bytes = estimate_episode_block_bytes(env, episode_limit)
-            transport = (
-                "shm" if block_bytes >= AUTO_SHM_MIN_BLOCK_BYTES else "pipe"
-            )
-        self.transport = transport
-        slot_bytes = (
-            int(shm_slot_bytes) if shm_slot_bytes is not None
-            else DEFAULT_SLOT_BYTES
-        )
-        n_slots = int(shm_slots) if shm_slots is not None else DEFAULT_N_SLOTS
-
         # Row streams are spawned centrally, before sharding, so every global
         # row's generator is independent of the worker layout (and identical
         # to what make_vector_env would build in-process, including the
@@ -336,10 +258,6 @@ class ShardedRolloutCollector:
         context = multiprocessing.get_context(
             start_method if start_method is not None else _default_start_method()
         )
-        # Segments are created here, before any worker process exists, so
-        # the multiprocessing resource tracker is started by (and shared
-        # from) the parent — attaching children register against the same
-        # tracker and a single parent-side unlink retires each name.
         for w, rows in enumerate(shards):
             payload = {
                 "env": env,
@@ -349,12 +267,7 @@ class ShardedRolloutCollector:
                 "actors": actors,
             }
             self._workers.append(
-                _WorkerHandle(
-                    context, payload, name=f"repro-rollout-{w}",
-                    transport=make_transport(
-                        transport, slot_bytes=slot_bytes, n_slots=n_slots
-                    ),
-                )
+                _WorkerHandle(context, payload, name=f"repro-rollout-{w}")
             )
         try:
             for worker in self._workers:
@@ -369,16 +282,6 @@ class ShardedRolloutCollector:
     def total_restarts(self):
         """Crash-recovery count across the pool (diagnostics)."""
         return sum(w.restarts for w in self._workers)
-
-    def shm_segment_names(self):
-        """Names of the live shared-memory segments (empty for ``pipe``).
-
-        Every name listed here must disappear from the system (``/dev/shm``
-        on Linux) after :meth:`close` — the leak-check contract the tests
-        and the CI job enforce.
-        """
-        names = [w.transport.segment_name() for w in self._workers]
-        return [name for name in names if name is not None]
 
     def _actor_weight_states(self):
         return [
@@ -428,7 +331,7 @@ class ShardedRolloutCollector:
         (the shared action-sampling stream) is advanced to exactly the
         position the in-process engine would leave it at.  With
         ``transitions=False`` the workers stage and ship no transitions —
-        nothing rides the transport but the stats — and ``episodes`` is
+        their replies carry the stats alone — and ``episodes`` is
         ``None``.
         """
         if self._closed:
@@ -586,6 +489,5 @@ class ShardedRolloutCollector:
     def __repr__(self):
         return (
             f"ShardedRolloutCollector(n_envs={self.n_envs}, "
-            f"n_workers={self.n_workers}, n_agents={self.actors.n_agents}, "
-            f"transport={self.transport!r})"
+            f"n_workers={self.n_workers}, n_agents={self.actors.n_agents})"
         )

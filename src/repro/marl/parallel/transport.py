@@ -1,37 +1,18 @@
-"""Parent-worker transport for the process-sharded rollout subsystem.
+"""Parent-worker protocol of the process-sharded rollout and serving workers.
 
-The collector and its workers speak a tiny tagged-tuple protocol over
-``multiprocessing`` pipes: every request is ``(command, *payload)`` and every
-reply is ``("ok", result)`` or ``("error", traceback_text)``.  Control
-traffic — commands, actor weight broadcasts, RNG stream states, episode
-stats, checkpoints — always travels this pickle-pipe; what varies is how the
-*transition blocks* (the stacked per-episode arrays, by far the largest
-payloads) come back:
-
-- **pipe** (:class:`PipeTransport` / :class:`PipeChannel`): blocks ride the
-  reply pickle.  Portable fallback; fine while blocks stay small.
-- **shm** (:class:`ShmTransport` / :class:`ShmRingChannel`): each worker owns
-  a :class:`ShmRing` — a single-producer/single-consumer ring buffer over one
-  ``multiprocessing.shared_memory`` segment.  The worker frames every episode
-  as ``(header, dtype/shape table, packed payload)`` slots and the parent
-  adopts zero-copy views of the payload, assembling them into episodes
-  before releasing the slots for reuse.  No pickling touches the arrays.
-  The dtype/shape table makes every block self-describing: ragged episodes
-  (data-dependent termination) ship at their **actual** length, while ring
-  and slot sizing stays a worst-case bound derived from the horizon cap
-  (:func:`~repro.marl.parallel.collector.estimate_episode_block_bytes`),
-  so allocation never depends on the data.
-
-The choice is a :class:`Transport` seam: the collector instantiates one
-transport per worker, the worker side mirrors it with a
-:class:`WorkerEndpoint`, and neither the collector nor the worker loop knows
-which wire format is underneath.
+Both sides speak one tagged-tuple protocol over a ``multiprocessing`` pipe:
+every request is ``(command, *payload)`` and every reply is
+``("ok", result)`` or ``("error", traceback_text)``.  Everything a worker
+exchanges with its parent — commands, actor weight broadcasts, RNG stream
+states, episode stats and transition blocks, checkpoints, serving
+probability blocks — rides the reply pickle.  :class:`PipeChannel` is the
+parent's end and :class:`WorkerEndpoint` the worker's.
 
 Two failure modes are kept distinct because they demand opposite reactions:
 
 - :class:`WorkerCrashError` — the worker *process* died (killed, segfault,
-  OOM).  The work itself may be fine; the collector restarts the worker from
-  its last checkpoint, resets the ring, and replays the in-flight command.
+  OOM).  The work itself may be fine; the caller restarts the worker from
+  its last checkpoint and replays the in-flight command.
 - :class:`WorkerTaskError` — the worker executed the command and raised.
   This is deterministic (a replay would raise again), so it propagates to
   the caller instead of triggering a restart loop.
@@ -45,32 +26,17 @@ the mechanism behind the subsystem's bit-exact determinism contract.
 from __future__ import annotations
 
 import copy
-import os
-import struct
-import time
-from multiprocessing import shared_memory
 
 import numpy as np
-
-from repro import obs
-from repro.marl.buffer import Episode
 
 __all__ = [
     "WorkerCrashError",
     "WorkerTaskError",
     "get_rng_state",
     "rng_from_state",
-    "EPISODE_COLUMNS",
-    "ShmRing",
     "PipeChannel",
     "ShmRingChannel",
-    "PipeTransport",
-    "ShmTransport",
-    "make_transport",
     "WorkerEndpoint",
-    "PipeWorkerEndpoint",
-    "ShmWorkerEndpoint",
-    "make_worker_endpoint",
 ]
 
 
@@ -94,519 +60,6 @@ def rng_from_state(state):
     return np.random.Generator(bit_generator)
 
 
-# -- transition-block framing -------------------------------------------------
-#
-# A *block* is an ordered list of numpy arrays (one episode's columns, say).
-# On the wire it becomes a dtype/shape table plus a packed payload in which
-# every array starts 16-byte aligned, so the reader can hand out zero-copy
-# ``np.frombuffer`` views of any numeric dtype:
-#
-#   table:   u32 n_arrays, then per array
-#            u8 len(dtype.str), dtype.str ascii, u8 ndim, u64 * ndim dims
-#   payload: each array's raw C-contiguous bytes at the aligned offsets the
-#            table implies (offsets are recomputed, never transmitted)
-
-_ALIGN = 16
-
-
-def _align(n):
-    return (n + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-def pack_block_table(arrays):
-    """Encode the dtype/shape table; returns ``(table, offsets, payload_len)``."""
-    parts = [struct.pack("<I", len(arrays))]
-    offsets = []
-    cursor = 0
-    for array in arrays:
-        array = np.asarray(array)
-        if array.dtype.hasobject:
-            raise TypeError(
-                f"cannot ship object-dtype array over shared memory "
-                f"(dtype={array.dtype})"
-            )
-        dtype_str = array.dtype.str.encode("ascii")
-        parts.append(struct.pack("<B", len(dtype_str)))
-        parts.append(dtype_str)
-        parts.append(struct.pack("<B", array.ndim))
-        parts.append(struct.pack(f"<{array.ndim}Q", *array.shape))
-        offsets.append(cursor)
-        cursor = _align(cursor + array.nbytes)
-    return b"".join(parts), offsets, cursor
-
-
-def unpack_block_table(buffer, base=0):
-    """Decode a table; returns ``(specs, table_len)`` where each spec is
-    ``(dtype, shape, offset)`` with offsets relative to the payload start."""
-    (n_arrays,) = struct.unpack_from("<I", buffer, base)
-    pos = base + 4
-    specs = []
-    cursor = 0
-    for _ in range(n_arrays):
-        (dtype_len,) = struct.unpack_from("<B", buffer, pos)
-        pos += 1
-        dtype = np.dtype(bytes(buffer[pos:pos + dtype_len]).decode("ascii"))
-        pos += dtype_len
-        (ndim,) = struct.unpack_from("<B", buffer, pos)
-        pos += 1
-        shape = struct.unpack_from(f"<{ndim}Q", buffer, pos)
-        pos += 8 * ndim
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64))
-        specs.append((dtype, tuple(int(s) for s in shape), cursor))
-        cursor = _align(cursor + nbytes)
-    return specs, pos - base
-
-
-def _views_from_payload(buffer, payload_base, specs):
-    """Zero-copy array views over a payload region (any buffer protocol)."""
-    views = []
-    for dtype, shape, offset in specs:
-        count = int(np.prod(shape, dtype=np.int64))
-        view = np.frombuffer(
-            buffer, dtype=dtype, count=count, offset=payload_base + offset
-        )
-        views.append(view.reshape(shape))
-    return views
-
-
-class BlockView:
-    """One received block: arrays plus the slot-release handle.
-
-    With ``owned=False`` the arrays are zero-copy views into the ring
-    (copy them before calling :meth:`close`, which releases the slots for
-    reuse); with ``owned=True`` they are already owned by the reader (the
-    chunked path) and need no defensive copy.
-    """
-
-    def __init__(self, arrays, release=None, owned=False):
-        self.arrays = arrays
-        self.owned = owned
-        self._release = release
-
-    def close(self):
-        """Drop the views and hand the slots back to the writer."""
-        release, self._release = self._release, None
-        self.arrays = None
-        if release is not None:
-            release()
-
-
-# -- the shared-memory ring ---------------------------------------------------
-
-_CONTROL_BYTES = 64  # write cursor u64 @0, read cursor u64 @8, rest reserved
-_FRAME_HEADER = 24  # u64 kind, u64 content_bytes, u64 sequence stamp
-_KIND_DATA = 1  # table + full payload in one frame
-_KIND_PAD = 2  # dead tail slots before a wrap
-_KIND_CHUNK_FIRST = 3  # u64 total payload, table, first payload piece
-_KIND_CHUNK_NEXT = 4  # subsequent payload piece
-_STALE_SEQ = 0xFFFFFFFFFFFFFFFF  # sequence stamp no live frame can carry
-
-DEFAULT_SLOT_BYTES = 16384
-DEFAULT_N_SLOTS = 64
-DEFAULT_TIMEOUT = 120.0
-
-
-class ShmRingTimeout(RuntimeError):
-    """The peer failed to produce/consume a frame within the timeout."""
-
-
-class ShmRing:
-    """Single-producer/single-consumer slot ring over one shared segment.
-
-    Layout: a 64-byte control region (monotonic write/read slot cursors,
-    each written by exactly one side) followed by ``n_slots * slot_bytes``
-    of ring storage.  A block occupies a contiguous run of slots; when it
-    would straddle the wrap point the writer emits a PAD frame over the
-    tail and restarts at slot 0, and a block larger than the whole ring is
-    streamed as chunk frames the reader reassembles (backpressure comes for
-    free: the writer waits for the reader to release slots).
-
-    Ordering assumption: frame bodies are written before the cursor store
-    that publishes them, with no explicit hardware fence in between (pure
-    Python exposes none).  That is sound under x86-TSO store ordering —
-    where development and CI run.  As defence in depth every frame header
-    carries a sequence stamp (its monotonic start cursor) that the reader
-    re-checks before trusting a frame, so a stale header left over from an
-    earlier wrap can never be misread as current; on weakly-ordered CPUs
-    (e.g. ARM64) a *torn payload* behind a visible stamp remains
-    theoretically possible and has not been characterised — treat the shm
-    transport as unvalidated there and prefer ``"pipe"``.
-
-    Args:
-        slot_bytes: Slot granularity (rounded up to 64-byte multiples).
-        n_slots: Ring capacity in slots.
-        name: Attach to an existing segment (worker side) instead of
-            creating one (parent side).
-    """
-
-    def __init__(self, slot_bytes=DEFAULT_SLOT_BYTES, n_slots=DEFAULT_N_SLOTS,
-                 name=None):
-        if name is None:
-            slot_bytes = max(64, int(slot_bytes))
-            slot_bytes = (slot_bytes + 63) & ~63
-            n_slots = int(n_slots)
-            if n_slots < 2:
-                raise ValueError("need at least 2 ring slots")
-            size = _CONTROL_BYTES + slot_bytes * n_slots
-            self._shm = shared_memory.SharedMemory(create=True, size=size)
-            self._owner = True
-            self.slot_bytes = slot_bytes
-            self.n_slots = n_slots
-            self.reset()
-        else:
-            self._shm = shared_memory.SharedMemory(name=name)
-            self._owner = False
-            self.slot_bytes = int(slot_bytes)
-            self.n_slots = int(n_slots)
-        self._closed = False
-
-    @property
-    def name(self):
-        """The segment's system-wide name (``psm_*`` on POSIX)."""
-        return self._shm.name
-
-    @property
-    def capacity_bytes(self):
-        """Total ring payload capacity."""
-        return self.slot_bytes * self.n_slots
-
-    # -- cursors (each side writes only its own; 8-byte aligned stores) -------
-
-    def _write_cursor(self):
-        return struct.unpack_from("<Q", self._shm.buf, 0)[0]
-
-    def _read_cursor(self):
-        return struct.unpack_from("<Q", self._shm.buf, 8)[0]
-
-    def _set_write_cursor(self, value):
-        struct.pack_into("<Q", self._shm.buf, 0, value)
-
-    def _set_read_cursor(self, value):
-        struct.pack_into("<Q", self._shm.buf, 8, value)
-
-    def reset(self):
-        """Zero both cursors — only safe with no live peer (worker restart).
-
-        Every slot header is scrubbed with a sentinel sequence stamp so
-        nothing a dead incarnation half-wrote can ever satisfy the reader's
-        stamp check after the restart.
-        """
-        self._set_write_cursor(0)
-        self._set_read_cursor(0)
-        for slot in range(self.n_slots):
-            struct.pack_into(
-                "<QQQ", self._shm.buf,
-                _CONTROL_BYTES + slot * self.slot_bytes, 0, 0, _STALE_SEQ,
-            )
-
-    def pending_slots(self):
-        """Slots currently written but not yet released (diagnostics)."""
-        return self._write_cursor() - self._read_cursor()
-
-    def _slots_for(self, content_bytes):
-        return -(-(_FRAME_HEADER + content_bytes) // self.slot_bytes)
-
-    def _wait(self, predicate, timeout, abort_check, what):
-        deadline = None if timeout is None else time.monotonic() + timeout
-        spins = 0
-        while True:
-            result = predicate()
-            if result is not None:
-                if spins and obs.enabled():
-                    # Writer-side stalls are backpressure (ring full);
-                    # reader-side stalls are ordinary recv waits.
-                    label = (
-                        "shm.backpressure"
-                        if what == "free ring slots"
-                        else "shm.recv_wait"
-                    )
-                    obs.counter(f"{label}.events").inc()
-                    obs.counter(f"{label}.spins").inc(spins)
-                return result
-            if abort_check is not None:
-                abort_check()
-            if deadline is not None and time.monotonic() > deadline:
-                raise ShmRingTimeout(
-                    f"shared-memory ring {self.name}: timed out after "
-                    f"{timeout:.1f}s waiting for {what}"
-                )
-            spins += 1
-            if spins > 100:
-                time.sleep(0.0002)
-
-    # -- writer side ----------------------------------------------------------
-
-    def _write_frame_header(self, start_cursor, kind, content_bytes):
-        """Stamp a frame's header; ``start_cursor`` (the monotonic slot
-        cursor the frame begins at) doubles as its sequence stamp."""
-        slot = start_cursor % self.n_slots
-        struct.pack_into(
-            "<QQQ", self._shm.buf,
-            _CONTROL_BYTES + slot * self.slot_bytes,
-            kind, content_bytes, start_cursor,
-        )
-
-    def _acquire_contiguous(self, slots_needed, timeout, abort_check):
-        """Block until ``slots_needed`` contiguous free slots exist; returns
-        the starting *monotonic* slot cursor.  Pads the tail and wraps when
-        necessary."""
-
-        def attempt():
-            write = self._write_cursor()
-            read = self._read_cursor()
-            free = self.n_slots - (write - read)
-            position = write % self.n_slots
-            to_end = self.n_slots - position
-            if slots_needed <= min(free, to_end):
-                return write
-            if to_end < slots_needed and free >= to_end:
-                # Dead tail: mark it PAD and wrap to slot 0.
-                self._write_frame_header(
-                    write, _KIND_PAD, to_end * self.slot_bytes - _FRAME_HEADER
-                )
-                self._set_write_cursor(write + to_end)
-            return None
-
-        return self._wait(attempt, timeout, abort_check, "free ring slots")
-
-    def _commit_frame(self, slots_used):
-        self._set_write_cursor(self._write_cursor() + slots_used)
-
-    def _frame_base(self, slot):
-        return _CONTROL_BYTES + slot * self.slot_bytes
-
-    def _write_arrays(self, payload_base, arrays, offsets):
-        for array, offset in zip(arrays, offsets):
-            flat = np.ascontiguousarray(array).reshape(-1)
-            if flat.size == 0:
-                continue
-            destination = np.frombuffer(
-                self._shm.buf, dtype=flat.dtype, count=flat.size,
-                offset=payload_base + offset,
-            )
-            np.copyto(destination, flat)
-
-    def publish(self, arrays, timeout=DEFAULT_TIMEOUT, abort_check=None):
-        """Ship one block; blocks while the ring lacks space (backpressure).
-
-        Blocks whose frame exceeds the whole ring are streamed as chunk
-        frames (the reader reassembles); everything smaller travels as a
-        single frame whose payload the reader can view zero-copy.
-        """
-        arrays = [np.asarray(a) for a in arrays]
-        table, offsets, payload_len = pack_block_table(arrays)
-        if obs.enabled():
-            obs.counter("shm.blocks").inc()
-            obs.counter("shm.payload_bytes").inc(payload_len)
-            obs.histogram(
-                "shm.ring_occupancy", min_edge=1.0, n_buckets=12
-            ).observe(self.pending_slots())
-        # The table region is padded so the payload starts 16-byte aligned
-        # *within the segment* (frame bases are 64-aligned), keeping the
-        # zero-copy views aligned for any numeric dtype.
-        table_region = _align(_FRAME_HEADER + len(table)) - _FRAME_HEADER
-        data_content = table_region + payload_len
-        if self._slots_for(data_content) <= self.n_slots:
-            start = self._acquire_contiguous(
-                self._slots_for(data_content), timeout, abort_check
-            )
-            base = self._frame_base(start % self.n_slots)
-            self._write_frame_header(start, _KIND_DATA, data_content)
-            self._shm.buf[
-                base + _FRAME_HEADER:base + _FRAME_HEADER + len(table)
-            ] = table
-            self._write_arrays(
-                base + _FRAME_HEADER + table_region, arrays, offsets
-            )
-            self._commit_frame(self._slots_for(data_content))
-            return
-
-        # Chunked path: compose table + payload into one blob and stream it
-        # in ring-sized pieces — the first frame only carries the blob's
-        # total length, so even a ring smaller than the dtype/shape table
-        # works.  The reader copies each piece out as it lands, which is
-        # what lets the writer proceed with a bounded ring (backpressure).
-        blob = bytearray(_align(len(table)) + payload_len)
-        blob[:len(table)] = table
-        payload_base = _align(len(table))
-        for array, offset in zip(arrays, offsets):
-            flat = np.ascontiguousarray(array).reshape(-1)
-            start = payload_base + offset
-            blob[start:start + flat.nbytes] = flat.tobytes()
-
-        sent = 0
-        first = True
-        while first or sent < len(blob):
-            extra = 8 if first else 0  # CHUNK_FIRST leads with the blob size
-            piece = min(
-                len(blob) - sent, self.capacity_bytes - _FRAME_HEADER - extra
-            )
-            content = extra + piece
-            start = self._acquire_contiguous(
-                self._slots_for(content), timeout, abort_check
-            )
-            base = self._frame_base(start % self.n_slots)
-            if first:
-                self._write_frame_header(start, _KIND_CHUNK_FIRST, content)
-                struct.pack_into(
-                    "<Q", self._shm.buf, base + _FRAME_HEADER, len(blob)
-                )
-            else:
-                self._write_frame_header(start, _KIND_CHUNK_NEXT, content)
-            piece_base = base + _FRAME_HEADER + extra
-            self._shm.buf[piece_base:piece_base + piece] = blob[
-                sent:sent + piece
-            ]
-            self._commit_frame(self._slots_for(content))
-            sent += piece
-            first = False
-
-    # -- reader side ----------------------------------------------------------
-
-    def _next_frame(self, timeout, abort_check):
-        """Wait for a non-PAD frame; returns ``(slot, kind, content_bytes)``.
-
-        A frame only counts once its sequence stamp equals the reader's
-        monotonic cursor — a header left over from an earlier wrap (or a
-        cursor store that became visible ahead of its header) reads as
-        "not yet there" instead of as a frame.
-        """
-
-        def attempt():
-            read = self._read_cursor()
-            if self._write_cursor() <= read:
-                return None
-            slot = read % self.n_slots
-            kind, content, seq = struct.unpack_from(
-                "<QQQ", self._shm.buf, self._frame_base(slot)
-            )
-            if seq != read:
-                return None  # stale or not-yet-visible header
-            if kind == _KIND_PAD:
-                self._set_read_cursor(read + self._slots_for(content))
-                return None
-            return slot, kind, content
-
-        return self._wait(attempt, timeout, abort_check, "a frame")
-
-    def _release_frame(self, content_bytes):
-        self._set_read_cursor(
-            self._read_cursor() + self._slots_for(content_bytes)
-        )
-
-    def read_block(self, timeout=DEFAULT_TIMEOUT, abort_check=None):
-        """Receive one block; returns a :class:`BlockView`.
-
-        Single-frame blocks yield zero-copy views (release via
-        ``BlockView.close()``); chunked blocks are reassembled into owned
-        arrays with each chunk's slots released as it is consumed.
-        """
-        slot, kind, content = self._next_frame(timeout, abort_check)
-        base = self._frame_base(slot)
-        if kind == _KIND_DATA:
-            specs, table_len = unpack_block_table(
-                self._shm.buf, base + _FRAME_HEADER
-            )
-            table_region = _align(_FRAME_HEADER + table_len) - _FRAME_HEADER
-            views = _views_from_payload(
-                self._shm.buf, base + _FRAME_HEADER + table_region, specs
-            )
-            return BlockView(views, release=lambda: self._release_frame(content))
-        if kind != _KIND_CHUNK_FIRST:
-            raise RuntimeError(
-                f"shared-memory ring {self.name}: unexpected frame kind {kind} "
-                f"(ring corrupted or peers out of sync)"
-            )
-        (blob_len,) = struct.unpack_from(
-            "<Q", self._shm.buf, base + _FRAME_HEADER
-        )
-        blob = bytearray(blob_len)
-        piece_base = base + _FRAME_HEADER + 8
-        first_piece = content - 8
-        blob[:first_piece] = self._shm.buf[piece_base:piece_base + first_piece]
-        self._release_frame(content)
-        received = first_piece
-        while received < blob_len:
-            slot, kind, content = self._next_frame(timeout, abort_check)
-            if kind != _KIND_CHUNK_NEXT:
-                raise RuntimeError(
-                    f"shared-memory ring {self.name}: expected chunk "
-                    f"continuation, got frame kind {kind}"
-                )
-            base = self._frame_base(slot)
-            blob[received:received + content] = self._shm.buf[
-                base + _FRAME_HEADER:base + _FRAME_HEADER + content
-            ]
-            self._release_frame(content)
-            received += content
-        specs, table_len = unpack_block_table(blob, 0)
-        arrays = [
-            array.copy()
-            for array in _views_from_payload(blob, _align(table_len), specs)
-        ]
-        return BlockView(arrays, owned=True)
-
-    # -- lifecycle ------------------------------------------------------------
-
-    def close(self):
-        """Detach; the owning (parent) side also unlinks the segment."""
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            self._shm.close()
-        except BufferError:  # pragma: no cover — a stray exported view
-            import gc
-
-            gc.collect()
-            self._shm.close()
-        if self._owner:
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:  # pragma: no cover — already gone
-                pass
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:  # noqa: BLE001 — interpreter teardown
-            pass
-
-    def __repr__(self):
-        return (
-            f"ShmRing({self.name}, slot_bytes={self.slot_bytes}, "
-            f"n_slots={self.n_slots})"
-        )
-
-
-# -- episode block codec ------------------------------------------------------
-
-#: The ordered column attributes of a finished episode — the single
-#: definition of the block layout; the equivalence harness imports it too.
-EPISODE_COLUMNS = (
-    "states", "observations", "actions", "rewards",
-    "next_states", "next_observations", "dones",
-)
-_SHM_EPISODES_KEY = "__shm_episode_blocks__"
-_SHM_ARRAYS_KEY = "__shm_array_block__"
-
-
-def episode_to_block(episode):
-    """The ordered column arrays of a finished episode."""
-    return [getattr(episode, column) for column in EPISODE_COLUMNS]
-
-
-def episode_from_block(arrays, copy=True):
-    """Rebuild an :class:`Episode` from its column arrays (views are copied
-    so the episode owns its data before the ring slot is released)."""
-    if copy:
-        arrays = [np.array(a, copy=True) for a in arrays]
-    return Episode.from_arrays(*arrays)
-
-
-# -- parent-side channels -----------------------------------------------------
-
-
 class PipeChannel:
     """One duplex pickle-pipe to a worker, with crash/task error separation.
 
@@ -614,8 +67,6 @@ class PipeChannel:
         process: The worker's ``multiprocessing.Process`` (liveness checks).
         connection: The parent end of the pipe.
     """
-
-    kind = "pipe"
 
     def __init__(self, process, connection):
         self.process = process
@@ -635,24 +86,20 @@ class PipeChannel:
                 f"worker pid={self.process.pid} pipe closed on send: {exc}"
             ) from exc
 
-    def _recv_message(self):
+    def recv(self):
+        """Await one reply; unwraps ``("ok", result)`` / raises on errors."""
         try:
-            return self.connection.recv()
+            tag, payload = self.connection.recv()
         except (EOFError, OSError) as exc:
             raise WorkerCrashError(
                 f"worker pid={self.process.pid} died before replying "
                 f"(exitcode={self.process.exitcode})"
             ) from exc
-
-    def recv(self):
-        """Await one reply; unwraps ``("ok", result)`` / raises on errors."""
-        reply = self._recv_message()
-        tag = reply[0]
         if tag == "error":
             raise WorkerTaskError(
-                f"worker pid={self.process.pid} raised:\n{reply[1]}"
+                f"worker pid={self.process.pid} raised:\n{payload}"
             )
-        return reply[1]
+        return payload
 
     def close(self):
         """Close the parent end of the pipe."""
@@ -663,86 +110,19 @@ class PipeChannel:
 
 
 class ShmRingChannel(PipeChannel):
-    """Pipe control channel plus a shared-memory ring for episode blocks.
+    """Never instantiated: the shared-memory transport is gone.
 
-    The worker announces each published block with a tiny ``("block",)``
-    pipe message; :meth:`recv` drains those interleaved with the final
-    ``("ok", result)`` reply, adopting the ring views into owned
-    :class:`~repro.marl.buffer.Episode` objects and releasing the slots
-    immediately, so the worker can keep publishing into a bounded ring while
-    the parent assembles (that is the backpressure loop).
+    ``perfbench/layers.py`` still times this class's ``recv`` as a
+    ``parallel.recv_wait`` target, so it keeps a binding of its own.  An
+    alias of :class:`PipeChannel` would make that install wrap
+    ``PipeChannel.recv`` a second time and count every reply twice.
     """
 
-    kind = "shm"
-
-    def __init__(self, process, connection, ring):
-        super().__init__(process, connection)
-        self.ring = ring
-
-    def _abort_check(self):
-        """Abort a ring wait when the worker can no longer publish."""
-        if not self.process.is_alive():
-            raise WorkerCrashError(
-                f"worker pid={self.process.pid} died mid-block "
-                f"(exitcode={self.process.exitcode})"
-            )
-
-    def recv(self):
-        pending = []
-        pending_arrays = []
-        while True:
-            reply = self._recv_message()
-            tag = reply[0]
-            if tag == "block":
-                view = self.ring.read_block(abort_check=self._abort_check)
-                try:
-                    # Chunk-assembled blocks are already owned; only true
-                    # ring views need copying before the slots recycle.
-                    pending.append(
-                        episode_from_block(view.arrays, copy=not view.owned)
-                    )
-                finally:
-                    view.close()
-                continue
-            if tag == "arrays":
-                view = self.ring.read_block(abort_check=self._abort_check)
-                try:
-                    pending_arrays.extend(
-                        a if view.owned else np.array(a, copy=True)
-                        for a in view.arrays
-                    )
-                finally:
-                    view.close()
-                continue
-            if tag == "error":
-                raise WorkerTaskError(
-                    f"worker pid={self.process.pid} raised:\n{reply[1]}"
-                )
-            result = reply[1]
-            if isinstance(result, dict) and _SHM_EPISODES_KEY in result:
-                expected = result.pop(_SHM_EPISODES_KEY)
-                if expected != len(pending):
-                    raise RuntimeError(
-                        f"worker pid={self.process.pid} announced {expected} "
-                        f"episode blocks but {len(pending)} arrived"
-                    )
-                result["episodes"] = pending
-            if isinstance(result, dict) and _SHM_ARRAYS_KEY in result:
-                expected = result.pop(_SHM_ARRAYS_KEY)
-                if expected != len(pending_arrays):
-                    raise RuntimeError(
-                        f"worker pid={self.process.pid} announced {expected} "
-                        f"reply arrays but {len(pending_arrays)} arrived"
-                    )
-                result["arrays"] = pending_arrays
-            return result
-
-
-# -- worker-side endpoints ----------------------------------------------------
+    recv = PipeChannel.recv
 
 
 class WorkerEndpoint:
-    """Worker side of the transport seam: receive commands, send replies."""
+    """Worker end of the pipe: receive commands, send tagged replies."""
 
     def __init__(self, connection):
         self.connection = connection
@@ -750,172 +130,14 @@ class WorkerEndpoint:
     def recv(self):
         return self.connection.recv()
 
-    def send_error(self, traceback_text):
-        self.connection.send(("error", traceback_text))
-
     def send_ok(self, result):
         self.connection.send(("ok", result))
+
+    def send_error(self, traceback_text):
+        self.connection.send(("error", traceback_text))
 
     def close(self):
         try:
             self.connection.close()
         except OSError:
             pass
-
-
-class PipeWorkerEndpoint(WorkerEndpoint):
-    """Everything over the pickle-pipe (the portable fallback)."""
-
-
-class ShmWorkerEndpoint(WorkerEndpoint):
-    """Publishes a reply's episode blocks through the shared-memory ring.
-
-    Every other part of the reply (stats, RNG states, the checkpoint) stays
-    on the pipe — those are small control payloads.  For each episode the
-    endpoint ships a ``("block",)`` announcement so the parent starts
-    draining the ring while later episodes are still being framed; a block
-    that outgrows the ring streams through the chunked path without any
-    extra protocol.
-    """
-
-    def __init__(self, connection, ring):
-        super().__init__(connection)
-        self.ring = ring
-        self._parent_pid = os.getppid()
-
-    def _abort_check(self):
-        """Abandon a ring wait once the parent can no longer drain it.
-
-        Publishing waits on ring space for as long as it takes the parent
-        to drain — a slow sibling shard legitimately stalls the drain loop
-        for minutes — so there is no fixed timeout here; only the parent
-        vanishing (daemon workers get reparented) aborts the wait.
-        """
-        if os.getppid() != self._parent_pid:
-            raise WorkerCrashError(
-                "parent process died; abandoning block publish"
-            )
-
-    def send_ok(self, result):
-        has_episodes = isinstance(result, dict) and "episodes" in result
-        has_arrays = isinstance(result, dict) and "arrays" in result
-        if not has_episodes and not has_arrays:
-            super().send_ok(result)
-            return
-        result = dict(result)
-        if has_episodes:
-            episodes = result.pop("episodes")
-            result[_SHM_EPISODES_KEY] = len(episodes)
-            for episode in episodes:
-                # Announce first: the parent enters its drain loop before
-                # the ring can fill, which is what lets a block bigger than
-                # the ring stream through chunk frames without deadlock.
-                self.connection.send(("block",))
-                self.ring.publish(
-                    episode_to_block(episode),
-                    timeout=None,
-                    abort_check=self._abort_check,
-                )
-        if has_arrays:
-            # Generic reply arrays (the serving tier's probability blocks)
-            # ride the same ring as one multi-array block.  asarray with
-            # order="C", not ascontiguousarray — the latter's ndmin=1 would
-            # silently turn 0-d arrays into shape (1,).
-            arrays = [
-                np.asarray(a, order="C") for a in result.pop("arrays")
-            ]
-            result[_SHM_ARRAYS_KEY] = len(arrays)
-            if arrays:
-                self.connection.send(("arrays",))
-                self.ring.publish(
-                    arrays, timeout=None, abort_check=self._abort_check
-                )
-        super().send_ok(result)
-
-    def close(self):
-        self.ring.close()
-        super().close()
-
-
-# -- the transport seam -------------------------------------------------------
-
-
-class PipeTransport:
-    """Parent-side factory for the pickle-pipe transport (stateless)."""
-
-    kind = "pipe"
-
-    def parent_channel(self, process, connection):
-        return PipeChannel(process, connection)
-
-    def worker_info(self):
-        """The picklable description the worker builds its endpoint from."""
-        return {"kind": "pipe"}
-
-    def reset(self):
-        """Nothing to reclaim between worker incarnations."""
-
-    def close(self):
-        """Nothing to release."""
-
-    def segment_name(self):
-        """No shared segment exists for this transport."""
-        return None
-
-
-class ShmTransport:
-    """Parent-side owner of one worker's shared-memory ring segment.
-
-    The parent allocates (and ultimately unlinks) the segment; the worker
-    only ever attaches.  A worker crash-restart calls :meth:`reset`, which
-    reclaims whatever the dead incarnation left in the ring by zeroing the
-    cursors — safe because the replayed collect republishes every block.
-    """
-
-    kind = "shm"
-
-    def __init__(self, slot_bytes=DEFAULT_SLOT_BYTES, n_slots=DEFAULT_N_SLOTS):
-        self.ring = ShmRing(slot_bytes=slot_bytes, n_slots=n_slots)
-
-    def parent_channel(self, process, connection):
-        return ShmRingChannel(process, connection, self.ring)
-
-    def worker_info(self):
-        return {
-            "kind": "shm",
-            "name": self.ring.name,
-            "slot_bytes": self.ring.slot_bytes,
-            "n_slots": self.ring.n_slots,
-        }
-
-    def reset(self):
-        self.ring.reset()
-
-    def close(self):
-        self.ring.close()
-
-    def segment_name(self):
-        return self.ring.name
-
-
-def make_transport(kind, slot_bytes=DEFAULT_SLOT_BYTES,
-                   n_slots=DEFAULT_N_SLOTS):
-    """Build one worker's parent-side transport (``"pipe"`` or ``"shm"``)."""
-    if kind == "pipe":
-        return PipeTransport()
-    if kind == "shm":
-        return ShmTransport(slot_bytes=slot_bytes, n_slots=n_slots)
-    raise ValueError(f"unknown transport {kind!r}; choose 'pipe' or 'shm'")
-
-
-def make_worker_endpoint(connection, info):
-    """Build the worker-side endpoint matching a transport description."""
-    if info is None or info["kind"] == "pipe":
-        return PipeWorkerEndpoint(connection)
-    if info["kind"] == "shm":
-        ring = ShmRing(
-            slot_bytes=info["slot_bytes"], n_slots=info["n_slots"],
-            name=info["name"],
-        )
-        return ShmWorkerEndpoint(connection, ring)
-    raise ValueError(f"unknown transport description {info!r}")

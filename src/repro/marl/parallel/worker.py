@@ -56,8 +56,8 @@ from repro.envs.vector import make_vector_env
 from repro.marl.actors import categorical_from_draws, check_policy_rows
 from repro.marl.rollout import VectorRolloutCollector
 from repro.marl.parallel.transport import (
+    WorkerEndpoint,
     get_rng_state,
-    make_worker_endpoint,
     rng_from_state,
 )
 from repro.obs import flight as _flight
@@ -249,8 +249,7 @@ class _WorkerState:
             "checkpoint": checkpoint,
         }
         if state.transitions:
-            # Only episodes ride the shm ring; a stats-only reply is all
-            # control payload and stays on the pipe.
+            # A stats-only reply carries no "episodes" key at all.
             reply["episodes"] = state.completed
         if telemetry:
             reply["telemetry"] = obs.snapshot(reset=True)
@@ -272,14 +271,8 @@ def _configure_observability(payload):
         _flight.attach_file(ring)
 
 
-def worker_main(connection, transport_info=None):
+def worker_main(connection):
     """Blocking command loop run inside each worker process.
-
-    ``transport_info`` selects how transition blocks travel back to the
-    parent (see :func:`~repro.marl.parallel.transport.make_worker_endpoint`):
-    ``None``/pipe replies pickle everything, shm replies publish episode
-    blocks through the worker's shared-memory ring while the control
-    payload stays on the pipe.
 
     Besides ``init`` / ``collect`` / ``ping`` / ``close`` the loop answers
     the clock-alignment handshake: ``clock`` replies with this process's
@@ -289,15 +282,7 @@ def worker_main(connection, transport_info=None):
     ringed in the flight recorder, so a postmortem shows what the worker
     was asked to do before it died.
     """
-    try:
-        endpoint = make_worker_endpoint(connection, transport_info)
-    except Exception:  # noqa: BLE001 — e.g. the shm segment vanished
-        try:
-            connection.send(("error", traceback.format_exc()))
-            connection.close()
-        except OSError:
-            pass
-        return
+    endpoint = WorkerEndpoint(connection)
     state = None
     crash_armed = False
     while True:

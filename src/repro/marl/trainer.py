@@ -197,7 +197,6 @@ class CTDETrainer:
                 self.actors,
                 n_envs=self.rollout_envs,
                 n_workers=self.rollout_workers,
-                transport=self.config.rollout_transport,
             )
         return self._sharded_collector
 
@@ -305,8 +304,8 @@ class CTDETrainer:
         """Collect one batch of episodes, update once, record metrics.
 
         While telemetry is on the epoch runs as one traced tree: a trace
-        is opened lazily (joined by rollout workers over the transport
-        seam) and every span below — rollout, worker shards, update —
+        is opened lazily (joined by rollout workers over their pipes) and
+        every span below — rollout, worker shards, update —
         parents back to this epoch span.
         """
         if obs.enabled():

@@ -10,7 +10,7 @@ One near-zero-overhead surface for every tier of the repo (see
 - span tracing over monotonic clocks with optional JSONL export
   (:mod:`repro.obs.spans`);
 - causal trace context — trace/span/parent ids, cross-process propagation
-  over the ``Transport`` seam, clock alignment, and a Chrome-trace
+  over the worker pipes, clock alignment, and a Chrome-trace
   converter CLI ``python -m repro.obs.trace`` (:mod:`repro.obs.trace`);
 - an always-on crash flight recorder with postmortem dumps
   (:mod:`repro.obs.flight`);

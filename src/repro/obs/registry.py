@@ -2,7 +2,8 @@
 
 The design centre is a *near-zero* disabled cost, because the registry is
 consulted from the hottest paths in the repo (compiled-kernel dispatch, the
-shm ring, the micro-batcher).  Telemetry is a single module-level flag:
+lockstep rollout round, the micro-batcher).  Telemetry is a single
+module-level flag:
 
 - **disabled** (the default) — every accessor (:func:`counter`,
   :func:`gauge`, :func:`histogram`) returns the shared :data:`NULL_METRIC`

@@ -11,7 +11,7 @@ Three pieces:
   (random 64-bit hex id); the *current* span is tracked in a
   :class:`contextvars.ContextVar` so nesting works across threads and
   asyncio tasks.  :func:`propagation_context` captures ``(trace_id,
-  parent_span_id, export path)`` for shipping over the ``Transport`` seam;
+  parent_span_id, export path)`` for shipping over the worker pipes;
   :func:`adopt` installs it on the far side, pointing the worker's JSONL
   export at a per-pid sibling file (``<base>.<pid>``) so processes never
   interleave writes.

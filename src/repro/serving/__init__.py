@@ -6,7 +6,8 @@ warm framework, concurrent decision requests are adaptively coalesced into
 single stacked circuit evaluations (:mod:`repro.serving.batcher`), new
 checkpoints hot-swap in between batches without dropping a request
 (:mod:`repro.serving.reload`), and batches can fan out across worker
-processes over the rollout transport seam (:mod:`repro.serving.sharded`).
+processes over the rollout workers' pipe protocol
+(:mod:`repro.serving.sharded`).
 ``docs/serving.md`` has the architecture tour.
 """
 

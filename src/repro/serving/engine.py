@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.marl.actors import categorical_from_draws
+from repro.marl.actors import categorical_from_draws, check_policy_rows
 from repro.marl.checkpoint import load_checkpoint
 from repro.marl.frameworks import build_framework
 
@@ -75,9 +75,12 @@ def select_actions(probs, greedy_mask, draws):
     Greedy rows take the argmax; the rest invert their pre-drawn uniform
     through the categorical CDF (:func:`categorical_from_draws`).  ``draws``
     must hold one uniform per row — greedy rows' draws are simply unused,
-    which keeps the draw layout independent of the greedy pattern.
+    which keeps the draw layout independent of the greedy pattern.  A row
+    that is not a distribution (non-finite, or no positive mass) raises
+    ``ValueError`` instead of silently becoming action 0.
     """
     probs = np.asarray(probs)
+    check_policy_rows(probs)
     greedy_mask = np.asarray(greedy_mask, dtype=bool)
     actions = np.empty(probs.shape[0], dtype=np.int64)
     if greedy_mask.any():

@@ -21,7 +21,10 @@ Every request is checked before it joins a micro-batch: its observation
 width must equal the policy's, every value must be finite and every agent
 must lie in ``[0, n_agents)``.  A failure answers 400 for that request
 alone; it never reaches the batch, so it cannot fail the requests flushed
-with it.
+with it.  A failure while a batch is evaluated — a policy that is not a
+distribution (non-finite weights, say) or an engine fault — is the
+server's, not the request's: every request in that batch answers 500
+naming the cause, and the server keeps serving.
 
 Connections are keep-alive; each request parks on the batcher until its
 micro-batch flushes, so thousands of idle connections cost only their
@@ -60,7 +63,6 @@ def make_engine(spec, config, checkpoint_path=None):
             spec,
             checkpoint_path=checkpoint_path,
             n_workers=config.workers,
-            transport=config.effective_transport,
             sample_seed=config.sample_seed,
         )
     return PolicyEngine(
@@ -90,7 +92,11 @@ async def _read_request(reader):
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                503: "Service Unavailable"}
+                500: "Internal Server Error", 503: "Service Unavailable"}
+
+
+class _BatchFailure(RuntimeError):
+    """Evaluating a request's micro-batch failed (answered with 500)."""
 
 
 def _write_response(writer, status, document, keep_alive=True):
@@ -164,7 +170,7 @@ class PolicyServer:
         # restored on stop() so embedding tests don't leak the enable.
         self._obs_prev = obs.set_enabled(True)
         # One trace spans the server's lifetime; every request span (and,
-        # through the transport seam, every shard-eval span) parents back
+        # through the shard pipes, every shard-eval span) parents back
         # to the ``serving.server`` root, whose event is emitted at stop()
         # once its duration is known.
         self._trace_owner = not _trace.active()
@@ -268,6 +274,8 @@ class PolicyServer:
                     )
                 except OverloadedError as exc:
                     status, document = 503, {"error": str(exc)}
+                except _BatchFailure as exc:
+                    status, document = 500, {"error": str(exc)}
                 except (KeyError, TypeError, ValueError,
                         json.JSONDecodeError) as exc:
                     status, document = 400, {"error": str(exc)}
@@ -357,6 +365,24 @@ class PolicyServer:
                     f"got {agent}"
                 )
 
+    async def _submit(self, observations, agents, greedy):
+        """Queue vetted rows on the batcher; returns its result.
+
+        :meth:`_check_rows` already vetted the request, so anything but
+        overload raised here came from evaluating the batch and becomes a
+        :class:`_BatchFailure` — never a 400, whatever its type.
+        """
+        try:
+            return await self.batcher.submit(
+                observations, agents, greedy, meta=self._next_meta()
+            )
+        except OverloadedError:
+            raise
+        except Exception as exc:  # noqa: BLE001 — every fault answers 500
+            raise _BatchFailure(
+                f"evaluating the batch failed: {type(exc).__name__}: {exc}"
+            ) from exc
+
     async def _act(self, body):
         payload = json.loads(body)
         observation = np.asarray(payload["observation"], dtype=np.float64)
@@ -366,8 +392,8 @@ class PolicyServer:
         greedy = bool(payload.get("greedy", False))
         self._check_rows(observation[None], (agent,))
         with obs.span("serving.request") as request_span:
-            actions, probs, generation = await self.batcher.submit(
-                observation[None], [agent], [greedy], meta=self._next_meta()
+            actions, probs, generation = await self._submit(
+                observation[None], [agent], [greedy]
             )
         document = {
             "action": int(actions[0]),
@@ -396,8 +422,8 @@ class PolicyServer:
             )
         self._check_rows(observations, agents)
         with obs.span("serving.request") as request_span:
-            actions, probs, generation = await self.batcher.submit(
-                observations, agents, greedy, meta=self._next_meta()
+            actions, probs, generation = await self._submit(
+                observations, agents, greedy
             )
         document = {
             "actions": [int(a) for a in actions],
@@ -443,7 +469,7 @@ class PolicyServer:
 
         Built from the global ``repro.obs`` registry (enabled for the
         server's lifetime), so it also surfaces whatever the engine layers
-        below record — program cache hit rates, shm backpressure — next to
+        below record — program cache hit rates, say — next to
         the serving tier's own histograms.
         """
         snap = obs.snapshot()
@@ -506,8 +532,6 @@ def main(argv=None):
     parser.add_argument("--reload-poll-ms", type=int, default=200,
                         help="checkpoint watcher poll interval (0 disables)")
     parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--transport", default="auto",
-                        choices=("auto", "pipe", "shm"))
     parser.add_argument("--log-requests", action="store_true",
                         help="emit one structured JSON access-log line per "
                              "request to stderr (off by default)")
@@ -526,7 +550,6 @@ def main(argv=None):
         max_wait_us=args.max_wait_us,
         reload_poll_ms=args.reload_poll_ms,
         workers=args.workers,
-        transport=args.transport,
         host=args.host,
         port=args.port,
         log_requests=args.log_requests,

@@ -1,12 +1,12 @@
-"""Multi-worker sharded serving over the rollout transport seam.
+"""Multi-worker sharded serving over the rollout workers' pipe protocol.
 
 One statevector process saturates around one core's worth of batched
 evaluation; the sharded engine splits each micro-batch's rows across
 worker processes, each holding its own warm framework replica, and
-concatenates the probability blocks.  It reuses the exact seam the sharded
-rollout collector built: ``make_transport`` pipes or shared-memory rings
-(probability blocks ride the ring as generic array blocks), daemon worker
-processes, and restart-and-replay crash recovery.
+concatenates the probability blocks.  It reuses what the sharded rollout
+collector built: the tagged pickle-pipe protocol
+(:mod:`repro.marl.parallel.transport`), daemon worker processes, and
+restart-and-replay crash recovery.
 
 The parent stays the single authority for everything stateful: action
 sampling (workers only compute probabilities), the generation counter, and
@@ -25,9 +25,10 @@ import numpy as np
 from repro import obs as _obs
 from repro.marl.parallel.collector import _default_start_method
 from repro.marl.parallel.transport import (
+    PipeChannel,
     WorkerCrashError,
-    make_transport,
-    make_worker_endpoint,
+    WorkerEndpoint,
+    WorkerTaskError,
 )
 from repro.obs import flight as _flight
 from repro.obs import trace as _trace
@@ -40,27 +41,18 @@ from repro.serving.engine import (
 __all__ = ["ShardedPolicyEngine", "serving_worker_main"]
 
 
-def serving_worker_main(connection, transport_info=None):
+def serving_worker_main(connection):
     """Blocking command loop run inside each serving worker process.
 
     Commands: ``init`` (spec + optional checkpoint + optional
     observability config), ``load`` (checkpoint path), ``infer``
-    (observation rows + agent indices + optional trace context), ``ping``,
-    ``close``, plus the ``clock`` / ``clock_set`` alignment handshake (see
-    :mod:`repro.obs.trace`).  Replies put the probability block under
-    ``"arrays"`` so the shm transport ships it through the ring.  Commands
-    are ringed in the flight recorder so a shard's postmortem shows what
-    it was serving when it died.
+    (observation rows + agent indices + optional trace context; replies
+    with the ``(R, A)`` probability block), ``ping``, ``close``, plus the
+    ``clock`` / ``clock_set`` alignment handshake (see
+    :mod:`repro.obs.trace`).  Commands are ringed in the flight recorder so
+    a shard's postmortem shows what it was serving when it died.
     """
-    try:
-        endpoint = make_worker_endpoint(connection, transport_info)
-    except Exception:  # noqa: BLE001 — e.g. the shm segment vanished
-        try:
-            connection.send(("error", traceback.format_exc()))
-            connection.close()
-        except OSError:
-            pass
-        return
+    endpoint = WorkerEndpoint(connection)
     framework = None
     while True:
         try:
@@ -114,10 +106,9 @@ def serving_worker_main(connection, transport_info=None):
                         _obs.set_enabled(bool(ctx.get("telemetry")))
                     _trace.adopt(ctx.get("trace"))
                 with _obs.span("serving.shard_eval"):
-                    probs = framework.actors.rows_probabilities(
+                    reply = framework.actors.rows_probabilities(
                         observations, agents
                     )
-                reply = {"arrays": [probs]}
             elif command == "ping":
                 reply = "pong"
             elif command == "clock":
@@ -139,11 +130,10 @@ def serving_worker_main(connection, transport_info=None):
 class _ShardHandle:
     """Parent-side record of one serving worker: process + channel."""
 
-    def __init__(self, context, spec, name, transport):
+    def __init__(self, context, spec, name):
         self.context = context
         self.spec = spec
         self.name = name
-        self.transport = transport
         self.checkpoint_path = None
         self.process = None
         self.channel = None
@@ -151,17 +141,14 @@ class _ShardHandle:
         self.flight_ring = None
 
     def start(self):
-        self.transport.reset()
         parent_end, child_end = self.context.Pipe()
         self.process = self.context.Process(
-            target=serving_worker_main,
-            args=(child_end, self.transport.worker_info()),
-            daemon=True,
+            target=serving_worker_main, args=(child_end,), daemon=True,
             name=self.name,
         )
         self.process.start()
         child_end.close()
-        self.channel = self.transport.parent_channel(self.process, parent_end)
+        self.channel = PipeChannel(self.process, parent_end)
         obs_cfg = {"label": self.name}
         if _flight.enabled() and _flight.dump_dir() is not None:
             self.flight_ring = os.path.join(
@@ -220,7 +207,6 @@ class _ShardHandle:
             except Exception:  # noqa: BLE001 — dying worker; force below
                 pass
         self.terminate()
-        self.transport.close()
         if self.flight_ring is not None:
             try:
                 os.unlink(self.flight_ring)
@@ -239,20 +225,14 @@ class ShardedPolicyEngine:
         checkpoint_path: Optional checkpoint loaded into every shard at
             startup.
         n_workers: Shard process count.
-        transport: ``"pipe"`` or ``"shm"`` (see
-            :mod:`repro.marl.parallel.transport`).
         sample_seed: Seed for the parent-owned sampling stream.
         start_method: Multiprocessing start method override.
     """
 
     def __init__(self, spec, checkpoint_path=None, n_workers=2,
-                 transport="pipe", sample_seed=0, start_method=None):
+                 sample_seed=0, start_method=None):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
-        if transport not in ("pipe", "shm"):
-            raise ValueError(
-                f"transport must be 'pipe' or 'shm', got {transport!r}"
-            )
         self.spec = spec
         self.generation = 0
         self.checkpoint_path = None
@@ -262,10 +242,7 @@ class ShardedPolicyEngine:
             start_method if start_method is not None else _default_start_method()
         )
         self._workers = [
-            _ShardHandle(
-                context, spec, name=f"repro-serving-{w}",
-                transport=make_transport(transport),
-            )
+            _ShardHandle(context, spec, name=f"repro-serving-{w}")
             for w in range(n_workers)
         ]
         try:
@@ -286,24 +263,30 @@ class ShardedPolicyEngine:
         """Crash-recovery count across the pool (diagnostics)."""
         return sum(w.restarts for w in self._workers)
 
-    def shm_segment_names(self):
-        """Live shared-memory segment names (empty for pipe transport).
-
-        Every name here must vanish from ``/dev/shm`` after :meth:`close`
-        — the same leak-check contract as the rollout collector.
-        """
-        names = [w.transport.segment_name() for w in self._workers]
-        return [name for name in names if name is not None]
-
-    def _exchange(self, worker, command):
-        """Send one command with restart-and-replay crash recovery."""
+    @staticmethod
+    def _send(worker, command):
+        """Send one command, restarting a dead worker first if need be."""
         try:
             worker.channel.send(command)
+        except WorkerCrashError:
+            worker.restart()
+            worker.channel.send(command)
+
+    @staticmethod
+    def _recv(worker, command):
+        """Await ``command``'s reply, replaying it on a restarted worker if
+        this one died before answering."""
+        try:
             return worker.channel.recv()
         except WorkerCrashError:
             worker.restart()
             worker.channel.send(command)
             return worker.channel.recv()
+
+    def _exchange(self, worker, command):
+        """Send one command with restart-and-replay crash recovery."""
+        self._send(worker, command)
+        return self._recv(worker, command)
 
     def load(self, path):
         """Broadcast a checkpoint to every shard; bumps the generation.
@@ -318,7 +301,11 @@ class ShardedPolicyEngine:
         self.generation += 1
 
     def infer(self, observations, agents):
-        """``(R, A)`` probabilities assembled from per-shard blocks."""
+        """``(R, A)`` probabilities assembled from per-shard blocks.
+
+        Every shard's reply is received before a shard's error is raised:
+        a reply left in its pipe would answer the next batch's rows.
+        """
         observations = np.asarray(observations, dtype=np.float64)
         agents = np.asarray(agents, dtype=np.int64)
         rows = observations.shape[0]
@@ -331,27 +318,20 @@ class ShardedPolicyEngine:
             "telemetry": _obs.enabled(),
             "trace": _trace.propagation_context(),
         }
-        for worker, rows_idx in zip(self._workers, splits):
+        commands = [
+            ("infer", observations[rows_idx], agents[rows_idx], ctx)
+            for rows_idx in splits
+        ]
+        for worker, command in zip(self._workers, commands):
+            self._send(worker, command)
+        blocks, error = [], None
+        for worker, command in zip(self._workers, commands):
             try:
-                worker.channel.send(
-                    ("infer", observations[rows_idx], agents[rows_idx], ctx)
-                )
-            except WorkerCrashError:
-                worker.restart()
-                worker.channel.send(
-                    ("infer", observations[rows_idx], agents[rows_idx], ctx)
-                )
-        blocks = []
-        for worker, rows_idx in zip(self._workers, splits):
-            try:
-                reply = worker.channel.recv()
-            except WorkerCrashError:
-                worker.restart()
-                worker.channel.send(
-                    ("infer", observations[rows_idx], agents[rows_idx], ctx)
-                )
-                reply = worker.channel.recv()
-            blocks.append(reply["arrays"][0])
+                blocks.append(self._recv(worker, command))
+            except (WorkerTaskError, WorkerCrashError) as exc:
+                error = error or exc
+        if error is not None:
+            raise error
         return np.concatenate(blocks, axis=0), self.generation
 
     def act(self, observations, agents, greedy_mask):

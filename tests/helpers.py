@@ -1,10 +1,10 @@
 """Shared helpers for the test suite: numeric oracles plus the unified
 cross-engine rollout equivalence harness.
 
-The repo's determinism contract spans four interchangeable collection
+The repo's determinism contract spans three interchangeable collection
 engines — the serial reference loop, the in-process vectorized engine, and
-the process-sharded engine over either transition transport (pickle-pipe or
-shared-memory ring).  The harness here builds identically-seeded trainers
+the process-sharded engine (its workers reply over pickle-pipes, hence the
+``sharded-pipe`` label).  The harness here builds identically-seeded trainers
 for any engine over either environment family and asserts bit-identical
 episodes, train-epoch metrics, and post-run RNG stream positions, so every
 suite pins the contract through one code path instead of hand-rolled
@@ -14,8 +14,7 @@ The **ES axis** extends the same harness to the gradient-free training
 engine (:mod:`repro.marl.evolution`): one ES generation must be
 bit-identical under the per-member reference loop ("serial"), the stacked
 in-process evaluation ("stacked"), and the population-sharded worker pool
-over both transports — including the updated base vector and the RNG
-stream positions.
+— including the updated base vector and the RNG stream positions.
 """
 
 
@@ -29,10 +28,10 @@ from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.multi_hop import MultiHopOffloadEnv, layered_topology
 from repro.envs.single_hop import SingleHopOffloadEnv
 from repro.marl.actors import ActorGroup, ClassicalActor
+from repro.marl.buffer import EPISODE_COLUMNS
 from repro.marl.critics import ClassicalCentralCritic
 from repro.marl.evolution import ESTrainer
 from repro.marl.frameworks import Framework
-from repro.marl.parallel.transport import EPISODE_COLUMNS
 from repro.marl.trainer import CTDETrainer
 from repro.quantum import statevector as sv
 
@@ -40,7 +39,7 @@ from repro.quantum import statevector as sv
 # -- cross-engine rollout equivalence harness ---------------------------------
 
 #: Every interchangeable collection engine, in contract-chain order.
-ROLLOUT_ENGINES = ("serial", "vector", "sharded-pipe", "sharded-shm")
+ROLLOUT_ENGINES = ("serial", "vector", "sharded-pipe")
 
 #: Both environment families the contract must hold on.
 OFFLOAD_ENV_KINDS = ("single_hop", "multi_hop")
@@ -58,12 +57,8 @@ RAGGED_ENV_KINDS = ("single_hop_ragged", "multi_hop_ragged")
 _ENGINE_SETTINGS = {
     "serial": {"rollout_mode": "serial"},
     "vector": {"rollout_mode": "vector"},
-    "sharded-pipe": {"rollout_mode": "sharded", "rollout_transport": "pipe"},
-    "sharded-shm": {"rollout_mode": "sharded", "rollout_transport": "shm"},
+    "sharded-pipe": {"rollout_mode": "sharded"},
 }
-
-# EPISODE_COLUMNS (the per-episode block layout) is imported from the
-# transport codec above — one definition for wire format and harness alike.
 
 
 def make_offload_env(env_kind, seed, episode_limit=5, **env_kwargs):
@@ -219,10 +214,9 @@ def assert_engine_runs_equal(reference, other):
 def assert_cross_engine_equivalence(env_kind, engines, n_epochs=2, **kwargs):
     """The harness: every engine's run is bit-identical to the first's.
 
-    With ``n_envs=1`` the full four-way chain
-    serial == vector == sharded-pipe == sharded-shm holds; with more
-    lockstep copies the batched engines (vector and both sharded
-    transports) remain mutually bit-identical while serial legitimately
+    With ``n_envs=1`` the full chain serial == vector == sharded-pipe
+    holds; with more lockstep copies the batched engines (vector and
+    sharded) remain mutually bit-identical while serial legitimately
     consumes streams differently.
     """
     runs = [
@@ -283,15 +277,13 @@ def run_framework_epochs(framework, n_epochs, engine="framework"):
 # -- ES cross-engine equivalence axis ------------------------------------------
 
 #: Every interchangeable ES evaluation engine, in contract-chain order:
-#: per-member reference loop, stacked in-process, sharded over each
-#: transport.
-ES_ENGINES = ("serial", "stacked", "sharded-pipe", "sharded-shm")
+#: per-member reference loop, stacked in-process, sharded worker pool.
+ES_ENGINES = ("serial", "stacked", "sharded-pipe")
 
 _ES_ENGINE_SETTINGS = {
     "serial": {"rollout_mode": "serial"},
     "stacked": {"rollout_mode": "vector"},
-    "sharded-pipe": {"rollout_mode": "sharded", "rollout_transport": "pipe"},
-    "sharded-shm": {"rollout_mode": "sharded", "rollout_transport": "shm"},
+    "sharded-pipe": {"rollout_mode": "sharded"},
 }
 
 
@@ -374,7 +366,7 @@ def assert_es_cross_engine_equivalence(env_kind, engines, n_generations=2,
                                        **kwargs):
     """The ES harness: every engine's run is bit-identical to the first's.
 
-    Unlike the MAPG chain, the full four-way equality holds at *any* env
+    Unlike the MAPG chain, the full three-way equality holds at *any* env
     copy count: every ES engine shares the same lockstep vector env layout
     (the per-member loop only changes how probabilities are computed), so
     nothing about stream consumption differs between engines.

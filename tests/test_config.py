@@ -149,8 +149,6 @@ class TestTrainingConfig:
             TrainingConfig(rollout_workers=0)
         with pytest.raises(ValueError, match="rollout_mode"):
             TrainingConfig(rollout_mode="threads")
-        with pytest.raises(ValueError, match="rollout_transport"):
-            TrainingConfig(rollout_transport="ring")
 
     def test_rollout_modes_accepted(self):
         for mode in ("auto", "serial", "vector", "sharded"):
@@ -160,8 +158,8 @@ class TestTrainingConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            # An explicit transport with settings that can never start the
-            # sharded engine is a misconfiguration, not a no-op.
+            # Every value but "auto" chose a transport that no longer
+            # exists; each raises, whatever the rollout settings.
             {"rollout_transport": "shm"},
             {"rollout_transport": "pipe"},
             {"rollout_transport": "shm", "rollout_mode": "serial"},
@@ -169,31 +167,37 @@ class TestTrainingConfig:
              "rollout_envs": 8},
             {"rollout_transport": "pipe", "rollout_mode": "vector",
              "rollout_workers": 4},
-            # Many workers over one *effective* env copy still collapse to
-            # in-process collection (the trainer clamps W to the copies).
             {"rollout_transport": "shm", "rollout_workers": 4},
             {"rollout_transport": "shm", "rollout_workers": 2,
              "rollout_envs": 4, "episodes_per_epoch": 1},
+            {"rollout_transport": "shm", "rollout_mode": "sharded"},
+            {"rollout_transport": "pipe", "rollout_mode": "sharded"},
+            {"rollout_transport": "shm", "rollout_workers": 2,
+             "rollout_envs": 2},
+            {"rollout_transport": "pipe", "trainer": "es",
+             "es_population": 4, "rollout_workers": 2},
+            {"rollout_transport": "Auto"},
+            {"rollout_transport": None},
         ],
     )
-    def test_inert_transport_combinations_rejected(self, kwargs):
-        with pytest.raises(ValueError, match="rollout_transport"):
+    def test_non_auto_transport_names_the_removal(self, kwargs):
+        with pytest.raises(ValueError, match="shared-memory transport "
+                                             "was removed"):
             TrainingConfig(**kwargs)
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"rollout_transport": "shm", "rollout_mode": "sharded"},
-            {"rollout_transport": "pipe", "rollout_mode": "sharded"},
-            {"rollout_transport": "shm", "rollout_workers": 2,
+            {},
+            {"rollout_mode": "serial"},
+            {"rollout_mode": "sharded", "rollout_workers": 2,
              "rollout_envs": 2},
-            {"rollout_transport": "auto"},  # inert-safe: resolves lazily
-            {"rollout_transport": "auto", "rollout_mode": "serial"},
+            {"trainer": "es", "es_population": 4, "rollout_workers": 2},
         ],
     )
-    def test_effective_transport_combinations_accepted(self, kwargs):
-        config = TrainingConfig(**kwargs)
-        assert config.rollout_transport == kwargs["rollout_transport"]
+    def test_auto_transport_accepted_everywhere(self, kwargs):
+        config = TrainingConfig(rollout_transport="auto", **kwargs)
+        assert config.rollout_transport == "auto"
 
     def test_effective_rollout_clamps(self):
         """The divisor/worker clamps are visible on the config itself."""
@@ -210,8 +214,6 @@ class TestServingConfig:
         cfg = ServingConfig()
         assert cfg.max_batch == 32
         assert cfg.workers == 1
-        assert cfg.transport == "auto"
-        assert cfg.effective_transport == "pipe"
 
     @pytest.mark.parametrize("overrides", [
         {"max_batch": 0},
@@ -219,7 +221,6 @@ class TestServingConfig:
         {"max_wait_us": -1},
         {"max_pending": -1},
         {"workers": 0},
-        {"transport": "carrier-pigeon"},
         {"reload_poll_ms": -5},
         {"port": 70000},
     ])
@@ -227,14 +228,11 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(**overrides)
 
-    def test_inert_transport_knob_rejected(self):
-        """An explicit transport with workers=1 would silently do nothing."""
-        with pytest.raises(ValueError, match="workers=1"):
-            ServingConfig(transport="shm")
-        # Meaningful with sharding, and auto resolves to pipe.
-        assert ServingConfig(workers=2, transport="shm").effective_transport \
-            == "shm"
-        assert ServingConfig(workers=2).effective_transport == "pipe"
+    @pytest.mark.parametrize("transport", ["auto", "pipe", "shm"])
+    def test_transport_knob_removed(self, transport):
+        """Sharded serving has one transport, so the knob is gone."""
+        with pytest.raises(TypeError, match="transport"):
+            ServingConfig(workers=2, transport=transport)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -286,7 +284,7 @@ class TestTrainerSelection:
         "kwargs",
         [
             # ES knobs are inert under the gradient trainer — reject, do
-            # not silently ignore (mirrors the rollout_transport policy).
+            # not silently ignore.
             {"es_population": 4},
             {"es_sigma": 0.2},
             {"es_lr": 0.1},
@@ -320,19 +318,6 @@ class TestTrainerSelection:
         )
         assert config.total_rollout_rows == 8
         assert config.effective_rollout_workers == 8
-        # An explicit transport is valid whenever the ES pool can shard.
-        config = TrainingConfig(
-            trainer="es", es_population=4, rollout_workers=2,
-            rollout_transport="shm",
-        )
-        assert config.rollout_transport == "shm"
-        # ... and still rejected when it cannot (one member, one row —
-        # the sigma=0 evaluation mode keeps the es validation quiet).
-        with pytest.raises(ValueError, match="rollout_transport"):
-            TrainingConfig(
-                trainer="es", es_population=1, es_sigma=0.0,
-                rollout_transport="shm",
-            )
 
 
 class TestBaselineShapes:

@@ -3,10 +3,9 @@
 Covers the ES math against closed forms, the population-to-row multiplexing
 (stacked per-sample-weight path vs the per-member reference loop), the
 single-circuit-call-per-step contract, the ``population=1, sigma=0``
-unperturbed-evaluation mode, the four-way cross-engine bit-identity chain
-(per-member loop / stacked / sharded-pipe / sharded-shm) on both
-environment families including crash-restart mid-generation, and a learning
-smoke run.
+unperturbed-evaluation mode, the cross-engine bit-identity chain
+(per-member loop / stacked / sharded-pipe) on both environment families
+including crash-restart mid-generation, and a learning smoke run.
 """
 
 import numpy as np
@@ -361,9 +360,9 @@ class TestEvaluationMode:
 
 class TestESCrossEngineEquivalence:
     @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
-    def test_four_way_chain(self, env_kind):
-        """serial-loop == stacked == sharded-pipe == sharded-shm, on both
-        environment families, including RNG stream positions."""
+    def test_engine_chain(self, env_kind):
+        """serial-loop == stacked == sharded-pipe, on both environment
+        families, including RNG stream positions."""
         assert_es_cross_engine_equivalence(env_kind, ES_ENGINES)
 
     def test_odd_population_and_worker_count(self):
@@ -381,10 +380,9 @@ class TestESCrossEngineEquivalence:
         """The stacked weight math against the per-member oracle on a real
         quantum team, in-process and sharded."""
 
-        def run(mode, workers=1, transport="auto"):
+        def run(mode, workers=1):
             trainer = quantum_es_trainer(
                 rollout_mode=mode, rollout_workers=workers,
-                rollout_transport=transport,
             )
             try:
                 records = [trainer.train_epoch() for _ in range(2)]
@@ -397,7 +395,7 @@ class TestESCrossEngineEquivalence:
                 trainer.close()
 
         reference = run("serial")
-        for args in (("vector",), ("sharded", 2, "pipe")):
+        for args in (("vector",), ("sharded", 2)):
             other = run(*args)
             assert reference[0] == other[0]
             assert np.array_equal(reference[1], other[1])
@@ -405,16 +403,15 @@ class TestESCrossEngineEquivalence:
 
 
 class TestESCrashRecovery:
-    @pytest.mark.parametrize("transport", ("pipe", "shm"))
-    def test_worker_crash_mid_generation_is_bit_identical(self, transport):
+    def test_worker_crash_mid_generation_is_bit_identical(self):
         """Killing a worker mid-generation (command received, then death)
         restarts it from its checkpoint and replays the generation
         broadcast — the run stays bit-identical to an undisturbed one."""
         reference = run_es_generations(
-            "single_hop", f"sharded-{transport}", n_generations=3
+            "single_hop", "sharded-pipe", n_generations=3
         )
 
-        trainer = make_es_trainer("single_hop", f"sharded-{transport}")
+        trainer = make_es_trainer("single_hop", "sharded-pipe")
         try:
             records = [trainer.train_epoch()]
             collector = trainer.sharded_collector()
@@ -425,7 +422,7 @@ class TestESCrashRecovery:
             from helpers import ESEngineRun
 
             crashed = ESEngineRun(
-                engine=f"sharded-{transport}-crashed",
+                engine="sharded-pipe-crashed",
                 records=records,
                 base_vector=trainer.base_vector.copy(),
                 action_rng_state=trainer.rng.bit_generator.state,
@@ -449,6 +446,31 @@ class TestESCrashRecovery:
             assert np.array_equal(reference.base_vector, trainer.base_vector)
         finally:
             trainer.close()
+
+
+def test_sharded_generations_ship_no_transitions(monkeypatch):
+    """Fitness needs returns alone: every reply a sharded generation sends
+    the parent lacks an ``episodes`` key."""
+    from repro.marl.parallel import PipeChannel
+
+    replies = []
+    recv = PipeChannel.recv
+
+    def spy(channel):
+        reply = recv(channel)
+        replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(PipeChannel, "recv", spy)
+    trainer = make_es_trainer("single_hop", "sharded-pipe", population=4)
+    try:
+        for _ in range(2):
+            trainer.train_epoch()
+        commits = [r for r in replies if isinstance(r, dict) and "stats" in r]
+    finally:
+        trainer.close()
+    assert len(commits) == 4  # 2 generations x 2 workers
+    assert all("episodes" not in r for r in commits)
 
 
 # -- trainer API ---------------------------------------------------------------
@@ -518,7 +540,7 @@ class TestESTrainer:
                 env, trainer.actors, n_envs=4, n_workers=1
             )
         collector = PopulationRolloutCollector(
-            env, group, n_envs=4, n_workers=2, transport="pipe"
+            env, group, n_envs=4, n_workers=2
         )
         with pytest.raises(RuntimeError, match="set_generation"):
             collector.collect(4, np.random.default_rng(0))

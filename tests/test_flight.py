@@ -9,8 +9,8 @@ The contracts under test:
 - dumping is gated on a configured directory and the enable flag, so
   crash-heavy suites don't litter postmortems;
 - a worker killed mid-collect leaves a postmortem carrying its recovered
-  file ring (the commands it was serving when it died), over both
-  transports, for both the rollout pool and the serving shards;
+  file ring (the commands it was serving when it died), for both the
+  rollout pool and the serving shards;
 - the excepthook dumps once, installs idempotently, and defers to the
   prior hook.
 """
@@ -30,9 +30,6 @@ from repro.serving import ShardedPolicyEngine
 from repro.serving.engine import FrameworkSpec
 
 from tests.helpers import make_classical_team, make_offload_env
-
-TRANSPORTS = ("pipe", "shm")
-SMALL_RING = {"shm_slot_bytes": 256, "shm_slots": 8}
 
 
 @pytest.fixture(autouse=True)
@@ -205,22 +202,16 @@ class TestModuleApi:
 # -- crash postmortems through the real restart paths -------------------------
 
 
-def rollout_pool(transport, **kwargs):
+def rollout_pool():
     env = make_offload_env("single_hop", 3, episode_limit=5)
     actors = make_classical_team(env, 4)
-    if transport == "shm":
-        kwargs = {**SMALL_RING, **kwargs}
-    return env, ShardedRolloutCollector(
-        env, actors, n_envs=4, n_workers=2, transport=transport, **kwargs
-    )
+    return env, ShardedRolloutCollector(env, actors, n_envs=4, n_workers=2)
 
 
 class TestCrashPostmortem:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_killed_rollout_worker_leaves_a_postmortem(self, tmp_path,
-                                                       transport):
+    def test_killed_rollout_worker_leaves_a_postmortem(self, tmp_path):
         flight.set_dump_dir(str(tmp_path))
-        _, pool = rollout_pool(transport)
+        _, pool = rollout_pool()
         with pool:
             # Workers were told to keep file rings in the dump directory.
             rings = sorted(p.name for p in tmp_path.glob("*.ring"))
@@ -245,11 +236,9 @@ class TestCrashPostmortem:
         # Ring files are postmortem scaffolding, removed on clean close.
         assert list(tmp_path.glob("*.ring")) == []
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_no_dump_dir_means_no_ring_files_or_dumps(self, tmp_path,
-                                                      transport):
+    def test_no_dump_dir_means_no_ring_files_or_dumps(self, tmp_path):
         assert flight.dump_dir() is None
-        _, pool = rollout_pool(transport)
+        _, pool = rollout_pool()
         with pool:
             rng = np.random.default_rng(11)
             pool.collect(4, rng)
@@ -263,7 +252,7 @@ class TestCrashPostmortem:
         spec = FrameworkSpec(
             name="proposed", env_config=SingleHopConfig(episode_limit=5)
         )
-        engine = ShardedPolicyEngine(spec, n_workers=2, transport="pipe")
+        engine = ShardedPolicyEngine(spec, n_workers=2)
         try:
             rng = np.random.default_rng(5)
             observations = rng.uniform(

@@ -254,11 +254,10 @@ class TestSnapshotMerge:
         assert snap["counters"]["rollout.env_steps"] == 33
         assert snap["histograms"]["wait"]["count"] == 3
 
-    @pytest.mark.parametrize("engine", ["sharded-pipe", "sharded-shm"])
-    def test_sharded_collect_merges_worker_telemetry(self, engine):
+    def test_sharded_collect_merges_worker_telemetry(self):
         obs.set_enabled(True)
-        trainer = make_engine_trainer("single_hop", engine, n_envs=2,
-                                      n_workers=2)
+        trainer = make_engine_trainer("single_hop", "sharded-pipe",
+                                      n_envs=2, n_workers=2)
         try:
             trainer.train_epoch()
         finally:

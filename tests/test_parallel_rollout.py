@@ -1,20 +1,17 @@
 """Determinism, crash-recovery, and lifecycle tests for the process-sharded
-rollout subsystem (``repro.marl.parallel``), over both transition
-transports (pickle-pipe and shared-memory ring)."""
+rollout subsystem (``repro.marl.parallel``)."""
 
 import contextlib
 import copy
-import os
 
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.vector import make_vector_env
 from repro.marl.actors import ActorGroup, ClassicalActor
 from repro.marl.frameworks import build_framework
-from repro.marl.parallel import ShardedRolloutCollector
+from repro.marl.parallel import PipeChannel, ShardedRolloutCollector
 from repro.marl.rollout import VectorRolloutCollector
 
 from tests.helpers import (
@@ -30,10 +27,6 @@ from tests.helpers import (
 )
 
 EPISODE_LIMIT = 5
-TRANSPORTS = ("pipe", "shm")
-# Tiny rings so even these toy episodes exercise multi-slot frames, wraps,
-# and the backpressure path rather than fitting the whole collect at once.
-SMALL_RING = {"shm_slot_bytes": 256, "shm_slots": 8}
 
 
 def engine_setup(env_kind, seed=3):
@@ -46,12 +39,9 @@ def single_hop_setup(seed=3):
     return engine_setup("single_hop", seed)
 
 
-def sharded(env, actors, n_envs, n_workers, transport="pipe", **kwargs):
-    if transport == "shm":
-        kwargs = {**SMALL_RING, **kwargs}
+def sharded(env, actors, n_envs, n_workers, **kwargs):
     return ShardedRolloutCollector(
-        env, actors, n_envs=n_envs, n_workers=n_workers,
-        transport=transport, **kwargs,
+        env, actors, n_envs=n_envs, n_workers=n_workers, **kwargs
     )
 
 
@@ -66,31 +56,23 @@ def collect_rounds(collector, env, n_episodes, n_rounds, seed=11, greedy=False):
     return episodes, stats, rng.bit_generator.state, env.rng.bit_generator.state
 
 
-def assert_segments_released(names):
-    """Every shm segment named must be gone from the system after close."""
-    if not os.path.isdir("/dev/shm"):  # pragma: no cover — non-Linux
-        return
-    leaked = [name for name in names if os.path.exists(f"/dev/shm/{name}")]
-    assert not leaked, f"orphaned shared-memory segments: {leaked}"
-
-
 class TestCrossEngineEquivalence:
     """The unified harness: one ``train_epoch`` contract for all engines."""
 
     @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
-    def test_four_way_chain_at_n1(self, env_kind):
-        """serial == vector == sharded-pipe == sharded-shm at one env copy:
-        bit-identical episodes, metrics, and RNG stream positions."""
+    def test_engine_chain_at_n1(self, env_kind):
+        """serial == vector == sharded-pipe at one env copy: bit-identical
+        episodes, metrics, and RNG stream positions."""
         assert_cross_engine_equivalence(
             env_kind, ROLLOUT_ENGINES, n_envs=1, n_workers=1
         )
 
     @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
     def test_batched_engines_at_n4(self, env_kind):
-        """vector(4) == sharded-pipe(4, W=2) == sharded-shm(4, W=2)."""
+        """vector(4) == sharded-pipe(4, W=2)."""
         assert_cross_engine_equivalence(
             env_kind,
-            ("vector", "sharded-pipe", "sharded-shm"),
+            ("vector", "sharded-pipe"),
             n_envs=4,
             n_workers=2,
         )
@@ -99,7 +81,7 @@ class TestCrossEngineEquivalence:
         """Worker counts that split N unevenly keep the chain intact."""
         assert_cross_engine_equivalence(
             "single_hop",
-            ("vector", "sharded-pipe", "sharded-shm"),
+            ("vector", "sharded-pipe"),
             n_envs=4,
             n_workers=3,
         )
@@ -107,18 +89,16 @@ class TestCrossEngineEquivalence:
 
 class TestShardedDeterminism:
     @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_bit_identical_to_vector_engine(self, env_kind, transport,
-                                            n_workers):
+    def test_bit_identical_to_vector_engine(self, env_kind, n_workers):
         """W workers over N=4 == in-process VectorEnv(4), episode for
-        episode, over either transport."""
+        episode."""
         env_v, actors_v = engine_setup(env_kind)
         reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
         expected = collect_rounds(reference, env_v, 4, 2)
 
         env_s, actors_s = engine_setup(env_kind)
-        with sharded(env_s, actors_s, 4, n_workers, transport) as pool:
+        with sharded(env_s, actors_s, 4, n_workers) as pool:
             got = collect_rounds(pool, env_s, 4, 2)
 
         assert_episodes_equal(expected[0], got[0])
@@ -126,8 +106,7 @@ class TestShardedDeterminism:
         assert expected[2] == got[2]  # shared action stream position
         assert expected[3] == got[3]  # serial env's row-0 stream position
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_bit_identical_to_serial_at_n1(self, transport):
+    def test_bit_identical_to_serial_at_n1(self):
         """Transitivity anchor: one row, one worker == the serial oracle."""
         from repro.marl.trainer import rollout_episode
 
@@ -138,7 +117,7 @@ class TestShardedDeterminism:
         ]
 
         env_s, actors_s = single_hop_setup()
-        with sharded(env_s, actors_s, 1, 1, transport) as pool:
+        with sharded(env_s, actors_s, 1, 1) as pool:
             rng_s = np.random.default_rng(11)
             episodes, stats = pool.collect(3, rng_s)
         assert_episodes_equal([e for e, _ in expected], episodes)
@@ -165,11 +144,10 @@ class TestShardedDeterminism:
         assert_episodes_equal(expected[0], got[0])
         assert expected[1:] == got[1:]
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_weight_updates_reach_workers(self, transport):
+    def test_weight_updates_reach_workers(self):
         """Mutating parent actor weights changes the next sharded collect."""
         env_s, actors_s = engine_setup("single_hop")
-        with sharded(env_s, actors_s, 2, 2, transport) as pool:
+        with sharded(env_s, actors_s, 2, 2) as pool:
             first, _ = pool.collect(2, np.random.default_rng(0))
             for p in actors_s.parameters():
                 p.data += np.random.default_rng(1).normal(
@@ -182,70 +160,15 @@ class TestShardedDeterminism:
         assert not same_weights_same_stream
 
 
-class TestTransportSelection:
-    def test_auto_picks_pipe_for_tiny_blocks(self):
-        env, actors = single_hop_setup()
-        with ShardedRolloutCollector(
-            env, actors, n_envs=2, n_workers=2, transport="auto"
-        ) as pool:
-            # 5-step toy episodes are far below the shm crossover.
-            assert pool.transport == "pipe"
-            assert pool.shm_segment_names() == []
-
-    def test_auto_picks_shm_for_large_blocks(self):
-        from repro.marl.parallel import (
-            AUTO_SHM_MIN_BLOCK_BYTES,
-            estimate_episode_block_bytes,
-        )
-
-        env = make_offload_env("single_hop", 3, episode_limit=200)
-        actors = make_classical_team(env, 4)
-        assert (
-            estimate_episode_block_bytes(env, 200)
-            >= AUTO_SHM_MIN_BLOCK_BYTES
-        )
-        with ShardedRolloutCollector(
-            env, actors, n_envs=2, n_workers=2, transport="auto"
-        ) as pool:
-            assert pool.transport == "shm"
-            assert len(pool.shm_segment_names()) == 2
-
-    def test_unknown_transport_rejected(self):
-        env, actors = single_hop_setup()
-        with pytest.raises(ValueError, match="transport"):
-            ShardedRolloutCollector(
-                env, actors, n_envs=2, n_workers=2, transport="tcp"
-            )
-
-    def test_blocks_larger_than_ring_stream_through(self):
-        """A ring far smaller than one episode block still round-trips
-        bit-exactly via chunk frames (the backpressure path)."""
-        env_v, actors_v = single_hop_setup()
-        reference = VectorRolloutCollector(make_vector_env(env_v, 2), actors_v)
-        env_s, actors_s = single_hop_setup()
-        with sharded(
-            env_s, actors_s, 2, 2, "shm",
-            shm_slot_bytes=64, shm_slots=2,
-        ) as pool:
-            expected = collect_rounds(reference, env_v, 2, 2)
-            got = collect_rounds(pool, env_s, 2, 2)
-        assert_episodes_equal(expected[0], got[0])
-        assert expected[1:] == got[1:]
-
-
 class TestCrashRecovery:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("during_next_collect", [False, True])
-    def test_crash_restart_loses_no_episodes(self, transport,
-                                             during_next_collect):
+    def test_crash_restart_loses_no_episodes(self, during_next_collect):
         """A killed worker is restarted and its block replayed bit-exactly —
-        no episode lost or duplicated — and (for shm) its segments are
-        reclaimed by the replacement, then released on close."""
+        no episode lost or duplicated."""
         env_v, actors_v = single_hop_setup()
         reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
         env_s, actors_s = single_hop_setup()
-        with sharded(env_s, actors_s, 4, 2, transport) as pool:
-            segment_names = pool.shm_segment_names()
+        with sharded(env_s, actors_s, 4, 2) as pool:
             rng_v = np.random.default_rng(11)
             rng_s = np.random.default_rng(11)
             expected_1 = reference.collect(4, rng_v)
@@ -256,16 +179,11 @@ class TestCrashRecovery:
             expected_2 = reference.collect(4, rng_v)
             got_2 = pool.collect(4, rng_s)
             assert pool.total_restarts == 1
-            # The restarted worker reuses its predecessor's segments; no new
-            # allocation, nothing orphaned by the dead process.
-            assert pool.shm_segment_names() == segment_names
         assert_episodes_equal(expected_1[0] + expected_2[0], got_1[0] + got_2[0])
         assert expected_1[1] + expected_2[1] == got_1[1] + got_2[1]
         assert rng_v.bit_generator.state == rng_s.bit_generator.state
-        assert_segments_released(segment_names)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_worker_task_error_poisons_pool(self, transport):
+    def test_worker_task_error_poisons_pool(self):
         """A deterministic in-worker error propagates and closes the pool:
         replaying it cannot help, and leaving the pool open could pair the
         next command with a stale queued reply."""
@@ -274,8 +192,7 @@ class TestCrashRecovery:
 
         env, _ = single_hop_setup()
         group = ActorGroup([RandomActor(4) for _ in range(4)])
-        pool = sharded(env, group, 2, 2, transport)
-        segment_names = pool.shm_segment_names()
+        pool = sharded(env, group, 2, 2)
         processes = [w.process for w in pool._workers]
         with pytest.raises(WorkerTaskError, match="greedy"):
             # RandomActor has no greedy mode; the worker raises inside
@@ -285,14 +202,12 @@ class TestCrashRecovery:
         assert all(p is None or not p.is_alive() for p in processes)
         with pytest.raises(RuntimeError, match="closed"):
             pool.collect(2, np.random.default_rng(0))
-        assert_segments_released(segment_names)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_crash_before_first_collect(self, transport):
+    def test_crash_before_first_collect(self):
         env_v, actors_v = single_hop_setup()
         reference = VectorRolloutCollector(make_vector_env(env_v, 2), actors_v)
         env_s, actors_s = single_hop_setup()
-        with sharded(env_s, actors_s, 2, 2, transport) as pool:
+        with sharded(env_s, actors_s, 2, 2) as pool:
             pool.debug_crash_worker(1)
             expected = reference.collect(2, np.random.default_rng(5))
             got = pool.collect(2, np.random.default_rng(5))
@@ -302,24 +217,14 @@ class TestCrashRecovery:
 
 
 class TestLifecycle:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_close_leaves_no_processes_or_segments(self, transport):
+    def test_close_leaves_no_processes(self):
         env, actors = single_hop_setup()
-        pool = sharded(env, actors, 2, 2, transport)
-        segment_names = pool.shm_segment_names()
-        if transport == "shm":
-            assert len(segment_names) == 2
-            if os.path.isdir("/dev/shm"):
-                assert all(
-                    os.path.exists(f"/dev/shm/{name}")
-                    for name in segment_names
-                )
+        pool = sharded(env, actors, 2, 2)
         processes = [w.process for w in pool._workers]
         assert all(p.is_alive() for p in processes)
         pool.close()
         assert all(p is None or not p.is_alive() for p in processes)
         assert all(w.process is None for w in pool._workers)
-        assert_segments_released(segment_names)
         pool.close()  # idempotent
         with pytest.raises(RuntimeError):
             pool.collect(1, np.random.default_rng(0))
@@ -391,16 +296,6 @@ class TestTrainerIntegration:
         finally:
             sharded_trainer.close()
 
-    def test_trainer_respects_transport_config(self):
-        trainer = self.trainer_setup(
-            rollout_mode="sharded", rollout_workers=2, rollout_transport="shm"
-        )
-        try:
-            trainer.train_epoch()
-            assert trainer._sharded_collector.transport == "shm"
-        finally:
-            trainer.close()
-
     def test_workers_clamped_to_rollout_envs(self):
         trainer = self.trainer_setup(
             episodes_per_epoch=2, rollout_envs=2, rollout_workers=16
@@ -424,11 +319,10 @@ class TestTrainerIntegration:
         assert trainer._sharded_collector is not pool
         trainer.close()
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_quantum_framework_sharded_matches_vector(self, transport):
+    def test_quantum_framework_sharded_matches_vector(self):
         env_config = SingleHopConfig(episode_limit=4)
 
-        def run(mode, workers, rollout_transport):
+        def run(mode, workers):
             train = TrainingConfig(
                 episodes_per_epoch=2,
                 actor_lr=1e-3,
@@ -436,7 +330,6 @@ class TestTrainerIntegration:
                 rollout_envs=2,
                 rollout_workers=workers,
                 rollout_mode=mode,
-                rollout_transport=rollout_transport,
             )
             framework = build_framework(
                 "proposed", seed=7, env_config=env_config, train_config=train
@@ -446,7 +339,7 @@ class TestTrainerIntegration:
                 evaluation = framework.evaluate(n_episodes=2)
             return records, evaluation
 
-        assert run("vector", 1, "auto") == run("sharded", 2, transport)
+        assert run("vector", 1) == run("sharded", 2)
 
 
 class TestEpisodeLimitResolution:
@@ -497,9 +390,9 @@ class TestRaggedEpisodes:
     full engine chain, bit-identical to the in-process reference."""
 
     @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
-    def test_four_way_chain_ragged_at_n1(self, env_kind):
-        """serial == vector == sharded-pipe == sharded-shm on the ragged
-        env family, one copy: episodes, metrics, RNG positions."""
+    def test_engine_chain_ragged_at_n1(self, env_kind):
+        """serial == vector == sharded-pipe on the ragged env family, one
+        copy: episodes, metrics, RNG positions."""
         assert_cross_engine_equivalence(
             env_kind, ROLLOUT_ENGINES, n_envs=1, n_workers=1
         )
@@ -508,7 +401,7 @@ class TestRaggedEpisodes:
     def test_batched_engines_ragged_at_n4(self, env_kind):
         assert_cross_engine_equivalence(
             env_kind,
-            ("vector", "sharded-pipe", "sharded-shm"),
+            ("vector", "sharded-pipe"),
             n_envs=4,
             n_workers=2,
         )
@@ -516,21 +409,19 @@ class TestRaggedEpisodes:
     def test_uneven_shards_ragged(self):
         assert_cross_engine_equivalence(
             "single_hop_ragged",
-            ("vector", "sharded-pipe", "sharded-shm"),
+            ("vector", "sharded-pipe"),
             n_envs=4,
             n_workers=3,
         )
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_ragged_bit_identical_to_vector_engine(self, transport,
-                                                   n_workers):
+    def test_ragged_bit_identical_to_vector_engine(self, n_workers):
         env_v, actors_v = engine_setup("single_hop_ragged")
         reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
         expected = collect_rounds(reference, env_v, 4, 2)
 
         env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, n_workers, transport) as pool:
+        with sharded(env_s, actors_s, 4, n_workers) as pool:
             assert pool.ragged
             got = collect_rounds(pool, env_s, 4, 2)
 
@@ -566,18 +457,15 @@ class TestRaggedEpisodes:
         assert_episodes_equal(expected[0], got[0])
         assert expected[1:] == got[1:]
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
     @pytest.mark.parametrize("during_next_collect", [False, True])
-    def test_ragged_crash_restart_loses_no_episodes(self, transport,
+    def test_ragged_crash_restart_loses_no_episodes(self,
                                                     during_next_collect):
         """A worker killed mid-ragged-collect is replayed bit-exactly —
-        multi-exchange probing included — and shm segments survive the
-        restart and are released on close."""
+        multi-exchange probing included."""
         env_v, actors_v = engine_setup("single_hop_ragged")
         reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
         env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, 2, transport) as pool:
-            segment_names = pool.shm_segment_names()
+        with sharded(env_s, actors_s, 4, 2) as pool:
             rng_v = np.random.default_rng(11)
             rng_s = np.random.default_rng(11)
             expected_1 = reference.collect(4, rng_v)
@@ -588,13 +476,11 @@ class TestRaggedEpisodes:
             expected_2 = reference.collect(4, rng_v)
             got_2 = pool.collect(4, rng_s)
             assert pool.total_restarts == 1
-            assert pool.shm_segment_names() == segment_names
         assert_episodes_equal(
             expected_1[0] + expected_2[0], got_1[0] + got_2[0]
         )
         assert expected_1[1] + expected_2[1] == got_1[1] + got_2[1]
         assert rng_v.bit_generator.state == rng_s.bit_generator.state
-        assert_segments_released(segment_names)
 
     def test_ragged_greedy_collection_matches_vector(self):
         env_v, actors_v = engine_setup("single_hop_ragged")
@@ -642,15 +528,14 @@ class TestStatsOnlyCollection:
     episodes, and leaves every stream and the carry-over exactly where a
     full collect would."""
 
-    STATS_ENGINES = ("vector", "sharded-pipe", "sharded-shm")
+    STATS_ENGINES = ("vector", "sharded-pipe")
 
     @staticmethod
     def _collector(engine, env_kind, stack):
         env, actors = engine_setup(env_kind)
         if engine == "vector":
             return env, VectorRolloutCollector(make_vector_env(env, 4), actors)
-        transport = engine.split("-")[1]
-        return env, stack.enter_context(sharded(env, actors, 4, 2, transport))
+        return env, stack.enter_context(sharded(env, actors, 4, 2))
 
     @staticmethod
     def _row_rng_states(collector):
@@ -686,25 +571,37 @@ class TestStatsOnlyCollection:
         assert_episodes_equal(episodes_full, episodes_after)
         assert stats_full == stats_after
 
-    def test_shm_ring_carries_nothing(self):
-        """Workers count ring publishes after their reply's telemetry
-        snapshot, so a collect's blocks surface with the next reply: the
-        stats-only collects run first, on a pool that never published."""
-        env, actors = single_hop_setup()
-        rng = np.random.default_rng(0)
-        with obs.telemetry(), sharded(env, actors, 4, 2, "shm") as pool:
-            obs.reset()
-            for _ in range(2):
-                pool.collect(4, rng, transitions=False)
-            stats_only = obs.snapshot(reset=True)["counters"]
-            for _ in range(2):
-                pool.collect(4, rng)
-            full = obs.snapshot(reset=True)["counters"]
-        assert stats_only.get("rollout.episodes", 0) == 8
-        assert stats_only.get("shm.blocks", 0) == 0
-        assert stats_only.get("shm.payload_bytes", 0) == 0
-        assert full.get("shm.blocks", 0) > 0
-        assert full.get("shm.payload_bytes", 0) > 0
+    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
+    def test_stats_only_replies_ship_no_transitions(self, env_kind,
+                                                    monkeypatch):
+        """What the parent receives: a stats-only commit reply has no
+        ``episodes`` key at all, where a full collect's has one per shard
+        (ragged probe replies carry completion counts only)."""
+        replies = []
+        recv = PipeChannel.recv
+
+        def spy(channel):
+            reply = recv(channel)
+            replies.append(reply)
+            return reply
+
+        monkeypatch.setattr(PipeChannel, "recv", spy)
+        env, actors = engine_setup(env_kind)
+        with sharded(env, actors, 4, 2) as pool:
+            rng = np.random.default_rng(0)
+            del replies[:]  # the init and clock handshakes
+            pool.collect(6, rng, transitions=False)
+            stats_only = replies[:]
+            del replies[:]
+            pool.collect(6, rng)
+            full = [r for r in replies if "stats" in r]
+        commits = [r for r in stats_only if "stats" in r]
+        assert len(commits) == 2
+        assert sum(len(r["stats"]) for r in commits) >= 6
+        assert all("episodes" not in r for r in stats_only)
+        assert [len(r["episodes"]) for r in full] == [
+            len(r["stats"]) for r in full
+        ]
 
     def test_vectorized_evaluate_matches_full_collect_stats(self):
         framework = build_framework("comp2", seed=5)

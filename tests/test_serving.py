@@ -9,8 +9,10 @@ The serving contract under test:
   never results;
 - hot reload swaps verified checkpoints between batches, drops zero
   requests under sustained load, and never serves a torn pair;
-- the sharded engine is answer-identical to the in-process one over both
-  transports, cleans up every shm segment, and survives worker crashes.
+- the sharded engine is answer-identical to the in-process one, survives
+  worker crashes, and a failed batch leaves no reply behind for the next;
+- a policy that is not a distribution, or any fault while a batch is
+  evaluated, answers 500 naming the cause — never 200 or a dropped socket.
 """
 
 import asyncio
@@ -25,6 +27,7 @@ from repro import obs
 from repro.config import ServingConfig, SingleHopConfig, TrainingConfig
 from repro.marl.checkpoint import checkpoint_info, save_checkpoint
 from repro.marl.frameworks import build_framework
+from repro.marl.parallel import WorkerTaskError
 from repro.serving import (
     AsyncServingClient,
     CheckpointWatcher,
@@ -90,6 +93,17 @@ class TestSelectActions:
             actions[sampled],
             categorical_from_draws(probs[sampled], draws[sampled]),
         )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0],
+                             ids=["nan", "infinity", "no_mass"])
+    @pytest.mark.parametrize("greedy", [True, False])
+    def test_non_distribution_row_raises(self, rng, bad, greedy):
+        """argmax and the CDF inversion would both make such a row
+        action 0; the row is named instead."""
+        probs = np.full((3, 4), 0.25)
+        probs[2] = bad
+        with pytest.raises(ValueError, match="row 2 are not finite"):
+            select_actions(probs, [greedy] * 3, rng.random(3))
 
 
 class FakeEngine:
@@ -382,19 +396,15 @@ class TestHotReloadUnderLoad:
 
 
 class TestShardedEngine:
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_matches_in_process_engine(self, checkpoints, transport, rng):
+    def test_matches_in_process_engine(self, checkpoints, rng):
         reference = PolicyEngine(
             SPEC, checkpoint_path=checkpoints["paths"]["a"], sample_seed=5
         )
         sharded = ShardedPolicyEngine(
             SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
-            transport=transport, sample_seed=5,
+            sample_seed=5,
         )
-        segments = sharded.shm_segment_names()
         try:
-            if transport == "shm":
-                assert segments, "shm transport must expose its segments"
             observations = rng.uniform(size=(7, ENV.observation_size))
             agents = rng.integers(0, ENV.n_agents, size=7)
             probs_ref, _ = reference.infer(observations, agents)
@@ -418,15 +428,10 @@ class TestShardedEngine:
         finally:
             sharded.close()
             reference.close()
-        # The /dev/shm leak-gate contract: every segment is gone.
-        import os
-        for name in segments:
-            assert not os.path.exists(f"/dev/shm/{name}"), name
 
     def test_worker_crash_restarts_and_answers(self, checkpoints, rng):
         sharded = ShardedPolicyEngine(
             SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
-            transport="pipe",
         )
         reference = PolicyEngine(SPEC,
                                  checkpoint_path=checkpoints["paths"]["a"])
@@ -440,6 +445,33 @@ class TestShardedEngine:
             assert np.allclose(probs, expected, atol=1e-12)
             assert sharded.total_restarts >= 1
             # The restarted worker reloaded the broadcast checkpoint.
+            assert sharded.ping() == ["pong", "pong"]
+        finally:
+            sharded.close()
+            reference.close()
+
+    @pytest.mark.parametrize(
+        "bad_agents", [[99, 1, 2, 3], [99, 1, 2, 99]],
+        ids=["first_shard_fails", "both_shards_fail"],
+    )
+    def test_failed_batch_leaves_no_stale_reply(self, checkpoints, rng,
+                                                bad_agents):
+        """Every shard's reply to a failed batch is drained, so the next
+        batch is answered from its own rows, not the failed batch's."""
+        sharded = ShardedPolicyEngine(
+            SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
+        )
+        reference = PolicyEngine(SPEC,
+                                 checkpoint_path=checkpoints["paths"]["a"])
+        try:
+            failed = rng.uniform(size=(4, ENV.observation_size))
+            with pytest.raises(WorkerTaskError):
+                sharded.infer(failed, bad_agents)
+            observations = rng.uniform(size=(4, ENV.observation_size))
+            agents = [3, 2, 1, 0]
+            probs, _ = sharded.infer(observations, agents)
+            expected, _ = reference.infer(observations, agents)
+            assert np.allclose(probs, expected, atol=1e-12)
             assert sharded.ping() == ["pong", "pong"]
         finally:
             sharded.close()
@@ -579,6 +611,83 @@ class TestRequestValidation:
         statuses, reply = self._serve(checkpoints, scenario, 500)
         assert statuses == [400, 400]
         assert 0 <= reply["action"] < ENV.n_clouds * len(ENV.packet_amounts)
+
+
+class TestEvaluationFailures:
+    """A failure while a batch is evaluated is the server's, not the
+    request's: it answers 500 naming the cause, counts as an error, and
+    the server keeps answering on the same connection."""
+
+    OBSERVATION = [0.5] * ENV.observation_size
+
+    @staticmethod
+    def _serve(engine, scenario):
+        async def main():
+            config = ServingConfig(port=0, reload_poll_ms=0, max_wait_us=500)
+            server = PolicyServer(config=config, engine=engine)
+            await server.start()
+            try:
+                async with AsyncServingClient("127.0.0.1",
+                                              server.port) as client:
+                    result = await scenario(client)
+                    health = await client.health()
+            finally:
+                await server.stop()
+            return result, health, server.error_count
+
+        return run(main())
+
+    def test_nan_weight_checkpoint_answers_500(self, tmp_path):
+        framework = build_framework(
+            "proposed", seed=7, env_config=ENV, train_config=TRAIN
+        )
+        try:
+            for param in framework.actors.parameters():
+                param.data[...] = np.nan
+            path = save_checkpoint(framework, str(tmp_path / "nan"))
+        finally:
+            framework.close()
+
+        async def scenario(client):
+            failures = []
+            for call in (
+                client.act(self.OBSERVATION, 0),
+                client.act_batch([self.OBSERVATION] * 2, [0, 1],
+                                 greedy=True),
+            ):
+                with pytest.raises(ServerError) as excinfo:
+                    await call
+                failures.append(excinfo.value)
+            return failures
+
+        failures, health, errors = self._serve(
+            PolicyEngine(SPEC, checkpoint_path=path), scenario
+        )
+        assert [f.status for f in failures] == [500, 500]
+        assert all("are not finite" in str(f) for f in failures)
+        assert health["status"] == "ok"
+        assert errors == 2
+
+    @pytest.mark.parametrize("error", [ValueError, KeyError, RuntimeError])
+    def test_engine_fault_answers_500(self, checkpoints, error):
+        engine = PolicyEngine(SPEC, checkpoint_path=checkpoints["paths"]["a"])
+
+        def infer(observations, agents):
+            raise error("engine exploded")
+
+        engine.infer = infer
+
+        async def scenario(client):
+            with pytest.raises(ServerError) as excinfo:
+                await client.act(self.OBSERVATION, 0)
+            return excinfo.value
+
+        failure, health, errors = self._serve(engine, scenario)
+        assert failure.status == 500
+        assert f"{error.__name__}: " in str(failure)
+        assert "engine exploded" in str(failure)
+        assert health["status"] == "ok"
+        assert errors == 1
 
 
 class TestMetricsEndpoint:

@@ -11,8 +11,8 @@ The contracts under test:
 - clock negotiation (RTT midpoint) puts worker timestamps on the
   parent's timeline;
 - a sharded ``train_epoch`` (gradient and ES) produces one *connected*
-  parent→child tree spanning parent and worker processes, over both
-  transports — and tracing never perturbs bit-exact determinism;
+  parent→child tree spanning parent and worker processes — and tracing
+  never perturbs bit-exact determinism;
 - the Chrome-trace converter emits schema-valid documents with process
   lanes and paired flow arrows, and the CLIs fail loudly on missing or
   empty traces.
@@ -156,7 +156,7 @@ class TestTraceContext:
             assert ctx["export"] == str(base)
         obs_spans.close_export()
 
-        # Simulate the far side of the Transport seam: fresh trace state
+        # Simulate the far side of a worker pipe: fresh trace state
         # in this process, then adopt.
         obs_trace.reset()
         obs.set_export_path(None)
@@ -301,13 +301,12 @@ def load_tree(path):
 
 
 class TestCrossProcessTree:
-    @pytest.mark.parametrize("engine", ["sharded-pipe", "sharded-shm"])
-    def test_sharded_epoch_is_one_connected_tree(self, engine, tmp_path):
+    def test_sharded_epoch_is_one_connected_tree(self, tmp_path):
         """Parent + 2 workers merge into a single-root tree with aligned
-        clocks, over either transport, deterministically."""
+        clocks, deterministically."""
         path = traced_run(tmp_path)
-        trainer = make_engine_trainer("single_hop", engine, n_envs=2,
-                                      n_workers=2)
+        trainer = make_engine_trainer("single_hop", "sharded-pipe",
+                                      n_envs=2, n_workers=2)
         try:
             trainer.train_epoch()
         finally:
@@ -374,7 +373,7 @@ class TestCrossProcessTree:
             "single_hop", ROLLOUT_ENGINES, n_envs=1, n_workers=1
         )
         assert_cross_engine_equivalence(
-            "single_hop", ("vector", "sharded-pipe", "sharded-shm"),
+            "single_hop", ("vector", "sharded-pipe"),
             n_envs=2, n_workers=2,
         )
 

@@ -1,511 +1,271 @@
-"""Property and unit tests for the transition-block transports
+"""Tests for the parent-worker pipe protocol
 (``repro.marl.parallel.transport``).
 
-The shared-memory ring is exercised directly (framing codec, multi-slot
-frames, wrap padding, exhausted-ring backpressure, larger-than-ring chunk
-streaming, segment lifecycle) plus round-trips of arbitrary block
-shapes/dtypes through both end-to-end transports via the worker protocol.
+Arbitrary replies — finished episodes and array blocks of any dtype and
+shape, 0-d, empty and non-contiguous included — cross a real worker
+process bit-exactly; a worker's exception and a worker's death surface as
+the two distinct error types; RNG stream snapshots resume exactly; and the
+sharded pool runs without shared memory.
 """
 
+import multiprocessing
 import os
-import threading
-import time
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.marl.buffer import Episode
+from repro.marl.buffer import EPISODE_COLUMNS, Episode
 from repro.marl.parallel.transport import (
-    EPISODE_COLUMNS,
-    BlockView,
-    ShmRing,
-    ShmRingTimeout,
-    episode_from_block,
-    episode_to_block,
-    pack_block_table,
-    unpack_block_table,
-    _views_from_payload,
+    PipeChannel,
+    ShmRingChannel,
+    WorkerCrashError,
+    WorkerEndpoint,
+    WorkerTaskError,
+    get_rng_state,
+    rng_from_state,
 )
 
-MAX_EXAMPLES = 25
+BLOCK_DTYPES = (
+    np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_,
+    np.complex128,
+)
 
-BLOCK_DTYPES = (np.float64, np.float32, np.int64, np.int32, np.uint8, np.bool_)
-
-
-@st.composite
-def block_arrays(draw, max_arrays=5, max_dim=4, max_side=6):
-    """An arbitrary transition block: several arrays of mixed dtype/shape,
-    including 0-d scalars and zero-size arrays."""
-    n_arrays = draw(st.integers(1, max_arrays))
-    arrays = []
-    for index in range(n_arrays):
-        dtype = np.dtype(draw(st.sampled_from(BLOCK_DTYPES)))
-        ndim = draw(st.integers(0, max_dim))
-        shape = tuple(
-            draw(st.integers(0, max_side)) for _ in range(ndim)
-        )
-        size = int(np.prod(shape, dtype=np.int64))
-        seed_rng = np.random.default_rng(draw(st.integers(0, 2**31)))
-        if dtype == np.bool_:
-            array = seed_rng.random(size).reshape(shape) < 0.5
-        elif dtype.kind in "iu":
-            array = seed_rng.integers(0, 100, size=size).astype(dtype)
-            array = array.reshape(shape)
-        else:
-            array = seed_rng.normal(size=size).astype(dtype).reshape(shape)
-        arrays.append(array)
-    return arrays
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 
-def assert_blocks_equal(left, right):
-    assert len(left) == len(right)
-    for a, b in zip(left, right):
-        a = np.asarray(a)
-        assert a.dtype == b.dtype
-        assert a.shape == b.shape
-        assert np.array_equal(a, b)
+def _echo_worker(connection):
+    """Answer ``("echo", x)`` with ``x``, ``("raise", msg)`` with an error
+    reply, ``("die",)`` by exiting without a reply."""
+    endpoint = WorkerEndpoint(connection)
+    while True:
+        try:
+            message = endpoint.recv()
+        except (EOFError, OSError):
+            break
+        if message[0] == "close":
+            endpoint.send_ok(None)
+            break
+        if message[0] == "die":
+            os._exit(3)
+        if message[0] == "raise":
+            endpoint.send_error(f"Traceback ...\nValueError: {message[1]}")
+            continue
+        endpoint.send_ok(message[1])
+    endpoint.close()
 
 
-def roundtrip(writer, reader, arrays, timeout=10.0):
-    """Publish one block and read it back, copying before slot release."""
-    results = []
-
-    def drain():
-        view = reader.read_block(timeout=timeout)
-        results.append([np.array(a, copy=True) for a in view.arrays])
-        view.close()
-
-    thread = threading.Thread(target=drain)
-    thread.start()
-    writer.publish(arrays, timeout=timeout)
-    thread.join(timeout=timeout)
-    assert not thread.is_alive()
-    return results[0]
-
-
-@pytest.fixture
-def ring_pair():
-    """A writer/reader attachment pair over one small segment."""
-    writer = ShmRing(slot_bytes=256, n_slots=8)
-    reader = ShmRing(slot_bytes=256, n_slots=8, name=writer.name)
-    yield writer, reader
-    reader.close()
-    writer.close()
-
-
-class TestBlockCodec:
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(arrays=block_arrays())
-    def test_table_roundtrip(self, arrays):
-        """The dtype/shape table reproduces every array's metadata."""
-        table, offsets, payload_len = pack_block_table(arrays)
-        specs, table_len = unpack_block_table(table, 0)
-        assert table_len == len(table)
-        assert len(specs) == len(arrays)
-        for array, (dtype, shape, offset), expect_off in zip(
-            arrays, specs, offsets
-        ):
-            assert np.dtype(dtype) == array.dtype
-            assert shape == array.shape
-            assert offset == expect_off
-        assert payload_len >= sum(a.nbytes for a in arrays)
-
-    @settings(max_examples=MAX_EXAMPLES, deadline=None)
-    @given(arrays=block_arrays())
-    def test_payload_views_roundtrip(self, arrays):
-        """Packing payloads at table offsets and viewing them back is exact
-        (no ring involved — the pure codec)."""
-        table, offsets, payload_len = pack_block_table(arrays)
-        payload = bytearray(payload_len)
-        for array, offset in zip(arrays, offsets):
-            flat = np.ascontiguousarray(array).reshape(-1)
-            payload[offset:offset + flat.nbytes] = flat.tobytes()
-        specs, _ = unpack_block_table(table, 0)
-        views = _views_from_payload(payload, 0, specs)
-        assert_blocks_equal(arrays, views)
-
-    def test_object_dtype_rejected(self):
-        with pytest.raises(TypeError, match="object"):
-            pack_block_table([np.array([{"a": 1}], dtype=object)])
-
-
-class TestShmRingRoundtrip:
-    # Reusing the ring across examples is deliberate: every round-trip
-    # drains it completely, and reuse sweeps the wrap point across examples.
-    @settings(
-        max_examples=MAX_EXAMPLES, deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+def start_echo_worker():
+    """A forked echo worker; returns the parent's channel to it."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork start method unavailable")
+    context = multiprocessing.get_context("fork")
+    parent_end, child_end = context.Pipe()
+    process = context.Process(
+        target=_echo_worker, args=(child_end,), daemon=True
     )
-    @given(arrays=block_arrays())
-    def test_arbitrary_blocks(self, ring_pair, arrays):
-        """Any block of supported dtypes/shapes round-trips bit-exactly —
-        single-frame, multi-slot, and chunked alike (the 2 KiB ring forces
-        all three regimes across examples)."""
-        writer, reader = ring_pair
-        assert_blocks_equal(arrays, roundtrip(writer, reader, arrays))
-        assert writer.pending_slots() == 0
-
-    def test_block_larger_than_one_slot(self, ring_pair):
-        """A block spanning several contiguous slots arrives intact."""
-        writer, reader = ring_pair
-        block = [np.arange(100.0)]  # 800 B payload > 256 B slot
-        table, _, payload_len = pack_block_table(block)
-        assert payload_len > writer.slot_bytes  # really multi-slot
-        assert_blocks_equal(block, roundtrip(writer, reader, block))
-
-    def test_block_larger_than_whole_ring_chunks(self, ring_pair):
-        """A block bigger than the ring streams through chunk frames."""
-        writer, reader = ring_pair
-        block = [np.arange(5000.0), np.arange(64, dtype=np.int32)]
-        assert block[0].nbytes > writer.capacity_bytes
-        assert_blocks_equal(block, roundtrip(writer, reader, block))
-        assert writer.pending_slots() == 0
-
-    def test_many_blocks_wrap_the_ring(self, ring_pair):
-        """Sustained traffic exercises wrap padding at every alignment."""
-        writer, reader = ring_pair
-        for i in range(64):
-            block = [np.arange(i, dtype=np.int64), np.array(float(i))]
-            assert_blocks_equal(block, roundtrip(writer, reader, block))
-        assert writer.pending_slots() == 0
-
-    def test_zero_copy_views_until_release(self, ring_pair):
-        """Single-frame reads are views into the segment, valid until
-        ``close`` releases the slots."""
-        writer, reader = ring_pair
-        writer.publish([np.arange(8.0)], timeout=5.0)
-        view = reader.read_block(timeout=5.0)
-        assert view.arrays[0].base is not None  # a view, not a copy
-        assert not view.owned
-        # The documented payload invariant: zero-copy views start 16-byte
-        # aligned in the segment, safe for any numeric dtype.
-        assert view.arrays[0].__array_interface__["data"][0] % 16 == 0
-        assert np.array_equal(view.arrays[0], np.arange(8.0))
-        before = writer.pending_slots()
-        assert before > 0
-        view.close()
-        assert writer.pending_slots() == 0
+    process.start()
+    child_end.close()
+    return PipeChannel(process, parent_end)
 
 
-class TestBackpressure:
-    def test_exhausted_ring_blocks_writer_until_release(self):
-        """With the ring full, ``publish`` waits; releasing one block's
-        slots unblocks exactly one more publish (bounded in-flight data)."""
-        writer = ShmRing(slot_bytes=256, n_slots=4)
-        reader = ShmRing(slot_bytes=256, n_slots=4, name=writer.name)
-        try:
-            block = [np.arange(40.0)]  # ~2 slots with header+table
-            writer.publish(block, timeout=5.0)
-            writer.publish(block, timeout=5.0)  # ring now effectively full
-            with pytest.raises(ShmRingTimeout):
-                writer.publish(block, timeout=0.2)
-
-            published = threading.Event()
-
-            def blocked_publish():
-                writer.publish(block, timeout=10.0)
-                published.set()
-
-            thread = threading.Thread(target=blocked_publish)
-            thread.start()
-            time.sleep(0.05)
-            assert not published.is_set()  # still waiting on a full ring
-            view = reader.read_block(timeout=5.0)
-            view.close()  # release one block's slots
-            assert published.wait(timeout=10.0)
-            thread.join(timeout=10.0)
-            # Everything in flight stayed within the ring's capacity.
-            assert writer.pending_slots() <= writer.n_slots
-            for _ in range(2):
-                view = reader.read_block(timeout=5.0)
-                assert_blocks_equal(block, [np.array(a) for a in view.arrays])
-                view.close()
-            assert writer.pending_slots() == 0
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_sustained_stream_never_exceeds_capacity(self):
-        """A fast writer against a slow reader stays bounded by the ring."""
-        writer = ShmRing(slot_bytes=256, n_slots=4)
-        reader = ShmRing(slot_bytes=256, n_slots=4, name=writer.name)
-        n_blocks = 24
-        max_pending = []
-        try:
-            def produce():
-                for i in range(n_blocks):
-                    writer.publish([np.full(30, float(i))], timeout=10.0)
-
-            thread = threading.Thread(target=produce)
-            thread.start()
-            for i in range(n_blocks):
-                view = reader.read_block(timeout=10.0)
-                max_pending.append(writer.pending_slots())
-                assert np.array_equal(view.arrays[0], np.full(30, float(i)))
-                view.close()
-                time.sleep(0.002)  # deliberately slower than the writer
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
-            assert max(max_pending) <= writer.n_slots
-        finally:
-            reader.close()
-            writer.close()
-
-    def test_abort_check_interrupts_wait(self):
-        writer = ShmRing(slot_bytes=256, n_slots=4)
-        try:
-            def abort():
-                raise RuntimeError("peer vanished")
-
-            with pytest.raises(RuntimeError, match="peer vanished"):
-                writer.read_block(timeout=5.0, abort_check=abort)
-        finally:
-            writer.close()
+@pytest.fixture(scope="module")
+def echo():
+    channel = start_echo_worker()
+    yield channel
+    channel.send(("close",))
+    channel.recv()
+    channel.close()
+    channel.process.join(timeout=10.0)
 
 
-class TestSegmentLifecycle:
-    def test_segment_named_and_released(self):
-        ring = ShmRing(slot_bytes=256, n_slots=4)
-        name = ring.name
-        if os.path.isdir("/dev/shm"):
-            assert os.path.exists(f"/dev/shm/{name}")
-        ring.close()
-        if os.path.isdir("/dev/shm"):
-            assert not os.path.exists(f"/dev/shm/{name}")
-        ring.close()  # idempotent
-
-    def test_attachment_does_not_unlink(self):
-        ring = ShmRing(slot_bytes=256, n_slots=4)
-        attached = ShmRing(slot_bytes=256, n_slots=4, name=ring.name)
-        attached.close()
-        if os.path.isdir("/dev/shm"):
-            assert os.path.exists(f"/dev/shm/{ring.name}")
-        ring.close()
-
-    def test_reset_reclaims_everything(self):
-        ring = ShmRing(slot_bytes=256, n_slots=4)
-        reader = ShmRing(slot_bytes=256, n_slots=4, name=ring.name)
-        try:
-            ring.publish([np.arange(10.0)], timeout=5.0)
-            assert ring.pending_slots() > 0
-            ring.reset()
-            assert ring.pending_slots() == 0
-            # The ring is immediately reusable after a reset.
-            ring.publish([np.arange(3.0)], timeout=5.0)
-            view = reader.read_block(timeout=5.0)
-            assert np.array_equal(view.arrays[0], np.arange(3.0))
-            view.close()
-        finally:
-            reader.close()
-            ring.close()
-
-    def test_tiny_ring_rejected(self):
-        with pytest.raises(ValueError, match="slots"):
-            ShmRing(slot_bytes=256, n_slots=1)
-
-
-class TestEpisodeBlockCodec:
-    def test_episode_roundtrip(self):
-        episode = Episode()
-        rng = np.random.default_rng(0)
-        for t in range(4):
-            episode.add(
-                rng.normal(size=16), rng.normal(size=(4, 4)),
-                rng.integers(0, 4, size=4), float(rng.normal()),
-                rng.normal(size=16), rng.normal(size=(4, 4)), t == 3,
-            )
-        episode.finish()
-        rebuilt = episode_from_block(episode_to_block(episode))
-        for column in EPISODE_COLUMNS:
-            assert np.array_equal(
-                getattr(episode, column), getattr(rebuilt, column)
-            )
-        assert rebuilt.length == episode.length
-        assert rebuilt.total_reward == episode.total_reward
-        assert rebuilt._finished
+def roundtrip(channel, payload):
+    channel.send(("echo", payload))
+    return channel.recv()
 
 
 @st.composite
-def episode_batches(draw, max_episodes=3, max_steps=4):
-    """Small random transition batches with varying shapes."""
-    n_episodes = draw(st.integers(1, max_episodes))
+def arrays(draw, max_dim=4, max_side=6):
+    """One array of any block dtype and shape — 0-d and zero-size
+    included — drawn contiguous or as a strided view."""
+    dtype = np.dtype(draw(st.sampled_from(BLOCK_DTYPES)))
+    ndim = draw(st.integers(0, max_dim))
+    shape = tuple(draw(st.integers(0, max_side)) for _ in range(ndim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    array = (rng.normal(size=shape) * 50).astype(dtype)
+    if array.ndim and draw(st.booleans()):
+        array = array[..., ::2]  # non-contiguous
+    if array.ndim > 1 and draw(st.booleans()):
+        array = array.T
+    return array
+
+
+@st.composite
+def episodes(draw, max_steps=4):
+    """A finished episode of random size whose columns may be strided
+    views (``from_arrays`` keeps views of matching dtype)."""
     n_steps = draw(st.integers(1, max_steps))
     n_agents = draw(st.integers(1, 3))
     obs_size = draw(st.integers(1, 5))
     state_size = draw(st.integers(1, 8))
-    seed = draw(st.integers(0, 2**31))
-    rng = np.random.default_rng(seed)
-    episodes = []
-    for _ in range(n_episodes):
-        episode = Episode()
-        for t in range(n_steps):
-            episode.add(
-                rng.normal(size=state_size),
-                rng.normal(size=(n_agents, obs_size)),
-                rng.integers(0, 4, size=n_agents),
-                float(rng.normal()),
-                rng.normal(size=state_size),
-                rng.normal(size=(n_agents, obs_size)),
-                t == n_steps - 1,
-            )
-        episodes.append(episode.finish())
-    return episodes
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    states = rng.normal(size=(n_steps, 2 * state_size))[:, ::2]
+    observations = rng.normal(size=(n_steps, n_agents, obs_size))
+    next_observations = np.swapaxes(
+        rng.normal(size=(n_steps, obs_size, n_agents)), 1, 2
+    )
+    return Episode.from_arrays(
+        states, observations,
+        rng.integers(0, 4, size=(n_steps, n_agents)),
+        rng.normal(size=n_steps),
+        rng.normal(size=(n_steps, state_size)),
+        next_observations,
+        np.arange(n_steps) == n_steps - 1,
+    )
 
 
-class TestEndToEndTransports:
-    """Arbitrary blocks through the full worker protocol, both transports."""
+def assert_arrays_identical(sent, got):
+    assert got.dtype == sent.dtype
+    assert got.shape == sent.shape
+    assert got.tobytes() == np.ascontiguousarray(sent).tobytes()
 
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    @settings(max_examples=10, deadline=None)
-    @given(episodes=episode_batches())
-    def test_collect_reply_roundtrip(self, transport, episodes):
-        """A collect-shaped reply (episodes + control payload) crosses a
-        real worker process bit-exactly over either transport."""
-        import multiprocessing
 
-        from repro.marl.parallel.transport import (
-            make_transport,
-            make_worker_endpoint,
-        )
+class TestWorkerPipeRoundtrip:
+    @settings(max_examples=25, deadline=None)
+    @given(batch=st.lists(episodes(), min_size=1, max_size=3))
+    def test_collect_reply_roundtrip(self, echo, batch):
+        """A collect-shaped reply (episodes + stats + control payload)
+        crosses a real worker process bit-exactly."""
+        payload = {
+            "episodes": batch,
+            "stats": [{"total_reward": e.total_reward} for e in batch],
+            "marker": 123,
+        }
+        result = roundtrip(echo, payload)
+        assert result["marker"] == 123
+        assert result["stats"] == payload["stats"]
+        assert len(result["episodes"]) == len(batch)
+        for sent, got in zip(batch, result["episodes"]):
+            assert got.length == sent.length
+            for column in EPISODE_COLUMNS:
+                assert_arrays_identical(
+                    getattr(sent, column), getattr(got, column)
+                )
 
-        def echo_worker(connection, info):
-            endpoint = make_worker_endpoint(connection, info)
-            while True:
-                try:
-                    message = endpoint.recv()
-                except (EOFError, OSError):
-                    break
-                if message[0] == "close":
-                    endpoint.send_ok(None)
-                    break
-                endpoint.send_ok(message[1])
-            endpoint.close()
+    @settings(max_examples=40, deadline=None)
+    @given(blocks=st.lists(arrays(), max_size=5))
+    def test_array_blocks_roundtrip(self, echo, blocks):
+        """Array blocks of any dtype and shape come back with the same
+        dtype, shape and bytes (the serving tier's probability blocks)."""
+        got = roundtrip(echo, blocks)
+        assert len(got) == len(blocks)
+        for sent, received in zip(blocks, got):
+            assert_arrays_identical(sent, received)
 
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        context = multiprocessing.get_context("fork")
-        transport_obj = make_transport(
-            transport, slot_bytes=256, n_slots=8
-        )
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=echo_worker,
-            args=(child_end, transport_obj.worker_info()),
-            daemon=True,
-        )
-        process.start()
-        child_end.close()
-        channel = transport_obj.parent_channel(process, parent_end)
+    @pytest.mark.parametrize(
+        "array",
+        [np.asarray(7.5), np.zeros((0, 4), dtype=np.int64),
+         np.arange(24.0).reshape(4, 6)[::2, 1::2]],
+        ids=["scalar", "empty", "strided"],
+    )
+    def test_edge_shapes(self, echo, array):
+        assert_arrays_identical(array, roundtrip(echo, array))
+
+
+class TestPipeChannel:
+    def test_error_reply_is_a_task_error(self, echo):
+        """A worker's exception arrives as WorkerTaskError carrying its
+        traceback, and the channel keeps serving the next request."""
+        echo.send(("raise", "bad shard"))
+        with pytest.raises(WorkerTaskError, match="ValueError: bad shard"):
+            echo.recv()
+        assert roundtrip(echo, "still here") == "still here"
+
+    def test_death_before_reply_is_a_crash(self):
+        channel = start_echo_worker()
         try:
-            payload = {
-                "episodes": episodes,
-                "stats": [{"total_reward": e.total_reward} for e in episodes],
-                "marker": 123,
-            }
-            channel.send(("echo", payload))
-            result = channel.recv()
-            assert result["marker"] == 123
-            assert result["stats"] == payload["stats"]
-            assert len(result["episodes"]) == len(episodes)
-            for sent, got in zip(episodes, result["episodes"]):
-                for column in EPISODE_COLUMNS:
-                    assert np.array_equal(
-                        getattr(sent, column), getattr(got, column)
-                    ), column
-            channel.send(("close",))
-            channel.recv()
+            channel.send(("die",))
+            with pytest.raises(WorkerCrashError, match="died before replying"):
+                channel.recv()
         finally:
             channel.close()
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.kill()
-            transport_obj.close()
-        name = transport_obj.segment_name()
-        if name is not None and os.path.isdir("/dev/shm"):
-            assert not os.path.exists(f"/dev/shm/{name}")
+            channel.process.join(timeout=10.0)
 
-
-class TestArrayReplyBlocks:
-    """Generic ``"arrays"`` replies — the serving tier's probability
-    blocks — ride both transports bit-exactly (the shm ring ships them as
-    one array block next to the pickled control payload)."""
-
-    @pytest.mark.parametrize("transport", ["pipe", "shm"])
-    def test_arrays_roundtrip(self, transport):
-        import multiprocessing
-
-        from repro.marl.parallel.transport import (
-            make_transport,
-            make_worker_endpoint,
-        )
-
-        def echo_worker(connection, info):
-            endpoint = make_worker_endpoint(connection, info)
-            while True:
-                try:
-                    message = endpoint.recv()
-                except (EOFError, OSError):
-                    break
-                if message[0] == "close":
-                    endpoint.send_ok(None)
-                    break
-                endpoint.send_ok(message[1])
-            endpoint.close()
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
-        context = multiprocessing.get_context("fork")
-        transport_obj = make_transport(transport, slot_bytes=256, n_slots=8)
-        parent_end, child_end = context.Pipe()
-        process = context.Process(
-            target=echo_worker,
-            args=(child_end, transport_obj.worker_info()),
-            daemon=True,
-        )
-        process.start()
-        child_end.close()
-        channel = transport_obj.parent_channel(process, parent_end)
+    def test_send_to_dead_worker_is_a_crash(self):
+        channel = start_echo_worker()
         try:
-            rng = np.random.default_rng(11)
-            arrays = [
-                rng.normal(size=(3, 4)),
-                np.array([], dtype=np.int64),
-                rng.normal(size=(2, 2, 2)).astype(np.float32),
-                np.asarray(7.5),
-            ]
-            channel.send(("echo", {"arrays": arrays, "generation": 3}))
-            result = channel.recv()
-            assert result["generation"] == 3
-            assert len(result["arrays"]) == len(arrays)
-            for sent, got in zip(arrays, result["arrays"]):
-                assert got.dtype == sent.dtype
-                assert np.array_equal(got, sent)
-
-            # An empty arrays list crosses too (no block published).
-            channel.send(("echo", {"arrays": [], "note": "empty"}))
-            result = channel.recv()
-            assert result["arrays"] == []
-            assert result["note"] == "empty"
-
-            channel.send(("close",))
-            channel.recv()
+            channel.process.kill()
+            channel.process.join(timeout=10.0)
+            with pytest.raises(WorkerCrashError, match="is dead"):
+                channel.send(("echo", 1))
         finally:
             channel.close()
-            process.join(timeout=10.0)
-            if process.is_alive():
-                process.kill()
-            transport_obj.close()
-        name = transport_obj.segment_name()
-        if name is not None and os.path.isdir("/dev/shm"):
-            assert not os.path.exists(f"/dev/shm/{name}")
+
+    def test_close_is_idempotent(self):
+        parent_end, child_end = multiprocessing.Pipe()
+        endpoint = WorkerEndpoint(child_end)
+        channel = PipeChannel(None, parent_end)
+        for _ in range(2):
+            endpoint.close()
+            channel.close()
+
+    def test_shm_ring_channel_is_a_distinct_recv_binding(self):
+        """The kept stub owns a ``recv`` binding of its own (an alias of
+        PipeChannel would let a per-class timer wrap one method twice)."""
+        assert ShmRingChannel is not PipeChannel
+        assert issubclass(ShmRingChannel, PipeChannel)
+        assert ShmRingChannel.__dict__["recv"] is PipeChannel.__dict__["recv"]
 
 
-def test_block_view_close_is_idempotent():
-    calls = []
-    view = BlockView([np.arange(3)], release=lambda: calls.append(1))
-    view.close()
-    view.close()
-    assert calls == [1]
-    assert view.arrays is None
+class TestRngStates:
+    def test_state_resumes_the_stream(self):
+        rng = np.random.default_rng(17)
+        rng.random(5)
+        rebuilt = rng_from_state(get_rng_state(rng))
+        assert np.array_equal(rebuilt.random(8), rng.random(8))
+
+    def test_snapshot_does_not_follow_the_stream(self):
+        rng = np.random.default_rng(17)
+        snapshot = get_rng_state(rng)
+        first = rng.random(3)
+        rng.random(100)
+        assert np.array_equal(rng_from_state(snapshot).random(3), first)
+
+
+def test_sharded_pool_uses_no_shared_memory():
+    """A sharded collect and a sharded serving batch, in a fresh
+    interpreter, never import ``multiprocessing.shared_memory`` and never
+    start multiprocessing's resource-tracker process."""
+    script = """
+import sys
+import numpy as np
+from multiprocessing import resource_tracker
+from repro.config import SingleHopConfig
+from repro.marl.actors import ActorGroup, ClassicalActor
+from repro.marl.parallel import ShardedRolloutCollector
+from repro.envs.single_hop import SingleHopOffloadEnv
+from repro.serving import ShardedPolicyEngine
+from repro.serving.engine import FrameworkSpec
+
+env = SingleHopOffloadEnv(SingleHopConfig(episode_limit=3),
+                          rng=np.random.default_rng(0))
+actors = ActorGroup([ClassicalActor(4, 4, (), np.random.default_rng(i))
+                     for i in range(4)])
+with ShardedRolloutCollector(env, actors, n_envs=2, n_workers=2) as pool:
+    pool.collect(2, np.random.default_rng(1))
+spec = FrameworkSpec("comp2", env_config=SingleHopConfig(episode_limit=3))
+with ShardedPolicyEngine(spec, n_workers=2) as engine:
+    engine.infer(np.zeros((3, 4)), [0, 1, 2])
+print("multiprocessing.shared_memory" in sys.modules,
+      resource_tracker._resource_tracker._pid)
+"""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "None"]
