@@ -181,8 +181,9 @@ class TrainingConfig:
         target_update_period: Epochs between target-critic syncs
             (unspecified; 10).
         grad_clip: Optional global-norm gradient clip (unspecified; 10.0).
+            ``None`` or a finite bound ``> 0``.
         entropy_coef: Optional entropy bonus on the actor loss (0 = paper's
-            plain MAPG).
+            plain MAPG); finite and ``>= 0``.
         evaluation_episodes: Greedy-policy episodes used when evaluating.
         rollout_envs: Lockstep environment copies used for vectorized /
             sharded episode collection (clamped to ``episodes_per_epoch``).
@@ -262,8 +263,13 @@ class TrainingConfig:
             raise ValueError("epochs and episodes_per_epoch must be >= 1")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
-        if self.actor_lr <= 0 or self.critic_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        check_env_quantity("actor_lr", self.actor_lr, positive=True)
+        check_env_quantity("critic_lr", self.critic_lr, positive=True)
+        check_env_quantity("entropy_coef", self.entropy_coef)
+        if self.grad_clip is not None:
+            # A negative bound flips every gradient's sign and 0 zeroes
+            # them (see repro.nn.optim.clip_grad_norm).
+            check_env_quantity("grad_clip", self.grad_clip, positive=True)
         if self.target_update_period < 1:
             raise ValueError("target_update_period must be >= 1")
         if not isinstance(self.rollout_envs, (int, np.integer)) or self.rollout_envs < 1:
@@ -325,7 +331,8 @@ class TrainingConfig:
                     f"got {self.es_population!r}"
                 )
             sigma = self.effective_es_sigma
-            if sigma < 0 or (sigma == 0 and population != 1):
+            check_env_quantity("es_sigma", sigma)
+            if sigma == 0 and population != 1:
                 raise ValueError(
                     f"es_sigma must be positive (es_sigma=0 is only valid "
                     f"with es_population=1, the unperturbed evaluation "
@@ -342,15 +349,10 @@ class TrainingConfig:
                     f"use es_population>=2 to search, or es_sigma=0.0 for "
                     f"the unperturbed evaluation mode"
                 )
-            if self.effective_es_lr <= 0:
-                raise ValueError(
-                    f"es_lr must be positive, got {self.es_lr!r}"
-                )
-            if self.effective_es_weight_decay < 0:
-                raise ValueError(
-                    f"es_weight_decay must be non-negative, "
-                    f"got {self.es_weight_decay!r}"
-                )
+            check_env_quantity("es_lr", self.effective_es_lr, positive=True)
+            check_env_quantity(
+                "es_weight_decay", self.effective_es_weight_decay
+            )
 
     @property
     def effective_rollout_envs(self):
@@ -440,14 +442,11 @@ class ServingConfig:
         max_pending: Upper bound on queued decision rows before new
             requests are rejected with an overload error (HTTP 503).
             0 means unbounded.
-        workers: Inference shard processes.  1 evaluates in-process; more
-            fan each micro-batch across processes over the rollout
-            workers' pipe protocol.
         reload_poll_ms: Hot-reload watcher poll interval in milliseconds;
             0 disables checkpoint watching.
-        sample_seed: Seed for the server-owned action-sampling stream
-            (sampling happens in the parent even in sharded mode, so
-            responses are reproducible for any worker count).
+        sample_seed: Seed for the engine-owned action-sampling stream
+            (every sampled row draws its uniform from it, so responses
+            are reproducible under a fixed seed).
         host: Bind address for the HTTP server.
         port: Bind port (0 picks an ephemeral port; useful for tests).
         log_requests: Emit one structured JSON access-log line per request
@@ -459,7 +458,6 @@ class ServingConfig:
     max_batch: int = 32
     max_wait_us: int = 2000
     max_pending: int = 0
-    workers: int = 1
     reload_poll_ms: int = 200
     sample_seed: int = 0
     host: str = "127.0.0.1"
@@ -478,10 +476,6 @@ class ServingConfig:
         if self.max_pending < 0:
             raise ValueError(
                 f"max_pending must be >= 0, got {self.max_pending!r}"
-            )
-        if not isinstance(self.workers, (int, np.integer)) or self.workers < 1:
-            raise ValueError(
-                f"workers must be a positive integer, got {self.workers!r}"
             )
         if self.reload_poll_ms < 0:
             raise ValueError(

@@ -28,7 +28,11 @@ from repro.marl.metrics import (
     exponential_moving_average,
     rolling_mean,
 )
-from repro.marl.trainer import CTDETrainer, rollout_episode
+from repro.marl.trainer import (
+    CTDETrainer,
+    NonFiniteUpdateError,
+    rollout_episode,
+)
 
 __all__ = [
     "ActorGroup",
@@ -54,6 +58,7 @@ __all__ = [
     "rolling_mean",
     "CTDETrainer",
     "ESTrainer",
+    "NonFiniteUpdateError",
     "rollout_episode",
     "ShardedRolloutCollector",
     "PopulationActorGroup",

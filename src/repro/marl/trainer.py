@@ -28,6 +28,8 @@ under a fixed seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro import obs
@@ -39,8 +41,25 @@ from repro.marl.metrics import MetricsHistory, publish_epoch_record
 from repro.marl.parallel import ShardedRolloutCollector
 from repro.marl.rollout import VectorRolloutCollector
 from repro.nn.optim import Adam, clip_grad_norm, gradient_norm
+from repro.obs import flight as _flight
 
-__all__ = ["CTDETrainer", "rollout_episode"]
+__all__ = ["CTDETrainer", "NonFiniteUpdateError", "rollout_episode"]
+
+
+class NonFiniteUpdateError(FloatingPointError):
+    """A training update computed a non-finite loss or gradient norm.
+
+    Raised before the optimizer step that would apply it, so the weights
+    (and any checkpoint saved afterwards) keep their last finite values.
+    """
+
+    def __init__(self, epoch, quantity, value):
+        super().__init__(
+            f"epoch {epoch}: {quantity} is {value!r}; the update stopped "
+            f"before its optimizer step"
+        )
+        self.epoch = epoch
+        self.quantity = quantity
 
 
 def rollout_episode(env, actor_group, rng, greedy=False):
@@ -230,6 +249,10 @@ class CTDETrainer:
         diagnostics: the pre-clip gradient norms of critic and actor team
         and the mean policy entropy.  All are pure functions of the batch,
         so they are bit-identical across collection engines.
+
+        A non-finite loss or pre-clip gradient norm raises
+        :class:`NonFiniteUpdateError` before the optimizer step it would
+        feed, so NaN never reaches the weights.
         """
         cfg = self.config
 
@@ -256,6 +279,9 @@ class CTDETrainer:
                 )
             else:
                 critic_grad_norm = gradient_norm(self.critic.parameters())
+            critic_loss_value = critic_loss.item()
+            self._check_finite("critic_loss", critic_loss_value)
+            self._check_finite("critic_grad_norm", critic_grad_norm)
             self.critic_optimizer.step()
 
         actor_loss_value = 0.0
@@ -287,11 +313,13 @@ class CTDETrainer:
                     )
                 else:
                     actor_grad_norm = gradient_norm(self.actors.parameters())
-                self.actor_optimizer.step()
                 actor_loss_value = total_loss.item()
+                self._check_finite("actor_loss", actor_loss_value)
+                self._check_finite("actor_grad_norm", actor_grad_norm)
+                self.actor_optimizer.step()
 
         return {
-            "critic_loss": critic_loss.item(),
+            "critic_loss": critic_loss_value,
             "actor_loss": actor_loss_value,
             "mean_abs_td_error": float(np.mean(np.abs(advantages))),
             "mean_value": float(np.mean(values.data)),
@@ -299,6 +327,20 @@ class CTDETrainer:
             "actor_grad_norm": float(actor_grad_norm),
             "policy_entropy": policy_entropy,
         }
+
+    def _check_finite(self, quantity, value):
+        """Stop the update on a non-finite loss or gradient norm: dump the
+        flight recorder and raise :class:`NonFiniteUpdateError` naming the
+        epoch being trained and the quantity."""
+        if math.isfinite(value):
+            return
+        epoch = self.epoch + 1
+        _flight.record("non_finite_update", epoch=epoch, quantity=quantity)
+        _flight.dump(
+            "non-finite-update",
+            extra={"epoch": epoch, "quantity": quantity, "value": repr(value)},
+        )
+        raise NonFiniteUpdateError(epoch, quantity, value)
 
     def train_epoch(self):
         """Collect one batch of episodes, update once, record metrics.

@@ -1,12 +1,13 @@
 """Flight recorder: an always-on ring of recent events for postmortems.
 
-The crash restart-and-requeue paths (``ShardedRolloutCollector``,
-``ShardedPolicyEngine``) deliberately swallow the evidence — the worker is
-dead, its state discarded, the work replayed.  The flight recorder keeps a
-fixed-size, lock-cheap ring of the last N structured events per process
-(span begin/end, commands, restarts, overflow terminations) so that when a
-worker crashes, an exception goes unhandled, or a serving shard restarts,
-the moments *before* the failure can be dumped to a postmortem file.
+The crash restart-and-requeue path (``ShardedRolloutCollector``)
+deliberately swallows the evidence — the worker is dead, its state
+discarded, the work replayed.  The flight recorder keeps a fixed-size,
+lock-cheap ring of the last N structured events per process (span
+begin/end, commands, restarts, overflow terminations) so that when a
+worker crashes, an exception goes unhandled, or a training update turns
+non-finite, the moments *before* the failure can be dumped to a
+postmortem file.
 
 Two ring backends:
 

@@ -3,11 +3,11 @@
 The paper's end state is per-user offloading decisions made online under
 heavy traffic; this package is that tier.  A checkpoint is loaded into a
 warm framework, concurrent decision requests are adaptively coalesced into
-single stacked circuit evaluations (:mod:`repro.serving.batcher`), new
+single stacked circuit evaluations (:mod:`repro.serving.batcher`), and new
 checkpoints hot-swap in between batches without dropping a request
-(:mod:`repro.serving.reload`), and batches can fan out across worker
-processes over the rollout workers' pipe protocol
-(:mod:`repro.serving.sharded`).
+(:mod:`repro.serving.reload`).  Every micro-batch is evaluated in the
+server's own process: a batch of 4-qubit actors costs less to evaluate
+than to ship to another process.
 ``docs/serving.md`` has the architecture tour.
 """
 
@@ -20,8 +20,7 @@ from repro.serving.engine import (
     select_actions,
 )
 from repro.serving.reload import CheckpointWatcher
-from repro.serving.server import PolicyServer, make_engine
-from repro.serving.sharded import ShardedPolicyEngine
+from repro.serving.server import PolicyServer
 
 __all__ = [
     "AsyncServingClient",
@@ -33,8 +32,6 @@ __all__ = [
     "PolicyServer",
     "ServerError",
     "ServingClient",
-    "ShardedPolicyEngine",
     "build_inference_framework",
-    "make_engine",
     "select_actions",
 ]

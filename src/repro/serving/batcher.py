@@ -59,9 +59,8 @@ class MicroBatcher:
     """Coalesce submit() calls into stacked engine evaluations.
 
     Args:
-        engine: A :class:`~repro.serving.engine.PolicyEngine` (or the
-            sharded variant) — anything with
-            ``act(observations, agents, greedy_mask)``.
+        engine: A :class:`~repro.serving.engine.PolicyEngine` — anything
+            with ``act(observations, agents, greedy_mask)``.
         max_batch: Most rows per flush.  Request groups are never split:
             a group larger than ``max_batch`` flushes as its own batch.
         max_wait_us: Longest the oldest queued row waits before a flush.

@@ -8,9 +8,9 @@ The engine owns everything the serving tier needs to turn a micro-batch of
 - the checkpoint *generation* counter — it increments exactly when a new
   checkpoint is swapped in, so every response can state which weights
   produced it;
-- the action-sampling stream.  Sampling always happens here, in the parent,
-  from parent-drawn uniforms — sharded workers only ever compute
-  probabilities — so responses are reproducible for any worker count.
+- the action-sampling stream.  Every row's uniform is drawn from this one
+  seeded stream, in batch order, so responses are reproducible under a
+  fixed ``sample_seed``.
 
 Hot reload goes through :meth:`PolicyEngine.load_shadow` (build + load +
 warm a second framework, off the event loop) followed by
@@ -39,10 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FrameworkSpec:
-    """Picklable recipe for building identical inference frameworks.
+    """Recipe for building identical inference frameworks.
 
-    Carried by the parent *and* shipped to sharded workers, so every shard
-    builds the same circuit structure and can load the same checkpoints.
+    The engine keeps it so a hot reload can build a shadow framework with
+    the same circuit structure and load the new checkpoint into it.
 
     Args:
         name: Framework arm (``"proposed"``, ``"comp1"``, ...).

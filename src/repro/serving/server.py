@@ -19,9 +19,9 @@ flush reason) to stderr.
 
 Every request is checked before it joins a micro-batch: its observation
 width must equal the policy's, every value must be finite and every agent
-must lie in ``[0, n_agents)``.  A failure answers 400 for that request
-alone; it never reaches the batch, so it cannot fail the requests flushed
-with it.  A failure while a batch is evaluated — a policy that is not a
+must be an integer in ``[0, n_agents)``.  A failure answers 400 for that
+request alone; it never reaches the batch, so it cannot fail the requests
+flushed with it.  A failure while a batch is evaluated — a policy that is not a
 distribution (non-finite weights, say) or an engine fault — is the
 server's, not the request's: every request in that batch answers 500
 naming the cause, and the server keeps serving.
@@ -51,23 +51,8 @@ from repro.marl.checkpoint import checkpoint_info
 from repro.serving.batcher import MicroBatcher, OverloadedError
 from repro.serving.engine import FrameworkSpec, PolicyEngine
 from repro.serving.reload import CheckpointWatcher
-from repro.serving.sharded import ShardedPolicyEngine
 
-__all__ = ["PolicyServer", "make_engine", "main"]
-
-
-def make_engine(spec, config, checkpoint_path=None):
-    """Build the in-process or sharded engine a config asks for."""
-    if config.workers > 1:
-        return ShardedPolicyEngine(
-            spec,
-            checkpoint_path=checkpoint_path,
-            n_workers=config.workers,
-            sample_seed=config.sample_seed,
-        )
-    return PolicyEngine(
-        spec, checkpoint_path=checkpoint_path, sample_seed=config.sample_seed
-    )
+__all__ = ["PolicyServer", "main"]
 
 
 async def _read_request(reader):
@@ -99,6 +84,21 @@ class _BatchFailure(RuntimeError):
     """Evaluating a request's micro-batch failed (answered with 500)."""
 
 
+def _agent_index(value):
+    """A request's agent as an ``int``; anything but a finite integral
+    number raises ``ValueError`` (answered 400).
+
+    ``json.loads`` reads ``Infinity`` and ``1e999`` as infinite floats,
+    which ``int()`` cannot convert, and ``int(1.5)`` would quietly serve
+    agent 1.
+    """
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"agent must be a finite integer, got {value!r}")
+
+
 def _write_response(writer, status, document, keep_alive=True):
     body = json.dumps(document).encode()
     connection = "keep-alive" if keep_alive else "close"
@@ -128,9 +128,10 @@ class PolicyServer:
         self.config = config if config is not None else ServingConfig()
         self.checkpoint_path = checkpoint_path
         if engine is None:
-            engine = make_engine(
+            engine = PolicyEngine(
                 spec if spec is not None else FrameworkSpec(),
-                self.config, checkpoint_path,
+                checkpoint_path=checkpoint_path,
+                sample_seed=self.config.sample_seed,
             )
         self.engine = engine
         env_config = engine.spec.env_config
@@ -169,10 +170,9 @@ class PolicyServer:
         # /metrics surface is part of its contract.  The previous flag is
         # restored on stop() so embedding tests don't leak the enable.
         self._obs_prev = obs.set_enabled(True)
-        # One trace spans the server's lifetime; every request span (and,
-        # through the shard pipes, every shard-eval span) parents back
-        # to the ``serving.server`` root, whose event is emitted at stop()
-        # once its duration is known.
+        # One trace spans the server's lifetime; every request span parents
+        # back to the ``serving.server`` root, whose event is emitted at
+        # stop() once its duration is known.
         self._trace_owner = not _trace.active()
         obs.begin_trace(label="serving")
         self._trace_root = _trace.new_span_id()
@@ -241,18 +241,11 @@ class PolicyServer:
     def _apply_checkpoint(self, path, header):
         """Watcher-thread callback: shadow-load, then swap on the loop.
 
-        In-process engines pay the build+load+warm cost here, off the loop;
-        the loop only executes the pointer flip (between batches).  Sharded
-        engines instead broadcast the load on the loop — worker channels
-        are not thread-safe, so the exchange must be serialised with
-        inference, and it must not interleave with an in-flight batch.
+        The build+load+warm cost is paid here, off the loop; the loop only
+        executes the pointer flip (between batches).
         """
-        engine = self.engine
-        if hasattr(engine, "load_shadow"):
-            shadow = engine.load_shadow(path)
-            self._loop.call_soon_threadsafe(engine.swap, shadow, path)
-        else:
-            self._loop.call_soon_threadsafe(engine.load, path)
+        shadow = self.engine.load_shadow(path)
+        self._loop.call_soon_threadsafe(self.engine.swap, shadow, path)
 
     # -- request handling -----------------------------------------------------
 
@@ -388,7 +381,7 @@ class PolicyServer:
         observation = np.asarray(payload["observation"], dtype=np.float64)
         if observation.ndim != 1:
             raise ValueError("observation must be a flat vector")
-        agent = int(payload["agent"])
+        agent = _agent_index(payload["agent"])
         greedy = bool(payload.get("greedy", False))
         self._check_rows(observation[None], (agent,))
         with obs.span("serving.request") as request_span:
@@ -410,7 +403,7 @@ class PolicyServer:
         observations = np.asarray(payload["observations"], dtype=np.float64)
         if observations.ndim != 2:
             raise ValueError("observations must be (R, obs_size)")
-        agents = [int(a) for a in payload["agents"]]
+        agents = [_agent_index(a) for a in payload["agents"]]
         greedy = payload.get("greedy", False)
         if isinstance(greedy, bool):
             greedy = [greedy] * len(agents)
@@ -441,7 +434,6 @@ class PolicyServer:
             "status": "ok",
             "generation": self.engine.generation,
             "checkpoint": self.engine.checkpoint_path,
-            "workers": getattr(self.engine, "n_workers", 1),
         }
 
     def _stats(self):
@@ -459,9 +451,6 @@ class PolicyServer:
         }
         if self.watcher is not None:
             document["reload"] = dict(self.watcher.stats)
-        restarts = getattr(self.engine, "total_restarts", None)
-        if restarts is not None:
-            document["worker_restarts"] = restarts
         return document
 
     def _metrics(self):
@@ -513,9 +502,6 @@ class PolicyServer:
         }
         if self.watcher is not None:
             document["reload"] = dict(self.watcher.stats)
-        restarts = getattr(self.engine, "total_restarts", None)
-        if restarts is not None:
-            document["worker_restarts"] = restarts
         return document
 
 
@@ -531,14 +517,13 @@ def main(argv=None):
     parser.add_argument("--max-wait-us", type=int, default=2000)
     parser.add_argument("--reload-poll-ms", type=int, default=200,
                         help="checkpoint watcher poll interval (0 disables)")
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--log-requests", action="store_true",
                         help="emit one structured JSON access-log line per "
                              "request to stderr (off by default)")
     parser.add_argument("--flight-dir", default=None,
                         help="directory for flight-recorder postmortem "
-                             "dumps (worker crashes, unhandled exceptions); "
-                             "unset disables dumping")
+                             "dumps (unhandled exceptions); unset disables "
+                             "dumping")
     args = parser.parse_args(argv)
 
     if args.flight_dir:
@@ -549,7 +534,6 @@ def main(argv=None):
         max_batch=args.max_batch,
         max_wait_us=args.max_wait_us,
         reload_poll_ms=args.reload_poll_ms,
-        workers=args.workers,
         host=args.host,
         port=args.port,
         log_requests=args.log_requests,
@@ -559,7 +543,10 @@ def main(argv=None):
     async def _serve():
         server = PolicyServer(spec, config, checkpoint_path=args.checkpoint)
         await server.start()
-        print(f"serving {args.framework} on {config.host}:{server.port}")
+        # Flushed: with --port 0 a supervisor reading a pipe learns the
+        # bound port from this line.
+        print(f"serving {args.framework} on {config.host}:{server.port}",
+              flush=True)
         try:
             await server.serve_forever()
         finally:

@@ -134,6 +134,20 @@ class TestTrainingConfig:
             {"rollout_mode": ""},
             {"rollout_transport": "tcp"},
             {"rollout_transport": "Shm"},
+            # Non-finite training knobs fail at construction, not as NaN
+            # weights epochs later.
+            {"actor_lr": float("nan")},
+            {"actor_lr": float("inf")},
+            {"critic_lr": float("nan")},
+            {"critic_lr": float("inf")},
+            {"entropy_coef": float("nan")},
+            {"entropy_coef": float("inf")},
+            {"entropy_coef": -0.1},
+            {"grad_clip": float("nan")},
+            {"grad_clip": float("inf")},
+            # A negative bound flips every gradient; 0 zeroes them.
+            {"grad_clip": -1.0},
+            {"grad_clip": 0.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -149,6 +163,22 @@ class TestTrainingConfig:
             TrainingConfig(rollout_workers=0)
         with pytest.raises(ValueError, match="rollout_mode"):
             TrainingConfig(rollout_mode="threads")
+
+    @pytest.mark.parametrize(
+        "field, trainer",
+        [
+            ("actor_lr", "mapg"),
+            ("critic_lr", "mapg"),
+            ("entropy_coef", "mapg"),
+            ("grad_clip", "mapg"),
+            ("es_sigma", "es"),
+            ("es_lr", "es"),
+            ("es_weight_decay", "es"),
+        ],
+    )
+    def test_non_finite_knob_names_the_field(self, field, trainer):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            TrainingConfig(trainer=trainer, **{field: float("nan")})
 
     def test_rollout_modes_accepted(self):
         for mode in ("auto", "serial", "vector", "sharded"):
@@ -213,14 +243,13 @@ class TestServingConfig:
     def test_defaults_valid(self):
         cfg = ServingConfig()
         assert cfg.max_batch == 32
-        assert cfg.workers == 1
+        assert cfg.max_wait_us == 2000
 
     @pytest.mark.parametrize("overrides", [
         {"max_batch": 0},
         {"max_batch": 1.5},
         {"max_wait_us": -1},
         {"max_pending": -1},
-        {"workers": 0},
         {"reload_poll_ms": -5},
         {"port": 70000},
     ])
@@ -228,11 +257,17 @@ class TestServingConfig:
         with pytest.raises(ValueError):
             ServingConfig(**overrides)
 
-    @pytest.mark.parametrize("transport", ["auto", "pipe", "shm"])
-    def test_transport_knob_removed(self, transport):
-        """Sharded serving has one transport, so the knob is gone."""
-        with pytest.raises(TypeError, match="transport"):
-            ServingConfig(workers=2, transport=transport)
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("transport", "auto"), ("transport", "pipe"), ("transport", "shm"),
+         ("workers", 2)],
+        ids=["auto", "pipe", "shm", "workers"],
+    )
+    def test_transport_knob_removed(self, knob, value):
+        """Serving evaluates every batch in-process: the worker count and
+        the transport between workers are gone."""
+        with pytest.raises(TypeError, match=knob):
+            ServingConfig(**{knob: value})
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -274,6 +309,13 @@ class TestTrainerSelection:
             # ... and a single member with sigma>0 can never update.
             {"trainer": "es", "es_population": 1},
             {"trainer": "es", "es_population": 1, "es_sigma": 0.2},
+            # Non-finite ES knobs.
+            {"trainer": "es", "es_sigma": float("nan")},
+            {"trainer": "es", "es_sigma": float("inf")},
+            {"trainer": "es", "es_lr": float("nan")},
+            {"trainer": "es", "es_lr": float("inf")},
+            {"trainer": "es", "es_weight_decay": float("nan")},
+            {"trainer": "es", "es_weight_decay": float("inf")},
         ],
     )
     def test_bad_es_knobs_rejected(self, kwargs):

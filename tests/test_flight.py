@@ -8,9 +8,8 @@ The contracts under test:
   the damaged events — the torn-write protection a SIGKILL relies on;
 - dumping is gated on a configured directory and the enable flag, so
   crash-heavy suites don't litter postmortems;
-- a worker killed mid-collect leaves a postmortem carrying its recovered
-  file ring (the commands it was serving when it died), for both the
-  rollout pool and the serving shards;
+- a rollout worker killed mid-collect leaves a postmortem carrying its
+  recovered file ring (the commands it was serving when it died);
 - the excepthook dumps once, installs idempotently, and defers to the
   prior hook.
 """
@@ -22,12 +21,9 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.config import SingleHopConfig
 from repro.marl.parallel import ShardedRolloutCollector
 from repro.obs import flight
 from repro.obs import trace as obs_trace
-from repro.serving import ShardedPolicyEngine
-from repro.serving.engine import FrameworkSpec
 
 from tests.helpers import make_classical_team, make_offload_env
 
@@ -246,31 +242,3 @@ class TestCrashPostmortem:
             pool.collect(4, rng)
             assert pool.total_restarts == 1
         assert list(tmp_path.iterdir()) == []
-
-    def test_killed_serving_shard_leaves_a_postmortem(self, tmp_path):
-        flight.set_dump_dir(str(tmp_path))
-        spec = FrameworkSpec(
-            name="proposed", env_config=SingleHopConfig(episode_limit=5)
-        )
-        engine = ShardedPolicyEngine(spec, n_workers=2)
-        try:
-            rng = np.random.default_rng(5)
-            observations = rng.uniform(
-                size=(4, spec.env_config.observation_size)
-            )
-            agents = [0, 1, 0, 1]
-            engine.infer(observations, agents)
-            engine._workers[0].process.kill()
-            engine._workers[0].process.join(timeout=5.0)
-            engine.infer(observations, agents)
-            assert engine.total_restarts >= 1
-        finally:
-            engine.close()
-        dumps = list(tmp_path.glob("flight-serving-worker-restart-*.json"))
-        assert len(dumps) == 1
-        document = json.loads(dumps[0].read_text())
-        assert document["extra"]["worker"] == "repro-serving-0"
-        commands = [e["command"] for e in document["worker_events"]
-                    if e["kind"] == "command"]
-        assert "init" in commands and "infer" in commands
-        assert list(tmp_path.glob("*.ring")) == []

@@ -1,4 +1,4 @@
-"""Tests for the policy-serving tier: batcher, engine, reload, shards, HTTP.
+"""Tests for the policy-serving tier: batcher, engine, reload, HTTP, CLI.
 
 The serving contract under test:
 
@@ -9,16 +9,24 @@ The serving contract under test:
   never results;
 - hot reload swaps verified checkpoints between batches, drops zero
   requests under sustained load, and never serves a torn pair;
-- the sharded engine is answer-identical to the in-process one, survives
-  worker crashes, and a failed batch leaves no reply behind for the next;
+- a malformed request (bad observation, agent that is not an integer in
+  range) answers 400 alone and keeps its connection open;
 - a policy that is not a distribution, or any fault while a batch is
-  evaluated, answers 500 naming the cause — never 200 or a dropped socket.
+  evaluated, answers 500 naming the cause — never 200 or a dropped socket;
+- the CLI announces its bound port on a pipe at once and exits cleanly
+  on SIGINT.
 """
 
 import asyncio
+import http.client
 import io
 import json
+import os
+import selectors
 import shutil
+import signal
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -27,7 +35,6 @@ from repro import obs
 from repro.config import ServingConfig, SingleHopConfig, TrainingConfig
 from repro.marl.checkpoint import checkpoint_info, save_checkpoint
 from repro.marl.frameworks import build_framework
-from repro.marl.parallel import WorkerTaskError
 from repro.serving import (
     AsyncServingClient,
     CheckpointWatcher,
@@ -36,11 +43,11 @@ from repro.serving import (
     PolicyEngine,
     PolicyServer,
     ServerError,
-    ShardedPolicyEngine,
     select_actions,
 )
 from repro.serving.engine import FrameworkSpec
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 ENV = SingleHopConfig(episode_limit=5)
 TRAIN = TrainingConfig(episodes_per_epoch=1, actor_lr=1e-3, critic_lr=1e-3)
 SPEC = FrameworkSpec(name="proposed", env_config=ENV)
@@ -395,89 +402,6 @@ class TestHotReloadUnderLoad:
         assert all(r["action"] == expected_after for r in post_swap)
 
 
-class TestShardedEngine:
-    def test_matches_in_process_engine(self, checkpoints, rng):
-        reference = PolicyEngine(
-            SPEC, checkpoint_path=checkpoints["paths"]["a"], sample_seed=5
-        )
-        sharded = ShardedPolicyEngine(
-            SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
-            sample_seed=5,
-        )
-        try:
-            observations = rng.uniform(size=(7, ENV.observation_size))
-            agents = rng.integers(0, ENV.n_agents, size=7)
-            probs_ref, _ = reference.infer(observations, agents)
-            probs_shard, _ = sharded.infer(observations, agents)
-            assert np.allclose(probs_shard, probs_ref, atol=1e-12)
-
-            # Parent-side sampling: identical streams => identical actions
-            # regardless of worker count.
-            greedy = [False, True] * 3 + [False]
-            actions_ref = reference.act(observations, agents, greedy)[0]
-            actions_shard = sharded.act(observations, agents, greedy)[0]
-            assert np.array_equal(actions_shard, actions_ref)
-
-            # A broadcast reload keeps parity and flips the generation once.
-            reference.load(checkpoints["paths"]["b"])
-            sharded.load(checkpoints["paths"]["b"])
-            assert sharded.generation == 2
-            probs_ref, _ = reference.infer(observations, agents)
-            probs_shard, _ = sharded.infer(observations, agents)
-            assert np.allclose(probs_shard, probs_ref, atol=1e-12)
-        finally:
-            sharded.close()
-            reference.close()
-
-    def test_worker_crash_restarts_and_answers(self, checkpoints, rng):
-        sharded = ShardedPolicyEngine(
-            SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
-        )
-        reference = PolicyEngine(SPEC,
-                                 checkpoint_path=checkpoints["paths"]["a"])
-        try:
-            observations = rng.uniform(size=(4, ENV.observation_size))
-            agents = [0, 1, 0, 1]
-            sharded._workers[0].process.kill()
-            sharded._workers[0].process.join(timeout=5.0)
-            probs, _ = sharded.infer(observations, agents)
-            expected, _ = reference.infer(observations, agents)
-            assert np.allclose(probs, expected, atol=1e-12)
-            assert sharded.total_restarts >= 1
-            # The restarted worker reloaded the broadcast checkpoint.
-            assert sharded.ping() == ["pong", "pong"]
-        finally:
-            sharded.close()
-            reference.close()
-
-    @pytest.mark.parametrize(
-        "bad_agents", [[99, 1, 2, 3], [99, 1, 2, 99]],
-        ids=["first_shard_fails", "both_shards_fail"],
-    )
-    def test_failed_batch_leaves_no_stale_reply(self, checkpoints, rng,
-                                                bad_agents):
-        """Every shard's reply to a failed batch is drained, so the next
-        batch is answered from its own rows, not the failed batch's."""
-        sharded = ShardedPolicyEngine(
-            SPEC, checkpoint_path=checkpoints["paths"]["a"], n_workers=2,
-        )
-        reference = PolicyEngine(SPEC,
-                                 checkpoint_path=checkpoints["paths"]["a"])
-        try:
-            failed = rng.uniform(size=(4, ENV.observation_size))
-            with pytest.raises(WorkerTaskError):
-                sharded.infer(failed, bad_agents)
-            observations = rng.uniform(size=(4, ENV.observation_size))
-            agents = [3, 2, 1, 0]
-            probs, _ = sharded.infer(observations, agents)
-            expected, _ = reference.infer(observations, agents)
-            assert np.allclose(probs, expected, atol=1e-12)
-            assert sharded.ping() == ["pong", "pong"]
-        finally:
-            sharded.close()
-            reference.close()
-
-
 class TestServerHTTP:
     def test_end_to_end_routes(self, checkpoints, rng):
         source = checkpoints["frameworks"]["a"]
@@ -611,6 +535,61 @@ class TestRequestValidation:
         statuses, reply = self._serve(checkpoints, scenario, 500)
         assert statuses == [400, 400]
         assert 0 <= reply["action"] < ENV.n_clouds * len(ENV.packet_amounts)
+
+    def test_agent_must_be_a_finite_integer(self, checkpoints):
+        """``json.loads`` reads ``Infinity`` and ``1e999`` as infinite
+        floats, which ``int()`` cannot convert, and ``int(1.5)`` would
+        serve agent 1: each answers 400 naming the agent, and the
+        connection keeps answering."""
+        observation = json.dumps([0.5] * ENV.observation_size)
+        bodies = [
+            ("/v1/act", f'{{"observation": {observation}, '
+                        f'"agent": Infinity}}', "inf"),
+            ("/v1/act", f'{{"observation": {observation}, '
+                        f'"agent": 1e999}}', "inf"),
+            ("/v1/act-batch", f'{{"observations": [{observation}], '
+                              f'"agents": [-Infinity]}}', "-inf"),
+            ("/v1/act", f'{{"observation": {observation}, '
+                        f'"agent": 1.5}}', "1.5"),
+        ]
+
+        def exchange(port):
+            # Raw bodies: the client would encode infinity as "Infinity".
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            try:
+                replies = []
+                for path, body, _ in bodies:
+                    connection.request("POST", path, body=body.encode())
+                    response = connection.getresponse()
+                    replies.append(
+                        (response.status, json.loads(response.read()))
+                    )
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                return replies, response.status, json.loads(response.read())
+            finally:
+                connection.close()
+
+        async def main():
+            config = ServingConfig(port=0, reload_poll_ms=0, max_wait_us=500)
+            server = PolicyServer(SPEC, config,
+                                  checkpoint_path=checkpoints["paths"]["a"])
+            await server.start()
+            try:
+                out = await asyncio.to_thread(exchange, server.port)
+            finally:
+                await server.stop()
+            return out, server.error_count
+
+        (replies, health_status, health), errors = run(main())
+        for (status, document), (_, _, shown) in zip(replies, bodies):
+            assert status == 400
+            assert document["error"] == (
+                f"agent must be a finite integer, got {shown}"
+            )
+        assert health_status == 200 and health["status"] == "ok"
+        assert errors == 4
 
 
 class TestEvaluationFailures:
@@ -823,7 +802,7 @@ class TestAccessLog:
 
 class TestRequestTracing:
     """The server's causal-trace surface: response request ids, trace-tagged
-    access logs, and the merged cross-process trace tree."""
+    access logs, and one trace tree per server lifetime."""
 
     def test_responses_and_log_lines_carry_trace_ids(self, checkpoints, rng):
         observations = rng.uniform(size=(3, ENV.observation_size))
@@ -867,7 +846,7 @@ class TestRequestTracing:
         assert {line["trace_id"] for line in lines} == {out["trace"]}
         assert {line["span_id"] for line in lines} == set(tokens.values())
 
-    def test_concurrent_sharded_serving_forms_one_trace_tree(
+    def test_concurrent_serving_forms_one_trace_tree(
             self, checkpoints, rng, tmp_path):
         from repro.obs import spans as obs_spans
         from repro.obs import trace as obs_trace
@@ -877,7 +856,7 @@ class TestRequestTracing:
 
         async def scenario():
             config = ServingConfig(port=0, reload_poll_ms=0, max_batch=4,
-                                   max_wait_us=2000, workers=2)
+                                   max_wait_us=2000)
             server = PolicyServer(SPEC, config,
                                   checkpoint_path=checkpoints["paths"]["a"])
             await server.start()
@@ -906,14 +885,72 @@ class TestRequestTracing:
                  if e.get("kind") == "span" and e.get("span_id")]
         names = {e["name"] for e in spans}
         assert {"serving.server", "serving.request", "serving.batch",
-                "serving.queue_wait", "serving.shard_eval"} <= names
+                "serving.queue_wait"} <= names
+        assert "serving.shard_eval" not in names
         assert sum(e["name"] == "serving.request" for e in spans) == 6
         assert sum(e["name"] == "serving.queue_wait" for e in spans) == 6
-        # One trace, one root (the server's lifetime span), and a lane for
-        # the parent plus each shard process.
+        # One trace, one root (the server's lifetime span), and every
+        # batch evaluated in the server's own process.
         assert len({e["trace_id"] for e in spans}) == 1
         (root,) = [e for e in spans if e["name"] == "serving.server"]
         assert obs_trace.connected_roots(events) == [root["span_id"]]
-        assert len({e["pid"] for e in spans}) == 3
+        assert {e["pid"] for e in spans} == {os.getpid()}
         doc = obs_trace.to_chrome_trace(events)
         assert obs_trace.validate_chrome_trace(doc) == []
+
+
+class TestCommandLine:
+    """``python -m repro.serving.server`` as a supervisor runs it: stdout
+    is a pipe and ``PYTHONUNBUFFERED`` is unset."""
+
+    @staticmethod
+    def _child_env():
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        return env
+
+    def test_startup_line_reaches_a_pipe_and_sigint_exits_cleanly(self):
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serving.server", "--port", "0",
+             "--reload-poll-ms", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=self._child_env(),
+        )
+        try:
+            # Wait for the line without a blocking read: a buffered line
+            # only shows up at exit, and that must fail, not hang.
+            with selectors.DefaultSelector() as selector:
+                selector.register(process.stdout, selectors.EVENT_READ)
+                ready = selector.select(timeout=60)
+            assert ready, "no startup line within 60 s"
+            line = process.stdout.readline()
+            assert line.startswith("serving proposed on 127.0.0.1:"), line
+            port = int(line.rsplit(":", 1)[1])
+            connection = http.client.HTTPConnection("127.0.0.1", port,
+                                                    timeout=30)
+            try:
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                health = json.loads(response.read())
+            finally:
+                connection.close()
+            assert response.status == 200
+            assert health["status"] == "ok"
+            assert "workers" not in health
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=30) == 0, process.stderr.read()
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+            process.stdout.close()
+            process.stderr.close()
+
+    def test_workers_flag_is_gone(self):
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.serving.server", "--workers", "2"],
+            capture_output=True, text=True, env=self._child_env(),
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert "unrecognized arguments: --workers 2" in result.stderr

@@ -1,14 +1,22 @@
 """Unit tests for the CTDE trainer (Algorithm 1)."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.single_hop import SingleHopOffloadEnv
+from repro.marl import mapg
 from repro.marl.actors import ActorGroup, ClassicalActor, RandomActor
 from repro.marl.frameworks import build_framework
 from repro.marl.critics import ClassicalCentralCritic
-from repro.marl.trainer import CTDETrainer, rollout_episode
+from repro.marl.trainer import (
+    CTDETrainer,
+    NonFiniteUpdateError,
+    rollout_episode,
+)
+from repro.obs import flight
 
 
 def tiny_setup(seed=0, episode_limit=6, initial_queue_level=0.5,
@@ -168,6 +176,82 @@ class TestTrainerMechanics:
         trainer = tiny_setup(entropy_coef=0.05)
         record = trainer.train_epoch()
         assert np.isfinite(record["actor_loss"])
+
+
+class TestNonFiniteUpdateGuard:
+    """A non-finite loss or gradient norm stops the update before the
+    optimizer step that would apply it: the error names the epoch and the
+    quantity, the flight recorder is dumped, and the weights a checkpoint
+    would save keep their finite values."""
+
+    @pytest.fixture
+    def dump_dir(self, tmp_path):
+        prior = flight.set_dump_dir(str(tmp_path))
+        yield tmp_path
+        flight.set_dump_dir(prior)
+
+    @staticmethod
+    def snapshot(module):
+        return [p.data.copy() for p in module.parameters()]
+
+    @staticmethod
+    def unchanged(before, module):
+        return all(
+            np.array_equal(b, p.data, equal_nan=True)
+            for b, p in zip(before, module.parameters())
+        )
+
+    @pytest.mark.parametrize("name", ["proposed", "comp2"])
+    def test_nan_critic_weight_stops_epoch_one(self, name, dump_dir):
+        """A resumed checkpoint can bring in a NaN critic weight; epoch 1
+        used to train through it and leave NaN actor weights."""
+        framework = build_framework(
+            name, seed=3, env_config=SingleHopConfig(episode_limit=5),
+            train_config=TrainingConfig(episodes_per_epoch=2),
+        )
+        try:
+            trainer = framework.trainer
+            trainer.critic.parameters()[0].data.flat[0] = np.nan
+            actors = self.snapshot(trainer.actors)
+            critic = self.snapshot(trainer.critic)
+            with pytest.raises(NonFiniteUpdateError,
+                               match="^epoch 1: critic_loss is nan") as info:
+                trainer.train_epoch()
+            assert (info.value.epoch, info.value.quantity) == (
+                1, "critic_loss"
+            )
+            assert self.unchanged(actors, trainer.actors)
+            assert self.unchanged(critic, trainer.critic)
+            assert trainer.epoch == 0 and trainer.history.n_epochs == 0
+        finally:
+            framework.close()
+        (dump,) = dump_dir.glob("flight-non-finite-update-*.json")
+        document = json.loads(dump.read_text())
+        assert document["extra"] == {
+            "epoch": 1, "quantity": "critic_loss", "value": "nan",
+        }
+        assert any(e["kind"] == "non_finite_update"
+                   for e in document["events"])
+
+    def test_non_finite_actor_loss_stops_before_the_actor_step(
+            self, monkeypatch, dump_dir):
+        trainer = tiny_setup()
+        trainer.train_epoch()
+        team_actor_loss = mapg.team_actor_loss
+        monkeypatch.setattr(
+            mapg, "team_actor_loss",
+            lambda *args, **kwargs: team_actor_loss(*args, **kwargs)
+            * float("nan"),
+        )
+        actors = self.snapshot(trainer.actors)
+        critic = self.snapshot(trainer.critic)
+        with pytest.raises(NonFiniteUpdateError,
+                           match="^epoch 2: actor_loss is nan"):
+            trainer.train_epoch()
+        assert self.unchanged(actors, trainer.actors)
+        # The critic's step ran: its own loss and norm were finite.
+        assert not self.unchanged(critic, trainer.critic)
+        assert len(list(dump_dir.glob("flight-non-finite-update-*"))) == 1
 
 
 class TestVectorizedCollection:

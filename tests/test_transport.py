@@ -236,9 +236,9 @@ class TestRngStates:
 
 
 def test_sharded_pool_uses_no_shared_memory():
-    """A sharded collect and a sharded serving batch, in a fresh
-    interpreter, never import ``multiprocessing.shared_memory`` and never
-    start multiprocessing's resource-tracker process."""
+    """A sharded collect, in a fresh interpreter, never imports
+    ``multiprocessing.shared_memory`` and never starts multiprocessing's
+    resource-tracker process."""
     script = """
 import sys
 import numpy as np
@@ -247,8 +247,6 @@ from repro.config import SingleHopConfig
 from repro.marl.actors import ActorGroup, ClassicalActor
 from repro.marl.parallel import ShardedRolloutCollector
 from repro.envs.single_hop import SingleHopOffloadEnv
-from repro.serving import ShardedPolicyEngine
-from repro.serving.engine import FrameworkSpec
 
 env = SingleHopOffloadEnv(SingleHopConfig(episode_limit=3),
                           rng=np.random.default_rng(0))
@@ -256,9 +254,6 @@ actors = ActorGroup([ClassicalActor(4, 4, (), np.random.default_rng(i))
                      for i in range(4)])
 with ShardedRolloutCollector(env, actors, n_envs=2, n_workers=2) as pool:
     pool.collect(2, np.random.default_rng(1))
-spec = FrameworkSpec("comp2", env_config=SingleHopConfig(episode_limit=3))
-with ShardedPolicyEngine(spec, n_workers=2) as engine:
-    engine.infer(np.zeros((3, 4)), [0, 1, 2])
 print("multiprocessing.shared_memory" in sys.modules,
       resource_tracker._resource_tracker._pid)
 """
