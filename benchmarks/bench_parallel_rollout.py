@@ -13,12 +13,11 @@ actor framework ("proposed") for the three interchangeable engines:
   locally and replying over its pickle-pipe (rows keep the ``_pipe``
   suffix of the committed ``BENCH_parallel_rollout.json``).
 
-A **ragged axis** measures the batched engines on the overflow-terminating
-env family (``terminate_on_overflow=True``), where the sharded engine runs
-the bounded-probe stopping-round negotiation instead of the one-command
-fast path.  Ragged episode lengths vary, so those records report completed
-episodes per second and a ``ragged_vs_fixed`` ratio against the same
-engine's fixed-length episode rate.
+A **ragged axis** measures the vector engine on the overflow-terminating
+env family (``terminate_on_overflow=True``); the sharded engine serves
+fixed-length envs only and rejects it.  Ragged episode lengths vary, so
+that record reports completed episodes per second and a
+``ragged_vs_fixed`` ratio against the engine's fixed-length episode rate.
 
 The standalone entry point prints a summary table and writes the
 machine-readable ``BENCH_parallel_rollout.json`` (steps/s per engine plus
@@ -69,9 +68,9 @@ def _build_actors(episode_limit=EPISODE_LIMIT):
 
 
 def _make_env(episode_limit=EPISODE_LIMIT, ragged=False):
-    # The ragged variant is the overflow-terminating env family the ragged
-    # round protocol runs on: episode_limit becomes a horizon cap and the
-    # queue preload makes early endings common (see tests/helpers.py).
+    # The ragged variant is the overflow-terminating env family:
+    # episode_limit becomes a horizon cap and the queue preload makes early
+    # endings common (see tests/helpers.py).
     config = SingleHopConfig(
         episode_limit=episode_limit,
         terminate_on_overflow=ragged,
@@ -90,11 +89,10 @@ def _make_vector_collector(n_envs, actors=None, episode_limit=EPISODE_LIMIT,
 
 
 def _make_sharded_collector(n_envs, n_workers, actors=None,
-                            episode_limit=EPISODE_LIMIT, ragged=False):
+                            episode_limit=EPISODE_LIMIT):
     actors = actors if actors is not None else _build_actors(episode_limit)
     return ShardedRolloutCollector(
-        _make_env(episode_limit, ragged=ragged), actors,
-        n_envs=n_envs, n_workers=n_workers,
+        _make_env(episode_limit), actors, n_envs=n_envs, n_workers=n_workers,
     )
 
 
@@ -146,22 +144,6 @@ def test_sharded_rollout_w4(benchmark):
     _bench_sharded(benchmark, 4)
 
 
-def test_sharded_rollout_w2_ragged(benchmark):
-    """Worker-pool engine on the ragged env family: the bounded-probe
-    stopping-round negotiation instead of the one-command fast path."""
-    collector = _make_sharded_collector(N_ENVS, 2, ragged=True)
-    rng = np.random.default_rng(SEED + 1)
-    try:
-        benchmark.pedantic(
-            lambda: collector.collect(N_ENVS, rng),
-            rounds=3, iterations=1, warmup_rounds=1,
-        )
-        benchmark.extra_info["episodes_per_round"] = N_ENVS
-        benchmark.extra_info["ragged"] = True
-    finally:
-        collector.close()
-
-
 # -- standalone steps/s table + JSON artifact ---------------------------------
 
 def _measure(fn, env_steps, repeats=3):
@@ -196,7 +178,6 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
         "env_steps_per_s": vector_rate, "n_envs": n_envs,
     }
 
-    sharded_rates = {}
     for n_workers in worker_counts:
         sharded = _make_sharded_collector(
             n_envs, n_workers, episode_limit=episode_limit
@@ -208,7 +189,6 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
             )
         finally:
             sharded.close()
-        sharded_rates[n_workers] = rate
         engines[f"sharded_n{n_envs}_w{n_workers}_pipe"] = {
             "env_steps_per_s": rate,
             "n_envs": n_envs,
@@ -217,13 +197,11 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
             "speedup_vs_serial": rate / serial_rate,
         }
 
-    # Ragged axis: the same engines on the overflow-terminating env family
-    # (the sharded engines run the bounded-probe stopping-round negotiation
-    # instead of the one-command fast path).  Episode lengths vary under
+    # Ragged axis: the vector engine on the overflow-terminating env family
+    # (the sharded engine rejects it).  Episode lengths vary under
     # data-dependent termination, so the honest unit here is completed
     # episodes per second; ``ragged_vs_fixed`` compares against the same
-    # engine's fixed-length episode rate, folding together the protocol
-    # overhead and the shorter episodes.
+    # engine's fixed-length episode rate.
     ragged_vector = _make_vector_collector(
         n_envs, episode_limit=episode_limit, ragged=True
     )
@@ -238,25 +216,6 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
             ragged_vector_rate / (vector_rate / episode_limit)
         ),
     }
-    for n_workers in worker_counts:
-        sharded = _make_sharded_collector(
-            n_envs, n_workers, episode_limit=episode_limit, ragged=True,
-        )
-        try:
-            rate = _measure(
-                lambda: sharded.collect(n_envs, rng), n_envs, repeats
-            )
-        finally:
-            sharded.close()
-        engines[f"sharded_n{n_envs}_w{n_workers}_pipe_ragged"] = {
-            "episodes_per_s": rate,
-            "n_envs": n_envs,
-            "n_workers": n_workers,
-            "ragged": True,
-            "ragged_vs_fixed": (
-                rate / (sharded_rates[n_workers] / episode_limit)
-            ),
-        }
 
     for record in engines.values():
         if "env_steps_per_s" in record:

@@ -1,8 +1,8 @@
 """Experiment configuration dataclasses.
 
 Defaults reproduce Table II of the paper.  Quantities the paper leaves
-unspecified (marked below) use documented, overridable defaults; DESIGN.md
-section 2 lists them all.
+unspecified are marked "(unspecified; ...)" in the field docstrings below,
+with the documented, overridable default each uses.
 """
 
 from __future__ import annotations
@@ -191,7 +191,9 @@ class TrainingConfig:
             bit-identically to the serial reference rollout.
         rollout_workers: Worker processes the sharded engine splits the
             lockstep copies across (clamped to the effective copy count).
-            Any worker count is bit-identical to the in-process vectorized
+            Fixed-length envs only: the sharded engine rejects an env with
+            data-dependent termination, so keep 1 for ragged envs.  Any
+            worker count is bit-identical to the in-process vectorized
             path under a fixed seed; 1 keeps collection in-process unless
             ``rollout_mode="sharded"`` forces the pool.
         rollout_mode: ``"auto"`` — shard collection across processes when

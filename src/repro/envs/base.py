@@ -100,11 +100,11 @@ class MultiAgentEnv:
     state_size = 0
 
     #: Whether episodes can end *before* the horizon on a data-dependent
-    #: event (e.g. a queue overflow).  The vectorized and sharded rollout
-    #: engines consult this flag: fixed-length envs keep the lockstep fast
-    #: path, ragged envs get per-row episode boundaries.  Subclasses with
-    #: data-dependent termination must override this (attribute or
-    #: property) to return True.
+    #: event (e.g. a queue overflow).  The serial and vector engines collect
+    #: such ragged envs; the sharded engines and the ES trainer reject them,
+    #: since they need every row to end an episode every ``episode_limit``
+    #: rounds.  Subclasses with data-dependent termination must override
+    #: this (attribute or property) to return True.
     has_data_dependent_termination = False
 
     def reset(self):

@@ -22,7 +22,7 @@ __all__ = ["FIG3_METRICS", "PRESETS", "preset_settings", "run_fig3"]
 FIG3_METRICS = ("total_reward", "mean_queue", "empty_ratio", "overflow_ratio")
 
 # Calibrated training settings (the paper leaves gamma / batch / episode
-# length unspecified; DESIGN.md section 2 documents these choices).
+# length unspecified; the TrainingConfig field docstrings mark each one).
 _TRAIN_KW = {
     "episodes_per_epoch": 4,
     "gamma": 0.95,

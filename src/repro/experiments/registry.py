@@ -1,6 +1,6 @@
 """Experiment registry: one named entry per paper table/figure + ablations.
 
-Maps experiment identifiers (as used in DESIGN.md's per-experiment index)
+Maps experiment identifiers (as listed by ``repro-experiment list``)
 to runner callables, so the CLI, the benchmarks and the tests all launch
 experiments through one front door.
 """
@@ -77,7 +77,7 @@ EXPERIMENTS = {
             "ablation-gradients",
             "Adjoint vs parameter-shift vs finite differences",
             ablations.run_gradient_methods,
-            "Methodology (DESIGN.md ABL-GRAD)",
+            "Methodology (VQCConfig.gradient_method)",
         ),
         ExperimentSpec(
             "ablation-noise",

@@ -360,6 +360,15 @@ class ActorGroup:
                 actions.append(actor.sample_action(obs, rng))
         return actions
 
+    def check_greedy_support(self):
+        """Raise ``RuntimeError`` if some actor has no greedy action."""
+        for actor in self.actors:
+            if not getattr(actor, "supports_greedy", True):
+                raise RuntimeError(
+                    f"{type(actor).__name__} has no greedy action; "
+                    "evaluate it stochastically"
+                )
+
     # -- vectorized inference -------------------------------------------------
 
     def batch_probabilities(self, observations):
@@ -438,12 +447,7 @@ class ActorGroup:
         only stream layout — not statistics — changes).
         """
         if greedy:
-            for actor in self.actors:
-                if not getattr(actor, "supports_greedy", True):
-                    raise RuntimeError(
-                        f"{type(actor).__name__} has no greedy action; "
-                        "evaluate it stochastically"
-                    )
+            self.check_greedy_support()
         probs = self.batch_probabilities(observations)
         check_policy_rows(probs)
         n_envs, n_agents, n_actions = probs.shape

@@ -41,7 +41,7 @@ class QuantumCentralCritic(Module):
         backend: Execution backend.
         gradient_method: Differentiation method.
         value_scale: Fixed output scale mapping ``[-1, 1]`` onto the return
-            range (see DESIGN.md "Critic value head").
+            range (see ``VQCConfig.critic_value_scale``).
         trainable_head: When True, adds a 2-parameter affine head instead of
             the fixed scale (breaks the strict 50-parameter budget; used in
             ablations).

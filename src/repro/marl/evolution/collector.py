@@ -19,16 +19,15 @@ PopulationActorGroup`, whose row-to-member mapping each worker applies to
 
 Everything else — shard layout, per-row env streams, the global
 action-sampling stream replay, crash restart-and-requeue from checkpoints,
-the ``(round, row)`` reassembly order — is inherited unchanged, which is
-exactly why sharded ES is bit-identical to in-process ES for any worker
-count (pinned by the ES axis of the unified cross-engine harness).  That
-includes the ragged-env round protocol, but the ES *trainer* rejects
-ragged envs up front: its fitness attribution maps episode position to
-population member positionally, which only holds under lockstep
-completion (see
-:class:`~repro.marl.evolution.trainer.ESTrainer`).  The trainer collects
-generations stats-only (``transitions=False``), so no transition block
-crosses the worker pipes.
+the block-by-block ``(round, row)`` reassembly — is inherited unchanged,
+which is exactly why sharded ES is bit-identical to in-process ES for any
+worker count (pinned by the ES axis of the unified cross-engine harness).
+So is the rejection of ragged envs at construction; the ES *trainer*
+rejects them anyway, since its fitness attribution maps episodes to
+population members by position, which only holds under lockstep
+completion (see :class:`~repro.marl.evolution.trainer.ESTrainer`).  The
+trainer collects generations stats-only (``transitions=False``), so no
+transition block crosses the worker pipes.
 """
 
 from __future__ import annotations

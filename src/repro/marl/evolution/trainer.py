@@ -74,7 +74,7 @@ class ESTrainer:
 
     Args:
         env: A :class:`~repro.envs.base.MultiAgentEnv` with fixed-length
-            episodes — the rollout engines handle ragged envs, but ES
+            episodes — the in-process engines handle ragged envs, but ES
             fitness attribution is positional and requires lockstep
             completion (rejected up front otherwise).
         actor_group: The live :class:`~repro.marl.actors.ActorGroup` whose

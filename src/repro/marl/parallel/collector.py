@@ -22,19 +22,17 @@ Determinism contract (pinned by ``tests/test_parallel_rollout.py``):
   sampling replays the global shared stream (see
   :class:`~repro.marl.parallel.worker.ShardActionAdapter`).  Transitively,
   ``N=1, W=1`` is bit-identical to the serial reference loop.
-- Every copy steps every lockstep round (finished copies restart under
-  auto-reset), so the only cross-shard coupling is the *stopping round*:
-  the first round at which the copies have jointly completed the quota.
-  For fixed-length envs that round is known a priori
-  (``ceil(n_episodes / N) * episode_limit``) and one command per worker
-  commits the whole collect — the historical fast path, bit-identical to
-  before.  For ragged envs (``has_data_dependent_termination``) the parent
-  runs a bounded-probe negotiation: workers advance to an absolute round
-  bound and report per-round completion counts, the parent accumulates
-  them globally until the quota round is pinned, then finalizes — workers
-  rewind any speculative overshoot from a snapshot before committing.
-  Episodes reassemble in global (completion round, row) order either way,
-  matching the in-process engine's ordering and surplus discard exactly.
+- The engine serves **fixed-length** envs only: every row completes one
+  episode every ``episode_limit`` rounds, so a collect of ``n`` episodes is
+  ``ceil(n / N)`` blocks of one episode per row, known before it starts.
+  One command per worker carries its quota (blocks x its rows), and the
+  parent reassembles block by block, workers in order — the in-process
+  engine's (round, row) completion order and surplus discard.  Envs with
+  data-dependent termination (``has_data_dependent_termination``) are
+  rejected at construction: collect them in-process with
+  ``rollout_workers=1``.  Their stopping round is a global property no
+  shard sees alone, and the negotiation that once found it ran at about
+  0.1x the in-process engine (see ``docs/parallel_rollouts.md``).
 
 Worker lifecycle: processes are daemonic (the OS reaps them if the parent
 dies without cleanup), :meth:`close` shuts them down gracefully, and a crash
@@ -216,36 +214,18 @@ class ShardedRolloutCollector:
             raise ValueError(
                 f"env has {env.n_agents} agents, group has {actors.n_agents}"
             )
-        # SingleHop keeps the limit on its config; MultiHop on the env
-        # itself.  Resolve explicitly — the attribute wins when both exist,
-        # and only a truly absent limit (None everywhere) means unbounded.
-        episode_limit = getattr(env, "episode_limit", None)
-        if episode_limit is None:
-            config = getattr(env, "config", None)
-            if config is not None:
-                episode_limit = getattr(config, "episode_limit", None)
-        if episode_limit is None:
+        if getattr(env, "has_data_dependent_termination", False):
             raise ValueError(
-                "ShardedRolloutCollector needs a horizon cap: the env "
-                "declares no episode_limit (neither on itself nor on its "
-                "config), so episodes may be unbounded — the cap is what "
-                "guarantees the ragged round protocol makes progress"
+                f"{type(self).__name__} serves fixed-length episodes only, "
+                "and this env ends episodes on data-dependent events "
+                "(has_data_dependent_termination, e.g. "
+                "terminate_on_overflow); collect it in-process with "
+                "rollout_workers=1 and rollout_mode 'auto' or 'vector'"
             )
-        episode_limit = int(episode_limit)
-        if episode_limit < 1:
-            raise ValueError(
-                f"episode_limit must be >= 1, got {episode_limit}"
-            )
-        # Ragged envs finish episodes at data-dependent rounds; the collect
-        # protocol switches from the one-shot fast path to bounded probing.
-        self.ragged = bool(
-            getattr(env, "has_data_dependent_termination", False)
-        )
         self.env = env
         self.actors = actors
         self.n_envs = int(n_envs)
         self.n_workers = min(int(n_workers), self.n_envs)
-        self.episode_limit = episode_limit
         self._closed = False
 
         # Row streams are spawned centrally, before sharding, so every global
@@ -342,33 +322,28 @@ class ShardedRolloutCollector:
         weight_states = self._actor_weight_states()
         # Captured once per collect, like the rng state: workers mirror the
         # parent's telemetry flag for this pass and attach their registry
-        # snapshots to the final reply when it is on.
+        # snapshots to their replies when it is on.
         telemetry = obs.enabled()
 
-        def command_for(bound, finalize):
-            spec = {
-                "bound": int(bound),
-                "finalize": bool(finalize),
-                "greedy": greedy,
-                "transitions": bool(transitions),
-                "action_rng": action_state,
-                "weights": weight_states,
-                "telemetry": telemetry,
-                # Causal link: workers join the parent's open trace (None
-                # when no trace is active), parenting their spans to
-                # whichever span issued this collect.
-                "trace": _trace.propagation_context(),
-            }
-            return lambda worker: ("collect", spec)
-
-        if not self.ragged:
-            # Fixed-length fast path: every row completes an episode every
-            # episode_limit rounds, so the stopping round is known a priori
-            # and one exchange commits the whole collect.
-            stop_round = -(-n_episodes // self.n_envs) * self.episode_limit
-        else:
-            stop_round = self._negotiate_stop_round(n_episodes, command_for)
-        replies = self._exchange(command_for(stop_round, True))
+        # Every row completes one episode per block of episode_limit
+        # rounds, so the quota fixes the stopping round for every shard.
+        blocks = -(-n_episodes // self.n_envs)
+        spec = {
+            "greedy": greedy,
+            "transitions": bool(transitions),
+            "action_rng": action_state,
+            "weights": weight_states,
+            "telemetry": telemetry,
+            # Causal link: workers join the parent's open trace (None when
+            # no trace is active), parenting their spans to whichever span
+            # issued this collect.
+            "trace": _trace.propagation_context(),
+        }
+        replies = self._exchange(
+            lambda worker: (
+                "collect", dict(spec, quota=blocks * worker.n_rows)
+            )
+        )
 
         # Every worker advances an identical replica of the shared action
         # stream; divergence means the lockstep bookkeeping broke.
@@ -393,54 +368,20 @@ class ShardedRolloutCollector:
                     obs.merge_snapshot(snap)
 
         # Reassemble in the in-process completion order — round-major,
-        # global-row-minor.  Each worker ships its stats (and episodes) in
-        # local (round, row) order plus per-round completion counts;
-        # interleaving by counts restores the global order for fixed and
-        # ragged envs alike (fixed envs complete n_rows per worker every
-        # episode_limit rounds, reducing this to the historical block
-        # interleave).
+        # global-row-minor: block b holds one episode per row, and each
+        # worker ships its blocks in local row order.
         episodes, stats = [], []
-        offsets = [0] * len(replies)
-        for r in range(stop_round):
-            for w, reply in enumerate(replies):
-                count = reply["counts"][r]
-                if count:
-                    lo = offsets[w]
-                    if transitions:
-                        episodes.extend(reply["episodes"][lo:lo + count])
-                    stats.extend(reply["stats"][lo:lo + count])
-                    offsets[w] = lo + count
+        for block in range(blocks):
+            for worker, reply in zip(self._workers, replies):
+                lo = block * worker.n_rows
+                rows = slice(lo, lo + worker.n_rows)
+                stats.extend(reply["stats"][rows])
+                if transitions:
+                    episodes.extend(reply["episodes"][rows])
         return (
             episodes[:n_episodes] if transitions else None,
             stats[:n_episodes],
         )
-
-    def _negotiate_stop_round(self, n_episodes, command_for):
-        """Pin the global stopping round for a ragged collect.
-
-        Workers advance to an absolute round bound and reply with their
-        full per-round completion-count history (idempotent under crash
-        replay: a restarted worker re-runs from the committed state and the
-        parent simply overwrites its counts).  The first probe is
-        ``ceil(n_episodes / N)`` — a true lower bound, since at most ``N``
-        episodes complete per round, and exactly the fixed-length stopping
-        quotient.  While the quota is unmet the bound grows by the
-        episodes still missing at one-per-row-per-round; the horizon cap
-        forces at least one completion per row every ``episode_limit``
-        rounds, so the loop terminates.
-        """
-        bound = -(-n_episodes // self.n_envs)  # ceil division
-        while True:
-            replies = self._exchange(command_for(bound, False))
-            counts = np.zeros(bound, dtype=np.int64)
-            for reply in replies:
-                counts += np.asarray(reply["counts"], dtype=np.int64)
-            cumulative = np.cumsum(counts)
-            reached = np.flatnonzero(cumulative >= n_episodes)
-            if reached.size:
-                return int(reached[0]) + 1
-            shortfall = n_episodes - int(cumulative[-1])
-            bound += max(1, -(-shortfall // self.n_envs))
 
     # -- lifecycle ------------------------------------------------------------
 

@@ -29,19 +29,13 @@ commands (plus a crash-injection hook for the restart tests) and returns a
 checkpoint of its full shard state with every committed collect, which is
 what makes parent-side crash recovery replay-exact.
 
-``collect`` commands carry an *absolute* lockstep-round bound.  For
-fixed-length envs the parent knows the stopping round a priori and one
-``finalize`` command commits the whole pass — the historical single
-round-trip.  For ragged envs (data-dependent termination) the stopping
-round is a global property no shard can see alone, so the parent probes:
-non-final commands advance the shard to the bound and reply only with the
-full per-round completion-count history, the worker keeps the pass open
-(snapshotting at each probed bound), and the final command commits at the
-globally agreed stopping round — rewinding first if the shard speculated
-past it.  Absolute bounds plus full count histories make every command
-idempotent from the last committed checkpoint, so the parent's
-restart-and-replay crash recovery needs no extra cases: a restarted worker
-simply re-runs the pass from round zero to the commanded bound.
+A ``collect`` command carries the shard's episode quota, ``ceil(n / N)``
+episodes per row, and the worker meets it with one plain
+:meth:`~repro.marl.rollout.VectorRolloutCollector.collect`.  The sharded
+engine serves fixed-length envs only, so every row completes one episode
+every ``episode_limit`` rounds and each shard stops on the same round as
+the in-process engine over all ``N`` rows.  A command is a pure function of
+the committed checkpoint, so a restarted worker replays it bit-exactly.
 """
 
 from __future__ import annotations
@@ -93,14 +87,19 @@ class ShardActionAdapter:
         return self.actors.n_agents
 
     def act_batch(self, observations, rng, greedy=False):
-        """``(shard, n_agents)`` actions from the global draw block."""
+        """``(shard, n_agents)`` actions from the global draw block.
+
+        A policy row that is not a distribution is reported by its global
+        env row on both paths.
+        """
         if greedy:
-            # Greedy execution consumes no randomness; delegate wholesale so
-            # per-actor greedy support checks behave exactly as in-process.
-            return self.actors.act_batch(observations, rng, greedy=True)
+            self.actors.check_greedy_support()
         observations = np.asarray(observations, dtype=np.float64)
         probs = self.actors.batch_probabilities(observations)
         check_policy_rows(probs, self.first_row)
+        if greedy:
+            # Greedy execution consumes no randomness.
+            return np.argmax(probs, axis=2)
         n_rows, n_agents, n_actions = probs.shape
         draws = rng.random(self.n_envs_total * n_agents)
         start = self.first_row * n_agents
@@ -142,7 +141,6 @@ class _WorkerState:
         self.collector = VectorRolloutCollector(self.vector_env, adapter)
         if checkpoint is not None:
             self.collector.restore_carry_state(checkpoint["carry"])
-        self._session = None
 
     def _load_weights(self, weight_states):
         if weight_states is None:
@@ -157,100 +155,42 @@ class _WorkerState:
             if state is not None:
                 actor.load_state_dict(state)
 
-    def _begin_session(self, spec):
-        """Open a collection pass from the last committed shard state.
+    def collect(self, spec):
+        """Collect ``spec["quota"]`` episodes over the shard and commit.
 
         ``spec["telemetry"]`` mirrors the parent's obs flag into this
         process for the duration of the pass; when set, the worker's
         registry snapshot (reset at commit, so passes never double-count)
-        rides the final reply's control payload back for deterministic
-        parent-side merging.  ``spec["trace"]`` (when the parent has a
-        trace open) joins this process to it: local spans parent to the
-        sender's span and export to a per-pid sibling file.
-        ``spec["transitions"]`` is false for a stats-only pass: the shard
-        stages rewards alone and the commit ships no episodes.
+        rides the reply back for deterministic parent-side merging.
+        ``spec["trace"]`` (when the parent has a trace open) joins this
+        process to it: local spans parent to the sender's span and export
+        to a per-pid sibling file.  The reply carries stats, RNG positions,
+        the crash checkpoint and, unless ``spec["transitions"]`` is false
+        (a stats-only pass), episodes.
         """
-        if obs.enabled() != bool(spec["telemetry"]):
-            obs.set_enabled(bool(spec["telemetry"]))
+        telemetry = bool(spec["telemetry"])
+        if obs.enabled() != telemetry:
+            obs.set_enabled(telemetry)
         _trace.adopt(spec.get("trace"))
         self._load_weights(spec["weights"])
-        return {
-            "rng": rng_from_state(spec["action_rng"]),
-            "state": self.collector.begin_rounds(bool(spec["transitions"])),
-            "greedy": bool(spec["greedy"]),
-            "snapshot": None,
-        }
-
-    def _take_snapshot(self, session):
-        session["snapshot"] = {
-            "collector": self.collector.snapshot_rounds(session["state"]),
-            "action_rng": get_rng_state(session["rng"]),
-        }
-
-    def _rewind(self, session):
-        """Un-run speculative rounds: back to the last snapshotted bound."""
-        snapshot = session["snapshot"]
-        self.collector.restore_rounds(snapshot["collector"], session["state"])
-        session["rng"] = rng_from_state(snapshot["action_rng"])
-        self.vector_env = self.collector.vector_env
-
-    def collect(self, spec):
-        """Advance the shard's pass to ``spec["bound"]`` lockstep rounds.
-
-        Non-final commands reply with the pass's full per-round completion
-        counts and keep it open; ``spec["finalize"]`` commits at exactly
-        the bound and returns stats, RNG positions, the crash checkpoint
-        and, unless the pass is stats-only, episodes.  Bounds are
-        absolute, so a replayed command on a freshly restarted worker (no
-        open session) reproduces the dead incarnation's trajectory
-        bit-exactly from the committed state.
-        """
-        session = self._session
-        if session is None:
-            session = self._session = self._begin_session(spec)
-            # Probing passes may be rewound by the eventual finalize;
-            # one-shot commits (the fixed-length fast path, or a finalize
-            # replayed after a crash) never rewind, so they skip the copy.
-            if not spec["finalize"]:
-                self._take_snapshot(session)
-        state = session["state"]
-        bound = int(spec["bound"])
-        if bound < state.rounds:
-            self._rewind(session)
-        elif not spec["finalize"] and state.rounds > 0:
-            # The parent is probing further, which proves the stopping
-            # round lies past everything run so far — shift the rewind
-            # point up before speculating onward.
-            self._take_snapshot(session)
+        rng = rng_from_state(spec["action_rng"])
         with obs.span("worker.collect"):
-            self.collector.run_rounds(
-                state, session["rng"], greedy=session["greedy"],
-                max_rounds=bound
+            episodes, stats = self.collector.collect(
+                spec["quota"], rng, greedy=bool(spec["greedy"]),
+                transitions=bool(spec["transitions"]),
             )
-        if not spec["finalize"]:
-            return {"counts": state.counts_per_round()}
-        self._session = None
-        return self._commit(session, bool(spec["telemetry"]))
-
-    def _commit(self, session, telemetry):
-        state = session["state"]
-        self.vector_env = self.collector.vector_env
-        checkpoint = {
-            "vector_env": self.vector_env,
-            "carry": self.collector.carry_state(),
-        }
-        if obs.enabled():
-            self.collector.publish_telemetry(state)
         reply = {
-            "stats": state.completed_stats,
-            "counts": state.counts_per_round(),
-            "action_rng": get_rng_state(session["rng"]),
+            "stats": stats,
+            "action_rng": get_rng_state(rng),
             "row_rngs": [get_rng_state(r) for r in self.vector_env.rngs],
-            "checkpoint": checkpoint,
+            "checkpoint": {
+                "vector_env": self.vector_env,
+                "carry": self.collector.carry_state(),
+            },
         }
-        if state.transitions:
+        if episodes is not None:
             # A stats-only reply carries no "episodes" key at all.
-            reply["episodes"] = state.completed
+            reply["episodes"] = episodes
         if telemetry:
             reply["telemetry"] = obs.snapshot(reset=True)
         return reply

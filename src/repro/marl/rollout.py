@@ -40,18 +40,14 @@ between-call carry-over are identical either way.
 This collector is also the engine each worker of the process-sharded
 subsystem runs over its shard (:mod:`repro.marl.parallel`): the worker
 substitutes an actor-group adapter whose ``act_batch`` consumes the global
-action stream, and everything else — stepping, stat accounting, auto-reset
-carry-over — is exactly this code.  The worker drives the loop through the
-round-bounded session API (:meth:`VectorRolloutCollector.begin_rounds` /
-:meth:`~VectorRolloutCollector.run_rounds` over a :class:`RoundState`)
-because for ragged envs the stopping round is a *global* property the
-parent determines across all shards; :meth:`VectorRolloutCollector.collect`
-is the same loop with the local episode quota as the stopping rule.
+action stream and calls :meth:`VectorRolloutCollector.collect` with its
+shard's episode quota; everything else — stepping, stat accounting,
+auto-reset carry-over — is exactly this code.  The sharded engine serves
+fixed-length envs only, so a worker's quota always ends on the round every
+other shard ends on.
 """
 
 from __future__ import annotations
-
-import copy
 
 import numpy as np
 
@@ -77,7 +73,7 @@ _STATS_DTYPES = (np.float64,)
 
 
 class RoundState:
-    """Mutable loop state of one collection pass, resumable across calls.
+    """Mutable loop state of one collection pass.
 
     Holds the per-copy staging plus the completed output lists.  Staging is
     columnar: ``columns`` holds one ``(n_envs, capacity, ...)`` buffer per
@@ -86,9 +82,7 @@ class RoundState:
     next to it sit the Fig. 3 stat accumulators.  A stats-only pass
     (``transitions=False``) stages the rewards column alone and leaves
     ``completed`` empty; ``completed_stats`` counts completions in both
-    modes.  Each completion is tagged with the 1-based lockstep round it
-    finished on (``completed_rounds``) so the sharded parent can interleave
-    shards back into global (round, row) completion order.
+    modes.
     """
 
     __slots__ = (
@@ -100,7 +94,6 @@ class RoundState:
         "steps",
         "completed",
         "completed_stats",
-        "completed_rounds",
         "rounds",
     )
 
@@ -113,15 +106,7 @@ class RoundState:
         self.steps = np.zeros(n_envs, dtype=np.int64)
         self.completed = []
         self.completed_stats = []
-        self.completed_rounds = []
         self.rounds = 0
-
-    def counts_per_round(self):
-        """Completion counts for rounds ``1..rounds`` as a plain list."""
-        counts = [0] * self.rounds
-        for round_index in self.completed_rounds:
-            counts[round_index - 1] += 1
-        return counts
 
 
 class VectorRolloutCollector:
@@ -210,50 +195,30 @@ class VectorRolloutCollector:
         """
         if n_episodes < 1:
             raise ValueError("n_episodes must be >= 1")
-        state = self.begin_rounds(transitions)
-        self.run_rounds(state, rng, greedy=greedy, episode_quota=n_episodes)
+        self._prepare()
+        state = RoundState(self.n_envs, transitions)
+        self.run_rounds(state, rng, n_episodes, greedy=greedy)
         # Boundary-level accounting: the per-step quantities are already
         # tracked by the loop, so telemetry costs one publish per collect,
         # not per step.  Inside a sharded worker these counters land in the
         # worker's local registry and ride the snapshot reply to the parent.
         if obs.enabled():
-            self.publish_telemetry(state)
+            obs.counter("rollout.env_steps").inc(state.rounds)
+            obs.counter("rollout.env_rows").inc(state.rounds * self.n_envs)
+            obs.counter("rollout.episodes").inc(len(state.completed_stats))
         episodes = state.completed[:n_episodes] if transitions else None
         return episodes, state.completed_stats[:n_episodes]
 
-    # -- round-bounded session API (the sharded ragged protocol) --------------
+    def run_rounds(self, state, rng, episode_quota, greedy=False):
+        """Advance lockstep rounds until ``state`` holds at least
+        ``episode_quota`` completed episodes.
 
-    def begin_rounds(self, transitions=True):
-        """Start a collection pass: prepare all rows, return a fresh state.
-
-        After :meth:`_prepare` every copy sits at an episode start, so the
-        returned :class:`RoundState` (empty staging, zeroed accumulators)
-        describes the loop exactly — which is what makes
-        :meth:`snapshot_rounds` / :meth:`restore_rounds` sufficient for
-        replaying the pass from any captured point.  ``transitions=False``
-        opens a stats-only pass (see :class:`RoundState`).
-        """
-        self._prepare()
-        return RoundState(self.vector_env.n_envs, transitions)
-
-    def run_rounds(self, state, rng, greedy=False, *, max_rounds=None,
-                   episode_quota=None):
-        """Advance lockstep rounds, accumulating completions into ``state``.
-
-        Stops before the first round that would exceed ``max_rounds``
-        (absolute, counted from the pass start) or once ``state`` holds at
-        least ``episode_quota`` completed episodes — whichever stopping
-        rule is given; both may be combined.  All copies step every round;
-        completions append in (round, copy index) order.
+        All copies step every round; completions append in (round, copy
+        index) order.
         """
         env = self.vector_env
         rows = np.arange(env.n_envs)
-        while True:
-            if max_rounds is not None and state.rounds >= max_rounds:
-                break
-            if (episode_quota is not None
-                    and len(state.completed_stats) >= episode_quota):
-                break
+        while len(state.completed_stats) < episode_quota:
             state.rounds += 1
             actions = self.actors.act_batch(
                 self._observations, rng, greedy=greedy
@@ -329,63 +294,10 @@ class VectorRolloutCollector:
                 "empty_ratio": float(state.empty_sums[i] / length),
                 "overflow_ratio": float(state.overflow_sums[i] / length),
             })
-            state.completed_rounds.append(state.rounds)
         state.queue_sums[finished] = 0.0
         state.empty_sums[finished] = 0.0
         state.overflow_sums[finished] = 0.0
         state.steps[finished] = 0
-
-    def snapshot_rounds(self, state):
-        """Deep-copied resume point of a running pass.
-
-        Captures everything :meth:`restore_rounds` needs to rewind the
-        collector to this exact round: the vector env (queues, step
-        counters, row generators), the between-round carry, the per-copy
-        staging, and how much of the completed output existed.  The
-        sharded ragged protocol uses this to un-run speculative rounds
-        when the globally agreed stopping round turns out to be earlier
-        than a worker's probed bound.
-        """
-        return copy.deepcopy({
-            "vector_env": self.vector_env,
-            "carry": self.carry_state(),
-            "staging": {
-                "columns": state.columns,
-                "queue_sums": state.queue_sums,
-                "empty_sums": state.empty_sums,
-                "overflow_sums": state.overflow_sums,
-                "steps": state.steps,
-            },
-            "rounds": state.rounds,
-            "n_completed": len(state.completed_stats),
-        })
-
-    def restore_rounds(self, snapshot, state):
-        """Rewind the collector and ``state`` to a :meth:`snapshot_rounds` point.
-
-        Adopts the snapshot's objects directly (single-use: take a fresh
-        snapshot if another rewind to the same point could follow) and
-        truncates the completed lists back to the captured length.
-        """
-        self.vector_env = snapshot["vector_env"]
-        self.restore_carry_state(snapshot["carry"])
-        staging = snapshot["staging"]
-        state.columns = staging["columns"]
-        state.queue_sums = staging["queue_sums"]
-        state.empty_sums = staging["empty_sums"]
-        state.overflow_sums = staging["overflow_sums"]
-        state.steps = staging["steps"]
-        n_completed = snapshot["n_completed"]
-        del state.completed[n_completed:]
-        del state.completed_stats[n_completed:]
-        del state.completed_rounds[n_completed:]
-        state.rounds = snapshot["rounds"]
-
-    def publish_telemetry(self, state):
-        """One rollout-counter publish for a finished pass."""
-        obs.counter("rollout.env_steps").inc(state.rounds)
-        obs.counter("rollout.env_rows").inc(state.rounds * self.n_envs)
-        obs.counter("rollout.episodes").inc(len(state.completed_stats))
 
     def __repr__(self):
         return (

@@ -18,12 +18,12 @@ Collection (step 1) has three interchangeable engines: the serial reference
 path (``TrainingConfig.rollout_envs`` lockstep env copies + batched policy
 inference; see :mod:`repro.envs.vector` and :mod:`repro.marl.rollout`), and
 the process-sharded path (``TrainingConfig.rollout_workers`` worker
-processes each owning a shard of the lockstep copies; see
-:mod:`repro.marl.parallel`).  The chain of determinism contracts — sharded
-is bit-identical to vectorized for any worker count, vectorized with one
-copy is bit-identical to serial — is pinned by the regression tests, so
-every engine produces the same episodes, metrics, and RNG stream positions
-under a fixed seed.
+processes each owning a shard of the lockstep copies, fixed-length envs
+only; see :mod:`repro.marl.parallel`).  The chain of determinism
+contracts — sharded is bit-identical to vectorized for any worker count,
+vectorized with one copy is bit-identical to serial — is pinned by the
+regression tests, so every engine produces the same episodes, metrics, and
+RNG stream positions under a fixed seed.
 """
 
 from __future__ import annotations

@@ -10,9 +10,17 @@ import pytest
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.vector import make_vector_env
 from repro.marl.actors import ActorGroup, ClassicalActor
+from repro.marl.evolution import (
+    PopulationActorGroup,
+    PopulationRolloutCollector,
+    flat_team_vector,
+)
 from repro.marl.frameworks import build_framework
 from repro.marl.parallel import PipeChannel, ShardedRolloutCollector
+from repro.marl.parallel.collector import _WorkerHandle
+from repro.marl.parallel.worker import ShardActionAdapter
 from repro.marl.rollout import VectorRolloutCollector
+from repro.marl.trainer import rollout_episode
 
 from tests.helpers import (
     EPISODE_COLUMNS,
@@ -43,6 +51,15 @@ def sharded(env, actors, n_envs, n_workers, **kwargs):
     return ShardedRolloutCollector(
         env, actors, n_envs=n_envs, n_workers=n_workers, **kwargs
     )
+
+
+def forbid_worker_start(monkeypatch):
+    """Make starting any worker process fail the test."""
+
+    def start(handle):
+        raise AssertionError(f"worker {handle.name} was started")
+
+    monkeypatch.setattr(_WorkerHandle, "start", start)
 
 
 def collect_rounds(collector, env, n_episodes, n_rounds, seed=11, greedy=False):
@@ -131,6 +148,19 @@ class TestShardedDeterminism:
         with sharded(env_s, actors_s, 4, 2) as pool:
             expected = collect_rounds(reference, env_v, 3, 2)
             got = collect_rounds(pool, env_s, 3, 2)
+        assert_episodes_equal(expected[0], got[0])
+        assert expected[1:] == got[1:]
+
+    @pytest.mark.parametrize("n_episodes", [5, 7, 9])
+    def test_blocks_reassemble_over_uneven_shards(self, n_episodes):
+        """N=4 over W=3 (shards of 2, 1 and 1 rows): quotas spanning two
+        and three blocks, with a surplus to discard, == vector(4)."""
+        env_v, actors_v = single_hop_setup()
+        reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
+        expected = collect_rounds(reference, env_v, n_episodes, 2)
+        env_s, actors_s = single_hop_setup()
+        with sharded(env_s, actors_s, 4, 3) as pool:
+            got = collect_rounds(pool, env_s, n_episodes, 2)
         assert_episodes_equal(expected[0], got[0])
         assert expected[1:] == got[1:]
 
@@ -343,42 +373,17 @@ class TestTrainerIntegration:
 
 
 class TestEpisodeLimitResolution:
-    """The collector resolves the horizon cap explicitly (regression:
-    ``int(limit or 0)`` used to conflate an absent limit with zero)."""
-
-    class _NoLimitEnv:
-        n_agents = 2
-        observation_size = 3
-        state_size = 6
-
-    def test_missing_limit_everywhere_rejected(self):
-        actors = ActorGroup(
-            [ClassicalActor(3, 4, (), np.random.default_rng(0))
-             for _ in range(2)]
-        )
-        with pytest.raises(ValueError, match="horizon cap"):
-            ShardedRolloutCollector(
-                self._NoLimitEnv(), actors, n_envs=2, n_workers=1
-            )
-
-    def test_env_attribute_wins_over_config(self):
-        env, actors = single_hop_setup()
-        # MultiHop-style: the limit lives on the env itself; a conflicting
-        # config value must not shadow it.
-        env.episode_limit = EPISODE_LIMIT
-        with sharded(env, actors, 2, 1) as pool:
-            assert pool.episode_limit == EPISODE_LIMIT
+    """A horizon of one step is degenerate but legal."""
 
     def test_limit_one_is_a_valid_cap(self):
-        """An episode_limit of 1 is a degenerate but legal horizon — it
-        must not be mistaken for 'absent'."""
+        """An episode_limit of 1 collects one episode per row per round,
+        sharded == vector."""
         env_v = make_offload_env("single_hop", 3, episode_limit=1)
         actors_v = make_classical_team(env_v, 4)
         reference = VectorRolloutCollector(make_vector_env(env_v, 2), actors_v)
         env_s = make_offload_env("single_hop", 3, episode_limit=1)
         actors_s = make_classical_team(env_s, 4)
         with sharded(env_s, actors_s, 2, 2) as pool:
-            assert pool.episode_limit == 1
             expected = collect_rounds(reference, env_v, 2, 1)
             got = collect_rounds(pool, env_s, 2, 1)
         assert_episodes_equal(expected[0], got[0])
@@ -386,118 +391,103 @@ class TestEpisodeLimitResolution:
 
 
 class TestRaggedEpisodes:
-    """The ragged round protocol: data-dependent termination across the
-    full engine chain, bit-identical to the in-process reference."""
+    """Ragged episodes (data-dependent termination) collect in-process,
+    serial == vector bit-identically; the sharded engines reject them
+    before any worker starts."""
 
     @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
     def test_engine_chain_ragged_at_n1(self, env_kind):
-        """serial == vector == sharded-pipe on the ragged env family, one
-        copy: episodes, metrics, RNG positions."""
+        """serial == vector on the ragged env family, one copy: episodes,
+        metrics, RNG positions."""
         assert_cross_engine_equivalence(
-            env_kind, ROLLOUT_ENGINES, n_envs=1, n_workers=1
+            env_kind, ("serial", "vector"), n_envs=1, n_workers=1
         )
+
+    @pytest.mark.parametrize("n_episodes", [3, 4, 7])
+    @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
+    def test_completion_order_matches_per_row_serial_runs(self, env_kind,
+                                                          n_episodes):
+        """Greedy vector(4) == every row's serial greedy episodes, each row
+        on a copy of its generator, merged by (end step, row).
+
+        A horizon of 20 with a 0.7 preload makes greedy lengths vary
+        within every quota, so the merge is not plain row order."""
+
+        def make_env():
+            return make_offload_env(
+                env_kind, 0, episode_limit=20, initial_queue_level=0.7
+            )
+
+        env = make_env()
+        actors = make_classical_team(env, 1)
+        vector_env = make_vector_env(env, 4)
+        row_rngs = [copy.deepcopy(rng) for rng in vector_env.rngs]
+        episodes, stats = VectorRolloutCollector(vector_env, actors).collect(
+            n_episodes, np.random.default_rng(0), greedy=True
+        )
+
+        finished = []
+        for row, row_rng in enumerate(row_rngs):
+            row_env = make_env()
+            row_env.rng = row_rng
+            end = 0
+            # A row contributes at most n_episodes to the merged prefix.
+            for _ in range(n_episodes):
+                episode, episode_stats = rollout_episode(
+                    row_env, actors, np.random.default_rng(0), greedy=True
+                )
+                end += episode_stats["length"]
+                finished.append((end, row, episode, episode_stats))
+        finished.sort(key=lambda item: item[:2])
+        expected = finished[:n_episodes]
+        assert_episodes_equal([item[2] for item in expected], episodes)
+        assert [item[3] for item in expected] == stats
+        assert len({s["length"] for s in stats}) > 1
 
     @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
-    def test_batched_engines_ragged_at_n4(self, env_kind):
-        assert_cross_engine_equivalence(
-            env_kind,
-            ("vector", "sharded-pipe"),
-            n_envs=4,
-            n_workers=2,
+    @pytest.mark.parametrize("collector", ["sharded", "population"])
+    def test_sharded_collectors_reject_ragged_envs(self, collector, env_kind,
+                                                   monkeypatch):
+        """Rejected at construction, naming the fix, before any row stream
+        is spawned or worker process started."""
+        forbid_worker_start(monkeypatch)
+        env, actors = engine_setup(env_kind)
+        cls = ShardedRolloutCollector
+        if collector == "population":
+            members = np.tile(flat_team_vector(actors), (2, 1))
+            actors = PopulationActorGroup(actors, member_vectors=members)
+            cls = PopulationRolloutCollector
+        seed_seq = env.rng.bit_generator.seed_seq
+        spawned = seed_seq.n_children_spawned
+        with pytest.raises(ValueError, match="rollout_workers=1"):
+            cls(env, actors, n_envs=4, n_workers=2)
+        assert seed_seq.n_children_spawned == spawned
+
+    @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
+    @pytest.mark.parametrize(
+        "rollout_mode, n_workers", [("auto", 2), ("sharded", 1)]
+    )
+    def test_sharded_trainer_rejects_ragged_envs(self, rollout_mode,
+                                                 n_workers, env_kind,
+                                                 monkeypatch):
+        """A MAPG trainer set to shard a ragged env raises on its first
+        epoch, before any worker starts and before any update."""
+        forbid_worker_start(monkeypatch)
+        trainer = make_engine_trainer(
+            env_kind, "sharded-pipe", n_workers=n_workers,
+            rollout_mode=rollout_mode,
         )
-
-    def test_uneven_shards_ragged(self):
-        assert_cross_engine_equivalence(
-            "single_hop_ragged",
-            ("vector", "sharded-pipe"),
-            n_envs=4,
-            n_workers=3,
-        )
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_ragged_bit_identical_to_vector_engine(self, n_workers):
-        env_v, actors_v = engine_setup("single_hop_ragged")
-        reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
-        expected = collect_rounds(reference, env_v, 4, 2)
-
-        env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, n_workers) as pool:
-            assert pool.ragged
-            got = collect_rounds(pool, env_s, 4, 2)
-
-        assert_episodes_equal(expected[0], got[0])
-        assert expected[1] == got[1]
-        assert expected[2] == got[2]
-        assert expected[3] == got[3]
-        # The family must genuinely vary in length, or this pins nothing.
-        assert len({s["length"] for s in expected[1]}) > 1
-
-    def test_ragged_quota_below_copy_count(self):
-        """Surplus episodes from the final ragged round are discarded
-        identically by both engines."""
-        env_v, actors_v = engine_setup("single_hop_ragged")
-        reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
-        env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, 2) as pool:
-            expected = collect_rounds(reference, env_v, 3, 2)
-            got = collect_rounds(pool, env_s, 3, 2)
-        assert_episodes_equal(expected[0], got[0])
-        assert expected[1:] == got[1:]
-
-    def test_ragged_quota_above_copy_count(self):
-        """Quotas needing several probe extensions stay bit-identical (the
-        negotiation path: first bound ceil(n/N) is far too short when many
-        episodes run to the horizon)."""
-        env_v, actors_v = engine_setup("single_hop_ragged")
-        reference = VectorRolloutCollector(make_vector_env(env_v, 2), actors_v)
-        env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 2, 2) as pool:
-            expected = collect_rounds(reference, env_v, 7, 2)
-            got = collect_rounds(pool, env_s, 7, 2)
-        assert_episodes_equal(expected[0], got[0])
-        assert expected[1:] == got[1:]
-
-    @pytest.mark.parametrize("during_next_collect", [False, True])
-    def test_ragged_crash_restart_loses_no_episodes(self,
-                                                    during_next_collect):
-        """A worker killed mid-ragged-collect is replayed bit-exactly —
-        multi-exchange probing included."""
-        env_v, actors_v = engine_setup("single_hop_ragged")
-        reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
-        env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, 2) as pool:
-            rng_v = np.random.default_rng(11)
-            rng_s = np.random.default_rng(11)
-            expected_1 = reference.collect(4, rng_v)
-            got_1 = pool.collect(4, rng_s)
-            pool.debug_crash_worker(
-                0, during_next_collect=during_next_collect
-            )
-            expected_2 = reference.collect(4, rng_v)
-            got_2 = pool.collect(4, rng_s)
-            assert pool.total_restarts == 1
-        assert_episodes_equal(
-            expected_1[0] + expected_2[0], got_1[0] + got_2[0]
-        )
-        assert expected_1[1] + expected_2[1] == got_1[1] + got_2[1]
-        assert rng_v.bit_generator.state == rng_s.bit_generator.state
-
-    def test_ragged_greedy_collection_matches_vector(self):
-        env_v, actors_v = engine_setup("single_hop_ragged")
-        reference = VectorRolloutCollector(make_vector_env(env_v, 4), actors_v)
-        env_s, actors_s = engine_setup("single_hop_ragged")
-        with sharded(env_s, actors_s, 4, 2) as pool:
-            expected = collect_rounds(reference, env_v, 4, 1, greedy=True)
-            got = collect_rounds(pool, env_s, 4, 1, greedy=True)
-        assert_episodes_equal(expected[0], got[0])
-        assert expected[1:] == got[1:]
-
-    def test_fixed_envs_keep_the_fast_path(self):
-        """Non-ragged envs must not pay the probe protocol: the collector
-        stays on the one-command fast path."""
-        env, actors = single_hop_setup()
-        with sharded(env, actors, 4, 2) as pool:
-            assert not pool.ragged
+        assert trainer.sharded_rollouts
+        modules = (trainer.actors, trainer.critic, trainer.target_critic)
+        before = [p.data.copy() for m in modules for p in m.parameters()]
+        try:
+            with pytest.raises(ValueError, match="rollout_workers=1"):
+                trainer.train_epoch()
+            after = [p.data for m in modules for p in m.parameters()]
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert trainer.epoch == 0
+        finally:
+            trainer.close()
 
 
 class TestStagedEpisodes:
@@ -545,8 +535,13 @@ class TestStatsOnlyCollection:
             envs = [w.checkpoint["vector_env"] for w in collector._workers]
         return [r.bit_generator.state for env in envs for r in env.rngs]
 
-    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
-    @pytest.mark.parametrize("engine", STATS_ENGINES)
+    @pytest.mark.parametrize("engine, env_kind", [
+        (engine, env_kind)
+        for engine in STATS_ENGINES
+        for env_kind in OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS
+        # The sharded engine serves fixed-length envs only.
+        if engine == "vector" or env_kind in OFFLOAD_ENV_KINDS
+    ])
     def test_stats_match_a_full_collect(self, engine, env_kind):
         with contextlib.ExitStack() as stack:
             env_full, full = self._collector(engine, env_kind, stack)
@@ -571,12 +566,11 @@ class TestStatsOnlyCollection:
         assert_episodes_equal(episodes_full, episodes_after)
         assert stats_full == stats_after
 
-    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
+    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS)
     def test_stats_only_replies_ship_no_transitions(self, env_kind,
                                                     monkeypatch):
-        """What the parent receives: a stats-only commit reply has no
-        ``episodes`` key at all, where a full collect's has one per shard
-        (ragged probe replies carry completion counts only)."""
+        """What the parent receives: a stats-only collect reply has no
+        ``episodes`` key at all, where a full collect's has one per shard."""
         replies = []
         recv = PipeChannel.recv
 
@@ -657,3 +651,17 @@ class TestNonFinitePolicy:
             assert "ValueError: policy probabilities" in str(info.value)
         finally:
             trainer.close()
+
+    @pytest.mark.parametrize("greedy", [False, True])
+    def test_shard_adapter_names_the_global_row(self, greedy):
+        """A worker's shard starting at global row 2 reports its first bad
+        row as env row 2 on the sampled and the greedy path alike."""
+        env, actors = single_hop_setup()
+        for param in actors.parameters():
+            param.data[...] = np.nan
+        adapter = ShardActionAdapter(actors, first_row=2, n_envs_total=4)
+        observations = np.zeros((2, env.n_agents, env.observation_size))
+        with pytest.raises(ValueError, match="env row 2, agent 0"):
+            adapter.act_batch(
+                observations, np.random.default_rng(0), greedy=greedy
+            )
