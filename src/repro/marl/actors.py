@@ -607,8 +607,9 @@ class QuantumActorGroup(ActorGroup):
 
         One batched circuit evaluation with the agents' weight rows cycled
         over the batch, whose backward pass runs one adjoint sweep for the
-        whole team and routes each agent's weight-gradient row back into
-        that agent's own ``Parameter``.
+        whole team — from the states this forward built, at the weights it
+        ran — and routes each agent's weight-gradient row back into that
+        agent's own ``Parameter``.
         """
         b, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(b * n_agents, -1)
@@ -616,12 +617,14 @@ class QuantumActorGroup(ActorGroup):
         weights = self._team_weights()
         circuit, observables = self._circuit, self._observables
 
-        out_data = self._fast_backend.run(circuit, observables, flat_obs, weights)
+        out_data, states = self._fast_backend.run_states(
+            circuit, observables, flat_obs, weights
+        )
 
         def backward_fn(grad):
             _, weight_grads = _qbackward(
                 circuit, observables, flat_obs, weights, grad,
-                method="adjoint", input_grads=False,
+                method="adjoint", input_grads=False, states=states,
             )
             for param, row in zip(weight_params, weight_grads):
                 param._accumulate(row)

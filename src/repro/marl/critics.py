@@ -151,10 +151,14 @@ def paired_critic_values(critic, target, states, next_states):
     (:func:`critic_pair_stackable`) both forwards run as **one** batched
     circuit evaluation: the ``2B`` states interleave row-wise and the two
     weight vectors are two weight groups cycled over them, halving the
-    update's forward circuit evaluations.  The backward pass is one adjoint
-    sweep over the online half only (the target is frozen), without input
-    gradients.  Any other pair falls back to the plain two-pass path,
-    bit-identically to the pre-batched trainer.
+    update's forward circuit evaluations.  A ``next_states`` row that
+    repeats the following ``states`` row (every step but an episode's last)
+    shares its encoding (``StatevectorBackend.run_states``).  The backward
+    pass is one adjoint sweep over the online half only (the target is
+    frozen), without input gradients, from the states and the online
+    weights this forward ran — never the live ones.  Any other pair falls
+    back to the plain two-pass path, bit-identically to the pre-batched
+    trainer.
     """
     if not critic_pair_stackable(critic, target):
         return critic(states), target.values(next_states)
@@ -177,7 +181,7 @@ def paired_critic_values(critic, target, states, next_states):
     stacked[1::2] = next_states
     # Rows alternate online/target: two weight groups cycled over the batch.
     weights = np.stack([online_weights.data, target.layer.weights.data])
-    outputs = backend.run(circuit, observables, stacked, weights)
+    outputs, kept = backend.run_states(circuit, observables, stacked, weights)
     online_out, target_out = outputs[0::2], outputs[1::2]
     next_values = target_out.mean(axis=1) * target.value_scale
 
@@ -190,8 +194,9 @@ def paired_critic_values(critic, target, states, next_states):
             online_out.shape,
         )
         _, weight_grads = _qbackward(
-            circuit, observables, states, online_weights.data, upstream,
+            circuit, observables, states, weights[0], upstream,
             method="adjoint", input_grads=False,
+            states=None if kept is None else kept.group(0),
         )
         online_weights._accumulate(weight_grads)
 

@@ -175,6 +175,26 @@ class StatevectorBackend:
         psi = self.evolve(circuit, inputs, weights, batch_size)
         return self.measure(psi, observables, circuit.n_qubits)
 
+    def run_states(self, circuit, observables, inputs=None, weights=None,
+                   batch_size=None):
+        """:meth:`run` that also returns the states the adjoint backward
+        can reuse: ``(expectations, states)``.
+
+        With grouped ``(G, n_weights)`` weights on the program tier,
+        ``states`` is the forward's
+        :class:`~repro.quantum.program.ForwardStates` (see
+        :meth:`~repro.quantum.program.CircuitProgram.evolve_states`, which
+        also lets rows with repeated input bits share one encoding), to be
+        passed to :func:`repro.quantum.gradients.backward`.  Otherwise it is
+        ``None`` and the values are :meth:`run`'s.
+        """
+        if not (self._use_program() and np.ndim(weights) == 2):
+            return self.run(circuit, observables, inputs, weights, batch_size), None
+        program = _program.compile_program(circuit)
+        inputs, batch = _normalise_run_args(program.n_inputs, inputs, batch_size)
+        states = program.evolve_states(inputs, weights, batch)
+        return self.measure(states.final, observables, circuit.n_qubits), states
+
     def run_rows(self, circuit, observables, inputs, weights, rows):
         """Expectations where batch row ``b`` uses weight row ``rows[b]`` —
         the ragged form of the grouped contract (serving micro-batches)."""

@@ -10,7 +10,9 @@ quantum layer participate in end-to-end classical backpropagation):
   training path, equivalent to what PennyLane/torchquantum use on
   simulators.  Per-sample upstream gradients are folded into a batched
   *effective observable* so one reverse sweep serves the whole batch and
-  every observable simultaneously.
+  every observable simultaneously.  Given the states a grouped forward
+  kept (``states=``), the folded sweep starts from them instead of
+  simulating the batch again.
 - **Parameter-shift rule** (`method="parameter_shift"`): evaluates the
   circuit at shifted angles; hardware-compatible and valid on noisy /
   shot-based backends.  Pauli rotations use the two-term rule; controlled
@@ -133,6 +135,7 @@ def _inverse_matrix(op, theta):
 
 def adjoint_backward(
     circuit, observables, inputs, weights, upstream, input_grads=True,
+    states=None,
 ):
     """Vector-Jacobian product via adjoint differentiation (exact, pure state).
 
@@ -149,6 +152,11 @@ def adjoint_backward(
         input_grads: ``False`` skips the input gradients (returned as
             ``None``) and, with no weight among the encoding gates, their
             per-row sweep.
+        states: The :class:`~repro.quantum.program.ForwardStates` of the
+            forward that produced the values being differentiated (from
+            :meth:`~repro.quantum.backends.StatevectorBackend.run_states`),
+            or ``None``.  The folded path starts from them instead of
+            simulating the rows again; the row sweep ignores them.
 
     Returns:
         ``(input_grads, weight_grads)``; ``input_grads`` is ``None`` when the
@@ -202,9 +210,13 @@ def adjoint_backward(
     split, dim = prog.split, prog.dim
     top = len(ops)
     if _folds(prog, batch, n_groups):
-        phi = prog.prefix_states(inputs, weights, batch)
-        unitary = prog.suffix_unitary(weights)
-        bra = effective.apply(prog.apply_suffix(phi, unitary), n)
+        if _reusable(prog, states, weights, batch, n_groups):
+            phi, final, unitary = states
+        else:
+            phi = prog.prefix_states(inputs, weights, batch)
+            unitary = prog.suffix_unitary(weights)
+            final = prog.apply_suffix(phi, unitary)
+        bra = effective.apply(final, n)
         # beta_b = U_g^+ bra_b; as a row vector, bra_b^T conj(U_g).
         beta = np.matmul(
             bra.reshape(-1, n_groups, 1, dim), np.conj(unitary)
@@ -228,7 +240,8 @@ def adjoint_backward(
 
         _sweep(
             prog, circuit, block, range(top - 1, max(stop, split) - 1, -1),
-            group_angle, lambda grad: grad.reshape(n_groups, dim).sum(axis=1),
+            group_angle,
+            lambda grads: grads.reshape(-1, n_groups, dim).sum(axis=2),
             None, gw,
         )
         top = split
@@ -242,7 +255,7 @@ def adjoint_backward(
             prog, circuit, np.concatenate(bra_ket, axis=0),
             range(top - 1, stop - 1, -1),
             lambda op: circuit.resolve_angle(op, inputs, row_weights),
-            lambda grad: grad, gi, gw,
+            lambda grads: grads, gi, gw,
         )
     return gi, gw
 
@@ -253,32 +266,65 @@ def _folds(prog, batch, n_groups):
     return prog.suffix_has_weights and batch > n_groups * prog.dim
 
 
+def _reusable(prog, states, weights, batch, n_groups):
+    """Whether a grouped forward's states are the ones the fold would
+    simulate, bit for bit.  Its prefix ran per-row weight kernels, so
+    against a 1-D weight vector (whose prefix weight gates run fused) they
+    stand in only for a prefix without weights."""
+    if states is None or (weights.ndim == 1 and prog.prefix_has_weights):
+        return False
+    if states.prefix.shape != (batch, prog.dim) or (
+        states.unitary.shape[0] != n_groups
+    ):
+        raise ValueError(
+            f"forward states for {states.prefix.shape[0]} rows and "
+            f"{states.unitary.shape[0]} weight rows do not match a batch of "
+            f"{batch} over {n_groups} weight rows"
+        )
+    return True
+
+
 def _sweep(prog, circuit, stacked, indices, angle, reduce, input_grads,
            weight_grads):
     """Compiled reverse sweep over ``indices`` (descending).
 
     ``stacked`` is the ``(2R, dim)`` bra-over-ket block (the states right
     after gate ``indices[0]``); ``angle(op)`` is a gate's angle for one
-    half, and ``reduce`` maps the per-row gradients onto what
-    :func:`_accumulate` routes.  The lowest gate is not inverted: nothing
-    below it is swept.
+    half, and ``reduce`` maps the ``(gates, R)`` per-row gradients onto
+    what :func:`_accumulate` routes, one row per gate.  The lowest gate is
+    not inverted: nothing below it is swept.
+
+    A rotation's generator is applied once, to the whole block: its ket
+    half feeds the gradient and the block feeds the inverse rotation.  Each
+    gate's ``<bra| G |ket>`` row sums land in one ``(gates, R)`` buffer, so
+    ``Im``, ``reduce`` and the accumulation run once, after the sweep.
     """
     half = stacked.shape[0] // 2
     ops = circuit.operations
     lowest = indices[-1] if len(indices) else None
+    swept = []
+    sums = np.empty((len(indices), half), np.complex128)
     for i in indices:
         op = ops[i]
+        generated = None
         if _needs_grad(op, input_grads is not None):
             # d<H>/dtheta = Im(<bra| G |ket>), ket = psi_i (pre-inverse).
-            g_ket = prog.apply_generator(i, stacked[half:])
-            grad = np.imag(_sv.inner_products(stacked[:half], g_ket))
-            _accumulate(op, reduce(grad), input_grads, weight_grads)
+            if i != lowest and prog.rotates(i):
+                generated = prog.apply_generator(i, stacked)
+                g_ket = generated[half:]
+            else:
+                g_ket = prog.apply_generator(i, stacked[half:])
+            sums[len(swept)] = _sv.inner_products(stacked[:half], g_ket)
+            swept.append(op)
         if i == lowest:
             break
         theta = angle(op)
         if theta is not None and np.ndim(theta) == 1:
             theta = np.concatenate([theta, theta])
-        stacked = prog.apply_inverse(i, stacked, theta)
+        stacked = prog.apply_inverse(i, stacked, theta, generated)
+    grads = reduce(np.imag(sums[:len(swept)]))
+    for op, grad in zip(swept, grads):
+        _accumulate(op, grad, input_grads, weight_grads)
 
 
 def _interpreted_adjoint(circuit, effective, inputs, weights, batch, stop,
@@ -446,11 +492,14 @@ def backward(
     method="adjoint",
     backend=None,
     input_grads=True,
+    states=None,
 ):
     """Dispatch to one of the gradient methods by name.
 
     ``input_grads=False`` returns ``None`` input gradients without computing
-    them — for callers that only train weights.
+    them — for callers that only train weights.  ``states`` hands the
+    adjoint method what the forward kept (see :func:`adjoint_backward`);
+    the shift-based methods re-run the circuit anyway and ignore it.
     """
     if method == "adjoint":
         if backend is not None and not getattr(backend, "supports_adjoint", False):
@@ -467,6 +516,7 @@ def backward(
             weights,
             upstream,
             input_grads=input_grads,
+            states=states,
         )
     if method == "parameter_shift":
         return parameter_shift_backward(

@@ -32,7 +32,9 @@ angles always see exactly the gates the symbolic circuit specifies.
 Grouped 2-D weights ``(G, n_weights)`` (row ``b`` uses weight row
 ``b % G``, :func:`expand_weights`) run the encoding prefix per row and the
 input-free trailing block (from :func:`split_index` on) as ``G`` cached
-``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`).
+``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`).  An
+update's grouped forward keeps those states for the folded adjoint
+(:meth:`CircuitProgram.evolve_states`, :class:`ForwardStates`).
 
 The per-op (unfused) plans double as the adjoint-differentiation kernels:
 each op exposes a compiled **inverse** plan (for the reverse sweep, applied
@@ -51,7 +53,7 @@ import dataclasses
 import hashlib
 import os
 import weakref
-from collections import Counter
+from collections import Counter, namedtuple
 from contextlib import contextmanager
 
 import numpy as np
@@ -61,6 +63,7 @@ from repro.quantum import statevector as _sv
 
 __all__ = [
     "CircuitProgram",
+    "ForwardStates",
     "compile_program",
     "expand_weights",
     "program_enabled",
@@ -451,7 +454,9 @@ class _OpPlan:
 
     # -- adjoint kernels ------------------------------------------------------
 
-    def apply_inverse(self, psi, theta=None):
+    def apply_inverse(self, psi, theta=None, generated=None):
+        """Inverse kernel; ``generated`` is ``G |psi>`` when the caller has
+        already built it (a ``"prot"`` rotation then reuses it, in place)."""
         kind = self.kind
         if kind == "diag":
             return psi if self.inv_phase is None else psi * self.inv_phase
@@ -467,7 +472,7 @@ class _OpPlan:
                 return np.multiply(psi, phases, out=phases)
             return psi * phases
         if kind == "prot":
-            return self._apply_rotation(psi, theta, -1.0)
+            return self._apply_rotation(psi, theta, -1.0, generated)
         if kind == "pdense":
             return self._apply_dense(psi, self.matrix_fn(-np.asarray(theta)))
         return self._apply_dense(psi, self.inv_matrix)
@@ -483,8 +488,9 @@ class _OpPlan:
             return np.multiply(taken, phase, out=taken)
         return _sv.apply_matrix(psi, self.gen_data, self.wires, self.n_qubits)
 
-    def _apply_rotation(self, psi, theta, sign):
-        """``exp(-i*sign*theta/2*G) |psi>`` through the generator kernel."""
+    def _apply_rotation(self, psi, theta, sign, g_psi=None):
+        """``exp(-i*sign*theta/2*G) |psi>`` through the generator kernel
+        (or a ``G |psi>`` the caller built, which is consumed)."""
         half = 0.5 * np.asarray(theta)
         cos = np.cos(half)
         sin = np.sin(half) if sign > 0 else -np.sin(half)
@@ -492,7 +498,8 @@ class _OpPlan:
             cos = cos[:, None]
             sin = sin[:, None]
         # The generator kernel returns a fresh array: scale and add in place.
-        g_psi = self.apply_generator(psi)
+        if g_psi is None:
+            g_psi = self.apply_generator(psi)
         g_psi *= -1j * sin
         if self.proj is None:
             out = psi * cos
@@ -863,6 +870,25 @@ def _compose_monomial(first, second, n_qubits):
 # ---------------------------------------------------------------------------
 
 
+class ForwardStates(namedtuple("ForwardStates", "prefix final unitary")):
+    """What a grouped forward leaves for the folded adjoint
+    (:meth:`CircuitProgram.evolve_states`): ``prefix`` the ``(B, 2**n)``
+    encoded states at the split, ``final`` the ``(B, 2**n)`` final states
+    and ``unitary`` the ``(G, 2**n, 2**n)`` trailing-block unitaries; row
+    ``b`` belongs to weight row ``b % G``."""
+
+    __slots__ = ()
+
+    def group(self, g):
+        """The rows of weight row ``g`` alone, as a one-group record."""
+        n_groups = self.unitary.shape[0]
+        return ForwardStates(
+            np.ascontiguousarray(self.prefix[g::n_groups]),
+            np.ascontiguousarray(self.final[g::n_groups]),
+            self.unitary[g:g + 1],
+        )
+
+
 class CircuitProgram:
     """A circuit lowered to pre-planned, fused gate kernels.
 
@@ -924,6 +950,13 @@ class CircuitProgram:
         )
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
+        # Rows with repeated inputs share an encoding (evolve_states) only
+        # where that is exact and pays: a weight-free prefix that runs
+        # full-register steps.  A first layer alone is a product build that
+        # costs little more per row than the share's compare and gather.
+        self._shares_rows = not self.prefix_has_weights and (
+            self._layer is None or bool(self._after_layer)
+        )
         self._suffix_cache = []  # [(weights, unitary)], most recent last
         # Per-program ping-pong scratch: forward diag/gather/pdiag steps
         # write into preallocated buffers instead of allocating a fresh
@@ -1104,6 +1137,38 @@ class CircuitProgram:
         phi = self.prefix_states(inputs, weights, batch, rows)
         return self.apply_suffix(phi, self.suffix_unitary(weights), rows)
 
+    def evolve_states(self, inputs, weights, batch):
+        """:meth:`evolve` for grouped ``(G, n_weights)`` weights, keeping
+        what the folded adjoint starts from (:class:`ForwardStates`).
+
+        A row whose input bits repeat the row before it shares that row's
+        encoded state when the prefix holds no weights and runs
+        full-register steps past the first encoding layer (the critic's
+        encoder; not the actor's single layer): every prefix kernel works
+        row by row, so the shared state is the one the row would encode.
+        Bits, not values, are compared (``-0.0 == 0.0``, but they are
+        different inputs).  The final states equal :meth:`evolve`'s.
+        """
+        weight_groups(weights, batch)
+        self._publish(batch, self._grouped_kind_counts)
+        inputs = _as_inputs(inputs)
+        fresh = None
+        if inputs is not None and batch > 1 and self._shares_rows:
+            bits = np.ascontiguousarray(inputs).view(np.uint64)
+            fresh = np.empty(batch, bool)
+            fresh[0] = True
+            np.any(bits[1:] != bits[:-1], axis=1, out=fresh[1:])
+        if fresh is None or fresh.all():
+            phi = self.prefix_states(inputs, weights, batch)
+        else:
+            # Row b takes the encoding of the last fresh row at or before it.
+            source = np.cumsum(fresh) - 1
+            phi = self.prefix_states(
+                inputs[fresh], weights, source[-1] + 1
+            )[source]
+        unitary = self.suffix_unitary(weights)
+        return ForwardStates(phi, self.apply_suffix(phi, unitary), unitary)
+
     def prefix_states(self, inputs, weights, batch, rows=None):
         """Encoded states at :attr:`split`, ``(B, 2**n)``; row ``b`` uses
         weight row ``rows[b]`` (or ``b % G``) for any weight gate there.
@@ -1168,15 +1233,23 @@ class CircuitProgram:
 
     # -- adjoint kernels ------------------------------------------------------
 
-    def apply_inverse(self, index, psi, theta=None):
+    def apply_inverse(self, index, psi, theta=None, generated=None):
         """Apply the compiled inverse of operation ``index`` to ``psi``.
 
         ``psi`` may be any row-stacked state array — the adjoint sweep
         passes the concatenated ``(2B, dim)`` bra/ket block so each gate
         inversion is one kernel call (``theta`` must then be stacked to
-        match when it is per-sample).
+        match when it is per-sample).  ``generated``, when given, is
+        :meth:`apply_generator` of the same ``psi``; a rotation kernel
+        reuses it (and overwrites it) instead of applying the generator
+        again.
         """
-        return self.op_plans[index].apply_inverse(psi, theta)
+        return self.op_plans[index].apply_inverse(psi, theta, generated)
+
+    def rotates(self, index):
+        """Whether operation ``index``'s inverse goes through its generator
+        kernel — :meth:`apply_inverse` then takes a prebuilt ``G |psi>``."""
+        return self.op_plans[index].kind == "prot"
 
     def apply_generator(self, index, psi):
         """Apply operation ``index``'s generator to ``psi`` (``G |psi>``)."""

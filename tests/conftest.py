@@ -37,6 +37,57 @@ def sweep_rows(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def simulated(monkeypatch):
+    """Names of the ``CircuitProgram`` calls that simulate rows for the
+    folded adjoint (``prefix_states``, ``suffix_unitary``), in call order."""
+    from repro.quantum.program import CircuitProgram
+
+    calls = []
+    for name in ("prefix_states", "suffix_unitary"):
+        method = getattr(CircuitProgram, name)
+
+        def spy(self, *args, _method=method, _name=name, **kwargs):
+            calls.append(_name)
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(CircuitProgram, name, spy)
+    return calls
+
+
+@pytest.fixture
+def encoded_rows(monkeypatch):
+    """Rows of every ``CircuitProgram.prefix_states`` call (the rows run
+    through the encoding prefix) made during the test."""
+    from repro.quantum.program import CircuitProgram
+
+    rows = []
+    prefix_states = CircuitProgram.prefix_states
+
+    def spy(self, inputs, weights, batch, *args):
+        rows.append(batch)
+        return prefix_states(self, inputs, weights, batch, *args)
+
+    monkeypatch.setattr(CircuitProgram, "prefix_states", spy)
+    return rows
+
+
+@pytest.fixture
+def recomputing(monkeypatch):
+    """Call to make every later update forward a plain ``run`` that keeps
+    no states, so each adjoint backward simulates its rows again — the
+    reference the state-reusing update must match bit for bit."""
+    from repro.quantum.backends import StatevectorBackend
+
+    def run_states(self, circuit, observables, inputs=None, weights=None,
+                   batch_size=None):
+        return self.run(circuit, observables, inputs, weights, batch_size), None
+
+    return lambda: monkeypatch.setattr(
+        StatevectorBackend, "run_states", run_states
+    )
+
+
 @pytest.fixture(params=["fresh", "reused"])
 def program_state(request, monkeypatch):
     """Run a test on fresh compiled programs, then on reused ones.

@@ -320,6 +320,78 @@ class TestStackedLogPolicies:
         assert np.all(np.isfinite(stacked.data))
 
 
+class TestStackedUpdateReusesForward:
+    """The team backward starts from the states its forward kept: log
+    policies and gradients bit-identical to a backward that simulates the
+    rows again, and no row simulated twice."""
+
+    def run_update(self, group, obs, upstream):
+        group.zero_grad()
+        log_probs = group.stacked_log_policies(obs)
+        log_probs.backward(upstream)
+        return log_probs.data, [a.layer.weights.grad.copy() for a in group.actors]
+
+    @pytest.mark.parametrize("policy_head", ["softmax", "born"])
+    @pytest.mark.parametrize("batch", [5, 16, 24])  # vs 2**n = 16 per agent
+    def test_bits_equal_recomputing_path(self, shared_vqc, batch, policy_head,
+                                         recomputing):
+        actors = [
+            QuantumActor(
+                shared_vqc, np.random.default_rng(i), policy_head=policy_head
+            )
+            for i in range(3)
+        ]
+        group = QuantumActorGroup(actors)
+        rng = np.random.default_rng(batch)
+        obs = rng.uniform(size=(batch, 3, 4))
+        upstream = rng.normal(size=(batch, 3, 4))
+        values, grads = self.run_update(group, obs, upstream)
+        recomputing()
+        ref_values, ref_grads = self.run_update(group, obs, upstream)
+        assert values.tobytes() == ref_values.tobytes()
+        for grad, ref in zip(grads, ref_grads):
+            assert grad.tobytes() == ref.tobytes()
+
+    def test_folded_backward_simulates_nothing(self, shared_vqc, rng,
+                                               simulated):
+        group = quantum_team(shared_vqc, n=3)
+        log_probs = group.stacked_log_policies(rng.uniform(size=(24, 3, 4)))
+        simulated.clear()
+        log_probs.backward(rng.normal(size=log_probs.shape))
+        assert simulated == []
+
+    def test_gradient_is_taken_at_the_forward_weights(self, shared_vqc, rng):
+        group = quantum_team(shared_vqc, n=3)
+        obs = rng.uniform(size=(24, 3, 4))
+        upstream = rng.normal(size=(24, 3, 4))
+        _, expected = self.run_update(group, obs, upstream)
+        group.zero_grad()
+        log_probs = group.stacked_log_policies(obs)
+        for actor in group.actors:
+            actor.layer.weights.data += 0.3
+        log_probs.backward(upstream)
+        for actor, grad in zip(group.actors, expected):
+            assert actor.layer.weights.grad.tobytes() == grad.tobytes()
+
+    def test_second_backward_after_a_step(self, shared_vqc, rng):
+        """The first backward leaves the kept states as it found them, so
+        a second one after an optimizer step repeats its gradient."""
+        group = quantum_team(shared_vqc, n=3)
+        expectations = group._stacked_expectations(
+            rng.uniform(size=(24, 3, 4))
+        )
+        upstream = rng.normal(size=expectations.shape)
+        grads = []
+        for _ in range(2):
+            group.zero_grad()
+            expectations.grad = None
+            expectations.backward(upstream)
+            grads.append([a.layer.weights.grad.tobytes() for a in group.actors])
+            for actor in group.actors:
+                actor.layer.weights.data -= 0.1 * actor.layer.weights.grad
+        assert grads[0] == grads[1]
+
+
 class TestBornPolicyHead:
     def test_probabilities_are_measurement_distribution(self, shared_vqc, rng):
         """The born head must equal the exact marginal measurement probs."""

@@ -9,6 +9,8 @@ evidence each is correct.
 import numpy as np
 import pytest
 
+from repro.quantum import gradients
+from repro.quantum import statevector as _sv
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
@@ -286,6 +288,246 @@ class TestFoldedAdjoint:
             sweep_rows, folded=True,
         )
         assert sweep_rows[1] == 2 * batch
+
+
+# -- the single-generator sweep against the per-gate reference ----------------
+
+
+def _reference_sweep(prog, circuit, stacked, indices, angle, reduce,
+                     input_grads, weight_grads):
+    """The per-gate reverse sweep that applied each rotation's generator
+    twice (once for the gradient, once inside the inverse) and reduced and
+    accumulated every gate on its own.  ``reduce`` maps a ``(gates, rows)``
+    block, so each gate's row goes through it as a one-row block."""
+    half = stacked.shape[0] // 2
+    ops = circuit.operations
+    lowest = indices[-1] if len(indices) else None
+    for i in indices:
+        op = ops[i]
+        if gradients._needs_grad(op, input_grads is not None):
+            g_ket = prog.apply_generator(i, stacked[half:])
+            grad = np.imag(_sv.inner_products(stacked[:half], g_ket))
+            gradients._accumulate(
+                op, reduce(grad[None])[0], input_grads, weight_grads
+            )
+        if i == lowest:
+            break
+        theta = angle(op)
+        if theta is not None and np.ndim(theta) == 1:
+            theta = np.concatenate([theta, theta])
+        stacked = prog.apply_inverse(i, stacked, theta)
+
+
+_ROTATIONS = ("rx", "ry", "rz", "crx", "cry", "crz")
+
+
+def _every_rotation_circuit():
+    """Every registry rotation as an encoding gate, then twice as a weight
+    gate (controlled ones in both wire orders).  Each of the 2 inputs and 4
+    weights drives three gates, so the accumulation order shows in the
+    bits."""
+    circuit = QuantumCircuit(N_QUBITS)
+    for k, gate in enumerate(_ROTATIONS):
+        wires = (k % N_QUBITS,) if k < 3 else (k % N_QUBITS, (k + 1) % N_QUBITS)
+        circuit.add(gate, wires, ParameterRef.input(k % 2))
+    for k, gate in enumerate(_ROTATIONS * 2):
+        first, second = (k + 1) % N_QUBITS, k % N_QUBITS
+        wires = (first,) if gate[0] == "r" else (first, second)
+        circuit.add(gate, wires, ParameterRef.weight(k % 4, scale=0.5 + k / 10))
+    return circuit
+
+
+def _sweep_case(kind):
+    """``(circuit, n_inputs, whether a trailing weight block can fold)``."""
+    if kind == "every_rotation":
+        return _every_rotation_circuit(), 2, True
+    if kind.startswith("reuploading"):
+        trailing = kind.endswith("trailing")
+        return _reuploading_circuit(trailing), N_QUBITS, trailing
+    return build_vqc(N_QUBITS, 6, 18, seed=3, template=kind).circuit, 6, True
+
+
+def _sweep_observables(kind):
+    if kind == "hamiltonian":
+        return [
+            Hamiltonian(
+                [0.5, -1.5, 2.0],
+                [PauliString.z(0), PauliString({1: "Z", 2: "Z"}),
+                 PauliString({0: "X"})],
+            ),
+            PauliString({1: "Y", 2: "X"}),
+        ]
+    return all_z_observables(N_QUBITS)
+
+
+class TestSweepMatchesPerGateReference:
+    """The sweep that applies each generator once and reduces every gate
+    after the loop gives the per-gate loop's gradients bit for bit."""
+
+    @pytest.mark.parametrize("observables", ["z", "hamiltonian"])
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("per_group", [4, 8, 16])  # B/G vs 2**n = 8
+    @pytest.mark.parametrize("weight_rows", [None, 1, 4])  # None: 1-D
+    @pytest.mark.parametrize("kind", [
+        "random", "basic_entangler", "strongly_entangling",
+        "every_rotation", "reuploading", "reuploading_trailing",
+    ])
+    def test_gradients_are_bit_identical(
+        self, kind, weight_rows, per_group, input_grads, observables,
+        sweep_rows, monkeypatch,
+    ):
+        circuit, n_inputs, has_block = _sweep_case(kind)
+        observables = _sweep_observables(observables)
+        rng = np.random.default_rng(per_group + 10 * (weight_rows or 0))
+        n_groups = weight_rows or 1
+        batch = n_groups * per_group
+        weights = rng.uniform(0, 2 * np.pi, (n_groups, circuit.n_weights))
+        if weight_rows is None:
+            weights = weights[0]
+        args = (
+            circuit, observables, rng.uniform(size=(batch, n_inputs)),
+            weights, rng.normal(size=(batch, len(observables))),
+        )
+        gi, gw = adjoint_backward(*args, input_grads=input_grads)
+        folded = has_block and per_group > DIM
+        assert sweep_rows[0] == (2 * n_groups * DIM if folded else 2 * batch)
+        monkeypatch.setattr(gradients, "_sweep", _reference_sweep)
+        gi_ref, gw_ref = adjoint_backward(*args, input_grads=input_grads)
+        assert gw.shape == np.shape(weights)
+        assert gw.tobytes() == gw_ref.tobytes()
+        if input_grads:
+            assert gi.tobytes() == gi_ref.tobytes()
+        else:
+            assert gi is None and gi_ref is None
+
+
+# -- the fold starting from the forward's states --------------------------------
+
+
+class TestForwardStates:
+    """``StatevectorBackend.run_states`` keeps what the folded adjoint
+    starts from; handed to ``adjoint_backward`` the fold simulates nothing
+    again, with every gradient bit unchanged."""
+
+    def problem(self, n_groups=4, per_group=2 * DIM, seed=0):
+        rng = np.random.default_rng(seed)
+        vqc = build_vqc(N_QUBITS, 6, 18, seed=3)
+        batch = n_groups * per_group
+        weights = _grouped_weights(rng, vqc.initial_weights, n_groups)
+        if np.ndim(weights) == 1:
+            weights = weights[None]
+        return (
+            vqc.circuit, vqc.observables, rng.uniform(size=(batch, 6)),
+            weights, rng.normal(size=(batch, vqc.n_outputs)),
+        )
+
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    def test_folded_backward_simulates_nothing(
+        self, n_groups, input_grads, simulated
+    ):
+        circuit, observables, inputs, weights, upstream = self.problem(n_groups)
+        backend = StatevectorBackend()
+        values, states = backend.run_states(circuit, observables, inputs, weights)
+        assert values.tobytes() == backend.run(
+            circuit, observables, inputs, weights
+        ).tobytes()
+        simulated.clear()
+        gi, gw = backward(
+            circuit, observables, inputs, weights, upstream,
+            input_grads=input_grads, states=states,
+        )
+        assert simulated == []
+        gi_ref, gw_ref = backward(
+            circuit, observables, inputs, weights, upstream,
+            input_grads=input_grads,
+        )
+        assert simulated == ["prefix_states", "suffix_unitary"]
+        assert gw.tobytes() == gw_ref.tobytes()
+        if input_grads:
+            assert gi.tobytes() == gi_ref.tobytes()
+
+    def test_row_sweep_ignores_states(self, sweep_rows):
+        circuit, observables, inputs, weights, upstream = self.problem(
+            per_group=DIM
+        )
+        _, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        _, gw = adjoint_backward(
+            circuit, observables, inputs, weights, upstream, states=states
+        )
+        _, gw_ref = adjoint_backward(
+            circuit, observables, inputs, weights, upstream
+        )
+        assert sweep_rows == [2 * inputs.shape[0]] * 2
+        assert gw.tobytes() == gw_ref.tobytes()
+
+    def test_one_group_of_a_grouped_forward(self, simulated):
+        """A weight row's rows of a grouped forward stand in for a 1-D
+        backward at that row (the critic pair's online half)."""
+        circuit, observables, inputs, weights, _ = self.problem(n_groups=2)
+        upstream = np.random.default_rng(1).normal(
+            size=(inputs.shape[0] // 2, len(observables))
+        )
+        _, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        simulated.clear()
+        _, gw = adjoint_backward(
+            circuit, observables, inputs[1::2], weights[1], upstream,
+            states=states.group(1),
+        )
+        assert simulated == []
+        _, gw_ref = adjoint_backward(
+            circuit, observables, inputs[1::2], weights[1], upstream
+        )
+        assert gw.tobytes() == gw_ref.tobytes()
+
+    def test_weighted_prefix_with_1d_weights_recomputes(self, simulated):
+        """A 1-D backward runs a prefix's weight gates fused, so a grouped
+        forward's prefix states (per-row kernels) are not its bits."""
+        rng = np.random.default_rng(2)
+        circuit = _reuploading_circuit(trailing=True)
+        weights = rng.uniform(0, 2 * np.pi, (1, circuit.n_weights))
+        inputs = rng.uniform(size=(4 * DIM, N_QUBITS))
+        upstream = rng.normal(size=(4 * DIM, N_QUBITS))
+        observables = all_z_observables(N_QUBITS)
+        _, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        simulated.clear()
+        _, gw = adjoint_backward(
+            circuit, observables, inputs, weights[0], upstream, states=states
+        )
+        assert "prefix_states" in simulated
+        _, gw_ref = adjoint_backward(
+            circuit, observables, inputs, weights[0], upstream
+        )
+        assert gw.tobytes() == gw_ref.tobytes()
+
+    def test_mismatched_states_rejected(self):
+        circuit, observables, inputs, weights, upstream = self.problem()
+        _, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        with pytest.raises(ValueError, match="forward states"):
+            adjoint_backward(
+                circuit, observables, inputs[:-4], weights, upstream[:-4],
+                states=states,
+            )
+
+    def test_no_states_off_the_program_tier_or_for_1d_weights(self):
+        circuit, observables, inputs, weights, _ = self.problem(n_groups=1)
+        backend = StatevectorBackend()
+        for call_weights, program in ((weights[0], True), (weights, False)):
+            with using_program(program):
+                values, states = backend.run_states(
+                    circuit, observables, inputs, call_weights
+                )
+                reference = backend.run(circuit, observables, inputs, call_weights)
+            assert states is None
+            assert values.tobytes() == reference.tobytes()
 
 
 class TestNoisyGradients:

@@ -420,6 +420,125 @@ class TestGroupedWeights:
         assert np.array_equal(many[:5], few)
 
 
+def _on_policy_rows(rng, n_episodes, steps, n_features):
+    """Critic-pair rows of an on-policy batch: ``states`` and
+    ``next_states`` interleaved, where every ``next_states`` row but an
+    episode's last repeats the following ``states`` row."""
+    states, next_states = [], []
+    for _ in range(n_episodes):
+        trajectory = rng.uniform(size=(steps + 1, n_features))
+        states.append(trajectory[:-1])
+        next_states.append(trajectory[1:])
+    rows = np.empty((2 * n_episodes * steps, n_features))
+    rows[0::2] = np.concatenate(states)
+    rows[1::2] = np.concatenate(next_states)
+    return rows
+
+
+class TestEvolveStates:
+    """The grouped forward that keeps its states for the adjoint: final
+    states bit-identical to :meth:`CircuitProgram.evolve`, with rows that
+    repeat the row before them sharing its encoding."""
+
+    def critic_program(self):
+        return compile_program(build_vqc(4, 16, 20, seed=5).circuit)
+
+    @pytest.mark.usefixtures("program_state")
+    def test_states_are_evolves_bits(self, rng, encoded_rows):
+        program = self.critic_program()
+        inputs = _on_policy_rows(rng, n_episodes=3, steps=5, n_features=16)
+        weights = rng.uniform(0, 2 * np.pi, (2, 20))
+        batch = inputs.shape[0]
+        states = program.evolve_states(inputs, weights, batch)
+        # 15 states, 15 next states of which 12 repeat a state.
+        assert encoded_rows == [batch - 12]
+        assert states.final.tobytes() == program.evolve(
+            inputs, weights, batch_size=batch
+        ).tobytes()
+        assert states.prefix.tobytes() == program.prefix_states(
+            inputs, weights, batch
+        ).tobytes()
+        assert states.unitary is program.suffix_unitary(weights)
+
+    def test_group_selects_one_weight_rows_rows(self, rng):
+        program = self.critic_program()
+        inputs = rng.uniform(size=(6, 16))
+        weights = rng.uniform(0, 2 * np.pi, (3, 20))
+        states = program.evolve_states(inputs, weights, 6)
+        one = states.group(1)
+        assert one.prefix.tobytes() == states.prefix[1::3].tobytes()
+        assert one.final.tobytes() == states.final[1::3].tobytes()
+        assert one.unitary.tobytes() == states.unitary[1:2].tobytes()
+        assert one.prefix.flags.c_contiguous and one.final.flags.c_contiguous
+
+    def test_signed_zeros_do_not_share(self, rng, encoded_rows):
+        """``-0.0 == 0.0``, yet the two are different input bits: rows are
+        compared by bits, so a shared state is always the row's own."""
+        program = self.critic_program()
+        inputs = np.repeat(rng.uniform(size=(1, 16)), 4, axis=0)
+        inputs[0::2, 3] = 0.0
+        inputs[1::2, 3] = -0.0
+        weights = rng.uniform(0, 2 * np.pi, (2, 20))
+        states = program.evolve_states(inputs, weights, 4)
+        assert encoded_rows == [4]
+        assert states.final.tobytes() == program.evolve(
+            inputs, weights, batch_size=4
+        ).tobytes()
+
+    def test_first_layer_only_prefix_encodes_every_row(self, rng,
+                                                       encoded_rows):
+        """The actor's prefix is its product-state first layer: sharing
+        would cost about what it saves, so every row is encoded."""
+        program = compile_program(build_vqc(4, 4, 12, seed=3).circuit)
+        inputs = np.repeat(rng.uniform(size=(4, 4)), 2, axis=0)
+        weights = rng.uniform(0, 2 * np.pi, (2, 12))
+        states = program.evolve_states(inputs, weights, 8)
+        assert encoded_rows == [8]
+        assert states.final.tobytes() == program.evolve(
+            inputs, weights, batch_size=8
+        ).tobytes()
+
+    def test_weighted_prefix_encodes_every_row(self, rng, encoded_rows):
+        circuit = _reuploading_circuit()
+        program = compile_program(circuit)
+        inputs = np.repeat(rng.uniform(size=(3, 3)), 2, axis=0)
+        weights = rng.uniform(0, 2 * np.pi, (2, circuit.n_weights))
+        states = program.evolve_states(inputs, weights, 6)
+        assert encoded_rows == [6]
+        assert states.final.tobytes() == program.evolve(
+            inputs, weights, batch_size=6
+        ).tobytes()
+
+    def test_counts_one_grouped_evaluation(self, rng):
+        from repro import obs
+
+        program = self.critic_program()
+        inputs = _on_policy_rows(rng, n_episodes=2, steps=4, n_features=16)
+        weights = rng.uniform(0, 2 * np.pi, (2, 20))
+        previous = obs.set_enabled(True)
+        try:
+            counts = []
+            for run in (program.evolve, program.evolve_states):
+                obs.reset()
+                run(inputs, weights, 16)
+                counters = obs.snapshot()["counters"]
+                counts.append((
+                    counters["program.evals"], counters["program.rows"],
+                    counters["program.kernel_dispatches"],
+                ))
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+        assert counts[0] == counts[1] == (1, 16, counts[0][2])
+
+    def test_rejects_a_batch_the_weight_rows_do_not_divide(self, rng):
+        program = self.critic_program()
+        with pytest.raises(ValueError, match="multiple of the weight rows"):
+            program.evolve_states(
+                rng.uniform(size=(5, 16)), rng.uniform(size=(2, 20)), 5
+            )
+
+
 def _layer_circuit(name):
     """``(circuit, n_features, first-layer gate count)``: a first encoding
     layer followed by weight gates, some of them inside the prefix."""
