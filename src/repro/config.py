@@ -7,6 +7,7 @@ with the documented, overridable default each uses.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,6 +31,17 @@ def check_env_quantity(name, value, positive=False):
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
 
 
+def check_integer(name, value, minimum):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an integer
+    ``>= minimum``.  numpy integers pass; a bool or a float does not, so
+    ``True`` cannot stand in for 1 nor 2.7 truncate to 2."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < minimum):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r}"
+        )
+
+
 @dataclass(frozen=True)
 class SingleHopConfig:
     """Single-hop offloading environment (Tables I & II).
@@ -45,7 +57,8 @@ class SingleHopConfig:
         cloud_service_rate: Per-step packet volume each cloud transmits
             onward (Table II: 0.3).
         queue_capacity: ``q_max`` (Table II: 1).
-        episode_limit: Steps per episode (unspecified; default 100).  Total
+        episode_limit: Steps per episode, an integer ``>= 1``
+            (unspecified; default 100).  Total
             reward scales linearly with this: with T=100 a random walk
             averages about -9.4 here versus the paper's -33.2 (matching
             would need T around 350); the scale-free *achievability*
@@ -84,8 +97,7 @@ class SingleHopConfig:
         check_env_quantity("cloud_service_rate", self.cloud_service_rate)
         check_env_quantity("w_r", self.w_r)
         check_env_quantity("queue_capacity", self.queue_capacity, positive=True)
-        if self.episode_limit < 1:
-            raise ValueError("episode_limit must be >= 1")
+        check_integer("episode_limit", self.episode_limit, 1)
 
     @property
     def n_actions(self):

@@ -17,15 +17,16 @@ case:
   (for the single-hop topology this reduces to the paper's reward).
 
 Topologies are ``networkx.DiGraph`` objects; :func:`layered_topology`
-builds the standard layered graphs.
+builds the standard layered graphs.  networkx loads on the first topology
+build (or env construction), not when :mod:`repro` is imported, so
+single-hop processes never pay for it.
 """
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 
-from repro.config import check_env_quantity
+from repro.config import check_env_quantity, check_integer
 from repro.envs.arrivals import UniformArrivals
 from repro.envs.base import Discrete, FeatureSpace, MultiAgentEnv, StepResult
 from repro.envs.queues import QueueBank
@@ -40,6 +41,8 @@ def layered_topology(layer_sizes, full_mesh=True):
     connects to every node of the next layer; otherwise node ``i`` connects
     to node ``i % next_size`` (a thin chain).
     """
+    import networkx as nx
+
     if len(layer_sizes) < 2:
         raise ValueError("need at least an agent layer and a sink layer")
     if any(s < 1 for s in layer_sizes):
@@ -64,15 +67,16 @@ class MultiHopOffloadEnv(MultiAgentEnv):
 
     Args:
         topology: A layered DAG from :func:`layered_topology` (or any
-            DiGraph whose nodes carry a ``layer`` attribute, where layer 0
-            nodes are the agents and the deepest layer the sinks).
+            DiGraph whose nodes all carry an integer ``layer`` attribute
+            ``>= 0``, where layer 0 nodes are the agents and the deepest
+            layer the sinks, and every edge leads to a deeper layer).
         packet_amounts: The agents' packet-amount space ``P``.
         w_p: Edge arrival parameter (arrivals ~ ``U(0, w_p * q_max)``).
         w_r: Overflow penalty weight (Eq. 1).
         service_rate: Outflow volume per step for relays and sinks.
         queue_capacity: ``q_max`` shared by every node.
-        episode_limit: Steps per episode (a hard cap when
-            ``terminate_on_overflow`` is set).
+        episode_limit: Steps per episode, an integer ``>= 1`` (a hard cap
+            when ``terminate_on_overflow`` is set).
         initial_queue_level: Starting level (fraction of capacity).
         rng: Arrival generator.
         terminate_on_overflow: End the episode the moment any non-agent
@@ -97,12 +101,31 @@ class MultiHopOffloadEnv(MultiAgentEnv):
         rng=None,
         terminate_on_overflow=False,
     ):
+        import networkx as nx
+
         if not nx.is_directed_acyclic_graph(topology):
             raise ValueError("topology must be a DAG")
         self.topology = topology
-        layers = nx.get_node_attributes(topology, "layer")
+        layers = dict(topology.nodes(data="layer"))
         if not layers:
-            raise ValueError("topology nodes need a 'layer' attribute")
+            raise ValueError("topology has no nodes")
+        for node, layer in layers.items():
+            if layer is None:
+                raise ValueError(
+                    f"topology nodes need a 'layer' attribute; node {node!r} "
+                    "has none"
+                )
+            check_integer(f"layer of node {node!r}", layer, 0)
+        # Traffic flows strictly deeper: an edge within a layer or back
+        # towards the agents would make an agent feed an agent, or a sink
+        # forward what it should transmit out of the network.
+        for source, target in topology.edges:
+            if layers[target] <= layers[source]:
+                raise ValueError(
+                    f"edge {source!r} -> {target!r} runs from layer "
+                    f"{layers[source]} to layer {layers[target]}; every edge "
+                    "must lead to a deeper layer"
+                )
         self.n_layers = max(layers.values()) + 1
         if self.n_layers < 2:
             raise ValueError("need at least two layers")
@@ -142,6 +165,7 @@ class MultiHopOffloadEnv(MultiAgentEnv):
         check_env_quantity("service_rate", self.service_rate)
         check_env_quantity("w_r", self.w_r)
         check_env_quantity("queue_capacity", self.queue_capacity, positive=True)
+        check_integer("episode_limit", episode_limit, 1)
         self.episode_limit = int(episode_limit)
         self.terminate_on_overflow = bool(terminate_on_overflow)
         self.has_data_dependent_termination = self.terminate_on_overflow

@@ -28,15 +28,14 @@ Design contract (pinned by ``tests/test_vector_env.py``):
   a subclass hands out views into reused stacked buffers.
 - **Ragged episodes.**  Termination is per row: :meth:`VectorEnv.step`
   asks the :meth:`VectorEnv._row_done` hook for an ``(N,)`` mask after
-  advancing the step counters.  The default is the fixed-horizon check
-  (bit-identical to the historical behaviour); subclasses with
-  data-dependent termination (e.g. ``terminate_on_overflow``) OR extra
-  per-row conditions in and advertise it via
-  ``has_data_dependent_termination`` so the rollout engines can switch
-  from lockstep to ragged accounting.  Every row keeps stepping every
-  round (finished rows restart immediately under auto-reset), which keeps
-  the one-batched-call-per-step shape and the per-row RNG streams intact
-  regardless of how lengths vary.
+  advancing the step counters: the fixed-horizon check, OR the
+  ``overflow_terminated`` mask that subclasses with data-dependent
+  termination (``terminate_on_overflow``) stash each step.  Those
+  subclasses advertise it via ``has_data_dependent_termination`` so the
+  rollout engines can switch from lockstep to ragged accounting.  Every
+  row keeps stepping every round (finished rows restart immediately under
+  auto-reset), which keeps the one-batched-call-per-step shape and the
+  per-row RNG streams intact regardless of how lengths vary.
 
 Use :func:`make_vector_env` to vectorize an existing serial env: row 0
 reuses the serial env's generator (so an ``N=1`` vector rollout consumes
@@ -167,10 +166,9 @@ class VectorEnv:
     *snapshots* taken during the step, never over live stacked state, so
     ``VectorStepResult.infos`` stays correct after later steps or resets)
     and ``_observations()`` (stacked ``(N, n_agents, obs_size)`` views).
-    Subclasses with data-dependent termination additionally override
-    :meth:`_row_done` (typically OR-ing a mask stashed by
-    ``_apply_actions`` into the horizon check) and advertise themselves
-    via ``has_data_dependent_termination``.
+    Subclasses with data-dependent termination additionally set
+    :attr:`overflow_terminated` in ``_apply_actions`` and advertise
+    themselves via ``has_data_dependent_termination``.
 
     Args:
         n_envs: Number of lockstep copies.
@@ -186,6 +184,10 @@ class VectorEnv:
     episode_limit = 0
     #: Mirrors :attr:`repro.envs.base.MultiAgentEnv.has_data_dependent_termination`.
     has_data_dependent_termination = False
+    #: ``(N,)`` mask of the rows whose own overflow condition ended the
+    #: episode on the last step (``None`` when only the horizon ends one).
+    #: A fresh array each step, never a view into reused storage.
+    overflow_terminated = None
 
     def __init__(self, n_envs, rngs=None, auto_reset=True):
         if n_envs < 1:
@@ -220,14 +222,16 @@ class VectorEnv:
     def _row_done(self):
         """``(N,)`` termination mask for the step just applied.
 
-        Called by :meth:`step` after the step counters were advanced.  The
-        default is the fixed-horizon check — bit-identical to the
-        pre-ragged behaviour for every existing env.  Overrides must return
-        a *fresh* boolean array each step (never a view into reused
-        storage): the mask outlives the step inside its
+        Called by :meth:`step` after the step counters were advanced: the
+        fixed-horizon check, OR :attr:`overflow_terminated` when set.  The
+        mask is a *fresh* boolean array each step (never a view into
+        reused storage): it outlives the step inside its
         :class:`VectorStepResult`.
         """
-        return self._t >= self.episode_limit
+        dones = self._t >= self.episode_limit
+        if self.overflow_terminated is not None:
+            dones |= self.overflow_terminated
+        return dones
 
     # -- protocol -------------------------------------------------------------
 
@@ -324,18 +328,11 @@ class SingleHopVectorEnv(VectorEnv):
         self._prev_edge_levels = np.zeros((self.n_envs, self.n_agents))
         self._amounts = np.asarray(cfg.packet_amounts, dtype=np.float64)
         self._env_index = np.arange(self.n_envs)
-        self._overflow_terminated = None
 
     @property
     def has_data_dependent_termination(self):
         """True when ``terminate_on_overflow`` makes episode length ragged."""
         return self.config.terminate_on_overflow
-
-    def _row_done(self):
-        dones = super()._row_done()
-        if self.config.terminate_on_overflow:
-            dones |= self._overflow_terminated
-        return dones
 
     def _reset_rows(self, rows):
         # One uniform draw over [edge | cloud] is the serial env's two
@@ -383,7 +380,7 @@ class SingleHopVectorEnv(VectorEnv):
         if cfg.terminate_on_overflow:
             # Stash for _row_done; .any(axis=1) allocates a fresh mask, so
             # the step result never aliases reused storage.
-            self._overflow_terminated = update.overflow[:, n:].any(axis=1)
+            self.overflow_terminated = update.overflow[:, n:].any(axis=1)
         t_next = self._t + 1
         return rewards, stats, (
             lambda: self._build_infos(t_next, update, destinations, sent)
@@ -495,18 +492,11 @@ class MultiHopVectorEnv(VectorEnv):
         self._prev_agent_levels = np.zeros((self.n_envs, self.n_agents))
         self._env_index = np.arange(self.n_envs)
         self._agent_index = np.arange(self.n_agents)
-        self._overflow_terminated = None
 
     @property
     def has_data_dependent_termination(self):
         """True when the template env terminates on network overflow."""
         return self._template.terminate_on_overflow
-
-    def _row_done(self):
-        dones = super()._row_done()
-        if self._template.terminate_on_overflow:
-            dones |= self._overflow_terminated
-        return dones
 
     def _reset_rows(self, rows):
         # One draw over [agent | network] is the serial env's agent-bank
@@ -560,7 +550,7 @@ class MultiHopVectorEnv(VectorEnv):
 
         rewards, stats = _joint_rewards_and_stats(update, n, template.w_r)
         if template.terminate_on_overflow:
-            self._overflow_terminated = update.overflow[:, n:].any(axis=1)
+            self.overflow_terminated = update.overflow[:, n:].any(axis=1)
         t_next = self._t + 1
         return rewards, stats, (
             lambda: self._build_infos(t_next, update)

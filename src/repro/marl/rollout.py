@@ -129,11 +129,6 @@ class VectorRolloutCollector:
             )
         self.vector_env = vector_env
         self.actors = actors
-        # Ragged envs end episodes on data-dependent overflow events; those
-        # terminations are the breadcrumbs the flight recorder keeps.
-        self._ragged = bool(
-            getattr(vector_env, "has_data_dependent_termination", False)
-        )
         self._observations = None
         self._states = None
         # True where the copy sits at an unconsumed fresh episode start
@@ -246,7 +241,7 @@ class VectorRolloutCollector:
             self._fresh[:] = result.dones
             finished = np.flatnonzero(result.dones)
             if finished.size:
-                self._finish_rows(state, finished, result)
+                self._finish_rows(state, finished)
             self._observations = result.observations
             self._states = result.states
         return state
@@ -263,14 +258,18 @@ class VectorRolloutCollector:
             for value, dtype in zip(values, dtypes)
         )
 
-    def _finish_rows(self, state, finished, result):
+    def _finish_rows(self, state, finished):
         """Turn this round's finished rows into stats (and, unless the pass
         is stats-only, episodes), in ascending row order, and restart their
         staging."""
+        # Ragged envs end episodes on their own overflow condition; those
+        # terminations are the breadcrumbs the flight recorder keeps.  Not
+        # ``overflow_ratios``: it also counts edge queues, which end nothing.
+        overflowed = self.vector_env.overflow_terminated
+        breadcrumbs = overflowed is not None and _flight.enabled()
         for i in finished.tolist():
             length = int(state.steps[i])
-            if (self._ragged and _flight.enabled()
-                    and result.overflow_ratios[i] > 0.0):
+            if breadcrumbs and overflowed[i]:
                 _flight.record(
                     "overflow_termination", row=i,
                     round=int(state.rounds), length=length,

@@ -84,6 +84,16 @@ class TestSingleHopConfig:
         with pytest.raises(ValueError, match=field):
             SingleHopConfig(**{field: value})
 
+    @pytest.mark.parametrize("limit", [2.7, True, np.bool_(True)])
+    def test_episode_limit_must_be_an_integer_from_one(self, limit):
+        """2.7 and True used to construct and fail in training with a
+        ``TypeError``; each now fails at construction, naming the field."""
+        with pytest.raises(ValueError, match="episode_limit"):
+            SingleHopConfig(episode_limit=limit)
+
+    def test_episode_limit_accepts_numpy_integers(self):
+        assert SingleHopConfig(episode_limit=np.int32(7)).episode_limit == 7
+
     def test_zero_quantities_stay_legal(self):
         cfg = SingleHopConfig(
             packet_amounts=(0.0, 0.2), cloud_service_rate=0.0, w_r=0.0

@@ -10,6 +10,8 @@ The contracts under test:
   crash-heavy suites don't litter postmortems;
 - a rollout worker killed mid-collect leaves a postmortem carrying its
   recovered file ring (the commands it was serving when it died);
+- a ragged collect leaves one ``overflow_termination`` breadcrumb per
+  episode a cloud overflow ended, and none for an edge-queue overflow;
 - the excepthook dumps once, installs idempotently, and defers to the
   prior hook.
 """
@@ -21,7 +23,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.config import SingleHopConfig
+from repro.envs.vector import SingleHopVectorEnv
 from repro.marl.parallel import ShardedRolloutCollector
+from repro.marl.rollout import VectorRolloutCollector
 from repro.obs import flight
 from repro.obs import trace as obs_trace
 
@@ -242,3 +247,83 @@ class TestCrashPostmortem:
             pool.collect(4, rng)
             assert pool.total_restarts == 1
         assert list(tmp_path.iterdir()) == []
+
+
+# -- overflow-termination breadcrumbs from ragged collection ------------------
+
+
+class ConstantTeam:
+    """Every agent always sends action 0: its smallest packet to cloud 0."""
+
+    def __init__(self, n_agents):
+        self.n_agents = n_agents
+
+    def act_batch(self, observations, rng, greedy=False):
+        return np.zeros(observations.shape[:2], dtype=np.int64)
+
+
+def seeded_vector_env(config, n_envs, seed):
+    return SingleHopVectorEnv(
+        n_envs, config,
+        rngs=[np.random.default_rng([seed, row]) for row in range(n_envs)],
+    )
+
+
+def overflow_breadcrumbs():
+    return [(e["row"], e["round"], e["length"])
+            for e in flight.recorder().events()
+            if e["kind"] == "overflow_termination"]
+
+
+class TestOverflowBreadcrumbs:
+    def test_edge_overflow_leaves_no_breadcrumb(self):
+        """Cloud 0 gains 0.4 a step and serves 1.0, so no cloud overflows
+        and every episode runs to the horizon; the edges, fed U(0, 1) and
+        sending 0.1, overflow all along.  Counting every overflow used to
+        ring 16 false ``overflow_termination`` events here."""
+        flight.set_enabled(True)
+        config = SingleHopConfig(
+            episode_limit=5, terminate_on_overflow=True, w_p=1.0,
+            cloud_service_rate=1.0,
+        )
+        collector = VectorRolloutCollector(
+            seeded_vector_env(config, 8, seed=0), ConstantTeam(4)
+        )
+        _, stats = collector.collect(16, np.random.default_rng(0))
+        assert [s["length"] for s in stats] == [5] * 16
+        assert all(s["overflow_ratio"] > 0.0 for s in stats)
+        assert overflow_breadcrumbs() == []
+
+    def test_cloud_overflow_breadcrumbs_name_rows_and_rounds(self):
+        """Cloud 0 gains 0.1 a step from a uniform start, so some rows
+        overflow before the horizon and some reach it.  The expected
+        (row, round, length) triples come from a twin env's serial-parity
+        ``cloud_overflow`` infos."""
+        flight.set_enabled(True)
+        config = SingleHopConfig(
+            episode_limit=6, terminate_on_overflow=True,
+            initial_queue_level="uniform",
+        )
+        n_envs, quota = 4, 12
+        collector = VectorRolloutCollector(
+            seeded_vector_env(config, n_envs, seed=3), ConstantTeam(4)
+        )
+        collector.collect(quota, np.random.default_rng(0))
+
+        twin = seeded_vector_env(config, n_envs, seed=3)
+        twin.reset()
+        lengths = np.zeros(n_envs, dtype=np.int64)
+        expected, finished, horizon_ends, rounds = [], 0, 0, 0
+        while finished < quota:
+            rounds += 1
+            result = twin.step(np.zeros((n_envs, 4), dtype=np.int64))
+            lengths += 1
+            for row in np.flatnonzero(result.dones).tolist():
+                if result.infos[row]["cloud_overflow"].any():
+                    expected.append((row, rounds, int(lengths[row])))
+                else:
+                    horizon_ends += 1
+                lengths[row] = 0
+                finished += 1
+        assert expected and horizon_ends
+        assert overflow_breadcrumbs() == expected

@@ -254,3 +254,59 @@ class TestOverflowTermination:
                 [env.action_space.sample(rng) for _ in range(3)]
             )
             assert result.done == (step == 6)
+
+
+class TestMalformedTopologies:
+    """Each topology below used to fail late or run wrong: a successor
+    without a layer and an agent-to-agent edge constructed and then
+    failed ``reset()`` with a ``KeyError``, a 1.5 layer raised a
+    ``TypeError`` and a sink-to-relay edge made a sink forward traffic.
+    Each now fails at construction with a ``ValueError`` naming the node
+    or the edge."""
+
+    def test_rejects_successor_without_layer(self):
+        graph = layered_topology((2, 2), full_mesh=False)
+        graph.remove_edge("L0/1", "L1/1")
+        graph.add_edge("L0/1", "orphan")
+        with pytest.raises(ValueError, match="node 'orphan' has none"):
+            MultiHopOffloadEnv(graph)
+
+    def test_rejects_agent_to_agent_edge(self):
+        graph = layered_topology((2, 2), full_mesh=False)
+        graph.remove_edge("L0/0", "L1/0")
+        graph.add_edge("L0/0", "L0/1")
+        with pytest.raises(ValueError, match="'L0/0' -> 'L0/1'"):
+            MultiHopOffloadEnv(graph)
+
+    def test_rejects_non_integer_layer(self):
+        graph = layered_topology((2, 2))
+        graph.nodes["L1/0"]["layer"] = 1.5
+        with pytest.raises(ValueError, match="layer of node 'L1/0'"):
+            MultiHopOffloadEnv(graph)
+
+    def test_rejects_edge_into_shallower_layer(self):
+        graph = layered_topology((2, 2, 2), full_mesh=False)
+        graph.add_edge("L2/0", "L1/1")  # a sink feeding a relay
+        with pytest.raises(ValueError, match="'L2/0' -> 'L1/1'"):
+            MultiHopOffloadEnv(graph)
+
+    def test_accepts_numpy_integer_layers(self):
+        graph = layered_topology((2, 2))
+        for node, layer in graph.nodes(data="layer"):
+            graph.nodes[node]["layer"] = np.int64(layer)
+        assert MultiHopOffloadEnv(graph).n_layers == 2
+
+
+class TestEpisodeLimitValidation:
+    @pytest.mark.parametrize("limit", [0, -3, 2.7, True])
+    def test_rejects_limits_that_are_not_integers_from_one(self, limit):
+        """0 used to construct and fail in the vector collector, -3 to
+        raise "negative dimensions", 2.7 to truncate to 2 silently."""
+        with pytest.raises(ValueError, match="episode_limit"):
+            MultiHopOffloadEnv(layered_topology((2, 2)), episode_limit=limit)
+
+    def test_accepts_numpy_integer(self):
+        env = MultiHopOffloadEnv(
+            layered_topology((2, 2)), episode_limit=np.int64(3)
+        )
+        assert env.episode_limit == 3
