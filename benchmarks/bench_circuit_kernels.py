@@ -14,10 +14,7 @@ replaces the interpreted per-gate loop:
   sharing a weight row folded into one matrix at the trailing block) over
   batch sizes and weight groups around the ``B = G * 2**n`` crossover;
 - **end-to-end training** — quantum-framework ``train_epoch`` env steps/s
-  with the program tier off (interpreted) and on;
-- **scratch pages** — the allocation churn of fresh-allocation kernels vs
-  the program's scratch-buffer kernels (same results, bit for bit),
-  counted as deterministic freshly-mapped pages per evolve.
+  with the program tier off (interpreted) and on.
 
 Run under the benchmark harness::
 
@@ -32,7 +29,6 @@ the median of N full measurements)::
 
 import argparse
 import os
-import resource
 import time
 
 import numpy as np
@@ -45,7 +41,7 @@ from repro.quantum import gradients
 from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
 from repro.quantum.gradients import adjoint_backward
-from repro.quantum.program import _resolve, compile_program, using_program
+from repro.quantum.program import compile_program, using_program
 from repro.quantum.vqc import build_vqc
 
 SEED = 7
@@ -220,147 +216,6 @@ def _folded_adjoint_rates(repeats):
     return rows
 
 
-def _fresh_generator(plan, psi):
-    """Generator kernel with a fancy-index gather and a fresh multiply."""
-    if plan.gen_kind == "diag":
-        return psi * plan.gen_data
-    if plan.gen_kind == "gather":
-        source, phase = plan.gen_data
-        taken = psi[:, source]
-        return taken if phase is None else taken * phase
-    return plan.apply_generator(psi)
-
-
-def _fresh_step(plan, psi, theta):
-    """One gate application that allocates every intermediate afresh.
-
-    Fresh allocation per gather/multiply, fancy indexing instead of
-    ``take(out=)``, no in-place reuse of per-sample phase tables — the
-    program's kernel algorithm without its scratch buffers.  Dense kernels
-    allocate the same either way and reuse the plan directly.
-    """
-    kind = plan.kind
-    if kind == "diag":
-        return psi if plan.phase is None else psi * plan.phase
-    if kind == "gather":
-        taken = psi[:, plan.source]
-        return taken if plan.phase is None else taken * plan.phase
-    if kind == "pdiag":
-        unique_coeff, index_map = plan.coeff
-        if np.ndim(theta) == 1:
-            table = np.exp(1j * np.asarray(theta)[:, None] * unique_coeff)
-            return psi * table[:, index_map]
-        return psi * np.exp(1j * theta * unique_coeff)[index_map]
-    if kind == "prot":
-        half = 0.5 * np.asarray(theta)
-        cos, sin = np.cos(half), np.sin(half)
-        if cos.ndim == 1:
-            cos, sin = cos[:, None], sin[:, None]
-        g_psi = _fresh_generator(plan, psi)
-        if plan.proj is None:
-            return cos * psi + (-1j * sin) * g_psi
-        return psi * (1.0 + (cos - 1.0) * plan.proj) + (-1j * sin) * g_psi
-    return plan.apply_forward(psi, theta)
-
-
-def _fresh_evolve(program, inputs, batch):
-    """Run a compiled program through the fresh-allocation kernels."""
-    psi = program.zero_state(batch)
-    for step in program.steps:
-        plan = getattr(step, "plan", None)
-        if plan is None:
-            # Fused weight steps run the same cached matmul either way.
-            psi = step.apply(psi, inputs, None, None)
-        elif plan.resolver is None:
-            psi = _fresh_step(plan, psi, None)
-        else:
-            psi = _fresh_step(plan, psi, _resolve(plan.resolver, inputs, None))
-    return psi
-
-
-def _pin_allocator(threshold=8 << 20):
-    """Pin glibc's mmap threshold (default: above the state-buffer size).
-
-    glibc adapts the threshold dynamically, which makes any fresh-allocation
-    path bimodal across processes: state-sized buffers either recycle
-    through the heap or round-trip through mmap at ~200 minor page faults
-    per evolve, a per-process coin flip that swamps the differences being
-    measured.  Pinning removes the coin flip so the tables here are
-    reproducible.
-    No-op off glibc.
-    """
-    try:
-        import ctypes
-
-        libc = ctypes.CDLL(None)
-        libc.mallopt(-3, threshold)  # M_MMAP_THRESHOLD = -3
-    except Exception:
-        pass
-
-
-def _trim_heap():
-    """Release the allocator's free pages back to the OS (glibc only)."""
-    try:
-        import ctypes
-
-        ctypes.CDLL(None).malloc_trim(0)
-    except Exception:
-        pass
-
-
-def _fresh_pages(fn, iters):
-    """Minor page faults per call — the transient pages each call touches.
-
-    ``malloc_trim`` before every call hands all *freed* pages back to the
-    OS, so each call re-faults exactly the pages of the buffers it
-    allocates and drops; long-lived buffers (program constants, scratch)
-    stay mapped and count nothing.  A deterministic measure of allocation
-    churn — unlike wall clock, which depends on where the heap happens to
-    recycle buffers.
-    """
-    fn()  # warmup (program compile, caches, scratch)
-    total = 0
-    for _ in range(iters):
-        _trim_heap()
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        fn()
-        total += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-    return total / iters
-
-
-def _scratch_pages(repeats):
-    """Freshly mapped pages per evolve, per gate class: the fresh-allocation
-    kernels (``fresh_pages_per_evolve``) against the program's scratch
-    kernels (``scratch_pages_per_evolve``), after checking that both produce
-    the same states bit for bit.  Counted in pages rather than wall clock,
-    because a fresh-allocating executor's speed is allocator luck — it
-    swings tens of percent either way with heap history.
-    """
-    rng = np.random.default_rng(SEED)
-    inputs = rng.uniform(size=(GATE_BATCH, GATE_QUBITS))
-    fault_iters = 5 * repeats
-    results = {}
-    for name, builder in GATE_CLASSES.items():
-        circuit = builder()
-        program = compile_program(circuit)
-        if not np.array_equal(
-            program.evolve(inputs, None, GATE_BATCH),
-            _fresh_evolve(program, inputs, GATE_BATCH),
-        ):
-            raise AssertionError(
-                f"scratch and fresh-allocation kernels disagree on {name}"
-            )
-        results[name] = {
-            "fresh_pages_per_evolve": _fresh_pages(
-                lambda: _fresh_evolve(program, inputs, GATE_BATCH), fault_iters
-            ),
-            "scratch_pages_per_evolve": _fresh_pages(
-                lambda: program.evolve(inputs, None, GATE_BATCH), fault_iters
-            ),
-        }
-    return results
-
-
 def _train_epoch_rate(program, n_epochs):
     with using_program(program):
         framework = build_framework(
@@ -468,7 +323,6 @@ def _measure_all(repeats, n_epochs):
         "adjoint": _adjoint_rates(repeats),
         "adjoint_folded": _folded_adjoint_rates(repeats),
         "train_epoch": _train_epoch_rates(n_epochs),
-        "scratch_pages": _scratch_pages(repeats),
     }
 
 
@@ -498,12 +352,6 @@ def _print_summary(document):
         f"{train['program_steps_per_s']:.1f} env steps/s "
         f"({train['speedup']:.2f}x)"
     )
-    print(f"\n{'pages/evolve':>12}  {'fresh':>7}  {'scratch':>7}")
-    for name, row in document["scratch_pages"].items():
-        print(
-            f"{name:>12}  {row['fresh_pages_per_evolve']:>7.0f}  "
-            f"{row['scratch_pages_per_evolve']:>7.0f}"
-        )
 
 
 def main():
@@ -521,7 +369,6 @@ def main():
         help="full measurements to take; the artifact records their median",
     )
     args = parser.parse_args()
-    _pin_allocator()
     repeats = 2 if args.smoke else 5
     n_epochs = 1 if args.smoke else 4
 

@@ -88,8 +88,8 @@ class SingleHopConfig:
     terminate_on_overflow: bool = False
 
     def __post_init__(self):
-        if self.n_clouds < 1 or self.n_agents < 1:
-            raise ValueError("need at least one cloud and one agent")
+        check_integer("n_clouds", self.n_clouds, 1)
+        check_integer("n_agents", self.n_agents, 1)
         if not self.packet_amounts:
             raise ValueError("packet_amounts must be non-empty")
         for amount in self.packet_amounts:
@@ -196,7 +196,8 @@ class TrainingConfig:
             ``None`` or a finite bound ``> 0``.
         entropy_coef: Optional entropy bonus on the actor loss (0 = paper's
             plain MAPG); finite and ``>= 0``.
-        evaluation_episodes: Greedy-policy episodes used when evaluating.
+        evaluation_episodes: Greedy-policy episodes used when evaluating
+            (an integer >= 1).
         rollout_envs: Lockstep environment copies used for vectorized /
             sharded episode collection (clamped to ``episodes_per_epoch``).
             With 1 copy the vectorized path consumes RNG streams
@@ -273,8 +274,9 @@ class TrainingConfig:
     }
 
     def __post_init__(self):
-        if self.n_epochs < 1 or self.episodes_per_epoch < 1:
-            raise ValueError("epochs and episodes_per_epoch must be >= 1")
+        for name in ("n_epochs", "episodes_per_epoch", "target_update_period",
+                     "evaluation_episodes", "rollout_envs", "rollout_workers"):
+            check_integer(name, getattr(self, name), 1)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
         check_env_quantity("actor_lr", self.actor_lr, positive=True)
@@ -284,21 +286,6 @@ class TrainingConfig:
             # A negative bound flips every gradient's sign and 0 zeroes
             # them (see repro.nn.optim.clip_grad_norm).
             check_env_quantity("grad_clip", self.grad_clip, positive=True)
-        if self.target_update_period < 1:
-            raise ValueError("target_update_period must be >= 1")
-        if not isinstance(self.rollout_envs, (int, np.integer)) or self.rollout_envs < 1:
-            raise ValueError(
-                f"rollout_envs must be a positive integer, "
-                f"got {self.rollout_envs!r}"
-            )
-        if (
-            not isinstance(self.rollout_workers, (int, np.integer))
-            or self.rollout_workers < 1
-        ):
-            raise ValueError(
-                f"rollout_workers must be a positive integer, "
-                f"got {self.rollout_workers!r}"
-            )
         if self.rollout_mode not in self._ROLLOUT_MODES:
             raise ValueError(
                 f"rollout_mode must be one of {self._ROLLOUT_MODES}, "
@@ -335,15 +322,7 @@ class TrainingConfig:
                     f"trainer='es'"
                 )
             population = self.effective_es_population
-            if (
-                not isinstance(population, (int, np.integer))
-                or isinstance(population, bool)
-                or population < 1
-            ):
-                raise ValueError(
-                    f"es_population must be a positive integer, "
-                    f"got {self.es_population!r}"
-                )
+            check_integer("es_population", population, 1)
             sigma = self.effective_es_sigma
             check_env_quantity("es_sigma", sigma)
             if sigma == 0 and population != 1:
@@ -479,10 +458,7 @@ class ServingConfig:
     log_requests: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.max_batch, (int, np.integer)) or self.max_batch < 1:
-            raise ValueError(
-                f"max_batch must be a positive integer, got {self.max_batch!r}"
-            )
+        check_integer("max_batch", self.max_batch, 1)
         if self.max_wait_us < 0:
             raise ValueError(
                 f"max_wait_us must be >= 0, got {self.max_wait_us!r}"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.config import check_integer
 from repro.quantum import density as _dm
 from repro.quantum import gates as _gates
 from repro.quantum import program as _program
@@ -133,8 +134,8 @@ class StatevectorBackend:
     supports_adjoint = True
 
     def __init__(self, shots=None, rng=None, program=None):
-        if shots is not None and shots < 1:
-            raise ValueError("shots must be None or >= 1")
+        if shots is not None:
+            check_integer("shots", shots, 1)
         self.shots = shots
         self.rng = rng if rng is not None else np.random.default_rng()
         self.program = program
@@ -147,13 +148,13 @@ class StatevectorBackend:
     def evolve(self, circuit, inputs=None, weights=None, batch_size=None):
         """Run the circuit, returning the final state batch ``(B, 2**n)``.
 
-        ``weights`` is a shared ``(n_weights,)`` vector or a grouped
-        ``(G, n_weights)`` matrix whose row ``b % G`` drives batch row ``b``
-        (see :func:`repro.quantum.program.expand_weights`).  Dispatches to
-        the program-compiled kernel tier (pre-planned, fused gate
-        applications — see :mod:`repro.quantum.program`) unless the tier is
-        disabled, in which case the interpreted per-gate reference loop
-        runs.  Both produce the same states to float round-off.
+        ``weights`` is a shared ``(n_weights,)`` vector (one weight row) or
+        a grouped ``(G, n_weights)`` matrix whose row ``b % G`` drives batch
+        row ``b`` (see :func:`repro.quantum.program.expand_weights`).
+        Dispatches to the program-compiled kernel tier (pre-planned, fused
+        gate applications — see :mod:`repro.quantum.program`) unless the
+        tier is disabled, in which case the interpreted per-gate reference
+        loop runs.  Both produce the same states to float round-off.
         """
         if self._use_program():
             program = _program.compile_program(circuit)
@@ -180,15 +181,14 @@ class StatevectorBackend:
         """:meth:`run` that also returns the states the adjoint backward
         can reuse: ``(expectations, states)``.
 
-        With grouped ``(G, n_weights)`` weights on the program tier,
-        ``states`` is the forward's
+        On the program tier ``states`` is the forward's
         :class:`~repro.quantum.program.ForwardStates` (see
         :meth:`~repro.quantum.program.CircuitProgram.evolve_states`, which
         also lets rows with repeated input bits share one encoding), to be
-        passed to :func:`repro.quantum.gradients.backward`.  Otherwise it is
-        ``None`` and the values are :meth:`run`'s.
+        passed to :func:`repro.quantum.gradients.backward`.  On the
+        interpreted tier it is ``None`` and the values are :meth:`run`'s.
         """
-        if not (self._use_program() and np.ndim(weights) == 2):
+        if not self._use_program():
             return self.run(circuit, observables, inputs, weights, batch_size), None
         program = _program.compile_program(circuit)
         inputs, batch = _normalise_run_args(program.n_inputs, inputs, batch_size)
@@ -290,8 +290,8 @@ class DensityMatrixBackend:
     supports_adjoint = False
 
     def __init__(self, noise_model=None, shots=None, rng=None):
-        if shots is not None and shots < 1:
-            raise ValueError("shots must be None or >= 1")
+        if shots is not None:
+            check_integer("shots", shots, 1)
         self.noise_model = noise_model if noise_model is not None else NoiseModel()
         self.shots = shots
         self.rng = rng if rng is not None else np.random.default_rng()

@@ -10,9 +10,9 @@ quantum layer participate in end-to-end classical backpropagation):
   training path, equivalent to what PennyLane/torchquantum use on
   simulators.  Per-sample upstream gradients are folded into a batched
   *effective observable* so one reverse sweep serves the whole batch and
-  every observable simultaneously.  Given the states a grouped forward
-  kept (``states=``), the folded sweep starts from them instead of
-  simulating the batch again.
+  every observable simultaneously.  Given the states the forward kept
+  (``states=``), the sweep starts from them instead of simulating the
+  batch again.
 - **Parameter-shift rule** (`method="parameter_shift"`): evaluates the
   circuit at shifted angles; hardware-compatible and valid on noisy /
   shot-based backends.  Pauli rotations use the two-term rule; controlled
@@ -155,8 +155,8 @@ def adjoint_backward(
         states: The :class:`~repro.quantum.program.ForwardStates` of the
             forward that produced the values being differentiated (from
             :meth:`~repro.quantum.backends.StatevectorBackend.run_states`),
-            or ``None``.  The folded path starts from them instead of
-            simulating the rows again; the row sweep ignores them.
+            or ``None``.  Both sweeps start from them instead of
+            simulating the rows again.
 
     Returns:
         ``(input_grads, weight_grads)``; ``input_grads`` is ``None`` when the
@@ -209,8 +209,9 @@ def adjoint_backward(
     gi, gw = _gradient_buffers(circuit, weights, batch, input_grads)
     split, dim = prog.split, prog.dim
     top = len(ops)
+    reusable = _reusable(prog, states, batch, n_groups)
     if _folds(prog, batch, n_groups):
-        if _reusable(prog, states, weights, batch, n_groups):
+        if reusable:
             phi, final, unitary = states
         else:
             phi = prog.prefix_states(inputs, weights, batch)
@@ -247,7 +248,7 @@ def adjoint_backward(
         top = split
         bra_ket = (beta.reshape(batch, dim), phi)
     else:
-        psi = prog.apply(prog.zero_state(batch), inputs, weights)
+        psi = states.final if reusable else prog.evolve(inputs, weights, batch)
         bra_ket = (effective.apply(psi, n), psi)
     if stop < top:
         row_weights = _program.expand_weights(weights, batch)
@@ -266,12 +267,10 @@ def _folds(prog, batch, n_groups):
     return prog.suffix_has_weights and batch > n_groups * prog.dim
 
 
-def _reusable(prog, states, weights, batch, n_groups):
-    """Whether a grouped forward's states are the ones the fold would
-    simulate, bit for bit.  Its prefix ran per-row weight kernels, so
-    against a 1-D weight vector (whose prefix weight gates run fused) they
-    stand in only for a prefix without weights."""
-    if states is None or (weights.ndim == 1 and prog.prefix_has_weights):
+def _reusable(prog, states, batch, n_groups):
+    """Whether a forward's states are there to differentiate: the fold
+    starts from all three, the row sweep from the final states."""
+    if states is None:
         return False
     if states.prefix.shape != (batch, prog.dim) or (
         states.unitary.shape[0] != n_groups

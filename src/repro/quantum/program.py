@@ -17,23 +17,25 @@ specialised by gate class:
   pre-planned reshape (no ``moveaxis`` copies) with the subscripts and view
   shapes resolved at compile time.
 
-On top of the per-op plans the forward execution path *fuses*:
+On top of the per-op plans the forward execution path *fuses* constant
+gates (no input feature, no trainable weight) at compile time:
 
-- runs of adjacent input-independent gates whose combined wire set stays
-  within two qubits are pre-merged into single small unitaries (constant
-  ones folded at compile time, weight-dependent ones cached by weight
-  content);
+- runs of adjacent constant gates whose combined wire set stays within
+  two qubits are pre-merged into single small unitaries;
 - consecutive constant diagonal/monomial kernels are composed into one
   full-state gather (a CNOT ring collapses to a single index take).
 
-Fusion never crosses an input-dependent operation, so per-sample encoding
-angles always see exactly the gates the symbolic circuit specifies.
+Input and weight gates keep their own per-op plans, so fusion never
+crosses them: per-sample encoding angles always see exactly the gates the
+symbolic circuit specifies.
 
-Grouped 2-D weights ``(G, n_weights)`` (row ``b`` uses weight row
-``b % G``, :func:`expand_weights`) run the encoding prefix per row and the
+Weights follow one grouped contract: a ``(G, n_weights)`` matrix serves a
+``k * G``-row batch (row ``b`` uses weight row ``b % G``,
+:func:`expand_weights`), a 1-D vector is one weight row and ``None`` one
+empty row.  Every forward runs the encoding prefix per row and the
 input-free trailing block (from :func:`split_index` on) as ``G`` cached
 ``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`).  An
-update's grouped forward keeps those states for the folded adjoint
+update's forward keeps those states for the adjoint
 (:meth:`CircuitProgram.evolve_states`, :class:`ForwardStates`).
 
 The per-op (unfused) plans double as the adjoint-differentiation kernels:
@@ -50,8 +52,6 @@ against it by the equivalence suite in ``tests/test_program.py``.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import os
 import weakref
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -71,19 +71,13 @@ __all__ = [
     "split_index",
     "using_program",
     "weight_groups",
-    "weights_key",
 ]
 
 # ---------------------------------------------------------------------------
 # Global tier switch
 # ---------------------------------------------------------------------------
 
-_ENABLED = os.environ.get("REPRO_QUANTUM_PROGRAM", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-    "off",
-)
+_ENABLED = True
 
 
 def program_enabled():
@@ -114,19 +108,8 @@ def using_program(enabled):
 
 
 # ---------------------------------------------------------------------------
-# Weights: content keys and the grouped 2-D contract
+# Weights: the grouped contract
 # ---------------------------------------------------------------------------
-
-
-def weights_key(weights):
-    """Content key of a 1-D weight vector (weights mutate in place under Adam).
-
-    Keys the fused weight-step matrices; grouped 2-D weights never need it
-    (their per-op kernels read the angles directly).
-    """
-    array = np.ascontiguousarray(np.asarray(weights, dtype=np.float64))
-    digest = hashlib.blake2b(array.tobytes(), digest_size=16).hexdigest()
-    return (array.shape, digest)
 
 
 def split_index(circuit):
@@ -162,6 +145,14 @@ def expand_weights(weights, batch):
     if weights is None or np.ndim(weights) != 2 or n_groups == batch:
         return weights
     return np.asarray(weights)[np.arange(batch) % n_groups]
+
+
+def _weight_rows(weights):
+    """``weights`` as a ``(G, n_weights)`` matrix: a 1-D vector is one
+    weight row and ``None`` one empty row."""
+    if weights is None:
+        return np.empty((1, 0))
+    return np.atleast_2d(np.asarray(weights, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +352,7 @@ def _resolve(resolver, inputs, weights):
     if kind == "weight":
         if weights is None:
             raise ValueError("circuit references weights but none were given")
-        if weights.ndim == 2:
-            return weights[:, index] * scale
-        return float(weights[index]) * scale
+        return weights[:, index] * scale
     if inputs is None:
         raise ValueError("circuit references inputs but none were given")
     return inputs[:, index] * scale
@@ -412,27 +401,14 @@ class _OpPlan:
 
     # -- forward --------------------------------------------------------------
 
-    def apply_forward(self, psi, theta=None, out=None):
-        """Forward kernel; ``out`` is an optional scratch target for the
-        diag/gather/pdiag kinds (never aliased with ``psi`` by the caller).
-        Gather-with-phase multiplies in place on the freshly gathered rows,
-        so even without scratch it allocates once instead of twice.
-        """
+    def apply_forward(self, psi, theta=None):
+        """Forward kernel.  Gather-with-phase multiplies in place on the
+        freshly gathered rows, so it allocates once instead of twice."""
         kind = self.kind
         if kind == "diag":
-            if self.phase is None:
-                return psi
-            if out is not None:
-                return np.multiply(psi, self.phase, out=out)
-            return psi * self.phase
+            return psi if self.phase is None else psi * self.phase
         if kind == "gather":
-            if out is not None:
-                # mode="clip" never clips (source is a compile-time
-                # permutation) but skips the bounds-checked buffered path
-                # numpy falls into when ``out`` is combined with "raise".
-                taken = np.take(psi, self.source, axis=1, out=out, mode="clip")
-            else:
-                taken = psi[:, self.source]
+            taken = psi[:, self.source]
             if self.phase is None:
                 return taken
             return np.multiply(taken, self.phase, out=taken)
@@ -443,8 +419,6 @@ class _OpPlan:
                 # The per-sample phase table is freshly built this call —
                 # multiplying into it saves the product allocation.
                 return np.multiply(psi, phases, out=phases)
-            if out is not None:
-                return np.multiply(psi, phases, out=out)
             return psi * phases
         if kind == "prot":
             return self._apply_rotation(psi, theta, 1.0)
@@ -718,110 +692,33 @@ class _ProductLayer:
 
 
 # ---------------------------------------------------------------------------
-# Forward execution steps (fused)
+# Forward execution steps
 # ---------------------------------------------------------------------------
 
 
-class _PlanStep:
-    """Forward step executing one (possibly fused-constant) op plan."""
-
-    __slots__ = ("plan",)
-
-    def __init__(self, plan):
-        self.plan = plan
-
-    @property
-    def ops(self):
-        return self.plan.ops
-
-    @property
-    def kind(self):
-        return self.plan.kind
-
-    def apply(self, psi, inputs, weights, key, out=None):
-        plan = self.plan
-        if plan.resolver is None:
-            return plan.apply_forward(psi, out=out)
-        return plan.apply_forward(
-            psi, _resolve(plan.resolver, inputs, weights), out
-        )
+def _run(steps, psi, inputs, weights):
+    """Apply the ``steps`` plans to ``psi``; ``weights`` hold one row per
+    state."""
+    for plan in steps:
+        theta = None
+        if plan.resolver is not None:
+            theta = _resolve(plan.resolver, inputs, weights)
+        psi = plan.apply_forward(psi, theta)
+    return psi
 
 
-class _FusedWeightStep:
-    """A run of adjacent weight/constant gates merged into one small unitary.
-
-    The fused matrix is rebuilt only when the weight *content* changes
-    (detected through the program-level weights key), so it stays cached
-    across every call between optimiser updates.  With 2-D per-row
-    weights, fusing would build a batched ``(B, d, d)`` matrix stack per
-    weight change; the constituent per-op rotation kernels are cheaper
-    there, so the step falls back to applying its ops individually.
-    """
-
-    __slots__ = ("ops", "wires", "kind", "_plan", "_parts", "_op_plans",
-                 "_key", "_matrix")
-
-    def __init__(self, ops, wires, n_qubits, op_plans):
-        self.ops = tuple(ops)
-        self.wires = tuple(wires)
-        self.kind = "fused"
-        self._plan = _DensePlan(self.wires, n_qubits)
-        self._op_plans = list(op_plans)
-        self._parts = []
-        for op in self.ops:
-            spec = op.spec
-            ref = op.param
-            if spec.n_params == 0:
-                matrix = _embed_matrix(spec.fixed_matrix, op.wires, self.wires)
-                self._parts.append(("const", matrix))
-            elif ref.kind == "fixed":
-                matrix = _embed_matrix(
-                    spec.matrix_fn(ref.value * ref.scale), op.wires, self.wires
-                )
-                self._parts.append(("const", matrix))
-            else:
-                self._parts.append(
-                    ("weight", spec.matrix_fn, ref.index, ref.scale, op.wires)
-                )
-        self._key = object()  # sentinel: never equal to a content key
-        self._matrix = None
-
-    def matrix(self, weights, key):
-        """Fused unitary for a 1-D weight vector (2-D goes through apply)."""
-        if key == self._key:
-            if obs.enabled():
-                obs.counter("program.fused_hit").inc()
-            return self._matrix
-        if obs.enabled():
-            obs.counter("program.fused_build").inc()
-        total = None
-        for part in self._parts:
-            if part[0] == "const":
-                matrix = part[1]
-            else:
-                _, matrix_fn, index, scale, op_wires = part
-                theta = float(weights[index]) * scale
-                matrix = _embed_matrix(matrix_fn(theta), op_wires, self.wires)
-            total = matrix if total is None else matrix @ total
-        self._key = key
-        self._matrix = total
-        return total
-
-    def apply(self, psi, inputs, weights, key, out=None):
-        if weights is None:
-            raise ValueError("circuit references weights but none were given")
-        if weights.ndim == 2:
-            # Per-sample weights: batched fused matrices cost more than the
-            # constituent rotation kernels — run the ops individually.
-            for plan in self._op_plans:
-                if plan.resolver is None:
-                    psi = plan.apply_forward(psi)
-                else:
-                    psi = plan.apply_forward(
-                        psi, _resolve(plan.resolver, inputs, weights)
-                    )
-            return psi
-        return self._plan.apply(psi, self.matrix(weights, key))
+def _fused_constant_plan(ops, wires, n_qubits):
+    """One plan for a run of constant gates within the two ``wires``."""
+    total = None
+    for op in ops:
+        spec = op.spec
+        if spec.n_params == 0:
+            matrix = spec.fixed_matrix
+        else:
+            matrix = spec.matrix_fn(op.param.value * op.param.scale)
+        matrix = _embed_matrix(matrix, op.wires, wires)
+        total = matrix if total is None else matrix @ total
+    return _fixed_plan(tuple(ops), total, wires, n_qubits)
 
 
 def _compose_monomial(first, second, n_qubits):
@@ -871,7 +768,7 @@ def _compose_monomial(first, second, n_qubits):
 
 
 class ForwardStates(namedtuple("ForwardStates", "prefix final unitary")):
-    """What a grouped forward leaves for the folded adjoint
+    """What a forward leaves for the adjoint
     (:meth:`CircuitProgram.evolve_states`): ``prefix`` the ``(B, 2**n)``
     encoded states at the split, ``final`` the ``(B, 2**n)`` final states
     and ``unitary`` the ``(G, 2**n, 2**n)`` trailing-block unitaries; row
@@ -899,17 +796,16 @@ class CircuitProgram:
 
     Two views of the same circuit are compiled:
 
-    - :attr:`steps` — the fused forward plan used by :meth:`apply` /
-      :meth:`evolve`, in two parts split at :attr:`split`: the encoding
-      prefix and the input-free trailing block (fusion never crosses an
-      input op, so the parts are exactly the steps of the whole);
+    - :attr:`steps` — the forward plans (constant runs fused), in two
+      parts split at :attr:`split`: the encoding prefix run per row by
+      :meth:`prefix_states` and the input-free trailing block built into
+      unitaries by :meth:`suffix_unitary` (fusion never crosses an input
+      op, so the parts are exactly the steps of the whole);
     - :attr:`op_plans` — one un-fused plan per operation, exposing
       :meth:`apply_inverse` and :meth:`apply_generator` for the adjoint
       reverse sweep (which needs per-gate granularity).
     """
 
-    # Scratch buffers are kept for at most this many distinct batch shapes.
-    _SCRATCH_SHAPE_LIMIT = 8
     # Weight matrices whose trailing-block unitaries stay cached.
     _SUFFIX_CACHE_SIZE = 4
 
@@ -940,14 +836,10 @@ class CircuitProgram:
         )
         self.steps = self._prefix_steps + self._suffix_steps
         # Frozen at compile time so the telemetry publish per call is a
-        # tuple walk, not a per-call histogram rebuild.
-        self._kind_counts = tuple(sorted(self.kernel_counts().items()))
-        self._grouped_kind_counts = tuple(sorted(Counter(
+        # tuple walk: the prefix kernels, and the block as one ``suffix``.
+        self._forward_kinds = tuple(sorted(Counter(
             [step.kind for step in self._prefix_steps] + ["suffix"]
         ).items()))
-        self._fused_weights = any(
-            isinstance(step, _FusedWeightStep) for step in self.steps
-        )
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
         # Rows with repeated inputs share an encoding (evolve_states) only
@@ -958,88 +850,52 @@ class CircuitProgram:
             self._layer is None or bool(self._after_layer)
         )
         self._suffix_cache = []  # [(weights, unitary)], most recent last
-        # Per-program ping-pong scratch: forward diag/gather/pdiag steps
-        # write into preallocated buffers instead of allocating a fresh
-        # state per step.  The final step always allocates, so returned
-        # states never alias program-owned scratch.
-        self._scratch = {}
 
     # -- compilation ----------------------------------------------------------
 
     def _build_steps(self, operations, op_plans):
+        """The forward plans: runs of constant gates within two wires fused
+        into one plan, consecutive constant diagonal/monomial plans composed
+        into one gather, identities dropped; input and weight gates keep
+        their own plans."""
         steps = []
-        group = []  # (op, plan) pairs of the pending fusion run
-        group_wires = set()
+        run, run_wires = [], set()  # (op, plan) pairs of the constant run
 
         def flush():
-            if not group:
-                return
-            if len(group) == 1:
-                steps.append(_PlanStep(group[0][1]))
-            else:
-                ops = [op for op, _ in group]
-                union = tuple(sorted(group_wires))
-                if any(op.is_trainable for op in ops):
-                    steps.append(
-                        _FusedWeightStep(
-                            ops, union, self.n_qubits,
-                            [plan for _, plan in group],
-                        )
-                    )
-                else:
-                    total = None
-                    for op in ops:
-                        spec = op.spec
-                        if spec.n_params == 0:
-                            matrix = spec.fixed_matrix
-                        else:
-                            ref = op.param
-                            matrix = spec.matrix_fn(ref.value * ref.scale)
-                        matrix = _embed_matrix(matrix, op.wires, union)
-                        total = matrix if total is None else matrix @ total
-                    steps.append(
-                        _PlanStep(_fixed_plan(ops, total, union, self.n_qubits))
-                    )
-            group.clear()
-            group_wires.clear()
+            if len(run) == 1:
+                steps.append(run[0][1])
+            elif run:
+                steps.append(_fused_constant_plan(
+                    [op for op, _ in run], tuple(sorted(run_wires)),
+                    self.n_qubits,
+                ))
+            run.clear()
+            run_wires.clear()
 
         for op, plan in zip(operations, op_plans):
-            fusable = not op.is_input and len(op.wires) <= 2
-            if fusable and len(group_wires | set(op.wires)) <= 2:
-                group.append((op, plan))
-                group_wires.update(op.wires)
+            if plan.resolver is not None or len(op.wires) > 2:
+                flush()
+                steps.append(plan)
                 continue
-            flush()
-            if fusable:
-                group.append((op, plan))
-                group_wires.update(op.wires)
-            else:
-                steps.append(_PlanStep(plan))
+            if len(run_wires | set(op.wires)) > 2:
+                flush()
+            run.append((op, plan))
+            run_wires.update(op.wires)
         flush()
 
         # Compose consecutive constant diagonal/monomial kernels into one
         # full-state gather — wire overlap is irrelevant at this level.
         merged = []
-        for step in steps:
+        for plan in steps:
             if (
                 merged
-                and isinstance(step, _PlanStep)
-                and isinstance(merged[-1], _PlanStep)
-                and step.plan.resolver is None
-                and merged[-1].plan.resolver is None
-                and step.plan.kind in ("diag", "gather")
-                and merged[-1].plan.kind in ("diag", "gather")
+                and plan.kind in ("diag", "gather")
+                and merged[-1].kind in ("diag", "gather")
             ):
-                merged[-1] = _PlanStep(
-                    _compose_monomial(merged[-1].plan, step.plan, self.n_qubits)
-                )
+                merged[-1] = _compose_monomial(merged[-1], plan, self.n_qubits)
                 continue
-            merged.append(step)
-        return [
-            step
-            for step in merged
-            if not (isinstance(step, _PlanStep) and step.plan.is_identity)
-        ]
+            merged.append(plan)
+        return [plan for plan in merged if not plan.is_identity]
 
     # -- execution ------------------------------------------------------------
 
@@ -1047,79 +903,27 @@ class CircuitProgram:
         """``|0...0>``, shape ``(B, 2**n)``."""
         return _sv.zero_state(self.n_qubits, batch_size)
 
-    def _scratch_pair(self, shape):
-        pair = self._scratch.get(shape)
-        if pair is None:
-            if len(self._scratch) >= self._SCRATCH_SHAPE_LIMIT:
-                self._scratch.clear()
-            pair = (
-                np.empty(shape, np.complex128),
-                np.empty(shape, np.complex128),
-            )
-            self._scratch[shape] = pair
-        return pair
-
-    def _publish(self, rows, kind_counts):
+    def _publish(self, rows):
         if obs.enabled():
             obs.counter("program.evals").inc()
             obs.counter("program.rows").inc(rows)
             obs.counter("program.kernel_dispatches").inc(
-                sum(count for _, count in kind_counts)
+                sum(count for _, count in self._forward_kinds)
             )
-            for kind, count in kind_counts:
+            for kind, count in self._forward_kinds:
                 obs.counter(f"program.kernels.{kind}").inc(count)
-
-    def _run(self, steps, psi, inputs, weights, key=None):
-        """Apply ``steps`` to ``psi``; 2-D ``weights`` hold one row per state."""
-        if len(steps) > 1 and psi.dtype == np.complex128:
-            # Strict A/B alternation guarantees a step never writes the
-            # buffer its input state may alias; the last step gets no
-            # scratch so the returned state is always freshly owned.
-            scratch = self._scratch_pair(psi.shape)
-            last = len(steps) - 1
-            for i, step in enumerate(steps):
-                out = scratch[i & 1] if i != last else None
-                psi = step.apply(psi, inputs, weights, key, out)
-            return psi
-        for step in steps:
-            psi = step.apply(psi, inputs, weights, key)
-        return psi
-
-    def _step_weights(self, weights, batch, rows=None):
-        """``(weights, key)`` as the step kernels take them: a grouped matrix
-        expanded to one row per state (never hashed), a 1-D vector with the
-        content key of the fused weight steps."""
-        if weights is None:
-            return None, None
-        weights = np.asarray(weights)
-        if weights.ndim == 2:
-            if rows is None:
-                return expand_weights(weights, batch), None
-            return weights[rows], None
-        return weights, weights_key(weights) if self._fused_weights else None
-
-    def apply(self, psi, inputs=None, weights=None):
-        """Run every step on an existing state batch ``(B, 2**n)``, row by row.
-
-        2-D weights follow the grouped contract (:func:`expand_weights`).
-        """
-        has_weights = self.prefix_has_weights or self.suffix_has_weights
-        weights, key = self._step_weights(
-            weights if has_weights else None, psi.shape[0]
-        )
-        self._publish(psi.shape[0], self._kind_counts)
-        return self._run(self.steps, psi, _as_inputs(inputs), weights, key)
 
     def evolve(self, inputs=None, weights=None, batch_size=1):
         """Run the program from ``|0...0>``, returning ``(B, 2**n)``.
 
-        Grouped 2-D weights run the prefix per row and the trailing block
-        as the cached unitaries of :meth:`suffix_unitary`.
+        ``weights`` is a ``(G, n_weights)`` matrix (row ``b`` uses weight
+        row ``b % G``), a 1-D vector (one weight row) or ``None``.  The
+        prefix runs per row and the trailing block as the cached unitaries
+        of :meth:`suffix_unitary`, so ``w`` and ``w[None]`` give the same
+        bits.
         """
-        if np.ndim(weights) == 2:
-            weight_groups(weights, batch_size)
-            return self._evolve_grouped(inputs, weights, batch_size, None)
-        return self.apply(self.zero_state(batch_size), inputs, weights)
+        weight_groups(weights, batch_size)
+        return self._forward(inputs, weights, batch_size, None)
 
     def evolve_rows(self, inputs, weights, rows):
         """Final states where row ``b`` uses weight row ``rows[b]`` of the
@@ -1130,16 +934,16 @@ class CircuitProgram:
         batch = rows.shape[0] if inputs is None else np.shape(inputs)[0]
         if rows.shape != (batch,):
             raise ValueError(f"rows must have shape ({batch},), got {rows.shape}")
-        return self._evolve_grouped(inputs, weights, batch, rows)
+        return self._forward(inputs, weights, batch, rows)
 
-    def _evolve_grouped(self, inputs, weights, batch, rows):
-        self._publish(batch, self._grouped_kind_counts)
+    def _forward(self, inputs, weights, batch, rows):
+        self._publish(batch)
         phi = self.prefix_states(inputs, weights, batch, rows)
         return self.apply_suffix(phi, self.suffix_unitary(weights), rows)
 
     def evolve_states(self, inputs, weights, batch):
-        """:meth:`evolve` for grouped ``(G, n_weights)`` weights, keeping
-        what the folded adjoint starts from (:class:`ForwardStates`).
+        """:meth:`evolve`, keeping what the adjoint starts from
+        (:class:`ForwardStates`).
 
         A row whose input bits repeat the row before it shares that row's
         encoded state when the prefix holds no weights and runs
@@ -1150,7 +954,7 @@ class CircuitProgram:
         different inputs).  The final states equal :meth:`evolve`'s.
         """
         weight_groups(weights, batch)
-        self._publish(batch, self._grouped_kind_counts)
+        self._publish(batch)
         inputs = _as_inputs(inputs)
         fresh = None
         if inputs is not None and batch > 1 and self._shares_rows:
@@ -1181,19 +985,23 @@ class CircuitProgram:
             psi, steps = self._layer.states(inputs, batch), self._after_layer
             if not steps:
                 return psi
-        weights, key = self._step_weights(
-            weights if self.prefix_has_weights else None, batch, rows
-        )
-        return self._run(steps, psi, inputs, weights, key)
+        if weights is None or not self.prefix_has_weights:
+            weights = None
+        elif rows is None:
+            weights = expand_weights(_weight_rows(weights), batch)
+        else:
+            weights = _weight_rows(weights)[rows]
+        return _run(steps, psi, inputs, weights)
 
     def suffix_unitary(self, weights):
         """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
-        (a 1-D vector is one group), cached by weight content.  Built by
-        per-row kernels, so each is bit-identical whatever the other rows.
-        The cache is scanned newest first: a rollout round hits the entry
-        built for the current weights, which sits last.
+        (a 1-D vector is one row, ``None`` one empty row), cached by weight
+        content.  Built by per-row kernels, so each is bit-identical
+        whatever the other rows.  The cache is scanned newest first: a
+        rollout round hits the entry built for the current weights, which
+        sits last.
         """
-        weights = np.atleast_2d(np.asarray(weights, dtype=np.float64))
+        weights = _weight_rows(weights)
         cache = self._suffix_cache
         for i in reversed(range(len(cache))):
             cached, unitary = cache[i]
@@ -1208,9 +1016,9 @@ class CircuitProgram:
         # Row l of group g evolves the basis state |l>, so each (dim, dim)
         # block of the result is U_g^T.
         basis = np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1))
-        states = self._run(
-            self._suffix_steps, basis, None, np.repeat(weights, dim, axis=0)
-        )
+        # An empty row gives a weight gate nothing to read: _resolve raises.
+        row_weights = np.repeat(weights, dim, axis=0) if weights.size else None
+        states = _run(self._suffix_steps, basis, None, row_weights)
         unitary = np.transpose(states.reshape(n_groups, dim, dim), (0, 2, 1))
         if len(cache) >= self._SUFFIX_CACHE_SIZE:
             cache.pop(0)

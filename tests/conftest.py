@@ -92,29 +92,31 @@ def recomputing(monkeypatch):
 def program_state(request, monkeypatch):
     """Run a test on fresh compiled programs, then on reused ones.
 
-    ``reused`` runs every step sequence a program executes on a decoy batch
-    of the same shape first (another state, other inputs and weights), so
-    the scratch buffers and fused-weight matrices the real call meets hold
-    another call's data.  The real call must then leave the decoy's returned
-    state untouched: no returned state aliases program-owned scratch.
+    ``reused`` fills a program's trailing-block cache with decoy weight
+    rows of the same shape (the real rows shifted) before every
+    ``suffix_unitary`` call, so the real call meets a cache holding other
+    weights' unitaries.  It must still build or find its own, and leave
+    every decoy's cached unitary unchanged.  One slot is left for the real
+    rows, so a test's repeated calls still hit its own entry.
     """
     if request.param == "fresh":
         return
     from repro.quantum import program
 
-    run = program.CircuitProgram._run
+    suffix_unitary = program.CircuitProgram.suffix_unitary
 
-    def reused(self, steps, psi, inputs, weights, key=None):
-        decoy_weights = None if weights is None else weights + 0.25
-        decoy = run(
-            self, steps, np.roll(psi, 1, axis=-1),
-            None if inputs is None else inputs + 0.5,
-            decoy_weights,
-            None if key is None else program.weights_key(decoy_weights),
-        )
-        kept = decoy.copy()
-        out = run(self, steps, psi, inputs, weights, key)
-        assert np.array_equal(decoy, kept), "a later call overwrote a returned state"
+    def reused(self, weights):
+        rows = program._weight_rows(weights)
+        decoys = [
+            suffix_unitary(self, rows + 0.25 * (k + 1))
+            for k in range(self._SUFFIX_CACHE_SIZE - 1)
+        ]
+        kept = [decoy.copy() for decoy in decoys]
+        out = suffix_unitary(self, weights)
+        for decoy, copy in zip(decoys, kept):
+            assert decoy.tobytes() == copy.tobytes(), (
+                "a later call changed a cached unitary"
+            )
         return out
 
-    monkeypatch.setattr(program.CircuitProgram, "_run", reused)
+    monkeypatch.setattr(program.CircuitProgram, "suffix_unitary", reused)

@@ -82,6 +82,15 @@ class TestStatevectorBackend:
         with pytest.raises(ValueError):
             StatevectorBackend(shots=0)
 
+    @pytest.mark.parametrize(
+        "backend", [StatevectorBackend, DensityMatrixBackend]
+    )
+    def test_fractional_shots_rejected_at_construction(self, backend):
+        """2.5 shots used to construct and raise ``TypeError`` on the first
+        sampled run."""
+        with pytest.raises(ValueError, match="^shots must be an integer"):
+            backend(shots=2.5)
+
 
 class TestAllZMeasurement:
     """A list made only of non-identity Z strings is recognised by one

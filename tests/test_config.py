@@ -94,6 +94,15 @@ class TestSingleHopConfig:
     def test_episode_limit_accepts_numpy_integers(self):
         assert SingleHopConfig(episode_limit=np.int32(7)).episode_limit == 7
 
+    @pytest.mark.parametrize(
+        "field, value", [("n_agents", 2.5), ("n_agents", True), ("n_clouds", 2.5)]
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """Each used to construct: 2.5 agents then failed in the env with a
+        ``TypeError``, 2.5 clouds ran, and True stood in for 1."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            SingleHopConfig(**{field: value})
+
     def test_zero_quantities_stay_legal(self):
         cfg = SingleHopConfig(
             packet_amounts=(0.0, 0.2), cloud_service_rate=0.0, w_r=0.0
@@ -163,6 +172,34 @@ class TestTrainingConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_epochs", 2.5),
+            ("episodes_per_epoch", 2.5),
+            ("target_update_period", 1.5),
+            ("evaluation_episodes", 0),
+            ("evaluation_episodes", 2.5),
+            ("rollout_envs", True),
+            ("rollout_workers", True),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        """Each used to construct and fail late (a float modulo in
+        ``train_epoch``, an ``IndexError`` or ``TypeError`` in
+        ``evaluate``), run with a fractional period, or take True as 1."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            TrainingConfig(**{field: value})
+
+    def test_count_fields_accept_numpy_integers(self):
+        cfg = TrainingConfig(
+            n_epochs=np.int64(3), rollout_envs=np.int32(2),
+            evaluation_episodes=np.int16(1),
+        )
+        assert (cfg.n_epochs, cfg.rollout_envs, cfg.evaluation_episodes) == (
+            3, 2, 1
+        )
 
     def test_rollout_validation_messages_name_the_field(self):
         """Bad rollout settings fail at construction with a clear message,
@@ -282,6 +319,11 @@ class TestServingConfig:
     def test_frozen(self):
         with pytest.raises(AttributeError):
             ServingConfig().max_batch = 64
+
+    def test_max_batch_must_be_an_integer(self):
+        """True used to pass ``isinstance(..., int)`` as a batch of one."""
+        with pytest.raises(ValueError, match="^max_batch must be an integer"):
+            ServingConfig(max_batch=True)
 
 
 class TestTrainerSelection:

@@ -22,6 +22,7 @@ from repro.quantum.gradients import (
     parameter_shift_backward,
 )
 from repro.quantum.encoding import AngleEncoding
+from repro.quantum.gates import GATE_REGISTRY
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
 from repro.quantum.program import using_program
 from repro.quantum.templates import BasicEntanglerTemplate
@@ -337,6 +338,12 @@ def _every_rotation_circuit():
     return circuit
 
 
+_SWEEP_KINDS = (
+    "random", "basic_entangler", "strongly_entangling",
+    "every_rotation", "reuploading", "reuploading_trailing",
+)
+
+
 def _sweep_case(kind):
     """``(circuit, n_inputs, whether a trailing weight block can fold)``."""
     if kind == "every_rotation":
@@ -368,10 +375,7 @@ class TestSweepMatchesPerGateReference:
     @pytest.mark.parametrize("input_grads", [True, False])
     @pytest.mark.parametrize("per_group", [4, 8, 16])  # B/G vs 2**n = 8
     @pytest.mark.parametrize("weight_rows", [None, 1, 4])  # None: 1-D
-    @pytest.mark.parametrize("kind", [
-        "random", "basic_entangler", "strongly_entangling",
-        "every_rotation", "reuploading", "reuploading_trailing",
-    ])
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS)
     def test_gradients_are_bit_identical(
         self, kind, weight_rows, per_group, input_grads, observables,
         sweep_rows, monkeypatch,
@@ -405,8 +409,8 @@ class TestSweepMatchesPerGateReference:
 
 
 class TestForwardStates:
-    """``StatevectorBackend.run_states`` keeps what the folded adjoint
-    starts from; handed to ``adjoint_backward`` the fold simulates nothing
+    """``StatevectorBackend.run_states`` keeps what the adjoint starts
+    from; handed to ``adjoint_backward`` either sweep simulates nothing
     again, with every gradient bit unchanged."""
 
     def problem(self, n_groups=4, per_group=2 * DIM, seed=0):
@@ -447,19 +451,22 @@ class TestForwardStates:
         if input_grads:
             assert gi.tobytes() == gi_ref.tobytes()
 
-    def test_row_sweep_ignores_states(self, sweep_rows):
+    def test_row_sweep_starts_from_final_states(self, sweep_rows, simulated):
         circuit, observables, inputs, weights, upstream = self.problem(
             per_group=DIM
         )
         _, states = StatevectorBackend().run_states(
             circuit, observables, inputs, weights
         )
+        simulated.clear()
         _, gw = adjoint_backward(
             circuit, observables, inputs, weights, upstream, states=states
         )
+        assert simulated == []
         _, gw_ref = adjoint_backward(
             circuit, observables, inputs, weights, upstream
         )
+        assert simulated == ["prefix_states", "suffix_unitary"]
         assert sweep_rows == [2 * inputs.shape[0]] * 2
         assert gw.tobytes() == gw_ref.tobytes()
 
@@ -484,9 +491,9 @@ class TestForwardStates:
         )
         assert gw.tobytes() == gw_ref.tobytes()
 
-    def test_weighted_prefix_with_1d_weights_recomputes(self, simulated):
-        """A 1-D backward runs a prefix's weight gates fused, so a grouped
-        forward's prefix states (per-row kernels) are not its bits."""
+    def test_weighted_prefix_with_1d_weights_reuses_states(self, simulated):
+        """A 1-D vector is one weight row: a one-row forward's states are
+        the bits a 1-D backward would build, weighted prefix included."""
         rng = np.random.default_rng(2)
         circuit = _reuploading_circuit(trailing=True)
         weights = rng.uniform(0, 2 * np.pi, (1, circuit.n_weights))
@@ -500,10 +507,11 @@ class TestForwardStates:
         _, gw = adjoint_backward(
             circuit, observables, inputs, weights[0], upstream, states=states
         )
-        assert "prefix_states" in simulated
+        assert simulated == []
         _, gw_ref = adjoint_backward(
             circuit, observables, inputs, weights[0], upstream
         )
+        assert "prefix_states" in simulated
         assert gw.tobytes() == gw_ref.tobytes()
 
     def test_mismatched_states_rejected(self):
@@ -517,17 +525,86 @@ class TestForwardStates:
                 states=states,
             )
 
-    def test_no_states_off_the_program_tier_or_for_1d_weights(self):
+    def test_no_states_off_the_program_tier(self):
         circuit, observables, inputs, weights, _ = self.problem(n_groups=1)
         backend = StatevectorBackend()
-        for call_weights, program in ((weights[0], True), (weights, False)):
-            with using_program(program):
-                values, states = backend.run_states(
-                    circuit, observables, inputs, call_weights
-                )
-                reference = backend.run(circuit, observables, inputs, call_weights)
-            assert states is None
-            assert values.tobytes() == reference.tobytes()
+        with using_program(False):
+            values, states = backend.run_states(
+                circuit, observables, inputs, weights
+            )
+            reference = backend.run(circuit, observables, inputs, weights)
+        assert states is None
+        assert values.tobytes() == reference.tobytes()
+
+
+def _one_gate_circuit(name):
+    """``name`` between an encoding layer and a weight rotation, so both
+    the prefix and the trailing block run; a parameterised ``name`` takes
+    weight 0."""
+    spec = GATE_REGISTRY[name]
+    circuit = QuantumCircuit(N_QUBITS)
+    AngleEncoding(N_QUBITS, rotation="ry").apply(circuit)
+    circuit.add(
+        name, (2, 0, 1)[:spec.n_qubits],
+        ParameterRef.weight(0, scale=0.7) if spec.n_params else None,
+    )
+    circuit.add("rx", (1,), ParameterRef.weight(1))
+    return circuit
+
+
+class TestOneWeightRow:
+    """A 1-D weight vector is one weight row: ``w`` and ``w[None]`` run the
+    same kernels, so they give the same bits, and a 1-D forward keeps the
+    states its backward differentiates."""
+
+    @staticmethod
+    def _run_both(circuit, n_inputs, batch, seed=0):
+        rng = np.random.default_rng(seed)
+        inputs = rng.uniform(size=(batch, n_inputs))
+        weights = rng.uniform(0, 2 * np.pi, circuit.n_weights)
+        observables = all_z_observables(N_QUBITS)
+        backend = StatevectorBackend()
+        one = backend.run(circuit, observables, inputs, weights)
+        row = backend.run(circuit, observables, inputs, weights[None])
+        return one, row
+
+    @pytest.mark.parametrize("name", sorted(GATE_REGISTRY))
+    def test_every_gate(self, name):
+        one, row = self._run_both(_one_gate_circuit(name), N_QUBITS, batch=5)
+        assert one.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("batch", [DIM, 4 * DIM])  # B <= 2**n, B > 2**n
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS)
+    def test_sweep_circuits(self, kind, batch):
+        circuit, n_inputs, _ = _sweep_case(kind)
+        one, row = self._run_both(circuit, n_inputs, batch)
+        assert one.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("batch", [DIM, 4 * DIM])
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS)
+    def test_backward_reuses_the_forward(self, kind, batch, simulated):
+        circuit, n_inputs, _ = _sweep_case(kind)
+        rng = np.random.default_rng(1)
+        inputs = rng.uniform(size=(batch, n_inputs))
+        weights = rng.uniform(0, 2 * np.pi, circuit.n_weights)
+        upstream = rng.normal(size=(batch, N_QUBITS))
+        observables = all_z_observables(N_QUBITS)
+        values, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        assert states is not None
+        assert values.tobytes() == StatevectorBackend().run(
+            circuit, observables, inputs, weights
+        ).tobytes()
+        simulated.clear()
+        gi, gw = backward(
+            circuit, observables, inputs, weights, upstream, states=states
+        )
+        assert "prefix_states" not in simulated
+        gi_ref, gw_ref = backward(circuit, observables, inputs, weights, upstream)
+        assert "prefix_states" in simulated
+        assert gw.tobytes() == gw_ref.tobytes()
+        assert gi.tobytes() == gi_ref.tobytes()
 
 
 class TestNoisyGradients:

@@ -9,9 +9,8 @@ grouped 2-D weights.  Fusion must never merge across an input-dependent
 operation.
 
 The equivalence suites run on fresh programs and on reused ones whose
-scratch buffers and fused-weight matrices hold another call's data (the
-``program_state`` fixture); the scratch path itself must give the bits of
-allocating every step.
+trailing-block cache holds other weights' unitaries (the ``program_state``
+fixture).
 """
 
 import dataclasses
@@ -176,7 +175,6 @@ class TestProgramEquivalence:
         for run in (
             lambda: _interpreted().evolve(circuit, inputs, weights),
             lambda: program.evolve(inputs, weights, batch_size=6),
-            lambda: program.apply(program.zero_state(6), inputs, weights),
         ):
             with pytest.raises(ValueError, match="4 weight rows for batch 6"):
                 run()
@@ -231,26 +229,33 @@ class TestFusion:
         assert flattened == list(circuit.operations)  # order preserved
 
     def test_reuploading_circuit_fuses_between_blocks(self, rng):
-        """Interleaved encode/variational blocks: fusion within, not across."""
+        """Interleaved encode/variational blocks: constant runs fuse, while
+        input and weight gates keep their own plans."""
         circuit = QuantumCircuit(2)
         encoder = DataReuploadingEncoding(AngleEncoding(2), n_repeats=2)
         index = 0
         for repeat in range(2):
             encoder.apply(circuit)
             circuit.add("rx", (0,), ParameterRef.weight(index))
-            circuit.add("rz", (0,), ParameterRef.weight(index + 1))
+            circuit.add("h", (1,))
             circuit.add("cnot", (0, 1))
+            circuit.add("rz", (0,), ParameterRef.weight(index + 1))
             index += 2
         program = compile_program(circuit)
-        assert any(step.kind == "fused" for step in program.steps)
-        for step in program.steps:
-            if len(step.ops) > 1:
-                assert not any(op.is_input for op in step.ops)
+        fused = [step for step in program.steps if len(step.ops) > 1]
+        assert len(fused) == 2  # h + cnot, once per block
+        for step in fused:
+            assert step.kind == "dense"
+            assert not any(op.is_input or op.is_trainable for op in step.ops)
+        own = [step.ops[0] for step in program.steps if len(step.ops) == 1]
+        assert own == [
+            op for op in circuit.operations if op.is_input or op.is_trainable
+        ]
         inputs = rng.uniform(size=(3, 2))
-        weights = rng.uniform(size=(4,))
-        exact = _interpreted().evolve(circuit, inputs, weights)
-        out = program.evolve(inputs, weights, batch_size=3)
-        assert np.allclose(out, exact, atol=ATOL)
+        for weights in (rng.uniform(size=4), rng.uniform(size=(3, 4))):
+            exact = _interpreted().evolve(circuit, inputs, weights)
+            out = program.evolve(inputs, weights, batch_size=3)
+            assert np.allclose(out, exact, atol=ATOL)
 
     def test_cnot_ring_collapses_to_one_gather(self):
         circuit = QuantumCircuit(4)
@@ -259,24 +264,6 @@ class TestFusion:
         program = compile_program(circuit)
         assert program.n_steps == 1
         assert program.steps[0].kind == "gather"
-
-    def test_fused_weight_matrix_cached_across_calls(self, rng):
-        circuit = QuantumCircuit(2)
-        circuit.add("rx", (0,), ParameterRef.weight(0))
-        circuit.add("rz", (0,), ParameterRef.weight(1))
-        program = compile_program(circuit)
-        fused = [s for s in program.steps if s.kind == "fused"]
-        assert len(fused) == 1
-        weights = rng.uniform(size=2)
-        program.evolve(None, weights, batch_size=1)
-        cached = fused[0]._matrix
-        program.evolve(None, weights.copy(), batch_size=3)
-        assert fused[0]._matrix is cached  # content-equal weights hit cache
-        weights[0] += 0.5
-        exact = _interpreted().evolve(circuit, None, weights, batch_size=2)
-        out = program.evolve(None, weights, batch_size=2)
-        assert fused[0]._matrix is not cached  # in-place mutation noticed
-        assert np.allclose(out, exact, atol=ATOL)
 
     def test_identity_gates_are_eliminated(self):
         circuit = QuantumCircuit(2)
@@ -322,7 +309,7 @@ class TestCompiledCircuitIntegration:
 
 def _reuploading_circuit(trailing=True):
     """Encoding and weight layers interleaved, optionally ending in a
-    trailing weight block (so both halves hold fused weight steps)."""
+    trailing weight block (so both halves hold weight gates)."""
     circuit = QuantumCircuit(3)
     for layer in range(2):
         BasicEntanglerTemplate(3, 1).apply(circuit, weight_offset=3 * layer)
@@ -351,22 +338,6 @@ class TestGroupedWeights:
         assert program.suffix_unitary(weights) is unitary
         with pytest.raises(ValueError, match="rows must have shape"):
             program.evolve_rows(inputs, weights, rows[:3])
-
-    def test_grouped_forwards_never_hash_weights(self, rng, monkeypatch):
-        """Only 1-D weights key the fused steps; a grouped forward must not
-        pay a content hash over its weight matrix."""
-        def hashed(_weights):
-            raise AssertionError("grouped weights were hashed")
-
-        circuit = _reuploading_circuit()
-        program = compile_program(circuit)
-        assert program._fused_weights and program.prefix_has_weights
-        monkeypatch.setattr(qprog, "weights_key", hashed)
-        weights = rng.uniform(size=(2, circuit.n_weights))
-        inputs = rng.uniform(size=(4, 3))
-        program.evolve(inputs, weights, batch_size=4)
-        program.evolve_rows(inputs, weights, [1, 0, 0, 1])
-        program.apply(program.zero_state(4), inputs, weights)
 
     def test_reuploading_grouped_forward_matches_interpreted(self, rng):
         circuit = _reuploading_circuit()
@@ -748,29 +719,11 @@ class TestFirstEncodingLayer:
         )
 
 
-def _scratch_case(name):
-    """``(circuit, n_features, n_weights)`` for the scratch-path suite."""
-    if name == "all_gates":
-        return _all_gates_circuit(), 3, 4
-    if name == "random_circuit":
-        circuit, n_weights = _random_circuit(np.random.default_rng(0))
-        return circuit, 4, max(n_weights, 1)
-    if name == "reuploading":
-        circuit = _reuploading_circuit()
-        return circuit, 3, circuit.n_weights
-    vqc = build_vqc(4, 8, 30, seed=2, template=name)
-    return vqc.circuit, 8, vqc.n_weights
-
-
-class TestScratchBuffers:
-    """The ping-pong scratch buffers and ``out=`` kernels give the bits of
-    the allocating kernels, and are kept per batch shape, boundedly."""
-
+class TestGateKernels:
     @pytest.mark.parametrize("name", sorted(GATE_REGISTRY))
-    def test_gate_kernel_with_and_without_scratch(self, rng, name):
-        """Each gate on random states, wires out of order: writing into a
-        NaN-filled target matches allocating bit for bit, and both match
-        the interpreted gate."""
+    def test_forward_kernel_matches_interpreted_gate(self, rng, name):
+        """Each gate's compiled forward kernel on random states, wires out
+        of order, against the interpreted gate matrix."""
         spec = GATE_REGISTRY[name]
         wires = (2, 0, 1)[: spec.n_qubits]
         circuit = QuantumCircuit(3)
@@ -779,44 +732,10 @@ class TestScratchBuffers:
         theta = 0.9 if spec.n_params else None
         matrix = spec.matrix_fn(theta) if spec.n_params else spec.fixed_matrix
         psi = rng.normal(size=(5, 8)) + 1j * rng.normal(size=(5, 8))
-        allocated = plan.apply_forward(psi, theta)
-        written = plan.apply_forward(psi, theta, out=np.full_like(psi, np.nan))
-        assert np.array_equal(written, allocated)
-        assert np.allclose(allocated, sv.apply_matrix(psi, matrix, wires, 3), atol=ATOL)
-
-    @pytest.mark.parametrize("grouped", [False, True])
-    @pytest.mark.parametrize(
-        "case",
-        ["all_gates", "random_circuit", "reuploading", "random",
-         "basic_entangler", "strongly_entangling"],
-    )
-    def test_scratch_run_matches_allocating_steps(self, rng, case, grouped):
-        circuit, n_features, n_weights = _scratch_case(case)
-        program = compile_program(circuit)
-        assert program.n_steps > 1  # the run takes the scratch path
-        inputs = rng.uniform(size=(6, n_features))
-        weights = rng.uniform(
-            -np.pi, np.pi, size=(3, n_weights) if grouped else n_weights
+        assert np.allclose(
+            plan.apply_forward(psi, theta), sv.apply_matrix(psi, matrix, wires, 3),
+            atol=ATOL,
         )
-        out = program.apply(program.zero_state(6), inputs, weights)
-        psi = program.zero_state(6)
-        row_weights = qprog.expand_weights(weights, 6)
-        key = None if grouped else qprog.weights_key(weights)
-        for step in program.steps:
-            psi = step.apply(psi, inputs, row_weights, key)
-        assert np.array_equal(out, psi)
-
-    def test_scratch_pairs_cached_per_shape_and_bounded(self, rng):
-        vqc = build_vqc(3, 3, 12, seed=1)
-        program = compile_program(vqc.circuit)
-        weights = vqc.initial_weights(rng)
-        program.evolve(rng.uniform(size=(4, 3)), weights, batch_size=4)
-        pair = program._scratch[(4, 8)]
-        program.evolve(rng.uniform(size=(4, 3)), weights, batch_size=4)
-        assert program._scratch[(4, 8)] is pair
-        for batch in range(1, 2 * program._SCRATCH_SHAPE_LIMIT):
-            program.evolve(rng.uniform(size=(batch, 3)), weights, batch_size=batch)
-        assert 0 < len(program._scratch) <= program._SCRATCH_SHAPE_LIMIT
 
 
 @pytest.mark.usefixtures("program_state")
@@ -974,18 +893,19 @@ class TestProgramIntrospection:
         assert "CircuitProgram" in repr(program)
 
     def test_subcircuit_program(self, rng):
-        """Programs compile from op slices (e.g. a circuit's two halves)."""
-        vqc = build_vqc(3, 3, 9, seed=0)
-        split = 3
-        prefix = CircuitProgram(3, vqc.circuit.operations[:split])
-        suffix = CircuitProgram(3, vqc.circuit.operations[split:])
-        weights = vqc.initial_weights(rng)
-        inputs = rng.uniform(size=(2, 3))
-        psi = prefix.apply(
-            np.tile([1, 0, 0, 0, 0, 0, 0, 0], (2, 1)).astype(complex),
-            inputs,
-            weights,
+        """Programs compile from op slices (e.g. a circuit's two halves):
+        the prefix slice evolves to the whole program's encoded states and
+        the trailing slice builds its unitaries."""
+        circuit = _reuploading_circuit()
+        program = compile_program(circuit)
+        prefix = CircuitProgram(3, circuit.operations[:program.split])
+        suffix = CircuitProgram(3, circuit.operations[program.split:])
+        weights = rng.uniform(-np.pi, np.pi, size=(2, circuit.n_weights))
+        inputs = rng.uniform(size=(4, 3))
+        assert np.array_equal(
+            prefix.evolve(inputs, weights, batch_size=4),
+            program.prefix_states(inputs, weights, 4),
         )
-        psi = suffix.apply(psi, inputs, weights)
-        exact = _interpreted().evolve(vqc.circuit, inputs, weights)
-        assert np.allclose(psi, exact, atol=ATOL)
+        assert suffix.suffix_unitary(weights).tobytes() == (
+            program.suffix_unitary(weights).tobytes()
+        )
