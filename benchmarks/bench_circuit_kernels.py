@@ -16,11 +16,7 @@ replaces the interpreted per-gate loop:
 - **end-to-end training** — quantum-framework ``train_epoch`` env steps/s
   with the program tier off (interpreted) and on.
 
-Run under the benchmark harness::
-
-    pytest benchmarks/bench_circuit_kernels.py --benchmark-only
-
-or standalone for a summary table plus the machine-readable
+Run for a summary table plus the machine-readable
 ``BENCH_circuit_kernels.json`` (tracked across PRs; ``--runs N`` records
 the median of N full measurements)::
 
@@ -260,60 +256,6 @@ def _median_document(runs):
     if all(run == first for run in runs):
         return first
     return float(np.median(runs))
-
-
-# -- pytest-benchmark harness entry points ----------------------------------
-
-
-def _bench_gate_class(benchmark, builder, program):
-    rng = np.random.default_rng(SEED)
-    inputs = rng.uniform(size=(GATE_BATCH, GATE_QUBITS))
-    circuit = builder()
-    if program:
-        compiled = compile_program(circuit)
-        run = lambda: compiled.evolve(inputs, None, GATE_BATCH)  # noqa: E731
-    else:
-        backend = StatevectorBackend(program=False)
-        run = lambda: backend.evolve(circuit, inputs)  # noqa: E731
-    benchmark.pedantic(run, rounds=3, iterations=2, warmup_rounds=1)
-    benchmark.extra_info["gates_per_round"] = circuit.n_operations
-
-
-def test_diag_perm_interpreted(benchmark):
-    """Interpreted tier on the diagonal/permutation-heavy circuit."""
-    _bench_gate_class(benchmark, _diag_perm_circuit, program=False)
-
-
-def test_diag_perm_program(benchmark):
-    """Program tier on the diagonal/permutation-heavy circuit."""
-    _bench_gate_class(benchmark, _diag_perm_circuit, program=True)
-
-
-def test_dense_1q_program(benchmark):
-    """Program tier on the single-qubit dense circuit."""
-    _bench_gate_class(benchmark, _dense_1q_circuit, program=True)
-
-
-def test_dense_2q_program(benchmark):
-    """Program tier on the two-qubit dense circuit."""
-    _bench_gate_class(benchmark, _dense_2q_circuit, program=True)
-
-
-def test_adjoint_program(benchmark):
-    """Program-compiled adjoint sweep at the paper's circuit scale."""
-    rng = np.random.default_rng(SEED)
-    vqc = build_vqc(4, 16, 50, seed=3)
-    inputs = rng.uniform(size=(ADJOINT_BATCH, 16))
-    upstream = rng.normal(size=(ADJOINT_BATCH, 4))
-    weights = vqc.initial_weights(rng)
-    benchmark.pedantic(
-        lambda: adjoint_backward(
-            vqc.circuit, vqc.observables, inputs, weights, upstream
-        ),
-        rounds=3,
-        iterations=2,
-        warmup_rounds=1,
-    )
 
 
 def _measure_all(repeats, n_epochs):

@@ -18,11 +18,7 @@ standalone entry point writes ``BENCH_es.json`` so the perf trajectory is
 tracked across PRs; like the rollout benches, the sharded engines need
 real cores to win (read ``cpu_count`` next to the ratios).
 
-Run under the benchmark harness::
-
-    pytest benchmarks/bench_es.py --benchmark-only
-
-or standalone::
+Run::
 
     PYTHONPATH=src python benchmarks/bench_es.py [--smoke]
 """
@@ -44,8 +40,7 @@ WORKER_COUNTS = (2, 4)
 JSON_NAME = "BENCH_es.json"
 
 
-def _build_trainer(population=POPULATION, episode_limit=EPISODE_LIMIT,
-                   rollout_mode="vector", rollout_workers=1):
+def _build_trainer(population, episode_limit, rollout_mode, rollout_workers):
     framework = build_framework(
         "proposed",
         seed=SEED,
@@ -60,40 +55,6 @@ def _build_trainer(population=POPULATION, episode_limit=EPISODE_LIMIT,
     )
     return framework.trainer
 
-
-# -- pytest-benchmark harness -------------------------------------------------
-
-def test_es_serial_member_loop(benchmark):
-    """Reference: one generation with per-member circuit evaluation."""
-    trainer = _build_trainer(rollout_mode="serial")
-    benchmark.pedantic(
-        trainer.train_epoch, rounds=3, iterations=1, warmup_rounds=1
-    )
-    benchmark.extra_info["candidates_per_round"] = trainer.population
-
-
-def test_es_stacked(benchmark):
-    """One stacked per-sample-weight circuit call per env step."""
-    trainer = _build_trainer(rollout_mode="vector")
-    benchmark.pedantic(
-        trainer.train_epoch, rounds=3, iterations=1, warmup_rounds=1
-    )
-    benchmark.extra_info["candidates_per_round"] = trainer.population
-
-
-def test_es_sharded_w2(benchmark):
-    """Population sharded over 2 worker processes."""
-    trainer = _build_trainer(rollout_mode="sharded", rollout_workers=2)
-    try:
-        benchmark.pedantic(
-            trainer.train_epoch, rounds=3, iterations=1, warmup_rounds=1
-        )
-        benchmark.extra_info["candidates_per_round"] = trainer.population
-    finally:
-        trainer.close()
-
-
-# -- standalone table + JSON artifact -----------------------------------------
 
 def _measure_generation(trainer, repeats=3):
     """Best-of-``repeats`` seconds per ES generation."""

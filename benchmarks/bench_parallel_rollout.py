@@ -27,11 +27,7 @@ scheduling overhead, so its win over the single-process vector engine
 requires real cores: on a single-CPU container expect parity at best, and
 read ``cpu_count`` in the JSON alongside the ratios.
 
-Run under the benchmark harness::
-
-    pytest benchmarks/bench_parallel_rollout.py --benchmark-only
-
-or standalone::
+Run::
 
     PYTHONPATH=src python benchmarks/bench_parallel_rollout.py [--smoke]
 """
@@ -59,7 +55,7 @@ WORKER_COUNTS = (2, 4)
 JSON_NAME = "BENCH_parallel_rollout.json"
 
 
-def _build_actors(episode_limit=EPISODE_LIMIT):
+def _build_actors(episode_limit):
     framework = build_framework(
         "proposed", seed=SEED,
         env_config=SingleHopConfig(episode_limit=episode_limit),
@@ -67,7 +63,7 @@ def _build_actors(episode_limit=EPISODE_LIMIT):
     return framework.actors
 
 
-def _make_env(episode_limit=EPISODE_LIMIT, ragged=False):
+def _make_env(episode_limit, ragged=False):
     # The ragged variant is the overflow-terminating env family:
     # episode_limit becomes a horizon cap and the queue preload makes early
     # endings common (see tests/helpers.py).
@@ -79,72 +75,19 @@ def _make_env(episode_limit=EPISODE_LIMIT, ragged=False):
     return SingleHopOffloadEnv(config, rng=np.random.default_rng(SEED))
 
 
-def _make_vector_collector(n_envs, actors=None, episode_limit=EPISODE_LIMIT,
-                           ragged=False):
-    actors = actors if actors is not None else _build_actors(episode_limit)
+def _make_vector_collector(n_envs, episode_limit, ragged=False):
     return VectorRolloutCollector(
         make_vector_env(_make_env(episode_limit, ragged=ragged), n_envs),
-        actors,
+        _build_actors(episode_limit),
     )
 
 
-def _make_sharded_collector(n_envs, n_workers, actors=None,
-                            episode_limit=EPISODE_LIMIT):
-    actors = actors if actors is not None else _build_actors(episode_limit)
+def _make_sharded_collector(n_envs, n_workers, episode_limit):
     return ShardedRolloutCollector(
-        _make_env(episode_limit), actors, n_envs=n_envs, n_workers=n_workers,
+        _make_env(episode_limit), _build_actors(episode_limit),
+        n_envs=n_envs, n_workers=n_workers,
     )
 
-
-# -- pytest-benchmark harness -------------------------------------------------
-
-def test_serial_rollout(benchmark):
-    """Reference: one serial episode (env steps = EPISODE_LIMIT)."""
-    actors = _build_actors()
-    env = _make_env()
-    rng = np.random.default_rng(SEED + 1)
-    benchmark.pedantic(
-        lambda: rollout_episode(env, actors, rng),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    benchmark.extra_info["env_steps_per_round"] = EPISODE_LIMIT
-
-
-def test_vector_rollout(benchmark):
-    """In-process vectorized engine at N lockstep copies."""
-    collector = _make_vector_collector(N_ENVS)
-    rng = np.random.default_rng(SEED + 1)
-    benchmark.pedantic(
-        lambda: collector.collect(N_ENVS, rng),
-        rounds=3, iterations=1, warmup_rounds=1,
-    )
-    benchmark.extra_info["env_steps_per_round"] = N_ENVS * EPISODE_LIMIT
-
-
-def _bench_sharded(benchmark, n_workers):
-    collector = _make_sharded_collector(N_ENVS, n_workers)
-    rng = np.random.default_rng(SEED + 1)
-    try:
-        benchmark.pedantic(
-            lambda: collector.collect(N_ENVS, rng),
-            rounds=3, iterations=1, warmup_rounds=1,
-        )
-        benchmark.extra_info["env_steps_per_round"] = N_ENVS * EPISODE_LIMIT
-    finally:
-        collector.close()
-
-
-def test_sharded_rollout_w2(benchmark):
-    """Worker-pool engine: N copies over 2 processes."""
-    _bench_sharded(benchmark, 2)
-
-
-def test_sharded_rollout_w4(benchmark):
-    """Worker-pool engine: N copies over 4 processes."""
-    _bench_sharded(benchmark, 4)
-
-
-# -- standalone steps/s table + JSON artifact ---------------------------------
 
 def _measure(fn, env_steps, repeats=3):
     """Best-of-``repeats`` steps/sec for a collection round."""
@@ -170,7 +113,7 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
     )
     engines["serial"] = {"env_steps_per_s": serial_rate, "n_envs": 1}
 
-    vector = _make_vector_collector(n_envs, episode_limit=episode_limit)
+    vector = _make_vector_collector(n_envs, episode_limit)
     vector_rate = _measure(
         lambda: vector.collect(n_envs, rng), n_envs * episode_limit, repeats
     )
@@ -179,9 +122,7 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
     }
 
     for n_workers in worker_counts:
-        sharded = _make_sharded_collector(
-            n_envs, n_workers, episode_limit=episode_limit
-        )
+        sharded = _make_sharded_collector(n_envs, n_workers, episode_limit)
         try:
             rate = _measure(
                 lambda: sharded.collect(n_envs, rng),
@@ -202,9 +143,7 @@ def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
     # data-dependent termination, so the honest unit here is completed
     # episodes per second; ``ragged_vs_fixed`` compares against the same
     # engine's fixed-length episode rate.
-    ragged_vector = _make_vector_collector(
-        n_envs, episode_limit=episode_limit, ragged=True
-    )
+    ragged_vector = _make_vector_collector(n_envs, episode_limit, ragged=True)
     ragged_vector_rate = _measure(
         lambda: ragged_vector.collect(n_envs, rng), n_envs, repeats
     )

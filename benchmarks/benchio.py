@@ -1,13 +1,12 @@
 """Shared helpers for machine-readable benchmark artifacts.
 
-Every throughput benchmark writes its results as a ``BENCH_<name>.json``
-document through :func:`write_bench_json` so the format (directory
-resolution, indentation, trailing newline) stays uniform across benches and
-the perf trajectory can be diffed across PRs.  Every artifact is stamped
-with a ``host`` block (cpu count, platform, python version) so numbers from
-different machines are never compared blind.  Not a ``bench_*`` module on
-purpose — the pytest-benchmark harness only collects explicitly named bench
-files, and this one holds no benchmarks.
+Every bench script writes its results as a ``BENCH_<name>.json`` document
+through :func:`write_bench_json` so the format (indentation, key order,
+trailing newline) stays uniform across benches and the perf trajectory can
+be diffed across PRs.  Every artifact is stamped with a ``host`` block (cpu
+count, platform, python version) so numbers from different machines are
+never compared blind; ``perfbench/run.py`` stamps its results with the same
+block.
 """
 
 from __future__ import annotations
@@ -36,14 +35,10 @@ def write_bench_json(name, document, directory=None):
         name: Artifact file name (``BENCH_<bench>.json``).
         document: JSON-serialisable result document.  A ``host`` metadata
             block is added unless the document already carries one.
-        directory: Target directory; defaults to ``$REPRO_BENCH_DIR`` or the
-            current working directory.
+        directory: Target directory (a bench's ``--json-dir``); defaults to
+            the current working directory.
     """
-    directory = (
-        directory
-        if directory is not None
-        else os.environ.get("REPRO_BENCH_DIR", ".")
-    )
+    directory = "." if directory is None else directory
     document = dict(document)
     document.setdefault("host", host_metadata())
     os.makedirs(directory, exist_ok=True)

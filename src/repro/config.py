@@ -159,11 +159,34 @@ class VQCConfig:
     actor_ansatz_seed: int = 1001
     critic_ansatz_seed: int = 2002
 
+    _POLICY_HEADS = ("softmax", "born")
+
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if self.n_variational_gates < 1:
-            raise ValueError("n_variational_gates must be >= 1")
+        # Imported here: repro.quantum imports check_integer from this module.
+        from repro.quantum.gradients import GRADIENT_METHODS
+
+        check_integer("n_qubits", self.n_qubits, 1)
+        check_integer("n_variational_gates", self.n_variational_gates, 1)
+        check_integer("actor_ansatz_seed", self.actor_ansatz_seed, 0)
+        check_integer("critic_ansatz_seed", self.critic_ansatz_seed, 0)
+        for name in ("encoding_scale", "critic_value_scale",
+                     "actor_logit_scale"):
+            # Otherwise a non-finite scale shows only mid-rollout (NaN
+            # probabilities) or after a full one (a non-finite update).
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
+        if self.gradient_method not in GRADIENT_METHODS:
+            raise ValueError(
+                f"gradient_method must be one of {GRADIENT_METHODS}, "
+                f"got {self.gradient_method!r}"
+            )
+        if self.actor_policy_head not in self._POLICY_HEADS:
+            raise ValueError(
+                f"actor_policy_head must be one of {self._POLICY_HEADS}, "
+                f"got {self.actor_policy_head!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -458,20 +481,14 @@ class ServingConfig:
     log_requests: bool = False
 
     def __post_init__(self):
+        # Integers only: a NaN or infinite max_wait_us would never flush a
+        # partial batch, a NaN reload_poll_ms would silently disable hot
+        # reload and an infinite one would kill the watcher thread.
         check_integer("max_batch", self.max_batch, 1)
-        if self.max_wait_us < 0:
-            raise ValueError(
-                f"max_wait_us must be >= 0, got {self.max_wait_us!r}"
-            )
-        if self.max_pending < 0:
-            raise ValueError(
-                f"max_pending must be >= 0, got {self.max_pending!r}"
-            )
-        if self.reload_poll_ms < 0:
-            raise ValueError(
-                f"reload_poll_ms must be >= 0, got {self.reload_poll_ms!r}"
-            )
-        if not 0 <= self.port <= 65535:
+        for name in ("max_wait_us", "max_pending", "reload_poll_ms",
+                     "sample_seed", "port"):
+            check_integer(name, getattr(self, name), 0)
+        if self.port > 65535:
             raise ValueError(f"port must be in [0, 65535], got {self.port!r}")
 
 

@@ -124,6 +124,38 @@ class TestVQCConfig:
         with pytest.raises(ValueError):
             VQCConfig(n_variational_gates=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n_qubits", 2.5), ("n_qubits", True), ("n_variational_gates", 2.5),
+         ("actor_ansatz_seed", 2.5), ("actor_ansatz_seed", -1),
+         ("critic_ansatz_seed", 2.5)],
+    )
+    def test_counts_and_seeds_must_be_integers(self, field, value):
+        """2.5 qubits or gates and True qubits used to construct and fail
+        at build with unrelated messages."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            VQCConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("encoding_scale", float("nan")),
+         ("critic_value_scale", float("nan")),
+         ("actor_logit_scale", float("inf"))],
+    )
+    def test_scales_must_be_finite(self, field, value):
+        """Each used to build a framework and fail only in ``train_epoch``:
+        NaN probabilities mid-rollout, or a non-finite update after a full
+        rollout."""
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            VQCConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["gradient_method", "actor_policy_head"])
+    def test_unknown_choice_raises_at_construction(self, field):
+        """An unknown gradient method used to fail in the update, after a
+        full rollout; an unknown policy head at framework build."""
+        with pytest.raises(ValueError, match=f"^{field} must be one of"):
+            VQCConfig(**{field: "bogus"})
+
 
 class TestTrainingConfig:
     def test_table2_learning_rates(self):
@@ -324,6 +356,22 @@ class TestServingConfig:
         """True used to pass ``isinstance(..., int)`` as a batch of one."""
         with pytest.raises(ValueError, match="^max_batch must be an integer"):
             ServingConfig(max_batch=True)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_wait_us", float("nan")), ("max_wait_us", float("inf")),
+         ("max_pending", 2.5), ("reload_poll_ms", float("nan")),
+         ("reload_poll_ms", float("inf")), ("sample_seed", 2.5),
+         ("port", True)],
+    )
+    def test_integer_fields_reject_non_integers(self, field, value):
+        """Each used to construct: a NaN or infinite batching window never
+        answered a partial batch, a NaN poll interval turned hot reload off
+        and an infinite one killed the watcher thread, 2.5 pending rows
+        truncated to 2, a 2.5 seed failed at engine build and True stood
+        in for port 1."""
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ServingConfig(**{field: value})
 
 
 class TestTrainerSelection:
