@@ -14,9 +14,14 @@ framework across its three interchangeable evaluation engines:
 
 Reported per engine: generations/s, candidate evaluations/s (population
 members scored per second — the ES scaling axis), and env steps/s.  The
-standalone entry point writes ``BENCH_es.json`` so the perf trajectory is
-tracked across PRs; like the rollout benches, the sharded engines need
-real cores to win (read ``cpu_count`` next to the ratios).
+engines are built once and take turns generation by generation, in
+forward then reverse order, as ``bench_obs_overhead.py`` does: a rate is
+read at the engine's median generation, and a ratio between two engines
+is the median over rounds of their paired ratio, which repeats across
+runs where the absolute rates do not.  The standalone entry point writes
+``BENCH_es.json`` so the perf trajectory is tracked across PRs; like the
+rollout benches, the sharded engines need real cores to win (read
+``cpu_count`` next to the ratios).
 
 Run::
 
@@ -26,6 +31,8 @@ Run::
 import argparse
 import os
 import time
+
+import numpy as np
 
 from benchio import write_bench_json
 
@@ -37,6 +44,7 @@ EPISODE_LIMIT = 25
 POPULATION = 8
 EPISODES_PER_MEMBER = 1
 WORKER_COUNTS = (2, 4)
+ROUNDS = 20
 JSON_NAME = "BENCH_es.json"
 
 
@@ -56,32 +64,48 @@ def _build_trainer(population, episode_limit, rollout_mode, rollout_workers):
     return framework.trainer
 
 
-def _measure_generation(trainer, repeats=3):
-    """Best-of-``repeats`` seconds per ES generation."""
-    trainer.train_epoch()  # warmup (pool startup, compiled caches)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        trainer.train_epoch()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _generation_times(trainers, rounds):
+    """Seconds per generation of each ``name -> trainer``, over ``rounds``
+    interleaved rounds (forward, then reverse order) after one warmup."""
+    for trainer in trainers.values():
+        trainer.train_epoch()  # warmup (pool startup, compiled caches)
+    times = {name: [] for name in trainers}
+    order = list(trainers)
+    for _ in range(rounds):
+        for name in order:
+            start = time.perf_counter()
+            trainers[name].train_epoch()
+            times[name].append(time.perf_counter() - start)
+        order.reverse()
+    return {name: np.array(seconds) for name, seconds in times.items()}
 
 
 def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
-                  worker_counts=WORKER_COUNTS, repeats=3):
-    """Measure every ES engine; returns the result document."""
-    engines = {}
-
-    def record_engine(name, rollout_mode, workers=1, extra=None):
-        trainer = _build_trainer(
-            population=population, episode_limit=episode_limit,
-            rollout_mode=rollout_mode, rollout_workers=workers,
-        )
-        try:
-            seconds = _measure_generation(trainer, repeats)
-        finally:
+                  worker_counts=WORKER_COUNTS, rounds=ROUNDS):
+    """Measure every ES engine, interleaved; returns the result document."""
+    settings = {"serial_loop": ("serial", 1), "stacked": ("vector", 1)}
+    for workers in worker_counts:
+        settings[f"sharded_w{workers}_pipe"] = ("sharded", workers)
+    trainers = {}
+    try:
+        for name, (rollout_mode, workers) in settings.items():
+            trainers[name] = _build_trainer(
+                population=population, episode_limit=episode_limit,
+                rollout_mode=rollout_mode, rollout_workers=workers,
+            )
+        times = _generation_times(trainers, rounds)
+    finally:
+        for trainer in trainers.values():
             trainer.close()
-        env_steps = population * EPISODES_PER_MEMBER * episode_limit
+
+    def speedup(name, reference):
+        # Every engine scores the same population per generation.
+        return float(np.median(times[reference] / times[name]))
+
+    env_steps = population * EPISODES_PER_MEMBER * episode_limit
+    engines = {}
+    for name, seconds in times.items():
+        seconds = float(np.median(seconds))
         entry = {
             "seconds_per_generation": seconds,
             "generations_per_s": 1.0 / seconds,
@@ -89,35 +113,19 @@ def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
             "env_steps_per_s": env_steps / seconds,
             "population": population,
         }
-        if extra:
-            entry.update(extra)
+        if name != "serial_loop":
+            entry["speedup_vs_serial"] = speedup(name, "serial_loop")
+        if name.startswith("sharded"):
+            entry["n_workers"] = settings[name][1]
+            entry["speedup_vs_stacked"] = speedup(name, "stacked")
         engines[name] = entry
-        return entry
-
-    serial = record_engine("serial_loop", "serial")
-    stacked = record_engine("stacked", "vector")
-    stacked["speedup_vs_serial"] = (
-        serial["seconds_per_generation"] / stacked["seconds_per_generation"]
-    )
-    for workers in worker_counts:
-        entry = record_engine(
-            f"sharded_w{workers}_pipe", "sharded", workers=workers,
-            extra={"n_workers": workers},
-        )
-        entry["speedup_vs_serial"] = (
-            serial["seconds_per_generation"] / entry["seconds_per_generation"]
-        )
-        entry["speedup_vs_stacked"] = (
-            stacked["seconds_per_generation"]
-            / entry["seconds_per_generation"]
-        )
     return {
         "benchmark": "es",
         "framework": "proposed",
         "population": population,
         "episodes_per_member": EPISODES_PER_MEMBER,
         "episode_limit": episode_limit,
-        "repeats": repeats,
+        "rounds": rounds,
         "cpu_count": os.cpu_count(),
         "engines": engines,
     }
@@ -133,18 +141,17 @@ def main():
     args = parser.parse_args()
     if args.smoke:
         document = run_benchmark(
-            population=4, episode_limit=5, worker_counts=(2,), repeats=2,
+            population=4, episode_limit=5, worker_counts=(2,), rounds=2,
         )
     else:
         document = run_benchmark()
 
     print(f"{'engine':>20}  {'candidates/s':>13}  {'generations/s':>14}  "
           f"{'vs serial':>10}")
-    serial_rate = document["engines"]["serial_loop"]["candidates_per_s"]
     for name, record in document["engines"].items():
         print(f"{name:>20}  {record['candidates_per_s']:>13.2f}  "
               f"{record['generations_per_s']:>14.3f}  "
-              f"{record['candidates_per_s'] / serial_rate:>9.2f}x")
+              f"{record.get('speedup_vs_serial', 1.0):>9.2f}x")
     path = write_bench_json(JSON_NAME, document, args.json_dir)
     print(f"\nwrote {path} (cpu_count={document['cpu_count']})")
 

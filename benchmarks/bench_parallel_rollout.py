@@ -19,6 +19,12 @@ fixed-length envs only and rejects it.  Ragged episode lengths vary, so
 that record reports completed episodes per second and a
 ``ragged_vs_fixed`` ratio against the engine's fixed-length episode rate.
 
+The engines are built once and take turns round by round, in forward then
+reverse order, as ``bench_obs_overhead.py`` does, so a host that drifts
+slows every engine alike.  A rate is the work over the engine's median
+round; a ratio between two engines is the median over rounds of their
+paired ratio, which repeats across runs where the absolute rates do not.
+
 The standalone entry point prints a summary table and writes the
 machine-readable ``BENCH_parallel_rollout.json`` (steps/s per engine plus
 speedup ratios and host info) so the performance trajectory is tracked
@@ -52,6 +58,7 @@ SEED = 3
 EPISODE_LIMIT = 25
 N_ENVS = 8
 WORKER_COUNTS = (2, 4)
+ROUNDS = 60
 JSON_NAME = "BENCH_parallel_rollout.json"
 
 
@@ -89,82 +96,95 @@ def _make_sharded_collector(n_envs, n_workers, episode_limit):
     )
 
 
-def _measure(fn, env_steps, repeats=3):
-    """Best-of-``repeats`` steps/sec for a collection round."""
-    fn()  # warmup (worker startup, compiled-unitary caches, allocator)
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return env_steps / best
+def _round_times(engines, rounds):
+    """Seconds per round of each ``name -> fn`` engine, over ``rounds``
+    interleaved rounds (forward, then reverse order) after one warmup."""
+    for fn in engines.values():
+        fn()  # warmup (worker startup, compiled-unitary caches, allocator)
+    times = {name: [] for name in engines}
+    order = list(engines)
+    for _ in range(rounds):
+        for name in order:
+            start = time.perf_counter()
+            engines[name]()
+            times[name].append(time.perf_counter() - start)
+        order.reverse()
+    return {name: np.array(seconds) for name, seconds in times.items()}
+
+
+def _paired(times, work, name, reference):
+    """Median over rounds of ``name``'s rate over ``reference``'s."""
+    return float(np.median(
+        (work[name] / times[name]) / (work[reference] / times[reference])
+    ))
 
 
 def run_benchmark(n_envs=N_ENVS, worker_counts=WORKER_COUNTS,
-                  episode_limit=EPISODE_LIMIT, repeats=3):
-    """Measure all engines; returns the result document."""
-    engines = {}
+                  episode_limit=EPISODE_LIMIT, rounds=ROUNDS):
+    """Measure all engines, interleaved; returns the result document."""
     rng = np.random.default_rng(SEED + 1)
-
     actors = _build_actors(episode_limit)
     env = _make_env(episode_limit)
-    serial_rate = _measure(
-        lambda: rollout_episode(env, actors, rng), episode_limit, repeats
-    )
-    engines["serial"] = {"env_steps_per_s": serial_rate, "n_envs": 1}
-
     vector = _make_vector_collector(n_envs, episode_limit)
-    vector_rate = _measure(
-        lambda: vector.collect(n_envs, rng), n_envs * episode_limit, repeats
-    )
-    engines[f"vector_n{n_envs}"] = {
-        "env_steps_per_s": vector_rate, "n_envs": n_envs,
-    }
-
-    for n_workers in worker_counts:
-        sharded = _make_sharded_collector(n_envs, n_workers, episode_limit)
-        try:
-            rate = _measure(
-                lambda: sharded.collect(n_envs, rng),
-                n_envs * episode_limit, repeats,
-            )
-        finally:
-            sharded.close()
-        engines[f"sharded_n{n_envs}_w{n_workers}_pipe"] = {
-            "env_steps_per_s": rate,
-            "n_envs": n_envs,
-            "n_workers": n_workers,
-            "speedup_vs_vector": rate / vector_rate,
-            "speedup_vs_serial": rate / serial_rate,
-        }
-
     # Ragged axis: the vector engine on the overflow-terminating env family
     # (the sharded engine rejects it).  Episode lengths vary under
     # data-dependent termination, so the honest unit here is completed
     # episodes per second; ``ragged_vs_fixed`` compares against the same
     # engine's fixed-length episode rate.
-    ragged_vector = _make_vector_collector(n_envs, episode_limit, ragged=True)
-    ragged_vector_rate = _measure(
-        lambda: ragged_vector.collect(n_envs, rng), n_envs, repeats
-    )
-    engines[f"vector_n{n_envs}_ragged"] = {
-        "episodes_per_s": ragged_vector_rate,
-        "n_envs": n_envs,
-        "ragged": True,
-        "ragged_vs_fixed": (
-            ragged_vector_rate / (vector_rate / episode_limit)
-        ),
+    ragged = _make_vector_collector(n_envs, episode_limit, ragged=True)
+    vector_name = f"vector_n{n_envs}"
+    ragged_name = f"{vector_name}_ragged"
+    calls = {
+        "serial": lambda: rollout_episode(env, actors, rng),
+        vector_name: lambda: vector.collect(n_envs, rng),
+        ragged_name: lambda: ragged.collect(n_envs, rng),
     }
+    # Work per round: env steps, or episodes on the ragged axis.
+    work = {"serial": episode_limit, vector_name: n_envs * episode_limit,
+            ragged_name: n_envs}
+    pools = []
+    try:
+        for n_workers in worker_counts:
+            sharded = _make_sharded_collector(n_envs, n_workers, episode_limit)
+            pools.append(sharded)
+            name = f"sharded_n{n_envs}_w{n_workers}_pipe"
+            calls[name] = (
+                lambda sharded=sharded: sharded.collect(n_envs, rng)
+            )
+            work[name] = n_envs * episode_limit
+        times = _round_times(calls, rounds)
+    finally:
+        for sharded in pools:
+            sharded.close()
 
-    for record in engines.values():
-        if "env_steps_per_s" in record:
-            record.setdefault("speedup_vs_serial",
-                              record["env_steps_per_s"] / serial_rate)
+    engines = {}
+    for name, seconds in times.items():
+        rate = work[name] / float(np.median(seconds))
+        if name == ragged_name:
+            engines[name] = {
+                "episodes_per_s": rate,
+                "n_envs": n_envs,
+                "ragged": True,
+                # Episodes per second against the fixed-length engine's.
+                "ragged_vs_fixed": _paired(
+                    times, work, name, vector_name
+                ) * episode_limit,
+            }
+            continue
+        record = {"env_steps_per_s": rate,
+                  "n_envs": 1 if name == "serial" else n_envs,
+                  "speedup_vs_serial": _paired(times, work, name, "serial")}
+        if name.startswith("sharded"):
+            record["n_workers"] = int(name.split("_w")[1].split("_")[0])
+            record["speedup_vs_vector"] = _paired(
+                times, work, name, vector_name
+            )
+        engines[name] = record
     return {
         "benchmark": "parallel_rollout",
         "framework": "proposed",
         "episode_limit": episode_limit,
-        "repeats": repeats,
+        "rounds": rounds,
         "cpu_count": os.cpu_count(),
         "engines": engines,
     }
@@ -180,17 +200,16 @@ def main():
     args = parser.parse_args()
     if args.smoke:
         document = run_benchmark(
-            n_envs=4, worker_counts=(2,), episode_limit=5, repeats=2,
+            n_envs=4, worker_counts=(2,), episode_limit=5, rounds=4,
         )
     else:
         document = run_benchmark()
 
-    serial_rate = document["engines"]["serial"]["env_steps_per_s"]
     print(f"{'engine':>34}  {'rate':>12}  {'relative':>10}")
     for name, record in document["engines"].items():
         if "env_steps_per_s" in record:
             rate = record["env_steps_per_s"]
-            relative = rate / serial_rate
+            relative = record["speedup_vs_serial"]
             unit = "steps/s"
         else:  # ragged axis: completed episodes per second
             rate = record["episodes_per_s"]

@@ -4,10 +4,19 @@ The paper draws edge arrivals uniformly: ``b ~ U(0, w_P * q_max)``.  The
 additional processes here exercise the environment under burstier traffic in
 the robustness ablations and provide deterministic streams for tests.
 
-Every process also exposes :meth:`ArrivalProcess.sample_batch`, the leading-
-batch-axis kernel used by the lockstep vector environments: one row per
-environment copy, each drawn from that copy's *own* generator so a batched
-rollout consumes RNG streams exactly like independent serial environments.
+The lockstep vector environments draw through two more kernels, each fed
+from every environment copy's *own* generator so a batched rollout consumes
+RNG streams exactly like independent serial environments:
+
+- :meth:`ArrivalProcess.sample_steps` draws ``steps`` consecutive steps of
+  one copy in one call.  Fixed-length vector envs draw each copy's arrivals
+  this way, in blocks of at most 64 steps: a block is drawn on the first
+  step it serves and never crosses the episode's end, so the copy sees the
+  same doubles a serial env draws step by step, and at every episode
+  boundary its generator sits where the serial env's does.
+- :meth:`ArrivalProcess.sample_batch` draws one step of every copy.  Envs
+  with data-dependent termination (``terminate_on_overflow``) cannot know
+  where an episode ends, so they draw this way, one step at a time.
 """
 
 from __future__ import annotations
@@ -26,17 +35,24 @@ __all__ = [
 class ArrivalProcess:
     """Base class: per-step arrival sampling, serial or batched over envs.
 
-    Subclasses implement ``sample(rng, n)``; the batched kernel stacks one
-    per-environment draw per row.  Keeping one ``rng`` per row (rather than
+    Subclasses implement ``sample(rng, n)``; the batched kernels stack
+    per-step draws.  Keeping one ``rng`` per environment row (rather than
     one generator for the whole block) is deliberate: it makes row ``i`` of
     a vectorised environment bit-identical to a serial environment seeded
     with the same stream, which is what the step-for-step equivalence tests
-    pin down.
+    pin down.  A subclass may override the kernels for speed, but each must
+    return the doubles its ``sample`` calls would and leave every generator
+    where they leave it.
     """
 
     def sample(self, rng, n):
         """Arrival volume for ``n`` queues of one environment."""
         raise NotImplementedError
+
+    def sample_steps(self, rng, steps, n):
+        """Arrival volumes ``(steps, n)`` — ``steps`` successive
+        ``sample(rng, n)`` draws of one environment, in step order."""
+        return np.stack([self.sample(rng, n) for _ in range(steps)])
 
     def sample_batch(self, rngs, n):
         """Arrival volumes ``(len(rngs), n)`` — row ``i`` from ``rngs[i]``."""
@@ -66,6 +82,14 @@ class UniformArrivals(ArrivalProcess):
     def sample(self, rng, n):
         """Arrival volume for ``n`` queues."""
         return rng.uniform(0.0, self.high, size=n)
+
+    def sample_steps(self, rng, steps, n):
+        """Arrival volumes ``(steps, n)``: ``uniform(0, high, n)`` is
+        ``0.0 + high * r`` over ``n`` doubles ``r`` from ``random``, so one
+        ``(steps, n)`` block of doubles scaled once gives the same bits."""
+        block = rng.random((steps, n))
+        block *= self.high
+        return block
 
     def sample_batch(self, rngs, n):
         """Arrival volumes ``(len(rngs), n)`` — row ``i`` from ``rngs[i]``.

@@ -22,7 +22,14 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["clip", "QueueUpdate", "QueueBank"]
+__all__ = [
+    "clip",
+    "check_flows",
+    "penalty_magnitudes",
+    "lost_to_overflow",
+    "QueueUpdate",
+    "QueueBank",
+]
 
 _EVENT_ATOL = 1e-12
 
@@ -30,6 +37,40 @@ _EVENT_ATOL = 1e-12
 def clip(value, low, high):
     """The paper's clip: ``min(high, max(value, low))`` (vectorised)."""
     return np.minimum(high, np.maximum(np.asarray(value, dtype=np.float64), low))
+
+
+def check_flows(*flows):
+    """``ValueError`` unless every flow is non-negative.  ``.min() < 0``
+    gives ``np.any(flow < 0)``'s verdict (NaN passes both) without the
+    Python-level wrapper; flows are never empty here."""
+    for flow in flows:
+        if flow.min() < 0:
+            raise ValueError("outflow and inflow must be non-negative")
+
+
+def _settle(raw, capacity):
+    """Clip pre-computed ``raw = q - u + b`` into ``[0, capacity]``;
+    returns ``(levels, events)``, where ``events[0]`` is the empty mask
+    (``raw <= 0``) and ``events[1]`` the overflow mask (``raw >= q_max``),
+    both within ``_EVENT_ATOL``.  The masks share one array so that one
+    reduction counts both."""
+    levels = clip(raw, 0.0, capacity)
+    events = np.empty((2,) + np.shape(raw), dtype=bool)
+    np.less_equal(raw, _EVENT_ATOL, out=events[0])
+    np.greater_equal(raw, capacity - _EVENT_ATOL, out=events[1])
+    return levels, events
+
+
+def penalty_magnitudes(raw, capacity):
+    """Eq. (1)'s ``(q_tilde, q_hat)``: ``|raw|`` and ``|q_max - q_tilde|``."""
+    q_tilde = np.abs(raw)
+    return q_tilde, np.abs(capacity - q_tilde)
+
+
+def lost_to_overflow(raw, levels, overflow):
+    """Elementwise packet mass lost to overflow: ``raw - levels`` where a
+    queue overflowed, 0 elsewhere."""
+    return np.maximum(np.where(overflow, raw - levels, 0.0), 0.0)
 
 
 class QueueUpdate:
@@ -58,17 +99,13 @@ class QueueUpdate:
     def __init__(self, previous, raw, q_max):
         self.previous = previous
         self.raw = raw
-        self.levels = clip(raw, 0.0, q_max)
-        self.empty = raw <= _EVENT_ATOL
-        self.overflow = raw >= q_max - _EVENT_ATOL
-        self.q_tilde = np.abs(raw)
-        self.q_hat = np.abs(q_max - self.q_tilde)
+        self.levels, (self.empty, self.overflow) = _settle(raw, q_max)
+        self.q_tilde, self.q_hat = penalty_magnitudes(raw, q_max)
 
     @property
     def overflow_excess(self):
         """Elementwise packet mass lost to overflow (same shape as levels)."""
-        excess = np.where(self.overflow, self.raw - self.levels, 0.0)
-        return np.maximum(excess, 0.0)
+        return lost_to_overflow(self.raw, self.levels, self.overflow)
 
     @property
     def overflow_amount(self):
@@ -163,15 +200,28 @@ class QueueBank:
         """
         outflow = self._flow(outflow)
         inflow = self._flow(inflow)
-        # ``.min() < 0`` gives np.any(flow < 0)'s verdict (NaN passes both)
-        # without the Python-level wrapper; flows are never empty here.
-        if outflow.min() < 0 or inflow.min() < 0:
-            raise ValueError("outflow and inflow must be non-negative")
+        check_flows(outflow, inflow)
         previous = self.levels.copy()
         raw = previous - outflow + inflow
         update = QueueUpdate(previous, raw, self.capacity)
         self.levels = update.levels.copy()
         return update
+
+    def advance(self, raw):
+        """Clip pre-computed ``raw = q - u + b`` into the new levels;
+        returns ``(levels, events)``, where ``events[0]`` is the empty mask
+        and ``events[1]`` the overflow mask.
+
+        :meth:`step` without its flow checks, :class:`QueueUpdate` or
+        copies, for the vector envs, which build ``raw`` from flows they
+        made themselves: the same clip and event thresholds, so the same
+        bits.  ``levels`` becomes the bank's level array as it is, so a
+        caller that keeps it must copy the bank's levels before writing to
+        them.
+        """
+        levels, events = _settle(raw, self.capacity)
+        self.levels = levels
+        return levels, events
 
     def _flow(self, flow):
         """A flow as float64; ``ValueError`` unless it broadcasts to the

@@ -32,8 +32,10 @@ __all__ = [
     "RandomActor",
     "ActorGroup",
     "QuantumActorGroup",
+    "categorical_from_cdf",
     "categorical_from_draws",
     "check_policy_rows",
+    "policy_cdf",
 ]
 
 
@@ -45,37 +47,66 @@ def _stable_softmax_np(logits):
     return exps
 
 
-def categorical_from_draws(probs, draws):
-    """One categorical sample per row of ``(R, A)`` probabilities, from the
-    given uniform draws.
+def policy_cdf(probs, first_row=0):
+    """Checked row-wise cumulative sums of ``(..., A)`` policy probabilities,
+    as one ``(R, A)`` array.
 
-    Replicates ``numpy.random.Generator.choice(A, p=row)`` exactly — the
-    same normalised-cumsum inversion, one draw per row in row order.  Split
-    from the draw step so process-sharded rollouts can consume a slice of a
-    globally drawn block (each worker draws the full block from its stream
-    replica and inverts only its shard's rows, keeping the stream bit-aligned
-    with the in-process engine regardless of shard assignment).
+    The categorical inversion's first step, with the policy-row check read
+    off its last column instead of a second reduction: a row that is not a
+    distribution raises through :func:`check_policy_rows`, with its message.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    cdf = np.cumsum(probs, axis=1)
+    cdf = probs.reshape(-1, probs.shape[-1]).cumsum(axis=1)
+    check_policy_rows(
+        probs, first_row, sums=cdf[:, -1].reshape(probs.shape[:-1])
+    )
+    return cdf
+
+
+def categorical_from_cdf(cdf, draws):
+    """One categorical sample per row of ``(R, A)`` cumulative sums (as
+    :func:`policy_cdf` returns them), from the given uniform draws;
+    normalises ``cdf`` in place.
+
+    Replicates ``numpy.random.Generator.choice(A, p=row)`` exactly — the
+    same normalised-cumsum inversion, one draw per row in row order.
+    """
     cdf /= cdf[:, -1:]
-    draws = np.asarray(draws, dtype=np.float64)
     actions = (cdf <= draws[:, None]).sum(axis=1)
-    return np.minimum(actions, probs.shape[1] - 1)
+    return np.minimum(actions, cdf.shape[1] - 1)
 
 
-def check_policy_rows(probs, first_row=0):
+def categorical_from_draws(probs, draws):
+    """One categorical sample per row of ``(R, A)`` probabilities, from the
+    given uniform draws (see :func:`categorical_from_cdf`).
+
+    Split from the draw step so process-sharded rollouts can consume a
+    slice of a globally drawn block (each worker draws the full block from
+    its stream replica and inverts only its shard's rows, keeping the
+    stream bit-aligned with the in-process engine regardless of shard
+    assignment).
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    return categorical_from_cdf(
+        np.cumsum(probs, axis=1), np.asarray(draws, dtype=np.float64)
+    )
+
+
+def check_policy_rows(probs, first_row=0, sums=None):
     """Raise ``ValueError`` unless every policy row — the last axis of
     ``(N, n_agents, A)`` or ``(R, A)`` probabilities — is finite and sums to
     a positive value.
 
     The batched engines' counterpart of ``Generator.choice`` rejecting a bad
     distribution in the serial loop: categorical inversion and ``argmax``
-    would otherwise turn such a row into action 0.  One reduction per round;
-    the message names the first bad row (env rows offset by ``first_row``).
+    would otherwise turn such a row into action 0.  One reduction per round
+    (none when the caller passes the row ``sums`` it already has); the
+    message names the first bad row (env rows offset by ``first_row``).
     """
-    sums = probs.sum(axis=-1)
-    if not sums.size or (sums.min() > 0.0 and np.isfinite(sums.max())):
+    if sums is None:
+        sums = probs.sum(axis=-1)
+    # A NaN makes min() NaN, so ``max() < inf`` then means finite.
+    if not sums.size or (sums.min() > 0.0 and sums.max() < np.inf):
         return
     bad = ~(np.isfinite(sums) & (sums > 0.0))
     index = tuple(np.argwhere(bad)[0])
@@ -86,17 +117,6 @@ def check_policy_rows(probs, first_row=0):
         f"policy probabilities of {where} are not finite or do not sum to "
         f"a positive value: {probs[index]}"
     )
-
-
-def _sample_categorical_rows(probs, rng):
-    """One categorical sample per row of a ``(R, A)`` probability matrix.
-
-    Same semantics as per-observation serial ``choice`` sampling (see
-    :func:`categorical_from_draws`), while avoiding ``R`` python-level
-    ``choice`` calls per step.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    return categorical_from_draws(probs, rng.random(probs.shape[0]))
 
 
 def born_observables(n_action_qubits):
@@ -449,12 +469,12 @@ class ActorGroup:
         if greedy:
             self.check_greedy_support()
         probs = self.batch_probabilities(observations)
-        check_policy_rows(probs)
-        n_envs, n_agents, n_actions = probs.shape
         if greedy:
+            check_policy_rows(probs)
             return np.argmax(probs, axis=2)
-        flat = _sample_categorical_rows(
-            probs.reshape(n_envs * n_agents, n_actions), rng
+        n_envs, n_agents = probs.shape[:2]
+        flat = categorical_from_cdf(
+            policy_cdf(probs), rng.random(n_envs * n_agents)
         )
         return flat.reshape(n_envs, n_agents)
 

@@ -196,7 +196,7 @@ def paired_critic_values(critic, target, states, next_states):
         _, weight_grads = _qbackward(
             circuit, observables, states, weights[0], upstream,
             method="adjoint", input_grads=False,
-            states=None if kept is None else kept.group(0),
+            states=None if kept is None else kept.group(0, 2),
         )
         online_weights._accumulate(weight_grads)
 

@@ -64,7 +64,7 @@ from repro.marl.metrics import (
     publish_epoch_record,
 )
 from repro.marl.rollout import VectorRolloutCollector
-from repro.marl.trainer import rollout_episode
+from repro.marl.trainer import rollout_episode, stop_non_finite
 
 __all__ = ["ESTrainer"]
 
@@ -230,6 +230,20 @@ class ESTrainer:
             fitness[member] = returns[members == member].mean()
         return fitness
 
+    def _check_fitness(self, fitness):
+        """Stop the generation on a non-finite member fitness, before it is
+        ranked: ``centered_ranks`` sorts NaN last, so it would rank that
+        member best and steer the update towards it.  Raises
+        :class:`~repro.marl.trainer.NonFiniteUpdateError` (with a flight
+        dump) and leaves the base vector as it was."""
+        bad = np.flatnonzero(~np.isfinite(fitness))
+        if bad.size:
+            member = int(bad[0])
+            stop_non_finite(
+                self.epoch + 1, f"fitness of member {member}",
+                float(fitness[member]),
+            )
+
     # -- training -------------------------------------------------------------
 
     def train_epoch(self):
@@ -259,6 +273,7 @@ class ESTrainer:
             _, stats = self.collect_generation(seeds)
         with obs.span("trainer.update"):
             fitness = self.member_fitness(stats)
+            self._check_fitness(fitness)
             self.base_vector, info = self.optimizer.step(
                 self.base_vector, fitness, seeds
             )

@@ -47,7 +47,11 @@ import numpy as np
 
 from repro import obs
 from repro.envs.vector import make_vector_env
-from repro.marl.actors import categorical_from_draws, check_policy_rows
+from repro.marl.actors import (
+    categorical_from_cdf,
+    check_policy_rows,
+    policy_cdf,
+)
 from repro.marl.rollout import VectorRolloutCollector
 from repro.marl.parallel.transport import (
     WorkerEndpoint,
@@ -96,17 +100,15 @@ class ShardActionAdapter:
             self.actors.check_greedy_support()
         observations = np.asarray(observations, dtype=np.float64)
         probs = self.actors.batch_probabilities(observations)
-        check_policy_rows(probs, self.first_row)
         if greedy:
             # Greedy execution consumes no randomness.
+            check_policy_rows(probs, self.first_row)
             return np.argmax(probs, axis=2)
-        n_rows, n_agents, n_actions = probs.shape
+        n_rows, n_agents = probs.shape[:2]
+        cdf = policy_cdf(probs, self.first_row)
         draws = rng.random(self.n_envs_total * n_agents)
         start = self.first_row * n_agents
-        shard_draws = draws[start:start + n_rows * n_agents]
-        flat = categorical_from_draws(
-            probs.reshape(n_rows * n_agents, n_actions), shard_draws
-        )
+        flat = categorical_from_cdf(cdf, draws[start:start + len(cdf)])
         return flat.reshape(n_rows, n_agents)
 
     def __repr__(self):

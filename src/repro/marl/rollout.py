@@ -212,38 +212,52 @@ class VectorRolloutCollector:
         index) order.
         """
         env = self.vector_env
+        # Every copy starts the pass at an episode start (``_prepare``).
+        # Fixed-length copies therefore share one staging step and finish
+        # together, so a round stages by basic slice; ragged copies keep a
+        # step each.
+        lockstep = not env.has_data_dependent_termination
         rows = np.arange(env.n_envs)
-        while len(state.completed_stats) < episode_quota:
-            state.rounds += 1
-            actions = self.actors.act_batch(
-                self._observations, rng, greedy=greedy
-            )
-            result = env.step(actions)
-            if state.transitions:
-                values = (
-                    self._states, self._observations, actions, result.rewards,
-                    result.final_states, result.final_observations,
-                    result.dones,
+        result = None
+        try:
+            while len(state.completed_stats) < episode_quota:
+                state.rounds += 1
+                actions = self.actors.act_batch(
+                    self._observations, rng, greedy=greedy
                 )
-            else:
-                values = (result.rewards,)
-            if state.columns is None:
-                state.columns = self._allocate_columns(
-                    values,
-                    _STAGING_DTYPES if state.transitions else _STATS_DTYPES,
+                result = env.step(actions)
+                if state.transitions:
+                    values = (
+                        self._states, self._observations, actions,
+                        result.rewards, result.final_states,
+                        result.final_observations, result.dones,
+                    )
+                else:
+                    values = (result.rewards,)
+                if state.columns is None:
+                    state.columns = self._allocate_columns(
+                        values, _STAGING_DTYPES if state.transitions
+                        else _STATS_DTYPES,
+                    )
+                at = (
+                    (slice(None), int(state.steps[0])) if lockstep
+                    else (rows, state.steps)
                 )
-            for column, value in zip(state.columns, values):
-                column[rows, state.steps] = value
-            state.queue_sums += result.mean_queues
-            state.empty_sums += result.empty_ratios
-            state.overflow_sums += result.overflow_ratios
-            state.steps += 1
-            self._fresh[:] = result.dones
-            finished = np.flatnonzero(result.dones)
-            if finished.size:
-                self._finish_rows(state, finished)
-            self._observations = result.observations
-            self._states = result.states
+                for column, value in zip(state.columns, values):
+                    column[at] = value
+                state.queue_sums += result.mean_queues
+                state.empty_sums += result.empty_ratios
+                state.overflow_sums += result.overflow_ratios
+                state.steps += 1
+                finished = result.dones.nonzero()[0]
+                if finished.size:
+                    self._finish_rows(state, finished)
+                self._observations = result.observations
+                self._states = result.states
+        finally:
+            # Between passes only the last round's done mask matters.
+            if result is not None:
+                self._fresh[:] = result.dones
         return state
 
     def _allocate_columns(self, values, dtypes):

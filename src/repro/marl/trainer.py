@@ -43,7 +43,12 @@ from repro.marl.rollout import VectorRolloutCollector
 from repro.nn.optim import Adam, clip_grad_norm, gradient_norm
 from repro.obs import flight as _flight
 
-__all__ = ["CTDETrainer", "NonFiniteUpdateError", "rollout_episode"]
+__all__ = [
+    "CTDETrainer",
+    "NonFiniteUpdateError",
+    "rollout_episode",
+    "stop_non_finite",
+]
 
 
 class NonFiniteUpdateError(FloatingPointError):
@@ -60,6 +65,18 @@ class NonFiniteUpdateError(FloatingPointError):
         )
         self.epoch = epoch
         self.quantity = quantity
+
+
+def stop_non_finite(epoch, quantity, value):
+    """Dump the flight recorder and raise :class:`NonFiniteUpdateError`
+    naming ``epoch`` and ``quantity``: how both trainers stop before an
+    update would apply a non-finite value."""
+    _flight.record("non_finite_update", epoch=epoch, quantity=quantity)
+    _flight.dump(
+        "non-finite-update",
+        extra={"epoch": epoch, "quantity": quantity, "value": repr(value)},
+    )
+    raise NonFiniteUpdateError(epoch, quantity, value)
 
 
 def rollout_episode(env, actor_group, rng, greedy=False):
@@ -329,18 +346,10 @@ class CTDETrainer:
         }
 
     def _check_finite(self, quantity, value):
-        """Stop the update on a non-finite loss or gradient norm: dump the
-        flight recorder and raise :class:`NonFiniteUpdateError` naming the
-        epoch being trained and the quantity."""
-        if math.isfinite(value):
-            return
-        epoch = self.epoch + 1
-        _flight.record("non_finite_update", epoch=epoch, quantity=quantity)
-        _flight.dump(
-            "non-finite-update",
-            extra={"epoch": epoch, "quantity": quantity, "value": repr(value)},
-        )
-        raise NonFiniteUpdateError(epoch, quantity, value)
+        """Stop the update on a non-finite loss or gradient norm (see
+        :func:`stop_non_finite`), naming the epoch being trained."""
+        if not math.isfinite(value):
+            stop_non_finite(self.epoch + 1, quantity, value)
 
     def train_epoch(self):
         """Collect one batch of episodes, update once, record metrics.

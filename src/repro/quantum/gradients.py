@@ -269,15 +269,18 @@ def _folds(prog, batch, n_groups):
 
 def _reusable(prog, states, batch, n_groups):
     """Whether a forward's states are there to differentiate: the fold
-    starts from all three, the row sweep from the final states."""
+    starts from all three, the row sweep from the final states (a
+    weight-free trailing block leaves no unitary)."""
     if states is None:
         return False
+    unitary = states.unitary
     if states.prefix.shape != (batch, prog.dim) or (
-        states.unitary.shape[0] != n_groups
+        unitary is not None and unitary.shape[0] != n_groups
     ):
+        groups = "no" if unitary is None else unitary.shape[0]
         raise ValueError(
             f"forward states for {states.prefix.shape[0]} rows and "
-            f"{states.unitary.shape[0]} weight rows do not match a batch of "
+            f"{groups} weight rows do not match a batch of "
             f"{batch} over {n_groups} weight rows"
         )
     return True

@@ -34,8 +34,9 @@ Weights follow one grouped contract: a ``(G, n_weights)`` matrix serves a
 :func:`expand_weights`), a 1-D vector is one weight row and ``None`` one
 empty row.  Every forward runs the encoding prefix per row and the
 input-free trailing block (from :func:`split_index` on) as ``G`` cached
-``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`).  An
-update's forward keeps those states for the adjoint
+``2**n x 2**n`` unitaries (:meth:`CircuitProgram.suffix_unitary`); a block
+with no weight gate runs as its own compiled steps instead, and an empty
+one not at all.  An update's forward keeps those states for the adjoint
 (:meth:`CircuitProgram.evolve_states`, :class:`ForwardStates`).
 
 The per-op (unfused) plans double as the adjoint-differentiation kernels:
@@ -771,18 +772,19 @@ class ForwardStates(namedtuple("ForwardStates", "prefix final unitary")):
     """What a forward leaves for the adjoint
     (:meth:`CircuitProgram.evolve_states`): ``prefix`` the ``(B, 2**n)``
     encoded states at the split, ``final`` the ``(B, 2**n)`` final states
-    and ``unitary`` the ``(G, 2**n, 2**n)`` trailing-block unitaries; row
-    ``b`` belongs to weight row ``b % G``."""
+    and ``unitary`` the ``(G, 2**n, 2**n)`` trailing-block unitaries, or
+    ``None`` when the block holds no weight gate; row ``b`` belongs to
+    weight row ``b % G``."""
 
     __slots__ = ()
 
-    def group(self, g):
-        """The rows of weight row ``g`` alone, as a one-group record."""
-        n_groups = self.unitary.shape[0]
+    def group(self, g, n_groups):
+        """The rows of weight row ``g`` of ``n_groups`` alone, as a
+        one-group record."""
         return ForwardStates(
             np.ascontiguousarray(self.prefix[g::n_groups]),
             np.ascontiguousarray(self.final[g::n_groups]),
-            self.unitary[g:g + 1],
+            None if self.unitary is None else self.unitary[g:g + 1],
         )
 
 
@@ -835,13 +837,17 @@ class CircuitProgram:
             else self._prefix_steps[self._layer.n_gates:]
         )
         self.steps = self._prefix_steps + self._suffix_steps
-        # Frozen at compile time so the telemetry publish per call is a
-        # tuple walk: the prefix kernels, and the block as one ``suffix``.
-        self._forward_kinds = tuple(sorted(Counter(
-            [step.kind for step in self._prefix_steps] + ["suffix"]
-        ).items()))
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
+        # Frozen at compile time so the telemetry publish per call is a
+        # tuple walk: the prefix kernels, then the block as one ``suffix``
+        # or, when it holds no weight gate, as its own steps.
+        block = ["suffix"] if self.suffix_has_weights else [
+            step.kind for step in self._suffix_steps
+        ]
+        self._forward_kinds = tuple(sorted(Counter(
+            [step.kind for step in self._prefix_steps] + block
+        ).items()))
         # Rows with repeated inputs share an encoding (evolve_states) only
         # where that is exact and pays: a weight-free prefix that runs
         # full-register steps.  A first layer alone is a product build that
@@ -1000,7 +1006,14 @@ class CircuitProgram:
         whatever the other rows.  The cache is scanned newest first: a
         rollout round hits the entry built for the current weights, which
         sits last.
+
+        ``None`` when the block holds no weight gate: every weight row
+        would get the same matrix, and :meth:`apply_suffix` runs such a
+        block as its compiled steps (a composed gather, say), which costs
+        less per row than a dense product, or skips it when it is empty.
         """
+        if not self.suffix_has_weights:
+            return None
         weights = _weight_rows(weights)
         cache = self._suffix_cache
         for i in reversed(range(len(cache))):
@@ -1027,7 +1040,10 @@ class CircuitProgram:
 
     def apply_suffix(self, phi, unitary, rows=None):
         """``U_g |phi_b>`` with ``g = b % G`` or ``rows[b]``: one ``(1, dim)
-        @ (dim, dim)`` product per row, independent of the rest."""
+        @ (dim, dim)`` product per row, independent of the rest.  With no
+        unitary (a weight-free block) the block's steps run on every row."""
+        if unitary is None:
+            return _run(self._suffix_steps, phi, None, None)
         batch, dim = phi.shape[0], self.dim
         transposed = np.swapaxes(unitary, -1, -2)  # rows U_g|l>, contiguous
         if rows is not None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.marl.actors import categorical_from_draws, check_policy_rows
+from repro.marl.actors import categorical_from_cdf, policy_cdf
 from repro.marl.checkpoint import load_checkpoint
 from repro.marl.frameworks import build_framework
 
@@ -73,22 +73,24 @@ def select_actions(probs, greedy_mask, draws):
     """``(R,)`` actions from ``(R, A)`` probabilities.
 
     Greedy rows take the argmax; the rest invert their pre-drawn uniform
-    through the categorical CDF (:func:`categorical_from_draws`).  ``draws``
+    through the categorical CDF (:func:`categorical_from_cdf`), whose
+    cumulative sums also carry the policy-row check for every row.  ``draws``
     must hold one uniform per row — greedy rows' draws are simply unused,
     which keeps the draw layout independent of the greedy pattern.  A row
     that is not a distribution (non-finite, or no positive mass) raises
     ``ValueError`` instead of silently becoming action 0.
     """
-    probs = np.asarray(probs)
-    check_policy_rows(probs)
+    cdf = policy_cdf(probs)
     greedy_mask = np.asarray(greedy_mask, dtype=bool)
-    actions = np.empty(probs.shape[0], dtype=np.int64)
+    actions = np.empty(cdf.shape[0], dtype=np.int64)
     if greedy_mask.any():
-        actions[greedy_mask] = np.argmax(probs[greedy_mask], axis=1)
+        actions[greedy_mask] = np.argmax(
+            np.asarray(probs)[greedy_mask], axis=1
+        )
     sampled = ~greedy_mask
     if sampled.any():
-        actions[sampled] = categorical_from_draws(
-            probs[sampled], np.asarray(draws)[sampled]
+        actions[sampled] = categorical_from_cdf(
+            cdf[sampled], np.asarray(draws, dtype=np.float64)[sampled]
         )
     return actions
 

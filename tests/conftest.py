@@ -97,7 +97,9 @@ def program_state(request, monkeypatch):
     ``suffix_unitary`` call, so the real call meets a cache holding other
     weights' unitaries.  It must still build or find its own, and leave
     every decoy's cached unitary unchanged.  One slot is left for the real
-    rows, so a test's repeated calls still hit its own entry.
+    rows, so a test's repeated calls still hit its own entry.  A program
+    whose trailing block holds no weight gate builds no unitary and keeps
+    no cache, so there is nothing to reuse.
     """
     if request.param == "fresh":
         return
@@ -106,6 +108,8 @@ def program_state(request, monkeypatch):
     suffix_unitary = program.CircuitProgram.suffix_unitary
 
     def reused(self, weights):
+        if not self.suffix_has_weights:
+            return suffix_unitary(self, weights)
         rows = program._weight_rows(weights)
         decoys = [
             suffix_unitary(self, rows + 0.25 * (k + 1))

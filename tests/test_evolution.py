@@ -473,6 +473,45 @@ def test_sharded_generations_ship_no_transitions(monkeypatch):
     assert all("episodes" not in r for r in commits)
 
 
+def test_sharded_replies_stay_small(monkeypatch):
+    """At the benchmark's ES shape (P=32, T=350, two workers) each reply a
+    stats-only collect sends is small: no ``episodes`` key, and no
+    arrival block in the vector env its crash checkpoint carries (every
+    row ends a collect at an episode boundary, its block used up)."""
+    from multiprocessing.reduction import ForkingPickler
+
+    from repro.marl.parallel import PipeChannel
+
+    replies = []
+    recv = PipeChannel.recv
+
+    def spy(channel):
+        reply = recv(channel)
+        replies.append(reply)
+        return reply
+
+    monkeypatch.setattr(PipeChannel, "recv", spy)
+    framework = build_framework(
+        "proposed", seed=1, env_config=SingleHopConfig(episode_limit=350),
+        train_config=TrainingConfig(
+            trainer="es", es_population=32, episodes_per_epoch=1,
+            rollout_envs=1, rollout_workers=2,
+        ),
+    )
+    try:
+        for _ in range(2):
+            framework.trainer.train_epoch()
+    finally:
+        framework.close()
+    commits = [r for r in replies if isinstance(r, dict) and "stats" in r]
+    assert len(commits) == 4  # 2 generations x 2 workers
+    for reply in commits:
+        assert "episodes" not in reply
+        vector_env = reply["checkpoint"]["vector_env"]
+        assert getattr(vector_env, "_arrival_block", None) is None
+        assert len(ForkingPickler.dumps(reply)) <= 16 * 1024
+
+
 # -- trainer API ---------------------------------------------------------------
 
 class TestESTrainer:
@@ -508,6 +547,38 @@ class TestESTrainer:
             "fitness_std", "grad_norm",
         }
         trainer.close()
+
+    def test_nan_episode_return_stops_before_ranking(self, monkeypatch,
+                                                     tmp_path):
+        """``centered_ranks`` sorts NaN last, so one NaN return would rank
+        its member best and steer the update towards it: the generation
+        stops before ranking, with the base vector unchanged."""
+        from repro.marl.trainer import NonFiniteUpdateError
+        from repro.obs import flight
+
+        trainer = make_es_trainer("single_hop", "stacked", population=4)
+        trainer.train_epoch()
+        collect = trainer.collect_generation
+
+        def one_nan(seeds):
+            episodes, stats = collect(seeds)
+            stats[2]["total_reward"] = float("nan")
+            return episodes, stats
+
+        monkeypatch.setattr(trainer, "collect_generation", one_nan)
+        base = trainer.base_vector.copy()
+        prior = flight.set_dump_dir(str(tmp_path))
+        try:
+            with pytest.raises(NonFiniteUpdateError,
+                               match="^epoch 2: fitness of member 2 is nan"):
+                trainer.train_epoch()
+        finally:
+            flight.set_dump_dir(prior)
+            trainer.close()
+        assert np.array_equal(trainer.base_vector, base)
+        assert np.array_equal(flat_team_vector(trainer.actors), base)
+        assert trainer.epoch == 1 and trainer.history.n_epochs == 1
+        assert len(list(tmp_path.glob("flight-non-finite-update-*"))) == 1
 
     def test_update_is_applied_to_live_actors(self):
         trainer = make_es_trainer("single_hop", "stacked")

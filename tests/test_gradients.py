@@ -483,7 +483,7 @@ class TestForwardStates:
         simulated.clear()
         _, gw = adjoint_backward(
             circuit, observables, inputs[1::2], weights[1], upstream,
-            states=states.group(1),
+            states=states.group(1, 2),
         )
         assert simulated == []
         _, gw_ref = adjoint_backward(

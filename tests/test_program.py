@@ -18,6 +18,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.quantum import program as qprog
 from repro.quantum import statevector as sv
 from repro.quantum.backends import StatevectorBackend
@@ -436,7 +437,7 @@ class TestEvolveStates:
         inputs = rng.uniform(size=(6, 16))
         weights = rng.uniform(0, 2 * np.pi, (3, 20))
         states = program.evolve_states(inputs, weights, 6)
-        one = states.group(1)
+        one = states.group(1, 3)
         assert one.prefix.tobytes() == states.prefix[1::3].tobytes()
         assert one.final.tobytes() == states.final[1::3].tobytes()
         assert one.unitary.tobytes() == states.unitary[1:2].tobytes()
@@ -882,6 +883,98 @@ class TestVectorizedSampling:
             vqc.circuit, vqc.observables, inputs, weights
         )
         assert np.array_equal(first, second)
+
+
+def _constant_tail_circuit():
+    """Weight and encoding layers, then constant gates only."""
+    circuit = _reuploading_circuit(trailing=False)
+    for wire in range(3):
+        circuit.add("cnot", (wire, (wire + 1) % 3))
+    circuit.add("h", (0,))
+    circuit.add("s", (2,))
+    return circuit
+
+
+_WEIGHT_FREE_TAILS = {
+    "empty": lambda: _reuploading_circuit(trailing=False),
+    "constant": _constant_tail_circuit,
+}
+
+
+class TestWeightFreeTrailingBlock:
+    """A trailing block with no weight gate builds no unitary: an empty
+    block is skipped, a constant one runs as its compiled steps on every
+    row, and either is the same for every weight row."""
+
+    @pytest.mark.parametrize("tail", sorted(_WEIGHT_FREE_TAILS))
+    def test_no_unitary_is_built(self, rng, tail):
+        circuit = _WEIGHT_FREE_TAILS[tail]()
+        program = compile_program(circuit)
+        assert not program.suffix_has_weights
+        inputs = rng.uniform(size=(6, 3))
+        previous = obs.set_enabled(True)
+        obs.reset()
+        try:
+            for _ in range(5):
+                weights = rng.uniform(-np.pi, np.pi, circuit.n_weights)
+                program.evolve(inputs, weights, 6)
+                program.evolve_rows(inputs, weights[None], np.zeros(6, int))
+            counters = obs.snapshot()["counters"]
+        finally:
+            obs.set_enabled(previous)
+            obs.reset()
+        assert counters.get("program.suffix_build", 0) == 0
+        assert "program.kernels.suffix" not in counters
+        assert program.suffix_unitary(weights) is None
+        if tail == "empty":
+            assert counters["program.kernel_dispatches"] == 10 * len(
+                program._prefix_steps
+            )
+
+    @pytest.mark.parametrize("grouped", [False, True])
+    @pytest.mark.parametrize("tail", sorted(_WEIGHT_FREE_TAILS))
+    def test_matches_interpreted_and_one_weight_row(self, rng, tail,
+                                                    grouped):
+        circuit = _WEIGHT_FREE_TAILS[tail]()
+        observables = all_z_observables(3)
+        n_groups = 3 if grouped else 1
+        weights = rng.uniform(-np.pi, np.pi, (n_groups, circuit.n_weights))
+        inputs = rng.uniform(size=(6, 3))
+        backend = StatevectorBackend()
+        out = backend.run(circuit, observables, inputs, weights)
+        exact = _interpreted().run(
+            circuit, observables, inputs,
+            qprog.expand_weights(weights, 6),
+        )
+        assert np.allclose(out, exact, atol=ATOL)
+        if not grouped:
+            one = backend.run(circuit, observables, inputs, weights[0])
+            assert one.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("tail", sorted(_WEIGHT_FREE_TAILS))
+    def test_backward_from_kept_states(self, rng, tail, simulated):
+        circuit = _WEIGHT_FREE_TAILS[tail]()
+        observables = all_z_observables(3)
+        weights = rng.uniform(-np.pi, np.pi, (2, circuit.n_weights))
+        inputs = rng.uniform(size=(20, 3))
+        upstream = rng.normal(size=(20, 3))
+        _, states = StatevectorBackend().run_states(
+            circuit, observables, inputs, weights
+        )
+        assert states.unitary is None
+        simulated.clear()
+        kept = adjoint_backward(
+            circuit, observables, inputs, weights, upstream, states=states
+        )
+        assert simulated == []
+        fresh = adjoint_backward(
+            circuit, observables, inputs, weights, upstream
+        )
+        for a, b in zip(kept, fresh):
+            assert a.tobytes() == b.tobytes()
+        one = states.group(1, 2)
+        assert one.unitary is None
+        assert one.final.tobytes() == states.final[1::2].tobytes()
 
 
 class TestProgramIntrospection:

@@ -7,10 +7,14 @@ done flags — and ``act_batch`` must agree with per-observation ``act``
 under greedy decoding.
 """
 
+import pickle
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.config import SingleHopConfig
+from repro.envs.arrivals import BernoulliBurstArrivals, TruncatedPoissonArrivals
 from repro.envs.multi_hop import MultiHopOffloadEnv, layered_topology
 from repro.envs.queues import QueueBank
 from repro.envs.single_hop import SingleHopOffloadEnv
@@ -261,8 +265,9 @@ def classical_group(cfg, seed=0):
 
 class TestJointQueueBank:
     """Each vector env keeps one QueueBank over its joint queue columns
-    (``[edge | cloud]``, ``[agent | network]``) and steps it once per env
-    step; the step-for-step tests above pin the values."""
+    (``[edge | cloud]``, ``[agent | network]``) and updates it once per env
+    step, through the fused step's ``QueueBank.advance``; the step-for-step
+    tests above pin the values."""
 
     @staticmethod
     def _single_hop():
@@ -283,13 +288,13 @@ class TestJointQueueBank:
         vector = getattr(self, f"_{family}")()
         vector.reset()
         calls = []
-        step = QueueBank.step
+        advance = QueueBank.advance
 
-        def counting(bank, outflow, inflow):
+        def counting(bank, raw):
             calls.append(bank.n_queues)
-            return step(bank, outflow, inflow)
+            return advance(bank, raw)
 
-        monkeypatch.setattr(QueueBank, "step", counting)
+        monkeypatch.setattr(QueueBank, "advance", counting)
         action_rng = np.random.default_rng(5)
         for _ in range(5):  # crosses two auto-resets
             vector.step(action_rng.integers(
@@ -616,3 +621,268 @@ class TestSurplusDiscard:
         )
         stats = self._assert_prefix(cfg)
         assert len({s["length"] for s in stats}) > 1  # genuinely ragged
+
+
+def _multi_hop_pair(n_envs, level, limit, seed=70, **kwargs):
+    """Serial multi-hop envs and the vector env over the same streams."""
+    topology = layered_topology((3, 2, 2))
+    serial = [
+        MultiHopOffloadEnv(
+            topology, episode_limit=limit, initial_queue_level=level,
+            rng=np.random.default_rng(seed + i), **kwargs,
+        )
+        for i in range(n_envs)
+    ]
+    vector = MultiHopVectorEnv(
+        n_envs, topology, episode_limit=limit, initial_queue_level=level,
+        rngs=[np.random.default_rng(seed + i) for i in range(n_envs)],
+        **kwargs,
+    )
+    return serial, vector
+
+
+_PROCESSES = {
+    "uniform": None,
+    "bernoulli": BernoulliBurstArrivals(0.4, 0.25),
+    "poisson": TruncatedPoissonArrivals(1.5, 0.1, 0.35),
+}
+
+
+def _single_hop_pair(n_envs, level, limit, process="uniform", **kwargs):
+    cfg = SingleHopConfig(
+        episode_limit=limit, initial_queue_level=level, **kwargs
+    )
+    arrivals = _PROCESSES[process]
+    serial = [
+        SingleHopOffloadEnv(cfg, rng=np.random.default_rng(100 + i),
+                            arrivals=arrivals)
+        for i in range(n_envs)
+    ]
+    return serial, vector_single_hop(n_envs, cfg, arrivals=arrivals)
+
+
+def _states(rngs):
+    return [rng.bit_generator.state for rng in rngs]
+
+
+def _lockstep(serial, vector, n_steps, seed=4, on_step=None):
+    """Step both sides with the same random actions, asserting equal
+    transitions; returns the serial envs' generator states taken at each
+    episode boundary, next to the vector rows' at the same moment."""
+    action_rng = np.random.default_rng(seed)
+    boundaries = []
+    for _ in range(n_steps):
+        actions = action_rng.integers(
+            0, vector.n_actions, size=(vector.n_envs, vector.n_agents)
+        )
+        result = vector.step(actions)
+        for i, env in enumerate(serial):
+            serial_result = env.step(list(actions[i]))
+            assert np.array_equal(
+                np.stack(serial_result.observations),
+                result.final_observations[i],
+            )
+            assert serial_result.reward == result.rewards[i]
+            assert serial_result.done == bool(result.dones[i])
+            if serial_result.done:
+                obs_s, _ = env.reset()
+                assert np.array_equal(np.stack(obs_s), result.observations[i])
+        if on_step is not None:
+            on_step(result)
+        if result.dones.any():
+            rows = np.flatnonzero(result.dones)
+            boundaries.append((
+                [serial[i].rng.bit_generator.state for i in rows],
+                [vector.rngs[i].bit_generator.state for i in rows],
+            ))
+    return boundaries
+
+
+class TestArrivalBlocks:
+    """Fixed-length vector envs draw each row's arrivals in blocks of up to
+    64 steps; the doubles are the serial env's, and at every episode
+    boundary each row's generator sits exactly where its serial env's
+    does (a block drawn at a reset, or across an episode's end, would not).
+    """
+
+    @pytest.mark.parametrize("limit", [5, 64, 150])
+    @pytest.mark.parametrize("n_envs", [1, 5])
+    @pytest.mark.parametrize("level", [0.5, "uniform"])
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_generators_meet_serial_at_every_boundary(
+            self, family, level, n_envs, limit):
+        pair = _single_hop_pair if family == "single_hop" else _multi_hop_pair
+        serial, vector = pair(n_envs, level, limit)
+        obs_v, _ = vector.reset()
+        for i, env in enumerate(serial):
+            assert np.array_equal(np.stack(env.reset()[0]), obs_v[i])
+        assert _states(vector.rngs) == [env.rng.bit_generator.state
+                                        for env in serial]
+        # Two whole episodes, then a few steps into the third.
+        boundaries = _lockstep(serial, vector, 2 * limit + 3)
+        assert len(boundaries) == 2
+        for serial_states, vector_states in boundaries:
+            assert serial_states == vector_states
+
+    @pytest.mark.parametrize("limit", [5, 64, 150])
+    @pytest.mark.parametrize("process", ["uniform", "bernoulli", "poisson"])
+    def test_arrival_processes(self, process, limit):
+        serial, vector = _single_hop_pair(3, "uniform", limit, process)
+        vector.reset()
+        [env.reset() for env in serial]
+        boundaries = _lockstep(serial, vector, 2 * limit)
+        assert len(boundaries) == 2
+        for serial_states, vector_states in boundaries:
+            assert serial_states == vector_states
+
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_row_zero_carries_the_serial_env_stream(self, family):
+        """make_vector_env's row 0 is the serial env's own generator: after
+        each episode ``env.rng`` stands where a reference serial env's does,
+        and the spawned rows where their spawned references do."""
+        limit, n_envs, seed = 70, 4, 9
+        if family == "single_hop":
+            cfg = SingleHopConfig(episode_limit=limit,
+                                  initial_queue_level="uniform")
+
+            def make(rng):
+                return SingleHopOffloadEnv(cfg, rng=rng)
+        else:
+            topology = layered_topology((3, 2, 2))
+
+            def make(rng):
+                return MultiHopOffloadEnv(
+                    topology, episode_limit=limit,
+                    initial_queue_level="uniform", rng=rng,
+                )
+        source = make(np.random.default_rng(seed))
+        vector = make_vector_env(source, n_envs)
+        reference_rng = np.random.default_rng(seed)
+        serial = [make(reference_rng)] + [
+            make(rng) for rng in reference_rng.spawn(n_envs - 1)
+        ]
+        vector.reset()
+        [env.reset() for env in serial]
+        boundaries = _lockstep(serial, vector, 2 * limit)
+        assert [vector_states for _, vector_states in boundaries] == [
+            serial_states for serial_states, _ in boundaries
+        ]
+        assert (source.rng.bit_generator.state
+                == serial[0].rng.bit_generator.state)
+
+    def test_ragged_rows_draw_step_by_step(self):
+        """A ragged env cannot know where an episode ends, so its rows draw
+        one step at a time: their generators match the serial envs' after
+        every step, not only at boundaries."""
+        serial, vector = _single_hop_pair(
+            4, 0.8, 80, terminate_on_overflow=True
+        )
+        vector.reset()
+        [env.reset() for env in serial]
+
+        def same_position(_result):
+            assert _states(vector.rngs) == [env.rng.bit_generator.state
+                                            for env in serial]
+
+        boundaries = _lockstep(serial, vector, 40, on_step=same_position)
+        assert boundaries  # overflow cut some episodes short
+
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_reset_mid_block_rewinds_to_the_serial_position(self, family):
+        """A reset before an episode's end discards the rest of the block:
+        the row's generator goes back to where the serial env's stands."""
+        pair = _single_hop_pair if family == "single_hop" else _multi_hop_pair
+        serial, vector = pair(3, "uniform", 100)
+        vector.reset()
+        [env.reset() for env in serial]
+        _lockstep(serial, vector, 70)  # a block drawn at step 64, 6 used
+        vector.reset_rows([1])
+        serial[1].reset()
+        assert _states(vector.rngs)[1] == serial[1].rng.bit_generator.state
+        obs_v, _ = vector.reset()
+        for i, env in enumerate(serial):
+            assert np.array_equal(np.stack(env.reset()[0]), obs_v[i])
+        assert _states(vector.rngs) == [env.rng.bit_generator.state
+                                        for env in serial]
+        _lockstep(serial, vector, 30)
+
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_rows_out_of_step_after_a_partial_reset(self, family):
+        """A partial reset parts the rows: each then draws its blocks at
+        its own steps and still meets its serial env at every boundary,
+        until a reset of every row brings them back in step."""
+        pair = _single_hop_pair if family == "single_hop" else _multi_hop_pair
+        serial, vector = pair(3, "uniform", 70)
+        vector.reset()
+        [env.reset() for env in serial]
+        _lockstep(serial, vector, 30)
+        vector.reset_rows([1])
+        serial[1].reset()
+        assert not vector._aligned
+        # Rows 0 and 2 end after 40 and 110 more steps, row 1 after 70
+        # and 140: four boundaries, with the rows never in step.
+        boundaries = _lockstep(serial, vector, 150)
+        assert len(boundaries) == 4
+        for serial_states, vector_states in boundaries:
+            assert serial_states == vector_states
+        assert not vector._aligned
+        obs_v, _ = vector.reset()
+        for i, env in enumerate(serial):
+            assert np.array_equal(np.stack(env.reset()[0]), obs_v[i])
+        assert vector._aligned
+        assert len(_lockstep(serial, vector, 70)) == 1
+
+    def test_pickle_carries_only_a_live_block(self):
+        serial, vector = _single_hop_pair(2, 0.5, 10)
+        vector.reset()
+        [env.reset() for env in serial]
+        _lockstep(serial, vector, 3)
+        resumed = pickle.loads(pickle.dumps(vector))
+        assert resumed._arrival_block is not None
+        actions = np.zeros((2, vector.n_agents), dtype=np.int64)
+        for _ in range(7):  # to the episode's end
+            a, b = vector.step(actions), resumed.step(actions)
+            assert np.array_equal(a.rewards, b.rewards)
+            assert np.array_equal(a.observations, b.observations)
+        assert a.dones.all()
+        assert pickle.loads(pickle.dumps(vector))._arrival_block is None
+
+
+class TestActionDtype:
+    """The vector envs take integer action indices only, as the serial
+    envs' ``Discrete.contains`` does: a float is rejected, not truncated
+    (``1.7`` used to step as action 1, NaN after a cast warning)."""
+
+    @staticmethod
+    def _vector(family):
+        if family == "single_hop":
+            return vector_single_hop(2, SingleHopConfig(episode_limit=3))
+        return _multi_hop_pair(2, 0.5, 3)[1]
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.nan])
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_float_actions_raise(self, family, bad):
+        vector = self._vector(family)
+        vector.reset()
+        actions = np.zeros((2, vector.n_agents))
+        actions[0, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="integer indices"):
+                vector.step(actions)
+            with pytest.raises(ValueError, match="integer indices"):
+                vector.step(actions.tolist())
+
+    @pytest.mark.parametrize("family", ["single_hop", "multi_hop"])
+    def test_bool_and_unsigned_actions_step(self, family):
+        vector = self._vector(family)
+        vector.reset()
+        reference = self._vector(family)
+        reference.reset()
+        ones = np.ones((2, vector.n_agents), dtype=np.int64)
+        flags = vector.step(ones.astype(bool))
+        assert np.array_equal(flags.rewards, reference.step(ones).rewards)
+        unsigned = vector.step(ones.astype(np.uint8))
+        assert np.array_equal(unsigned.rewards, reference.step(ones).rewards)
+        with pytest.raises(ValueError, match="action indices"):
+            vector.step(np.full((2, vector.n_agents), -1))
