@@ -14,8 +14,8 @@ import argparse
 
 import numpy as np
 
-from repro.config import TrainingConfig
 from repro.envs import MultiHopOffloadEnv, layered_topology
+from repro.experiments.settings import arm_configs
 from repro.marl.actors import QuantumActor, QuantumActorGroup
 from repro.marl.critics import QuantumCentralCritic
 from repro.marl.trainer import CTDETrainer, rollout_episode
@@ -60,27 +60,18 @@ def main():
             for i in range(env.n_agents)
         ]
     )
+    # The calibrated MAPG settings every single-hop experiment trains under.
+    vqc_config, train_config = arm_configs(n_epochs=args.epochs)
     critic_vqc = build_vqc(4, env.state_size, 50, seed=2002)
+    scale = vqc_config.critic_value_scale
     critic = QuantumCentralCritic(
-        critic_vqc, seeds.rng("critic"), value_scale=10.0
+        critic_vqc, seeds.rng("critic"), value_scale=scale
     )
     target = QuantumCentralCritic(
-        critic_vqc, seeds.rng("target"), value_scale=10.0
+        critic_vqc, seeds.rng("target"), value_scale=scale
     )
     trainer = CTDETrainer(
-        env,
-        actors,
-        critic,
-        target,
-        TrainingConfig(
-            n_epochs=args.epochs,
-            episodes_per_epoch=4,
-            gamma=0.95,
-            actor_lr=2e-3,
-            critic_lr=1e-3,
-            entropy_coef=0.01,
-        ),
-        seeds.rng("rollouts"),
+        env, actors, critic, target, train_config, seeds.rng("rollouts")
     )
     print(f"  quantum actors: {actors.n_parameters()} weights total; "
           f"critic: {critic.n_parameters()}")

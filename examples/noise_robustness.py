@@ -15,11 +15,9 @@ Run:  python examples/noise_robustness.py [--epochs 40]
 
 import argparse
 
-from repro.experiments.ablations import (
-    _train_proposed,
-    run_noise_robustness,
-    run_shot_budget,
-)
+from repro.config import SingleHopConfig
+from repro.experiments.ablations import run_noise_robustness, run_shot_budget
+from repro.experiments.settings import build_arm
 from repro.viz.ascii_plots import sparkline
 
 
@@ -32,9 +30,11 @@ def main():
     args = parser.parse_args()
 
     print(f"training the proposed framework ({args.epochs} epochs) ...")
-    framework = _train_proposed(
-        train_epochs=args.epochs, episode_limit=30, seed=args.seed
+    framework = build_arm(
+        "proposed", args.seed, SingleHopConfig(episode_limit=30),
+        n_epochs=args.epochs,
     )
+    framework.train()
 
     print("\nevaluating under depolarising gate error ...")
     noise = run_noise_robustness(

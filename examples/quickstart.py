@@ -18,12 +18,10 @@ import numpy as np
 from repro import (
     SingleHopConfig,
     StatevectorBackend,
-    TrainingConfig,
-    VQCConfig,
-    build_framework,
     build_vqc,
     evaluate_random_walk,
 )
+from repro.experiments.settings import build_arm
 from repro.marl.metrics import progress_printer
 from repro.quantum.gradients import backward
 from repro.viz.ascii_plots import sparkline
@@ -100,43 +98,21 @@ def main():
           f"w_R={env_config.w_r}")
 
     # -- 4. train the proposed QMARL framework --------------------------------
-    if args.trainer == "es":
-        # Gradient-free engine: every generation evaluates a population of
-        # perturbed actor teams through a single stacked circuit call per
-        # env step (population members ride the per-sample-weight axis).
-        train_config = TrainingConfig(
-            trainer="es",
-            n_epochs=args.epochs,
-            episodes_per_epoch=2,
-            es_population=(
-                args.es_population if args.es_population is not None else 8
-            ),
-            es_sigma=0.15,
-            es_lr=0.12,
-            rollout_envs=args.rollout_envs,
-            rollout_workers=args.rollout_workers,
-        )
-    else:
-        train_config = TrainingConfig(
-            n_epochs=args.epochs,
-            episodes_per_epoch=4,
-            gamma=0.95,
-            actor_lr=2e-3,
-            critic_lr=1e-3,
-            entropy_coef=0.01,
-            # Collect all episodes of an epoch in parallel: batched env
-            # stepping + one circuit evaluation per step for the whole team
-            # across every copy (see repro.envs.vector), optionally sharded
-            # across worker processes (see repro.marl.parallel).
-            rollout_envs=args.rollout_envs,
-            rollout_workers=args.rollout_workers,
-        )
-    framework = build_framework(
+    # At the calibrated settings every experiment trains under.  Under ES a
+    # generation scores a population of perturbed actor teams through one
+    # stacked circuit call per env step (members ride the per-sample-weight
+    # axis), and episodes_per_epoch counts episodes per member.
+    per_member = {"episodes_per_epoch": 2} if args.trainer == "es" else {}
+    framework = build_arm(
         "proposed",
-        seed=args.seed,
-        env_config=env_config,
-        vqc_config=VQCConfig(critic_value_scale=10.0),
-        train_config=train_config,
+        args.seed,
+        env_config,
+        trainer=args.trainer,
+        n_epochs=args.epochs,
+        rollout_envs=args.rollout_envs,
+        rollout_workers=args.rollout_workers,
+        es_population=args.es_population,
+        **per_member,
     )
     print()
     print("=" * 72)

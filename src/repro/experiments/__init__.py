@@ -1,4 +1,9 @@
-"""Experiment harness: runners for every paper table/figure + ablations."""
+"""Experiment harness: runners for every paper table/figure + ablations.
+
+Every runner, and every example that trains, builds its arms from
+:mod:`repro.experiments.settings`, the one module holding the calibrated
+MAPG, ES and critic settings and the preset tables.
+"""
 
 from repro.experiments.fig3 import FIG3_METRICS, format_fig3_report, run_fig3
 from repro.experiments.fig4 import format_fig4_report, run_fig4

@@ -21,8 +21,9 @@ import time
 
 import numpy as np
 
-from repro.config import SingleHopConfig, TrainingConfig, VQCConfig
-from repro.marl.frameworks import build_framework, evaluate_random_walk
+from repro.config import SingleHopConfig
+from repro.experiments.settings import build_arm
+from repro.marl.frameworks import evaluate_random_walk
 from repro.marl.trainer import rollout_episode
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
@@ -148,21 +149,11 @@ def run_gradient_methods(n_qubits=4, n_features=16, n_weights=50, batch=16,
 
 
 def _train_proposed(train_epochs, episode_limit, seed):
-    framework = build_framework(
-        "proposed",
-        seed=seed,
-        env_config=SingleHopConfig(episode_limit=episode_limit),
-        vqc_config=VQCConfig(critic_value_scale=10.0),
-        train_config=TrainingConfig(
-            n_epochs=train_epochs,
-            episodes_per_epoch=4,
-            gamma=0.95,
-            actor_lr=2e-3,
-            critic_lr=1e-3,
-            entropy_coef=0.01,
-        ),
+    framework = build_arm(
+        "proposed", seed, SingleHopConfig(episode_limit=episode_limit),
+        n_epochs=train_epochs,
     )
-    framework.train(n_epochs=train_epochs)
+    framework.train()
     return framework
 
 
@@ -261,23 +252,11 @@ def run_parameter_budget(
     )
     rewards = []
     for budget in budgets:
-        framework = build_framework(
-            "proposed",
-            seed=seed,
-            env_config=env_config,
-            vqc_config=VQCConfig(
-                n_variational_gates=budget, critic_value_scale=10.0
-            ),
-            train_config=TrainingConfig(
-                n_epochs=train_epochs,
-                episodes_per_epoch=4,
-                gamma=0.95,
-                actor_lr=2e-3,
-                critic_lr=1e-3,
-                entropy_coef=0.01,
-            ),
+        framework = build_arm(
+            "proposed", seed, env_config,
+            vqc={"n_variational_gates": budget}, n_epochs=train_epochs,
         )
-        history = framework.train(n_epochs=train_epochs)
+        history = framework.train()
         window = max(1, train_epochs // 5)
         rewards.append(float(history.last("total_reward", window=window)))
     return {
@@ -305,23 +284,11 @@ def run_template_comparison(
     rewards = {}
     weights_used = {}
     for template in templates:
-        framework = build_framework(
-            "proposed",
-            seed=seed,
-            env_config=env_config,
-            vqc_config=VQCConfig(
-                template=template, critic_value_scale=10.0
-            ),
-            train_config=TrainingConfig(
-                n_epochs=train_epochs,
-                episodes_per_epoch=4,
-                gamma=0.95,
-                actor_lr=2e-3,
-                critic_lr=1e-3,
-                entropy_coef=0.01,
-            ),
+        framework = build_arm(
+            "proposed", seed, env_config,
+            vqc={"template": template}, n_epochs=train_epochs,
         )
-        history = framework.train(n_epochs=train_epochs)
+        history = framework.train()
         window = max(1, train_epochs // 5)
         rewards[template] = float(history.last("total_reward", window=window))
         weights_used[template] = framework.metadata["actor_parameters"]

@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -29,6 +30,11 @@ _FORMATTERS = {
 }
 
 
+def _takes(spec, name):
+    """Whether the experiment's runner has a ``name`` parameter."""
+    return name in inspect.signature(spec.runner).parameters
+
+
 def build_parser():
     """The argparse parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -39,7 +45,14 @@ def build_parser():
         "experiment",
         help="experiment id, or 'list' to enumerate available experiments",
     )
-    parser.add_argument("--preset", default=None, help="fig3/section4d preset")
+    with_presets = sorted(
+        experiment_id for experiment_id, spec in EXPERIMENTS.items()
+        if _takes(spec, "preset")
+    )
+    parser.add_argument(
+        "--preset", default=None,
+        help=f"preset name (experiments {', '.join(with_presets)})",
+    )
     parser.add_argument("--seed", type=int, default=None, help="root seed")
     parser.add_argument(
         "--out", default=None, help="directory to write the JSON result into"
@@ -74,7 +87,13 @@ def main(argv=None):
         print(error, file=sys.stderr)
         return 2
 
-    result = spec.run(**_experiment_kwargs(args))
+    kwargs = _experiment_kwargs(args)
+    for name in kwargs:
+        if not _takes(spec, name):
+            print(f"experiment {args.experiment!r} takes no --{name}",
+                  file=sys.stderr)
+            return 2
+    result = spec.run(**kwargs)
 
     formatter = _FORMATTERS.get(args.experiment)
     if formatter is not None:

@@ -6,77 +6,38 @@ quantum-MARL ES line (Kölle et al. 2023, "Multi-Agent Quantum Reinforcement
 Learning using Evolutionary Optimization"; Kölle et al. 2024 on
 architectural influence under ES), which found population search matches or
 beats analytic gradients on VQC multi-agent policies while sidestepping
-barren plateaus.  Optionally trains the gradient (MAPG) arm under a matched
-episode budget for a side-by-side curve.
+barren plateaus.  Optionally trains the gradient (MAPG) arm, at the
+calibrated settings every Fig. 3 arm trains under, with a matched episode
+budget for a side-by-side curve.
 
 Registered as ``es-train`` in the experiment registry.
 """
 
 from __future__ import annotations
 
-from repro.config import SingleHopConfig, TrainingConfig, VQCConfig
-from repro.marl.frameworks import build_framework, evaluate_random_walk
+from repro.config import SingleHopConfig
+from repro.experiments.settings import ES_PRESETS, build_arm, preset_row
+from repro.marl.frameworks import evaluate_random_walk
 from repro.marl.metrics import achievability
 
-__all__ = ["PRESETS", "preset_settings", "run_es_training"]
+__all__ = ["run_es_training"]
 
 ES_METRICS = ("total_reward", "fitness_mean", "fitness_max", "grad_norm")
 
-# ES hyper-parameters roughly follow the Kölle et al. small-population
-# regime scaled to this environment; the MAPG reference arm reuses the
-# fig3 calibration.
-_ES_KW = {
-    "es_population": 8,
-    "es_sigma": 0.15,
-    "es_lr": 0.12,
-    "es_weight_decay": 0.0,
-}
-_MAPG_KW = {
-    "actor_lr": 2e-3,
-    "critic_lr": 1e-3,
-    "entropy_coef": 0.01,
-}
-
-PRESETS = {
-    # name: (generations, episode_limit, episodes per member per generation)
-    "smoke": (4, 10, 1),
-    "quick": (30, 25, 2),
-    "medium": (120, 40, 4),
-    "full": (400, 50, 4),
-}
-
-
-def preset_settings(preset):
-    """Resolve a preset to ``(generations, env_config, train_config)``."""
-    if preset not in PRESETS:
-        raise ValueError(
-            f"unknown preset {preset!r}; choose from {sorted(PRESETS)}"
-        )
-    generations, episode_limit, episodes = PRESETS[preset]
-    env_config = SingleHopConfig(episode_limit=episode_limit)
-    train_config = TrainingConfig(
-        trainer="es",
-        n_epochs=generations,
-        episodes_per_epoch=episodes,
-        **_ES_KW,
-    )
-    return generations, env_config, train_config
-
 
 def run_es_training(preset="quick", seed=11, framework="proposed",
-                    compare_mapg=False, rollout_workers=1, callback=None):
+                    compare_mapg=False, callback=None):
     """Train a framework with ES; returns the result document.
 
     Args:
-        preset: One of :data:`PRESETS`.
+        preset: One of :data:`repro.experiments.settings.ES_PRESETS`.
         seed: Root seed.
         framework: Which arm to train (any trainable framework; the
             quantum arms exercise the stacked per-sample-weight circuit
             path, the classical arms the per-member loop).
-        compare_mapg: Also train the gradient engine for the same number
-            of epochs and episode budget, for a side-by-side series.
-        rollout_workers: Shard the population across worker processes
-            (1 = in-process stacked evaluation).
+        compare_mapg: Also train the gradient engine, at the calibrated
+            MAPG settings, for the same number of epochs and episode
+            budget, for a side-by-side series.
         callback: Optional ``fn(engine_name, epoch_record)`` hook.
 
     Returns:
@@ -84,24 +45,22 @@ def run_es_training(preset="quick", seed=11, framework="proposed",
         gradient norms), greedy evaluation, achievability vs the random
         walk, and — with ``compare_mapg`` — the gradient arm's series.
     """
-    generations, env_config, train_config = preset_settings(preset)
+    generations, episode_limit, episodes = preset_row(ES_PRESETS, preset)
+    env_config = SingleHopConfig(episode_limit=episode_limit)
     random_walk = evaluate_random_walk(
         seed=seed + 1000, env_config=env_config, n_episodes=20
     )
 
-    def train_engine(engine_config, label):
-        fw = build_framework(
-            framework,
-            seed=seed,
-            env_config=env_config,
-            train_config=engine_config,
-            rollout_workers=rollout_workers,
+    def train_engine(trainer, episodes_per_epoch):
+        fw = build_arm(
+            framework, seed, env_config, trainer=trainer,
+            n_epochs=generations, episodes_per_epoch=episodes_per_epoch,
         )
         with fw:
             hook = (
-                (lambda rec, _l=label: callback(_l, rec)) if callback else None
+                (lambda rec: callback(trainer, rec)) if callback else None
             )
-            history = fw.train(n_epochs=generations, callback=hook)
+            history = fw.train(callback=hook)
             series = {
                 m: history.series(m).tolist()
                 for m in ES_METRICS
@@ -110,16 +69,17 @@ def run_es_training(preset="quick", seed=11, framework="proposed",
             evaluation = fw.evaluate(n_episodes=8)
         return fw, series, evaluation
 
-    es_framework, es_series, es_eval = train_engine(train_config, "es")
+    es_framework, es_series, es_eval = train_engine("es", episodes)
+    es_config = es_framework.trainer.config
     document = {
         "experiment": "es-train",
         "preset": preset,
         "seed": seed,
         "framework": framework,
         "generations": generations,
-        "population": train_config.effective_es_population,
-        "sigma": train_config.effective_es_sigma,
-        "lr": train_config.effective_es_lr,
+        "population": es_config.effective_es_population,
+        "sigma": es_config.effective_es_sigma,
+        "lr": es_config.effective_es_lr,
         "episode_limit": env_config.episode_limit,
         "random_walk_return": random_walk,
         "series": {"es": es_series},
@@ -130,15 +90,9 @@ def run_es_training(preset="quick", seed=11, framework="proposed",
         "parameters": es_framework.metadata,
     }
     if compare_mapg:
-        mapg_config = TrainingConfig(
-            n_epochs=generations,
-            episodes_per_epoch=(
-                train_config.episodes_per_epoch
-                * train_config.effective_es_population
-            ),
-            **_MAPG_KW,
+        _, mapg_series, mapg_eval = train_engine(
+            "mapg", episodes * es_config.effective_es_population
         )
-        _, mapg_series, mapg_eval = train_engine(mapg_config, "mapg")
         document["series"]["mapg"] = mapg_series
         document["evaluation"]["mapg"] = mapg_eval
         document["achievability"]["mapg"] = achievability(

@@ -5,52 +5,21 @@ queue (b), queue-empty ratio (c) and queue-overflow ratio (d) as a function
 of training epoch — for Proposed, Comp1, Comp2 and Comp3, plus the
 random-walk reference used for achievability normalisation.
 
-Scaled presets keep benchmark runtime sane; the ``full`` preset mirrors the
-paper's 1000-epoch runs.
+The presets (:data:`repro.experiments.settings.FIG3_PRESETS`) scale the
+run down; the longest, ``full``, trains 400 epochs against the paper's 1000.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.config import SingleHopConfig, TrainingConfig, VQCConfig
-from repro.marl.frameworks import build_framework, evaluate_random_walk
+from repro.config import SingleHopConfig
+from repro.experiments.settings import FIG3_PRESETS as PRESETS
+from repro.experiments.settings import build_arm, preset_row
+from repro.marl.frameworks import evaluate_random_walk
 from repro.marl.metrics import achievability
 
-__all__ = ["FIG3_METRICS", "PRESETS", "preset_settings", "run_fig3"]
+__all__ = ["FIG3_METRICS", "PRESETS", "run_fig3"]
 
 FIG3_METRICS = ("total_reward", "mean_queue", "empty_ratio", "overflow_ratio")
-
-# Calibrated training settings (the paper leaves gamma / batch / episode
-# length unspecified; the TrainingConfig field docstrings mark each one).
-_TRAIN_KW = {
-    "episodes_per_epoch": 4,
-    "gamma": 0.95,
-    "actor_lr": 2e-3,
-    "critic_lr": 1e-3,
-    "target_update_period": 10,
-    "entropy_coef": 0.01,
-}
-_VQC_KW = {"critic_value_scale": 10.0}
-
-PRESETS = {
-    # name: (n_epochs, episode_limit, random-walk episodes)
-    "smoke": (8, 15, 10),
-    "quick": (60, 30, 30),
-    "medium": (150, 50, 50),
-    "full": (400, 50, 100),
-}
-
-
-def preset_settings(preset):
-    """Resolve a preset name to ``(n_epochs, env_config, train_config, vqc_config)``."""
-    if preset not in PRESETS:
-        raise ValueError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-    n_epochs, episode_limit, rw_episodes = PRESETS[preset]
-    env_config = SingleHopConfig(episode_limit=episode_limit)
-    train_config = TrainingConfig(n_epochs=n_epochs, **_TRAIN_KW)
-    vqc_config = VQCConfig(**_VQC_KW)
-    return n_epochs, env_config, train_config, vqc_config, rw_episodes
 
 
 def run_fig3(preset="quick", seed=7, frameworks=("proposed", "comp1", "comp2", "comp3"),
@@ -58,8 +27,7 @@ def run_fig3(preset="quick", seed=7, frameworks=("proposed", "comp1", "comp2", "
     """Train every framework and collect the Fig. 3 series.
 
     Args:
-        preset: One of :data:`PRESETS` (or pass explicit configs via
-            :func:`run_fig3_custom`).
+        preset: One of :data:`PRESETS`.
         seed: Root seed shared across frameworks (each also derives
             framework-specific child seeds via its name).
         frameworks: Which arms to run.
@@ -75,9 +43,8 @@ def run_fig3(preset="quick", seed=7, frameworks=("proposed", "comp1", "comp2", "
         achievability scores — the full content of Fig. 3 plus the
         Section IV-D(1) numbers.
     """
-    n_epochs, env_config, train_config, vqc_config, rw_episodes = preset_settings(
-        preset
-    )
+    n_epochs, episode_limit, rw_episodes = preset_row(PRESETS, preset)
+    env_config = SingleHopConfig(episode_limit=episode_limit)
     random_walk = evaluate_random_walk(
         seed=seed + 1000, env_config=env_config, n_episodes=rw_episodes
     )
@@ -87,12 +54,8 @@ def run_fig3(preset="quick", seed=7, frameworks=("proposed", "comp1", "comp2", "
     parameters = {}
     window = max(1, min(20, n_epochs // 5))
     for name in frameworks:
-        framework = build_framework(
-            name,
-            seed=seed,
-            env_config=env_config,
-            vqc_config=vqc_config,
-            train_config=train_config,
+        framework = build_arm(
+            name, seed, env_config, n_epochs=n_epochs,
             rollout_envs=rollout_envs,
         )
         hook = (lambda rec, _n=name: callback(_n, rec)) if callback else None

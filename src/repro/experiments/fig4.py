@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import SingleHopConfig, TrainingConfig, VQCConfig
-from repro.marl.frameworks import build_framework
+from repro.config import SingleHopConfig
+from repro.experiments.settings import build_arm
 from repro.quantum.backends import StatevectorBackend
 from repro.viz.qubit_heatmap import QubitStateHeatmap, render_ansi, render_text
 
@@ -49,21 +49,12 @@ def run_fig4(train_epochs=60, n_steps=12, seed=11, episode_limit=50,
         agent's amplitude heatmap (magnitude + phase grids).
     """
     if framework is None:
-        framework = build_framework(
-            "proposed",
-            seed=seed,
-            env_config=SingleHopConfig(episode_limit=max(episode_limit, n_steps)),
-            vqc_config=VQCConfig(critic_value_scale=10.0),
-            train_config=TrainingConfig(
-                n_epochs=train_epochs,
-                episodes_per_epoch=4,
-                gamma=0.95,
-                actor_lr=2e-3,
-                critic_lr=1e-3,
-                entropy_coef=0.01,
-            ),
+        framework = build_arm(
+            "proposed", seed,
+            SingleHopConfig(episode_limit=max(episode_limit, n_steps)),
+            n_epochs=train_epochs,
         )
-        framework.train(n_epochs=train_epochs)
+        framework.train()
     elif framework.name != "proposed":
         raise ValueError("Fig. 4 demonstrates the proposed QMARL framework")
 

@@ -12,7 +12,7 @@ from repro.experiments.evolution import run_es_training
 from repro.experiments.fig3 import run_fig3
 from repro.experiments.fig4 import run_fig4
 from repro.experiments.section4d import run_section4d
-from repro.experiments.serving import run_serving_benchmark
+from repro.serving.loadgen import run_serving_load
 
 __all__ = ["EXPERIMENTS", "get_experiment", "run_experiment"]
 
@@ -64,7 +64,7 @@ EXPERIMENTS = {
         ExperimentSpec(
             "serving-load",
             "Policy-serving latency/throughput: micro-batching frontier",
-            run_serving_benchmark,
+            run_serving_load,
             "Extension: ROADMAP serving tier (online offloading decisions)",
         ),
         ExperimentSpec(

@@ -217,13 +217,6 @@ def build_framework(
     shots=None,
     comp2_net=COMP2_NET,
     comp3_net=COMP3_NET,
-    rollout_envs=None,
-    rollout_workers=None,
-    trainer=None,
-    es_population=None,
-    es_sigma=None,
-    es_lr=None,
-    es_weight_decay=None,
 ):
     """Construct one experimental arm, fully wired and reproducibly seeded.
 
@@ -233,48 +226,20 @@ def build_framework(
         seed: Root seed; every stochastic component derives a named child.
         env_config: :class:`SingleHopConfig` (Table II defaults).
         vqc_config: :class:`VQCConfig` (Table II defaults).
-        train_config: :class:`TrainingConfig`.
+        train_config: :class:`TrainingConfig`: the trainer, the rollout
+            engine and the ES knobs (call ``framework.close()`` when done
+            if ``rollout_workers > 1`` started a worker pool).
         noise_model: Optional :class:`~repro.quantum.channels.NoiseModel`;
             switches quantum components onto the density-matrix backend and
             parameter-shift gradients (NISQ ablations).
         shots: Optional finite measurement shots for quantum components.
         comp2_net / comp3_net: Classical baseline shapes.
-        rollout_envs: Convenience override of
-            ``train_config.rollout_envs`` — the number of lockstep env
-            copies the trainer collects episodes with (vectorized rollout
-            engine; serial reference when 1).
-        rollout_workers: Convenience override of
-            ``train_config.rollout_workers`` — the number of worker
-            processes the sharded rollout engine splits those copies across
-            (in-process when 1; call ``framework.close()`` when done to shut
-            the pool down).
-        trainer: Convenience override of ``train_config.trainer`` —
-            ``"mapg"`` (the paper's gradient-based CTDE loop) or ``"es"``
-            (the gradient-free evolutionary-strategies engine; no critic
-            is built, and the es_* overrides below apply).
-        es_population / es_sigma / es_lr / es_weight_decay: Convenience
-            overrides of the matching ``train_config`` ES knobs.
     """
     if name not in FRAMEWORK_NAMES:
         raise ValueError(f"unknown framework {name!r}; choose from {FRAMEWORK_NAMES}")
     env_config = env_config if env_config is not None else SingleHopConfig()
     vqc_config = vqc_config if vqc_config is not None else VQCConfig()
     train_config = train_config if train_config is not None else TrainingConfig()
-    if rollout_envs is not None:
-        train_config = replace(train_config, rollout_envs=int(rollout_envs))
-    if rollout_workers is not None:
-        train_config = replace(train_config, rollout_workers=int(rollout_workers))
-    if trainer is not None:
-        train_config = replace(train_config, trainer=str(trainer))
-    es_overrides = {
-        "es_population": es_population,
-        "es_sigma": es_sigma,
-        "es_lr": es_lr,
-        "es_weight_decay": es_weight_decay,
-    }
-    es_overrides = {k: v for k, v in es_overrides.items() if v is not None}
-    if es_overrides:
-        train_config = replace(train_config, **es_overrides)
     seeds = SeedSequenceFactory(seed)
 
     if noise_model is not None or shots is not None:
@@ -289,9 +254,7 @@ def build_framework(
                     shots=shots, rng=seeds.rng("backend-shots")
                 )
         if vqc_config.gradient_method == "adjoint":
-            vqc_config = VQCConfig(
-                **{**vqc_config.__dict__, "gradient_method": "parameter_shift"}
-            )
+            vqc_config = replace(vqc_config, gradient_method="parameter_shift")
     else:
         def backend_factory():
             return StatevectorBackend()

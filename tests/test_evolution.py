@@ -643,10 +643,9 @@ class TestFrameworkIntegration:
             "comp2",
             seed=5,
             env_config=SingleHopConfig(episode_limit=4),
-            trainer="es",
-            es_population=3,
-            es_sigma=0.2,
-            es_lr=0.3,
+            train_config=TrainingConfig(
+                trainer="es", es_population=3, es_sigma=0.2, es_lr=0.3,
+            ),
         )
         with framework:
             trainer = framework.trainer
@@ -657,7 +656,10 @@ class TestFrameworkIntegration:
             trainer.train_epoch()
 
     def test_random_framework_ignores_trainer_knob(self):
-        framework = build_framework("random", trainer="es", es_population=2)
+        framework = build_framework(
+            "random",
+            train_config=TrainingConfig(trainer="es", es_population=2),
+        )
         assert framework.trainer is None
 
 

@@ -11,7 +11,9 @@ from repro.experiments.ablations import (
     run_encoding_attenuation,
     run_gradient_methods,
 )
+from repro.experiments import cli
 from repro.experiments.cli import build_parser, main
+from repro.experiments.evolution import run_es_training
 from repro.experiments.fig3 import (
     FIG3_METRICS,
     PRESETS,
@@ -25,6 +27,7 @@ from repro.experiments.section4d import (
     format_section4d_report,
     run_section4d,
 )
+from repro.experiments.settings import ES_PRESETS
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +151,28 @@ class TestFig4:
         assert "\x1b[48;2;" in format_fig4_report(result, ansi=True)
 
 
+class TestEsTrain:
+    def test_structure(self):
+        result = run_es_training(preset="smoke", compare_mapg=True)
+        generations = ES_PRESETS["smoke"][0]
+        assert result["experiment"] == "es-train"
+        assert result["generations"] == generations
+        assert (result["population"], result["sigma"], result["lr"]) == (
+            8, 0.15, 0.12,
+        )
+        for part in ("series", "evaluation", "achievability"):
+            assert set(result[part]) == {"es", "mapg"}
+        assert set(result["series"]["es"]) == {
+            "total_reward", "fitness_mean", "fitness_max", "grad_norm",
+        }
+        assert set(result["series"]["mapg"]) == {"total_reward"}
+        for series in result["series"].values():
+            assert all(len(v) == generations for v in series.values())
+        assert "mean_queue" in result["evaluation"]["mapg"]
+        assert result["parameters"]["critic_parameters"] == 0
+        assert result["random_walk_return"] < 0.0
+
+
 class TestAblations:
     def test_encoding_attenuation_smoke(self):
         result = run_encoding_attenuation(
@@ -217,3 +242,35 @@ class TestCli:
         assert len(written) == 1
         doc = json.load(open(os.path.join(tmp_path, written[0])))
         assert doc["experiment"] == "fig3"
+
+    # The runner flags each experiment takes; every experiment not listed
+    # takes --seed only.
+    FLAGS_TAKEN = {
+        "fig3": {"preset", "seed"},
+        "section4d": {"preset", "seed"},
+        "es-train": {"preset", "seed"},
+        "serving-load": set(),
+    }
+
+    @pytest.mark.parametrize(
+        "flag, value, passed", [("preset", "smoke", "smoke"), ("seed", "3", 3)]
+    )
+    @pytest.mark.parametrize("experiment_id", sorted(EXPERIMENTS))
+    def test_flag_reaches_runner_or_exits_2(self, experiment_id, flag, value,
+                                            passed, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(
+            EXPERIMENTS[experiment_id], "run",
+            lambda **kwargs: seen.append(kwargs) or {},
+        )
+        monkeypatch.setattr(cli, "_FORMATTERS", {})
+        code = main([experiment_id, f"--{flag}", value])
+        err = capsys.readouterr().err
+        if flag in self.FLAGS_TAKEN.get(experiment_id, {"seed"}):
+            assert code == 0
+            assert seen == [{flag: passed}]
+        else:
+            assert code == 2
+            assert seen == []
+            assert len(err.splitlines()) == 1
+            assert f"--{flag}" in err and experiment_id in err

@@ -152,9 +152,9 @@ class TestTrainingAndEvaluation:
         fw = build_framework(
             "comp2", env_config=ENV,
             train_config=TrainingConfig(
-                episodes_per_epoch=4, actor_lr=1e-3, critic_lr=1e-3
+                episodes_per_epoch=4, actor_lr=1e-3, critic_lr=1e-3,
+                rollout_envs=4,
             ),
-            rollout_envs=4,
         )
         assert fw.trainer.config.rollout_envs == 4
         assert fw.trainer.vectorized_rollouts

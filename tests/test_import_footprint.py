@@ -70,3 +70,16 @@ except ImportError as error:
     assert len(lines) == 1
     assert lines[0].startswith("ImportError")
     assert "networkx" in lines[0]
+
+
+def test_single_hop_stack_never_loads_experiments():
+    """The experiment harness and its settings serve runners and examples;
+    the library, training and serving stack never imports them."""
+    script = SINGLE_HOP_STACK + """
+import sys
+import repro.marl.checkpoint
+import repro.serving.client
+print(sorted(name for name in sys.modules
+             if name.startswith("repro.experiments")))
+"""
+    assert run_fresh(script) == ["[]"]
