@@ -5,7 +5,8 @@ Measures the evolutionary-strategies engine
 framework across its three interchangeable evaluation engines:
 
 - **serial** — the per-member reference loop (one circuit evaluation per
-  member per env step; the semantic oracle),
+  member per env step; the semantic oracle), built as the stacked
+  trainer with its population group switched to ``stacked = False``,
 - **stacked** — the in-process single-circuit-call path (all population
   members ride the per-sample-weight axis: one evaluation per env step for
   every ``P * k * n_agents`` observation),
@@ -48,7 +49,8 @@ ROUNDS = 20
 JSON_NAME = "BENCH_es.json"
 
 
-def _build_trainer(population, episode_limit, rollout_mode, rollout_workers):
+def _build_trainer(population, episode_limit, rollout_workers,
+                   stacked=True):
     framework = build_framework(
         "proposed",
         seed=SEED,
@@ -57,10 +59,10 @@ def _build_trainer(population, episode_limit, rollout_mode, rollout_workers):
             trainer="es",
             episodes_per_epoch=EPISODES_PER_MEMBER,
             es_population=population,
-            rollout_mode=rollout_mode,
             rollout_workers=rollout_workers,
         ),
     )
+    framework.trainer._population_group.stacked = stacked
     return framework.trainer
 
 
@@ -83,15 +85,15 @@ def _generation_times(trainers, rounds):
 def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
                   worker_counts=WORKER_COUNTS, rounds=ROUNDS):
     """Measure every ES engine, interleaved; returns the result document."""
-    settings = {"serial_loop": ("serial", 1), "stacked": ("vector", 1)}
+    settings = {"serial_loop": (1, False), "stacked": (1, True)}
     for workers in worker_counts:
-        settings[f"sharded_w{workers}_pipe"] = ("sharded", workers)
+        settings[f"sharded_w{workers}_pipe"] = (workers, True)
     trainers = {}
     try:
-        for name, (rollout_mode, workers) in settings.items():
+        for name, (workers, stacked) in settings.items():
             trainers[name] = _build_trainer(
                 population=population, episode_limit=episode_limit,
-                rollout_mode=rollout_mode, rollout_workers=workers,
+                rollout_workers=workers, stacked=stacked,
             )
         times = _generation_times(trainers, rounds)
     finally:
@@ -116,7 +118,7 @@ def run_benchmark(population=POPULATION, episode_limit=EPISODE_LIMIT,
         if name != "serial_loop":
             entry["speedup_vs_serial"] = speedup(name, "serial_loop")
         if name.startswith("sharded"):
-            entry["n_workers"] = settings[name][1]
+            entry["n_workers"] = settings[name][0]
             entry["speedup_vs_stacked"] = speedup(name, "stacked")
         engines[name] = entry
     return {

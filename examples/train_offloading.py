@@ -40,8 +40,8 @@ def main():
     parser.add_argument("--out", default=None, help="save JSON results here")
     parser.add_argument(
         "--rollout-envs", type=int, default=1,
-        help="lockstep env copies for vectorized episode collection "
-             "(1 = serial reference; 4 = one copy per episode of the "
+        help="lockstep env copies for episode collection (1 = the "
+             "serial reference's streams; 4 = one copy per episode of the "
              "presets' 4-episode epochs, cutting collection wall-clock "
              "several-fold; values above episodes_per_epoch are clamped)",
     )

@@ -219,25 +219,16 @@ class TrainingConfig:
             ``None`` or a finite bound ``> 0``.
         entropy_coef: Optional entropy bonus on the actor loss (0 = paper's
             plain MAPG); finite and ``>= 0``.
-        evaluation_episodes: Greedy-policy episodes used when evaluating
-            (an integer >= 1).
-        rollout_envs: Lockstep environment copies used for vectorized /
-            sharded episode collection (clamped to ``episodes_per_epoch``).
-            With 1 copy the vectorized path consumes RNG streams
-            bit-identically to the serial reference rollout.
+        rollout_envs: Lockstep environment copies every epoch's episodes
+            are collected on (clamped to ``episodes_per_epoch``).  With 1
+            copy collection consumes RNG streams bit-identically to the
+            serial reference loop ``rollout_episode``.
         rollout_workers: Worker processes the sharded engine splits the
-            lockstep copies across (clamped to the effective copy count).
-            Fixed-length envs only: the sharded engine rejects an env with
-            data-dependent termination, so keep 1 for ragged envs.  Any
-            worker count is bit-identical to the in-process vectorized
-            path under a fixed seed; 1 keeps collection in-process unless
-            ``rollout_mode="sharded"`` forces the pool.
-        rollout_mode: ``"auto"`` — shard collection across processes when
-            ``rollout_workers > 1``, else vectorize in-process when
-            ``rollout_envs > 1`` — or force ``"serial"`` (the reference
-            ``rollout_episode`` loop) / ``"vector"`` (the in-process batched
-            engine, any copy count) / ``"sharded"`` (the worker-pool engine,
-            any worker count).
+            lockstep copies across (clamped to the effective copy count);
+            1 keeps collection in-process.  Fixed-length envs only: the
+            sharded engine rejects an env with data-dependent termination,
+            so keep 1 for ragged envs.  Any worker count is bit-identical
+            to in-process collection under a fixed seed.
         rollout_transport: Only ``"auto"`` is legal: sharded workers
             always reply over their pickle-pipe.  The shared-memory
             transport the other values chose was removed; they raise.
@@ -272,10 +263,8 @@ class TrainingConfig:
     target_update_period: int = 10
     grad_clip: float = 10.0
     entropy_coef: float = 0.0
-    evaluation_episodes: int = 8
     rollout_envs: int = 1
     rollout_workers: int = 1
-    rollout_mode: str = "auto"
     rollout_transport: str = "auto"
     trainer: str = "mapg"
     es_population: int = None
@@ -283,7 +272,6 @@ class TrainingConfig:
     es_lr: float = None
     es_weight_decay: float = None
 
-    _ROLLOUT_MODES = ("auto", "serial", "vector", "sharded")
     _TRAINERS = ("mapg", "es")
 
     # Documented defaults the None-valued es_* knobs resolve to under
@@ -298,7 +286,7 @@ class TrainingConfig:
 
     def __post_init__(self):
         for name in ("n_epochs", "episodes_per_epoch", "target_update_period",
-                     "evaluation_episodes", "rollout_envs", "rollout_workers"):
+                     "rollout_envs", "rollout_workers"):
             check_integer(name, getattr(self, name), 1)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must be in [0, 1)")
@@ -309,11 +297,6 @@ class TrainingConfig:
             # A negative bound flips every gradient's sign and 0 zeroes
             # them (see repro.nn.optim.clip_grad_norm).
             check_env_quantity("grad_clip", self.grad_clip, positive=True)
-        if self.rollout_mode not in self._ROLLOUT_MODES:
-            raise ValueError(
-                f"rollout_mode must be one of {self._ROLLOUT_MODES}, "
-                f"got {self.rollout_mode!r}"
-            )
         if self.rollout_transport != "auto":
             raise ValueError(
                 f"rollout_transport={self.rollout_transport!r}: the "

@@ -18,7 +18,6 @@ from repro.envs.vector import (
     VectorStepResult,
     make_vector_env,
 )
-from repro.envs.wrappers import EpisodeStatsWrapper, RewardScaleWrapper, Wrapper
 
 __all__ = [
     "Discrete",
@@ -41,7 +40,4 @@ __all__ = [
     "SingleHopVectorEnv",
     "MultiHopVectorEnv",
     "make_vector_env",
-    "EpisodeStatsWrapper",
-    "RewardScaleWrapper",
-    "Wrapper",
 ]

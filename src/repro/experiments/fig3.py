@@ -32,8 +32,8 @@ def run_fig3(preset="quick", seed=7, frameworks=("proposed", "comp1", "comp2", "
             framework-specific child seeds via its name).
         frameworks: Which arms to run.
         callback: Optional ``fn(framework_name, epoch_record)`` progress hook.
-        rollout_envs: Lockstep env copies for vectorized episode collection
-            (1 = the serial reference path; >1 trades the serial RNG stream
+        rollout_envs: Lockstep env copies for episode collection (1 =
+            the serial reference loop's RNG stream layout; >1 trades that
             layout for wall-clock via batched rollouts — per-seed curves
             differ but the statistics reproduce the same figure).
 

@@ -5,8 +5,13 @@ weights and both critics), its metadata, the training epoch, and — since
 format version 2 — the trainer's resume state (optimizer moments, the
 target-sync counter, and the action/env RNG stream positions), as a single
 ``.npz`` file plus a JSON header.  Restoring into a freshly built framework
-with the same configuration reproduces the policy exactly and, for serial
-collection, continues training bit-identically to a run that never stopped.
+with the same configuration reproduces the policy exactly.  Training on one
+lockstep copy (``rollout_envs=1``) of an env whose reset draws nothing (the
+default ``initial_queue_level``) continues bit-identically to a run that
+never stopped.  Otherwise the resumed run is seed-deterministic but not
+bit-identical: the in-process engine's auto-reset draws the next episode's
+levels before the checkpoint is written, and with more copies the streams
+of rows 1 and up are not part of the checkpoint.
 
 Writes are atomic and tear-proof: both files are written to temp paths and
 ``os.replace``d into place, archive first and header last, so a reader that

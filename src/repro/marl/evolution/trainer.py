@@ -24,17 +24,14 @@ sidestepping barren plateaus.  One **generation** (= one ``train_epoch``):
 5. write the new base into the live actors (so evaluation and checkpoints
    always see the current mean policy).
 
-Engines, selected by ``TrainingConfig.rollout_mode`` exactly like the
-gradient trainer's collection engines:
-
-- ``"serial"`` — the reference: the same lockstep vector env, but members
-  evaluated one at a time through the template team (the semantic oracle
-  for the stacked weight math);
-- ``"vector"`` (and ``"auto"`` without workers) — in-process stacked
-  single-circuit-call evaluation;
-- ``"sharded"`` (and ``"auto"`` with workers) — the population sharded
-  across worker processes, receiving only base-plus-seeds broadcasts
-  (:class:`~repro.marl.evolution.collector.PopulationRolloutCollector`).
+Collection runs like the gradient trainer's: in-process over the lockstep
+rows, with the stacked single-circuit-call evaluation, or — with
+``rollout_workers > 1`` — with the population sharded across worker
+processes that receive only base-plus-seeds broadcasts
+(:class:`~repro.marl.evolution.collector.PopulationRolloutCollector`).
+The per-member loop, ``PopulationActorGroup(stacked=False)``, evaluates
+members one at a time through the template team: it is the semantic
+oracle for the stacked weight math.
 
 Fitness needs episode returns only, so every engine collects stats-only
 (``transitions=False``): no transitions are staged, and sharded workers
@@ -64,7 +61,7 @@ from repro.marl.metrics import (
     publish_epoch_record,
 )
 from repro.marl.rollout import VectorRolloutCollector
-from repro.marl.trainer import rollout_episode, stop_non_finite
+from repro.marl.trainer import stop_non_finite
 
 __all__ = ["ESTrainer"]
 
@@ -126,12 +123,11 @@ class ESTrainer:
             member_vectors=np.tile(
                 self.base_vector, (self.population, 1)
             ),
-            stacked=self.stacked_evaluation,
         )
         self._collector = None
         self._sharded_collector = None
 
-    # -- engine selection -----------------------------------------------------
+    # -- configuration --------------------------------------------------------
 
     @property
     def population(self):
@@ -159,25 +155,10 @@ class ESTrainer:
         """Effective worker count (clamped to the total row count)."""
         return self.config.effective_rollout_workers
 
-    @property
-    def sharded_rollouts(self):
-        """Whether generations are collected by the worker-pool engine."""
-        mode = self.config.rollout_mode
-        if mode == "sharded":
-            return True
-        return mode == "auto" and self.rollout_workers > 1
-
-    @property
-    def stacked_evaluation(self):
-        """Whether the population is evaluated through the stacked
-        per-sample-weight path (``rollout_mode="serial"`` forces the
-        per-member reference loop instead)."""
-        return self.config.rollout_mode != "serial"
-
     # -- collection -----------------------------------------------------------
 
     def vector_collector(self):
-        """The lazily built in-process engine (stacked or member-loop)."""
+        """The lazily built in-process engine."""
         if self._collector is None:
             vector_env = make_vector_env(self.env, self.n_envs)
             self._collector = VectorRolloutCollector(
@@ -207,7 +188,7 @@ class ESTrainer:
         ``j % n_envs % population``.
         """
         n_episodes = self.config.episodes_per_epoch * self.population
-        if self.sharded_rollouts:
+        if self.rollout_workers > 1:
             collector = self.sharded_collector()
             collector.set_generation(self.base_vector, seeds, self.sigma)
         else:
@@ -312,26 +293,6 @@ class ESTrainer:
                     break
         return self.history
 
-    # -- evaluation -----------------------------------------------------------
-
-    def evaluate(self, n_episodes=None, greedy=True):
-        """Serial evaluation episodes of the current base policy."""
-        n_episodes = (
-            n_episodes
-            if n_episodes is not None
-            else self.config.evaluation_episodes
-        )
-        all_stats = []
-        for _ in range(n_episodes):
-            _, stats = rollout_episode(
-                self.env, self.actors, self.rng, greedy=greedy
-            )
-            all_stats.append(stats)
-        return {
-            key: float(np.mean([s[key] for s in all_stats]))
-            for key in all_stats[0]
-        }
-
     # -- lifecycle ------------------------------------------------------------
 
     def close(self):
@@ -355,5 +316,5 @@ class ESTrainer:
         return (
             f"ESTrainer(population={self.population}, sigma={self.sigma}, "
             f"n_envs={self.n_envs}, workers={self.rollout_workers}, "
-            f"stacked={self.stacked_evaluation}, epoch={self.epoch})"
+            f"stacked={self._population_group.stacked}, epoch={self.epoch})"
         )

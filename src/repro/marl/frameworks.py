@@ -27,6 +27,7 @@ from repro.config import (
     SingleHopConfig,
     TrainingConfig,
     VQCConfig,
+    check_integer,
     replace,
 )
 from repro.envs.single_hop import SingleHopOffloadEnv
@@ -88,8 +89,10 @@ class Framework:
         the paper's decentralised execution — and stochastic for the random
         walk.  With ``vectorized=True`` all ``n_episodes`` run as lockstep
         env copies through batched policy inference (same stat accounting,
-        different RNG stream layout than the serial loop).
+        different RNG stream layout than the serial loop).  ``n_episodes``
+        must be an integer >= 1.
         """
+        check_integer("n_episodes", n_episodes, 1)
         if greedy is None:
             greedy = self.trainable
         if vectorized:

@@ -220,7 +220,7 @@ class ShardedRolloutCollector:
                 "and this env ends episodes on data-dependent events "
                 "(has_data_dependent_termination, e.g. "
                 "terminate_on_overflow); collect it in-process with "
-                "rollout_workers=1 and rollout_mode 'auto' or 'vector'"
+                "rollout_workers=1"
             )
         self.env = env
         self.actors = actors

@@ -13,17 +13,16 @@ One trainer epoch:
 The buffer is cleared after each update (MAPG is on-policy; see
 :mod:`repro.marl.buffer`).
 
-Collection (step 1) has three interchangeable engines: the serial reference
-:func:`rollout_episode` (ground truth, one env at a time), the vectorized
-path (``TrainingConfig.rollout_envs`` lockstep env copies + batched policy
-inference; see :mod:`repro.envs.vector` and :mod:`repro.marl.rollout`), and
-the process-sharded path (``TrainingConfig.rollout_workers`` worker
-processes each owning a shard of the lockstep copies, fixed-length envs
-only; see :mod:`repro.marl.parallel`).  The chain of determinism
-contracts — sharded is bit-identical to vectorized for any worker count,
-vectorized with one copy is bit-identical to serial — is pinned by the
-regression tests, so every engine produces the same episodes, metrics, and
-RNG stream positions under a fixed seed.
+Collection (step 1) steps ``TrainingConfig.rollout_envs`` lockstep env
+copies with batched policy inference (:mod:`repro.envs.vector`,
+:mod:`repro.marl.rollout`), one copy included; with
+``rollout_workers > 1`` the copies are sharded across worker processes
+instead (fixed-length envs only; see :mod:`repro.marl.parallel`).
+:func:`rollout_episode` stays the readable serial reference, one env at a
+time.  The chain of determinism contracts — sharded is bit-identical to
+in-process for any worker count, one in-process copy is bit-identical to
+the serial loop — is pinned by the regression tests, so under a fixed seed
+every engine produces the same episodes, metrics, and RNG stream positions.
 """
 
 from __future__ import annotations
@@ -173,10 +172,6 @@ class CTDETrainer:
         """Copy the online critic into the target critic (``phi <- psi``)."""
         self.target_critic.load_state_dict(self.critic.state_dict())
 
-    def collect_episode(self, greedy=False):
-        """Roll out one episode with the current policies (serial reference)."""
-        return rollout_episode(self.env, self.actors, self.rng, greedy=greedy)
-
     @property
     def rollout_envs(self):
         """Effective lockstep env copies for epoch collection (the config's
@@ -189,31 +184,13 @@ class CTDETrainer:
         to the effective copy count by the config)."""
         return self.config.effective_rollout_workers
 
-    @property
-    def sharded_rollouts(self):
-        """Whether epoch collection goes through the process-sharded engine."""
-        mode = self.config.rollout_mode
-        if mode == "sharded":
-            return True
-        return mode == "auto" and self.rollout_workers > 1
-
-    @property
-    def vectorized_rollouts(self):
-        """Whether epoch collection goes through the vectorized engine."""
-        mode = self.config.rollout_mode
-        if mode == "serial" or mode == "sharded":
-            return False
-        if mode == "vector":
-            return True
-        return self.rollout_envs > 1 and not self.sharded_rollouts
-
     def vector_collector(self):
-        """The lazily built vectorized collection engine.
+        """The lazily built in-process collection engine.
 
         Built once and kept across epochs: copy 0 shares ``self.env``'s
-        generator (so one-copy vectorized collection is bit-identical to the
-        serial loop) and the auto-reset state carries over between epochs
-        exactly like consecutive serial ``env.reset()`` calls.
+        generator (so one-copy collection is bit-identical to the serial
+        loop) and the auto-reset state carries over between epochs exactly
+        like consecutive serial ``env.reset()`` calls.
         """
         if self._collector is None:
             vector_env = make_vector_env(self.env, self.rollout_envs)
@@ -239,23 +216,14 @@ class CTDETrainer:
     def collect_episodes(self, n_episodes, greedy=False):
         """Collect ``n_episodes`` episodes; returns ``(episodes, stats)`` lists.
 
-        Dispatches to the process-sharded engine, the vectorized engine, or
-        the serial reference loop according to ``TrainingConfig.rollout_mode``.
+        Shards across the worker pool when ``rollout_workers > 1``, else
+        steps the in-process lockstep copies.
         """
-        if self.sharded_rollouts:
-            return self.sharded_collector().collect(
-                n_episodes, self.rng, greedy=greedy
-            )
-        if self.vectorized_rollouts:
-            return self.vector_collector().collect(
-                n_episodes, self.rng, greedy=greedy
-            )
-        episodes, all_stats = [], []
-        for _ in range(n_episodes):
-            episode, stats = self.collect_episode(greedy=greedy)
-            episodes.append(episode)
-            all_stats.append(stats)
-        return episodes, all_stats
+        if self.rollout_workers > 1:
+            collector = self.sharded_collector()
+        else:
+            collector = self.vector_collector()
+        return collector.collect(n_episodes, self.rng, greedy=greedy)
 
     # -- updates ----------------------------------------------------------------
 
@@ -440,21 +408,3 @@ class CTDETrainer:
 
     def __exit__(self, exc_type, exc_value, tb):
         self.close()
-
-    # -- evaluation ---------------------------------------------------------------
-
-    def evaluate(self, n_episodes=None, greedy=True):
-        """Run evaluation episodes; returns averaged episode stats."""
-        n_episodes = (
-            n_episodes
-            if n_episodes is not None
-            else self.config.evaluation_episodes
-        )
-        all_stats = []
-        for _ in range(n_episodes):
-            _, stats = self.collect_episode(greedy=greedy)
-            all_stats.append(stats)
-        return {
-            key: float(np.mean([s[key] for s in all_stats]))
-            for key in all_stats[0]
-        }

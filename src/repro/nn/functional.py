@@ -1,7 +1,7 @@
 """Differentiable functions over :class:`~repro.nn.tensor.Tensor`.
 
-Activations, numerically stable (log-)softmax, gather, stacking and the loss
-functions used by the MARL trainer.  Everything here builds graph nodes the
+Activations, numerically stable (log-)softmax, gather, stacking and the
+mean-squared-error loss the MARL trainer's critic uses.  Everything here builds graph nodes the
 same way the :class:`Tensor` operators do.
 """
 
@@ -23,7 +23,6 @@ __all__ = [
     "concatenate",
     "stack",
     "mse_loss",
-    "huber_loss",
 ]
 
 
@@ -177,24 +176,3 @@ def mse_loss(prediction, target):
     target = as_tensor(target).detach()
     diff = prediction - target
     return (diff * diff).mean()
-
-
-def huber_loss(prediction, target, delta=1.0):
-    """Huber loss (quadratic near zero, linear in the tails).
-
-    Useful as a robust alternative critic loss under shot noise.
-    """
-    prediction = as_tensor(prediction)
-    target = as_tensor(target).detach()
-    diff = prediction.data - target.data
-    quadratic = np.abs(diff) <= delta
-
-    out_data = np.where(
-        quadratic, 0.5 * diff**2, delta * (np.abs(diff) - 0.5 * delta)
-    ).mean()
-
-    def backward_fn(grad):
-        local = np.where(quadratic, diff, delta * np.sign(diff))
-        prediction._accumulate(grad * local / diff.size)
-
-    return Tensor._from_op(out_data, (prediction,), backward_fn)

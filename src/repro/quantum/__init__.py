@@ -43,7 +43,7 @@ from repro.quantum.encoding import (
     DataReuploadingEncoding,
     MultiLayerAngleEncoding,
 )
-from repro.quantum.gradients import backward, jacobians
+from repro.quantum.gradients import backward
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
 from repro.quantum.statevector import Statevector
 from repro.quantum.templates import (
@@ -76,7 +76,6 @@ __all__ = [
     "MultiLayerAngleEncoding",
     "DataReuploadingEncoding",
     "backward",
-    "jacobians",
     "PauliString",
     "Hamiltonian",
     "all_z_observables",

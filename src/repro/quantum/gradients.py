@@ -46,7 +46,6 @@ __all__ = [
     "parameter_shift_backward",
     "finite_difference_backward",
     "backward",
-    "jacobians",
     "GRADIENT_METHODS",
 ]
 
@@ -533,39 +532,3 @@ def backward(
     raise ValueError(
         f"unknown gradient method {method!r}; choose from {GRADIENT_METHODS}"
     )
-
-
-def jacobians(circuit, observables, inputs, weights, method="adjoint", backend=None):
-    """Full Jacobians for testing: ``(d_inputs, d_weights)``.
-
-    Shapes: ``d_inputs[b, j, i] = d<O_j>_b / d inputs[b, i]`` and
-    ``d_weights[b, j, k] = d<O_j>_b / d weights[k]`` (per-sample weight
-    Jacobian; the VJP sums over the batch).
-    """
-    n_obs = len(observables)
-    if inputs is not None:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        if inputs.ndim == 1:
-            inputs = inputs[None, :]
-        batch = inputs.shape[0]
-    else:
-        batch = 1
-
-    d_inputs = (
-        np.zeros((batch, n_obs, circuit.n_inputs)) if circuit.n_inputs else None
-    )
-    d_weights = np.zeros((batch, n_obs, circuit.n_weights))
-
-    for b in range(batch):
-        row = None if inputs is None else inputs[b : b + 1]
-        for j in range(n_obs):
-            upstream = np.zeros((1, n_obs))
-            upstream[0, j] = 1.0
-            gi, gw = backward(
-                circuit, observables, row, weights, upstream, method, backend
-            )
-            if d_inputs is not None and gi is not None:
-                d_inputs[b, j] = gi[0]
-            if gw is not None:
-                d_weights[b, j] = gw
-    return d_inputs, d_weights

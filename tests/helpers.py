@@ -2,19 +2,24 @@
 cross-engine rollout equivalence harness.
 
 The repo's determinism contract spans three interchangeable collection
-engines — the serial reference loop, the in-process vectorized engine, and
+engines — the serial reference loop, the in-process lockstep engine, and
 the process-sharded engine (its workers reply over pickle-pipes, hence the
-``sharded-pipe`` label).  The harness here builds identically-seeded trainers
-for any engine over either environment family and asserts bit-identical
-episodes, train-epoch metrics, and post-run RNG stream positions, so every
-suite pins the contract through one code path instead of hand-rolled
-copies.
+``sharded-pipe`` label).  A trainer collects through the in-process engine,
+or through the worker pool when ``rollout_workers > 1``; the harness builds
+identically-seeded trainers and binds what the trainer would not run onto
+them: the serial loop as a test-side ``collect_episodes``
+(:func:`collect_serially`), and the worker pool at one worker
+(:func:`collect_on_pool`).  It then asserts bit-identical episodes,
+train-epoch metrics, and post-run RNG stream positions over either
+environment family, so every suite pins the contract through one code path
+instead of hand-rolled copies.
 
 The **ES axis** extends the same harness to the gradient-free training
 engine (:mod:`repro.marl.evolution`): one ES generation must be
-bit-identical under the per-member reference loop ("serial"), the stacked
-in-process evaluation ("stacked"), and the population-sharded worker pool
-— including the updated base vector and the RNG stream positions.
+bit-identical under the per-member reference loop ("serial", the trainer's
+population group switched to ``stacked = False``), the stacked in-process
+evaluation ("stacked"), and the population-sharded worker pool — including
+the updated base vector and the RNG stream positions.
 """
 
 
@@ -32,7 +37,7 @@ from repro.marl.buffer import EPISODE_COLUMNS
 from repro.marl.critics import ClassicalCentralCritic
 from repro.marl.evolution import ESTrainer
 from repro.marl.frameworks import Framework
-from repro.marl.trainer import CTDETrainer
+from repro.marl.trainer import CTDETrainer, rollout_episode
 from repro.quantum import statevector as sv
 
 
@@ -52,13 +57,37 @@ OFFLOAD_ENV_KINDS = ("single_hop", "multi_hop")
 #: into one sink, which would overflow deterministically on step 1.)
 RAGGED_ENV_KINDS = ("single_hop_ragged", "multi_hop_ragged")
 
-#: TrainingConfig fragments realising each engine (n_envs/n_workers filled
-#: in by :func:`make_engine_trainer`).
-_ENGINE_SETTINGS = {
-    "serial": {"rollout_mode": "serial"},
-    "vector": {"rollout_mode": "vector"},
-    "sharded-pipe": {"rollout_mode": "sharded"},
-}
+
+def collect_serially(trainer):
+    """Bind the serial reference loop onto ``trainer``: its
+    ``collect_episodes`` runs one :func:`rollout_episode` after another on
+    ``trainer.env``, sampling from ``trainer.rng``."""
+
+    def collect_episodes(n_episodes, greedy=False):
+        episodes, all_stats = [], []
+        for _ in range(n_episodes):
+            episode, stats = rollout_episode(
+                trainer.env, trainer.actors, trainer.rng, greedy=greedy
+            )
+            episodes.append(episode)
+            all_stats.append(stats)
+        return episodes, all_stats
+
+    trainer.collect_episodes = collect_episodes
+    return trainer
+
+
+def collect_on_pool(trainer):
+    """Bind the worker pool onto ``trainer``: it collects there even at one
+    worker, where the trainer itself steps its copies in-process."""
+
+    def collect_episodes(n_episodes, greedy=False):
+        return trainer.sharded_collector().collect(
+            n_episodes, trainer.rng, greedy=greedy
+        )
+
+    trainer.collect_episodes = collect_episodes
+    return trainer
 
 
 def make_offload_env(env_kind, seed, episode_limit=5, **env_kwargs):
@@ -111,7 +140,7 @@ def make_engine_trainer(env_kind, engine, seed=3, n_envs=4, n_workers=2,
     ``engine`` build trainers whose only difference is the collection
     engine — the precondition for asserting bit-identical behaviour.
     """
-    if engine not in _ENGINE_SETTINGS:
+    if engine not in ROLLOUT_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; choose from {ROLLOUT_ENGINES}"
         )
@@ -131,16 +160,18 @@ def make_engine_trainer(env_kind, engine, seed=3, n_envs=4, n_workers=2,
         "actor_lr": 1e-2,
         "critic_lr": 1e-2,
         "rollout_envs": n_envs,
-        "rollout_workers": n_workers,
+        "rollout_workers": n_workers if engine == "sharded-pipe" else 1,
     }
-    settings.update(_ENGINE_SETTINGS[engine])
     settings.update(train_overrides)
-    if settings["rollout_mode"] in ("serial", "vector"):
-        settings["rollout_workers"] = 1
     config = TrainingConfig(**settings)
-    return CTDETrainer(
+    trainer = CTDETrainer(
         env, actors, critic, target, config, np.random.default_rng(seed)
     )
+    if engine == "serial":
+        collect_serially(trainer)
+    elif engine == "sharded-pipe" and trainer.rollout_workers == 1:
+        collect_on_pool(trainer)
+    return trainer
 
 
 @dataclass
@@ -228,7 +259,7 @@ def assert_cross_engine_equivalence(env_kind, engines, n_epochs=2, **kwargs):
     return runs
 
 
-def make_harness_framework(env_kind="single_hop", engine="serial", seed=3,
+def make_harness_framework(env_kind="single_hop", engine="vector", seed=3,
                            **kwargs):
     """Wrap a harness trainer in a real :class:`Framework`.
 
@@ -280,12 +311,6 @@ def run_framework_epochs(framework, n_epochs, engine="framework"):
 #: per-member reference loop, stacked in-process, sharded worker pool.
 ES_ENGINES = ("serial", "stacked", "sharded-pipe")
 
-_ES_ENGINE_SETTINGS = {
-    "serial": {"rollout_mode": "serial"},
-    "stacked": {"rollout_mode": "vector"},
-    "sharded-pipe": {"rollout_mode": "sharded"},
-}
-
 
 def make_es_trainer(env_kind, engine, seed=3, population=4, n_envs=1,
                     n_workers=2, episode_limit=5, env_kwargs=None,
@@ -296,7 +321,7 @@ def make_es_trainer(env_kind, engine, seed=3, population=4, n_envs=1,
     ``engine`` build trainers whose sole difference is how the population
     is evaluated — the precondition for asserting bit-identity.
     """
-    if engine not in _ES_ENGINE_SETTINGS:
+    if engine not in ES_ENGINES:
         raise ValueError(
             f"unknown ES engine {engine!r}; choose from {ES_ENGINES}"
         )
@@ -312,14 +337,18 @@ def make_es_trainer(env_kind, engine, seed=3, population=4, n_envs=1,
         "es_sigma": 0.05,
         "es_lr": 0.1,
         "rollout_envs": n_envs,
-        "rollout_workers": n_workers,
+        "rollout_workers": n_workers if engine == "sharded-pipe" else 1,
     }
-    settings.update(_ES_ENGINE_SETTINGS[engine])
     settings.update(train_overrides)
-    if settings["rollout_mode"] in ("serial", "vector"):
-        settings["rollout_workers"] = 1
     config = TrainingConfig(**settings)
-    return ESTrainer(env, actors, config, np.random.default_rng(seed))
+    trainer = ESTrainer(env, actors, config, np.random.default_rng(seed))
+    if engine == "sharded-pipe" and trainer.rollout_workers < 2:
+        raise ValueError(
+            f"the sharded-pipe ES engine needs 2+ workers over its "
+            f"{trainer.n_envs} rows, got n_workers={n_workers}"
+        )
+    trainer._population_group.stacked = engine != "serial"
+    return trainer
 
 
 @dataclass

@@ -98,8 +98,8 @@ class TestVectorizedTrainerRoundtrip:
 
     def test_save_restore_continue(self, tmp_path, rng):
         source = self.build_vectorized(seed=1)
-        assert source.trainer.vectorized_rollouts
         source.train(n_epochs=2)  # "mid-run": more epochs follow below
+        assert source.trainer._collector.vector_env.n_envs == 4
         path = save_checkpoint(source, str(tmp_path / "vec"))
 
         target = self.build_vectorized(seed=42)
@@ -136,8 +136,8 @@ class TestVectorizedTrainerRoundtrip:
         assert np.isfinite(record["total_reward"])
         assert target.trainer.history.n_epochs == 1
 
-    def test_restore_into_serial_trainer_is_compatible(self, tmp_path):
-        """Collection mode is runtime configuration, not checkpoint state."""
+    def test_restore_into_one_copy_trainer_is_compatible(self, tmp_path):
+        """The copy count is runtime configuration, not checkpoint state."""
         source = self.build_vectorized(seed=1)
         source.train(n_epochs=1)
         path = save_checkpoint(source, str(tmp_path / "vec"))
@@ -293,18 +293,22 @@ class TestResumeState:
 
     def test_resume_bit_identity(self, tmp_path):
         """Save mid-run, restore into a differently-seeded framework,
-        continue: the tail is bit-identical to a run that never stopped."""
-        reference = make_harness_framework(seed=3)
+        continue: the tail is bit-identical to a run that never stopped.
+
+        The contract of the trainer's own engine at one lockstep copy,
+        with the default reset, which draws nothing."""
+        reference = make_harness_framework(seed=3, n_envs=1)
         run_framework_epochs(reference, 2)  # epochs 1-2, discarded
         reference_tail = run_framework_epochs(
             reference, 2, engine="uninterrupted"
         )
 
-        interrupted = make_harness_framework(seed=3)
+        interrupted = make_harness_framework(seed=3, n_envs=1)
         run_framework_epochs(interrupted, 2)
         path = save_checkpoint(interrupted, str(tmp_path / "mid"))
 
-        restored = make_harness_framework(seed=99)  # everything differs
+        # Every stream and weight differs until the load.
+        restored = make_harness_framework(seed=99, n_envs=1)
         load_checkpoint(restored, path)
         assert restored.trainer.epoch == 2
         resumed_tail = run_framework_epochs(restored, 2, engine="resumed")

@@ -180,9 +180,6 @@ class TestTrainingConfig:
             {"rollout_workers": 0},
             {"rollout_workers": -2},
             {"rollout_workers": 1.5},
-            {"rollout_mode": "parallel"},
-            {"rollout_mode": "Vector"},
-            {"rollout_mode": ""},
             {"rollout_transport": "tcp"},
             {"rollout_transport": "Shm"},
             # Non-finite training knobs fail at construction, not as NaN
@@ -211,25 +208,23 @@ class TestTrainingConfig:
             ("n_epochs", 2.5),
             ("episodes_per_epoch", 2.5),
             ("target_update_period", 1.5),
-            ("evaluation_episodes", 0),
-            ("evaluation_episodes", 2.5),
             ("rollout_envs", True),
             ("rollout_workers", True),
         ],
     )
     def test_counts_must_be_integers(self, field, value):
         """Each used to construct and fail late (a float modulo in
-        ``train_epoch``, an ``IndexError`` or ``TypeError`` in
-        ``evaluate``), run with a fractional period, or take True as 1."""
+        ``train_epoch``), run with a fractional period, or take True as
+        1."""
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             TrainingConfig(**{field: value})
 
     def test_count_fields_accept_numpy_integers(self):
         cfg = TrainingConfig(
             n_epochs=np.int64(3), rollout_envs=np.int32(2),
-            evaluation_episodes=np.int16(1),
+            rollout_workers=np.int16(1),
         )
-        assert (cfg.n_epochs, cfg.rollout_envs, cfg.evaluation_episodes) == (
+        assert (cfg.n_epochs, cfg.rollout_envs, cfg.rollout_workers) == (
             3, 2, 1
         )
 
@@ -240,8 +235,6 @@ class TestTrainingConfig:
             TrainingConfig(rollout_envs=0)
         with pytest.raises(ValueError, match="rollout_workers"):
             TrainingConfig(rollout_workers=0)
-        with pytest.raises(ValueError, match="rollout_mode"):
-            TrainingConfig(rollout_mode="threads")
 
     @pytest.mark.parametrize(
         "field, trainer",
@@ -259,10 +252,24 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=f"^{field} must be finite"):
             TrainingConfig(trainer=trainer, **{field: float("nan")})
 
-    def test_rollout_modes_accepted(self):
-        for mode in ("auto", "serial", "vector", "sharded"):
-            assert TrainingConfig(rollout_mode=mode).rollout_mode == mode
+    def test_rollout_workers_accepted(self):
         assert TrainingConfig(rollout_envs=8, rollout_workers=4).rollout_workers == 4
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rollout_mode", "auto"),
+            ("rollout_mode", "serial"),
+            ("rollout_mode", "vector"),
+            ("rollout_mode", "sharded"),
+            ("evaluation_episodes", 8),
+        ],
+    )
+    def test_removed_fields_are_unknown(self, field, value):
+        """One collection engine needs no mode, and ``Framework.evaluate``
+        takes its episode count as an argument."""
+        with pytest.raises(TypeError, match=field):
+            TrainingConfig(**{field: value})
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -271,16 +278,16 @@ class TestTrainingConfig:
             # exists; each raises, whatever the rollout settings.
             {"rollout_transport": "shm"},
             {"rollout_transport": "pipe"},
-            {"rollout_transport": "shm", "rollout_mode": "serial"},
-            {"rollout_transport": "shm", "rollout_mode": "vector",
-             "rollout_envs": 8},
-            {"rollout_transport": "pipe", "rollout_mode": "vector",
+            {"rollout_transport": "shm", "rollout_workers": 1},
+            {"rollout_transport": "shm", "rollout_envs": 8},
+            {"rollout_transport": "pipe", "rollout_envs": 8,
              "rollout_workers": 4},
             {"rollout_transport": "shm", "rollout_workers": 4},
             {"rollout_transport": "shm", "rollout_workers": 2,
              "rollout_envs": 4, "episodes_per_epoch": 1},
-            {"rollout_transport": "shm", "rollout_mode": "sharded"},
-            {"rollout_transport": "pipe", "rollout_mode": "sharded"},
+            {"rollout_transport": "shm", "trainer": "es"},
+            {"rollout_transport": "pipe", "rollout_workers": 2,
+             "rollout_envs": 2},
             {"rollout_transport": "shm", "rollout_workers": 2,
              "rollout_envs": 2},
             {"rollout_transport": "pipe", "trainer": "es",
@@ -298,9 +305,8 @@ class TestTrainingConfig:
         "kwargs",
         [
             {},
-            {"rollout_mode": "serial"},
-            {"rollout_mode": "sharded", "rollout_workers": 2,
-             "rollout_envs": 2},
+            {"rollout_envs": 4, "episodes_per_epoch": 4},
+            {"rollout_workers": 2, "rollout_envs": 2},
             {"trainer": "es", "es_population": 4, "rollout_workers": 2},
         ],
     )

@@ -52,7 +52,9 @@ def quantum_team(seed=5):
     )
 
 
-def quantum_es_trainer(seed=3, **overrides):
+def quantum_es_trainer(seed=3, stacked=True, **overrides):
+    """A tiny quantum ES trainer; ``stacked=False`` switches its population
+    group to the per-member reference loop."""
     env = SingleHopOffloadEnv(SMALL_ENV, rng=np.random.default_rng(seed))
     actors = quantum_team(seed + 2)
     settings = {
@@ -64,7 +66,9 @@ def quantum_es_trainer(seed=3, **overrides):
     }
     settings.update(overrides)
     config = TrainingConfig(**settings)
-    return ESTrainer(env, actors, config, np.random.default_rng(seed))
+    trainer = ESTrainer(env, actors, config, np.random.default_rng(seed))
+    trainer._population_group.stacked = stacked
+    return trainer
 
 
 # -- ES math -------------------------------------------------------------------
@@ -305,7 +309,7 @@ class TestSingleCircuitCallPerStep:
     def test_one_stacked_evaluation_per_env_step(self, monkeypatch):
         """A whole generation runs one circuit evaluation per env step —
         no per-member python loop over circuit calls."""
-        trainer = quantum_es_trainer(rollout_mode="vector")
+        trainer = quantum_es_trainer()
         calls = count_circuit_runs(trainer, monkeypatch)
         trainer.train_epoch()
         # episodes_per_epoch=2 per member over 1 env row per member
@@ -314,7 +318,7 @@ class TestSingleCircuitCallPerStep:
         assert len(calls) == expected_steps
 
     def test_member_loop_pays_one_call_per_member_per_step(self, monkeypatch):
-        trainer = quantum_es_trainer(rollout_mode="serial")
+        trainer = quantum_es_trainer(stacked=False)
         calls = count_circuit_runs(trainer, monkeypatch)
         trainer.train_epoch()
         expected_steps = 2 * SMALL_ENV.episode_limit
@@ -380,9 +384,9 @@ class TestESCrossEngineEquivalence:
         """The stacked weight math against the per-member oracle on a real
         quantum team, in-process and sharded."""
 
-        def run(mode, workers=1):
+        def run(stacked, workers=1):
             trainer = quantum_es_trainer(
-                rollout_mode=mode, rollout_workers=workers,
+                stacked=stacked, rollout_workers=workers,
             )
             try:
                 records = [trainer.train_epoch() for _ in range(2)]
@@ -394,8 +398,8 @@ class TestESCrossEngineEquivalence:
             finally:
                 trainer.close()
 
-        reference = run("serial")
-        for args in (("vector",), ("sharded", 2)):
+        reference = run(False)
+        for args in ((True,), (True, 2)):
             other = run(*args)
             assert reference[0] == other[0]
             assert np.array_equal(reference[1], other[1])
@@ -589,15 +593,12 @@ class TestESTrainer:
         assert np.array_equal(after, trainer.base_vector)
         trainer.close()
 
-    def test_evaluate_and_close_idempotent(self):
+    def test_close_idempotent(self):
         trainer = make_es_trainer("single_hop", "sharded-pipe")
         trainer.train_epoch()
-        stats = trainer.evaluate(n_episodes=2)
-        assert set(stats) == {
-            "total_reward", "length", "mean_queue", "empty_ratio",
-            "overflow_ratio",
-        }
+        assert trainer._collector is None
         trainer.close()
+        assert trainer._sharded_collector is None
         trainer.close()
 
     def test_collector_validation(self):

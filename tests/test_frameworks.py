@@ -11,6 +11,7 @@ from repro.marl.frameworks import (
     build_framework,
     evaluate_random_walk,
 )
+from repro.marl.rollout import VectorRolloutCollector
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
 
@@ -157,9 +158,12 @@ class TestTrainingAndEvaluation:
             ),
         )
         assert fw.trainer.config.rollout_envs == 4
-        assert fw.trainer.vectorized_rollouts
         history = fw.train(n_epochs=1)
         assert history.n_epochs == 1
+        collector = fw.trainer._collector
+        assert isinstance(collector, VectorRolloutCollector)
+        assert collector.vector_env.n_envs == 4
+        assert fw.trainer._sharded_collector is None
 
     def test_random_evaluation_stochastic(self):
         fw = build_framework("random", env_config=ENV)
@@ -181,3 +185,27 @@ class TestTrainingAndEvaluation:
     def test_repr(self):
         fw = build_framework("comp2", env_config=ENV, train_config=TRAIN)
         assert "comp2" in repr(fw)
+
+
+class TestEvaluateValidation:
+    """``n_episodes`` is checked before any episode runs, in both modes:
+    0 and -1 used to raise ``IndexError`` (serial) or the vector env's
+    error about ``n_envs``, 2.5 ``TypeError``, and True ran one episode."""
+
+    @pytest.mark.parametrize("vectorized", [False, True])
+    @pytest.mark.parametrize("n_episodes", [0, -1, 2.5, True])
+    def test_bad_counts_raise_before_any_episode(self, n_episodes,
+                                                 vectorized):
+        fw = build_framework("comp2", env_config=ENV, train_config=TRAIN)
+        streams = (fw.env.rng.bit_generator.state,
+                   fw._eval_rng.bit_generator.state)
+        with pytest.raises(ValueError,
+                           match="^n_episodes must be an integer >= 1"):
+            fw.evaluate(n_episodes=n_episodes, vectorized=vectorized)
+        assert (fw.env.rng.bit_generator.state,
+                fw._eval_rng.bit_generator.state) == streams
+
+    def test_random_walk_is_checked_too(self):
+        with pytest.raises(ValueError,
+                           match="^n_episodes must be an integer >= 1"):
+            evaluate_random_walk(seed=1, env_config=ENV, n_episodes=0)

@@ -143,19 +143,3 @@ class TestLosses:
         pred = Tensor([0.0], requires_grad=True)
         F.mse_loss(pred, target).backward()
         assert target.grad is None
-
-    def test_huber_quadratic_region_matches_mse_half(self):
-        pred = Tensor([0.2], requires_grad=True)
-        loss = F.huber_loss(pred, np.array([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(0.5 * 0.04)
-
-    def test_huber_linear_region(self):
-        loss = F.huber_loss(Tensor([5.0]), np.array([0.0]), delta=1.0)
-        assert loss.item() == pytest.approx(4.5)
-
-    def test_huber_gradient(self, rng):
-        target = np.zeros(5)
-        array = np.array([-3.0, -0.5, 0.2, 0.7, 4.0])
-        check_gradient(
-            lambda x: F.huber_loss(x, target, delta=1.0), array
-        )

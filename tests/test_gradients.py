@@ -18,7 +18,6 @@ from repro.quantum.gradients import (
     adjoint_backward,
     backward,
     finite_difference_backward,
-    jacobians,
     parameter_shift_backward,
 )
 from repro.quantum.encoding import AngleEncoding
@@ -676,42 +675,3 @@ class TestDispatch:
             method="adjoint",
         )
         assert np.allclose(direct[1], dispatched[1])
-
-
-class TestJacobians:
-    def test_shapes(self, rng):
-        vqc, inputs, weights, _ = _random_problem(rng, batch=3)
-        d_inputs, d_weights = jacobians(
-            vqc.circuit, vqc.observables, inputs, weights
-        )
-        assert d_inputs.shape == (3, vqc.n_outputs, vqc.n_features)
-        assert d_weights.shape == (3, vqc.n_outputs, vqc.n_weights)
-
-    def test_jacobian_consistent_with_vjp(self, rng):
-        vqc, inputs, weights, upstream = _random_problem(rng, batch=2)
-        d_inputs, d_weights = jacobians(
-            vqc.circuit, vqc.observables, inputs, weights
-        )
-        gi, gw = adjoint_backward(
-            vqc.circuit, vqc.observables, inputs, weights, upstream
-        )
-        # VJP = upstream^T @ Jacobian, summed over observables (and batch
-        # for weights).
-        gi_ref = np.einsum("bj,bji->bi", upstream, d_inputs)
-        gw_ref = np.einsum("bj,bjk->k", upstream, d_weights)
-        assert np.allclose(gi, gi_ref, atol=1e-10)
-        assert np.allclose(gw, gw_ref, atol=1e-10)
-
-    def test_jacobian_methods_agree(self, rng):
-        vqc, inputs, weights, _ = _random_problem(
-            rng, n_qubits=2, n_features=2, n_weights=5, batch=1
-        )
-        d_in_a, d_w_a = jacobians(
-            vqc.circuit, vqc.observables, inputs, weights, method="adjoint"
-        )
-        d_in_p, d_w_p = jacobians(
-            vqc.circuit, vqc.observables, inputs, weights,
-            method="parameter_shift",
-        )
-        assert np.allclose(d_w_a, d_w_p, atol=1e-10)
-        assert np.allclose(d_in_a, d_in_p, atol=1e-10)

@@ -29,6 +29,7 @@ from tests.helpers import (
     ROLLOUT_ENGINES,
     assert_cross_engine_equivalence,
     assert_episodes_equal,
+    collect_on_pool,
     make_classical_team,
     make_engine_trainer,
     make_offload_env,
@@ -304,25 +305,30 @@ class TestTrainerIntegration:
             env, actors, critic, target, config, np.random.default_rng(seed)
         )
 
-    def test_auto_mode_engages_sharded_engine(self):
-        """rollout_mode='auto' with workers > 1 dispatches to the worker
-        pool (and stays bit-identical to the vector engine)."""
-        vector = self.trainer_setup(rollout_mode="vector")
-        auto = self.trainer_setup(rollout_mode="auto", rollout_workers=2)
-        assert auto.sharded_rollouts and not vector.sharded_rollouts
+    def test_rollout_workers_engage_sharded_engine(self):
+        """Workers > 1 collect on the worker pool, one worker in-process,
+        and the two stay bit-identical."""
+        vector = self.trainer_setup()
+        pooled = self.trainer_setup(rollout_workers=2)
         try:
-            assert vector.train_epoch() == auto.train_epoch()
+            assert vector.train_epoch() == pooled.train_epoch()
+            assert isinstance(vector._collector, VectorRolloutCollector)
+            assert vector._sharded_collector is None
+            assert isinstance(pooled._sharded_collector,
+                              ShardedRolloutCollector)
+            assert pooled._collector is None
         finally:
-            auto.close()
+            pooled.close()
 
     def test_forced_sharded_mode_single_worker(self):
-        vector = self.trainer_setup(rollout_mode="vector")
-        sharded_trainer = self.trainer_setup(
-            rollout_mode="sharded", rollout_workers=1
+        vector = self.trainer_setup()
+        sharded_trainer = collect_on_pool(
+            self.trainer_setup(rollout_workers=1)
         )
-        assert sharded_trainer.sharded_rollouts
         try:
             assert vector.train_epoch() == sharded_trainer.train_epoch()
+            assert sharded_trainer._sharded_collector.n_workers == 1
+            assert sharded_trainer._collector is None
         finally:
             sharded_trainer.close()
 
@@ -334,7 +340,7 @@ class TestTrainerIntegration:
         trainer.close()  # no pool was ever started; must still be safe
 
     def test_close_shuts_down_pool_and_allows_rebuild(self):
-        trainer = self.trainer_setup(rollout_mode="sharded", rollout_workers=2)
+        trainer = self.trainer_setup(rollout_workers=2)
         trainer.train_epoch()
         pool = trainer._sharded_collector
         assert pool is not None
@@ -352,14 +358,13 @@ class TestTrainerIntegration:
     def test_quantum_framework_sharded_matches_vector(self):
         env_config = SingleHopConfig(episode_limit=4)
 
-        def run(mode, workers):
+        def run(workers):
             train = TrainingConfig(
                 episodes_per_epoch=2,
                 actor_lr=1e-3,
                 critic_lr=1e-3,
                 rollout_envs=2,
                 rollout_workers=workers,
-                rollout_mode=mode,
             )
             framework = build_framework(
                 "proposed", seed=7, env_config=env_config, train_config=train
@@ -369,7 +374,7 @@ class TestTrainerIntegration:
                 evaluation = framework.evaluate(n_episodes=2)
             return records, evaluation
 
-        assert run("vector", 1) == run("sharded", 2)
+        assert run(1) == run(2)
 
 
 class TestEpisodeLimitResolution:
@@ -464,20 +469,17 @@ class TestRaggedEpisodes:
         assert seed_seq.n_children_spawned == spawned
 
     @pytest.mark.parametrize("env_kind", RAGGED_ENV_KINDS)
-    @pytest.mark.parametrize(
-        "rollout_mode, n_workers", [("auto", 2), ("sharded", 1)]
-    )
-    def test_sharded_trainer_rejects_ragged_envs(self, rollout_mode,
-                                                 n_workers, env_kind,
+    @pytest.mark.parametrize("n_workers", [2, 1])
+    def test_sharded_trainer_rejects_ragged_envs(self, n_workers, env_kind,
                                                  monkeypatch):
-        """A MAPG trainer set to shard a ragged env raises on its first
-        epoch, before any worker starts and before any update."""
+        """A MAPG trainer set to shard a ragged env (by its worker count,
+        or by the pool forced at one worker) raises on its first epoch,
+        before any worker starts, before any update, and without falling
+        back to in-process collection."""
         forbid_worker_start(monkeypatch)
         trainer = make_engine_trainer(
-            env_kind, "sharded-pipe", n_workers=n_workers,
-            rollout_mode=rollout_mode,
+            env_kind, "sharded-pipe", n_workers=n_workers
         )
-        assert trainer.sharded_rollouts
         modules = (trainer.actors, trainer.critic, trainer.target_critic)
         before = [p.data.copy() for m in modules for p in m.parameters()]
         try:
@@ -486,6 +488,7 @@ class TestRaggedEpisodes:
             after = [p.data for m in modules for p in m.parameters()]
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
             assert trainer.epoch == 0
+            assert trainer._collector is None
         finally:
             trainer.close()
 

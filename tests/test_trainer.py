@@ -8,15 +8,26 @@ import pytest
 from repro.config import SingleHopConfig, TrainingConfig
 from repro.envs.single_hop import SingleHopOffloadEnv
 from repro.marl import mapg
+from repro.marl import trainer as trainer_module
 from repro.marl.actors import ActorGroup, ClassicalActor, RandomActor
 from repro.marl.frameworks import build_framework
 from repro.marl.critics import ClassicalCentralCritic
+from repro.marl.rollout import VectorRolloutCollector
 from repro.marl.trainer import (
     CTDETrainer,
     NonFiniteUpdateError,
     rollout_episode,
 )
 from repro.obs import flight
+
+from tests.helpers import (
+    OFFLOAD_ENV_KINDS,
+    RAGGED_ENV_KINDS,
+    assert_cross_engine_equivalence,
+    assert_episodes_equal,
+    collect_serially,
+    make_engine_trainer,
+)
 
 
 def tiny_setup(seed=0, episode_limit=6, initial_queue_level=0.5,
@@ -160,14 +171,6 @@ class TestTrainerMechanics:
         trainer.train(n_epochs=5, callback=stop_after_one)
         assert trainer.history.n_epochs == 1
 
-    def test_evaluate(self):
-        trainer = tiny_setup()
-        stats = trainer.evaluate(n_episodes=2)
-        assert set(stats) == {
-            "total_reward", "length", "mean_queue", "empty_ratio",
-            "overflow_ratio",
-        }
-
     def test_no_grad_clip(self):
         trainer = tiny_setup(grad_clip=None)
         trainer.train_epoch()  # must not raise
@@ -254,6 +257,53 @@ class TestNonFiniteUpdateGuard:
         assert len(list(dump_dir.glob("flight-non-finite-update-*"))) == 1
 
 
+def built_collector(trainer):
+    """The collector ``trainer`` built, asserting it built only one: the
+    in-process lockstep engine or the worker pool."""
+    built = [c for c in (trainer._collector, trainer._sharded_collector)
+             if c is not None]
+    assert len(built) == 1, built
+    return built[0]
+
+
+class TestOneCollectionEngine:
+    """Every epoch collects through the lockstep vector engine, one copy
+    included; the serial loop is a reference the trainer never runs."""
+
+    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
+    def test_epoch_never_runs_the_serial_loop(self, env_kind, monkeypatch):
+        def serial_loop(*args, **kwargs):
+            raise AssertionError("the trainer ran the serial loop")
+
+        monkeypatch.setattr(trainer_module, "rollout_episode", serial_loop)
+        trainer = make_engine_trainer(env_kind, "vector", n_envs=1)
+        record = trainer.train_epoch()
+        assert np.isfinite(record["total_reward"])
+        collector = built_collector(trainer)
+        assert isinstance(collector, VectorRolloutCollector)
+        assert collector.vector_env.n_envs == 1
+
+    @pytest.mark.parametrize("env_kind", OFFLOAD_ENV_KINDS + RAGGED_ENV_KINDS)
+    def test_one_copy_collect_matches_the_serial_reference(self, env_kind):
+        """``collect_episodes(4)`` at one copy returns the episodes and
+        stats the serial loop bound on an identical trainer returns."""
+        engine = make_engine_trainer(env_kind, "vector", n_envs=1)
+        serial = make_engine_trainer(env_kind, "serial", n_envs=1)
+        episodes, stats = engine.collect_episodes(4)
+        expected_episodes, expected_stats = serial.collect_episodes(4)
+        assert_episodes_equal(expected_episodes, episodes)
+        assert stats == expected_stats
+        assert engine.rng.bit_generator.state == serial.rng.bit_generator.state
+
+    @pytest.mark.parametrize("rollout_envs", [1, 2, 4])
+    def test_one_engine_at_every_copy_count(self, rollout_envs):
+        trainer = tiny_setup(episodes_per_epoch=4, rollout_envs=rollout_envs)
+        trainer.train_epoch()
+        collector = built_collector(trainer)
+        assert isinstance(collector, VectorRolloutCollector)
+        assert collector.vector_env.n_envs == rollout_envs
+
+
 class TestVectorizedCollection:
     """Determinism regressions for the vectorized rollout engine.
 
@@ -266,8 +316,6 @@ class TestVectorizedCollection:
     def test_vector_n1_bit_identical_to_serial(self, initial_queue_level):
         """Same seed => bit-identical episodes/metrics/streams, serial vs
         N=1, through the shared harness."""
-        from tests.helpers import assert_cross_engine_equivalence
-
         assert_cross_engine_equivalence(
             "single_hop",
             ("serial", "vector"),
@@ -281,16 +329,18 @@ class TestVectorizedCollection:
     def test_vector_n1_bit_identical_quantum(self):
         """The quantum framework's batched inference path is also exact."""
         env_config = SingleHopConfig(episode_limit=5)
+        train = TrainingConfig(
+            episodes_per_epoch=2, actor_lr=1e-3, critic_lr=1e-3,
+            rollout_envs=1,
+        )
         records = {}
-        for mode in ("serial", "vector"):
-            train = TrainingConfig(
-                episodes_per_epoch=2, actor_lr=1e-3, critic_lr=1e-3,
-                rollout_mode=mode, rollout_envs=1,
-            )
+        for engine in ("serial", "vector"):
             fw = build_framework(
                 "proposed", seed=7, env_config=env_config, train_config=train
             )
-            records[mode] = [fw.trainer.train_epoch() for _ in range(2)]
+            if engine == "serial":
+                collect_serially(fw.trainer)
+            records[engine] = [fw.trainer.train_epoch() for _ in range(2)]
         for record_s, record_v in zip(records["serial"], records["vector"]):
             for key in record_s:
                 assert record_s[key] == record_v[key], key
@@ -301,9 +351,10 @@ class TestVectorizedCollection:
             trainer = tiny_setup(
                 seed=5, episodes_per_epoch=8, rollout_envs=8
             )
-            assert trainer.vectorized_rollouts
             assert trainer.rollout_envs == 8
-            return [trainer.train_epoch() for _ in range(2)]
+            records = [trainer.train_epoch() for _ in range(2)]
+            assert built_collector(trainer).vector_env.n_envs == 8
+            return records
 
         assert run() == run()
 
@@ -322,10 +373,6 @@ class TestVectorizedCollection:
         assert trainer.buffer.n_episodes == 6
         assert tiny_setup(episodes_per_epoch=7, rollout_envs=4).rollout_envs == 1
         assert tiny_setup(episodes_per_epoch=8, rollout_envs=4).rollout_envs == 4
-
-    def test_auto_mode_engages_vector_path(self):
-        assert not tiny_setup(rollout_envs=1).vectorized_rollouts
-        assert tiny_setup(episodes_per_epoch=4, rollout_envs=4).vectorized_rollouts
 
     def test_collect_episodes_matches_serial_accounting(self):
         trainer = tiny_setup(episodes_per_epoch=4, rollout_envs=4)

@@ -247,10 +247,11 @@ class TestMultiHopEquivalence:
             rollout_envs=4,
         )
         trainer = CTDETrainer(env, actors, critic, target, config, rng)
-        assert trainer.vectorized_rollouts
         record = trainer.train_epoch()
         assert np.isfinite(record["total_reward"])
         assert trainer.buffer.n_episodes == 4
+        assert isinstance(trainer._collector.vector_env, MultiHopVectorEnv)
+        assert trainer._collector.vector_env.n_envs == 4
 
 
 def classical_group(cfg, seed=0):
