@@ -620,7 +620,7 @@ class QuantumActorGroup(ActorGroup):
 
     def _team_weights(self):
         """The agents' weight vectors as one ``(n_agents, n_weights)`` matrix."""
-        return np.stack([a.layer.weights.data for a in self.actors])
+        return np.array([a.layer.weights.data for a in self.actors])
 
     def _stacked_expectations(self, observations):
         """Differentiable ``(B * n_agents, n_obs)`` team expectations.

@@ -106,11 +106,11 @@ class PopulationActorGroup(ActorGroup):
                  stacked=True):
         super().__init__(template.actors)
         self.template = template
+        team_vector = flat_team_vector(template)
+        self._n_parameters = team_vector.size
         if member_vectors is None:
-            member_vectors = flat_team_vector(template)[None, :]
-        self.member_vectors = np.asarray(member_vectors, dtype=np.float64)
-        if self.member_vectors.ndim != 2:
-            raise ValueError("member_vectors must have shape (P, D)")
+            member_vectors = team_vector[None, :]
+        self.set_members(member_vectors)
         self.row_offset = int(row_offset)
         self.stacked = bool(stacked)
         # The stacked path needs every actor's trainable state to be the
@@ -134,10 +134,16 @@ class PopulationActorGroup(ActorGroup):
         return self.member_vectors.shape[0]
 
     def set_members(self, member_vectors):
-        """Adopt a new generation's candidate vectors ``(P, D)``."""
+        """Adopt a new generation's candidate vectors ``(P, D)``; ``D`` must
+        be the team's parameter count, as the member loop requires."""
         member_vectors = np.asarray(member_vectors, dtype=np.float64)
         if member_vectors.ndim != 2:
             raise ValueError("member_vectors must have shape (P, D)")
+        if member_vectors.shape[1] != self._n_parameters:
+            raise ValueError(
+                f"vector of size {member_vectors.shape[1]} does not match "
+                f"team parameter count {self._n_parameters}"
+            )
         self.member_vectors = member_vectors
 
     def set_row_offset(self, row_offset):

@@ -19,6 +19,8 @@ independent weight vectors, as in the paper's Fig. 2.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from repro.config import (
@@ -70,6 +72,7 @@ class Framework:
         self.trainer = trainer
         self.metadata = metadata
         self._eval_rng = eval_rng
+        self._eval_env = None
 
     @property
     def trainable(self):
@@ -91,16 +94,24 @@ class Framework:
         env copies through batched policy inference (same stat accounting,
         different RNG stream layout than the serial loop).  ``n_episodes``
         must be an integer >= 1.
+
+        Evaluation steps an env of its own, never :attr:`env`, whose
+        generator is row 0 of the trainer's lockstep copies: it is a copy
+        of :attr:`env` made at the first call (generator included, so it
+        continues that stream) and kept for later calls, so evaluating
+        between epochs leaves every training episode as it was.
         """
         check_integer("n_episodes", n_episodes, 1)
         if greedy is None:
             greedy = self.trainable
+        if self._eval_env is None:
+            self._eval_env = copy.deepcopy(self.env)
         if vectorized:
             from repro.envs.vector import make_vector_env
             from repro.marl.rollout import VectorRolloutCollector
 
             collector = VectorRolloutCollector(
-                make_vector_env(self.env, n_episodes), self.actors
+                make_vector_env(self._eval_env, n_episodes), self.actors
             )
             _, all_stats = collector.collect(
                 n_episodes, self._eval_rng, greedy=greedy, transitions=False
@@ -109,7 +120,8 @@ class Framework:
             all_stats = []
             for _ in range(n_episodes):
                 _, stats = rollout_episode(
-                    self.env, self.actors, self._eval_rng, greedy=greedy
+                    self._eval_env, self.actors, self._eval_rng,
+                    greedy=greedy,
                 )
                 all_stats.append(stats)
         return {

@@ -188,6 +188,27 @@ _ENABLED = os.environ.get("REPRO_OBS_FLIGHT", "1") != "0"
 _DUMP_DIR = os.environ.get("REPRO_OBS_FLIGHT_DIR") or None
 _RECORDER = None
 _DUMP_COUNTER = 0
+# Every event's pid and tid, read once per process and thread instead of
+# once per event; a forked child reads both again.
+_PID = os.getpid()
+_THREAD = threading.local()
+
+
+def _refresh_ids():
+    global _PID, _THREAD
+    _PID = os.getpid()
+    _THREAD = threading.local()
+
+
+os.register_at_fork(after_in_child=_refresh_ids)
+
+
+def _native_id():
+    try:
+        return _THREAD.tid
+    except AttributeError:
+        _THREAD.tid = tid = threading.get_native_id()
+        return tid
 
 
 def enabled():
@@ -242,15 +263,13 @@ def record(kind, **fields):
     """Ring one event: ``kind`` plus fields, stamped t_us/pid/tid."""
     if not _ENABLED:
         return
-    event = {
+    recorder().record({
         "kind": kind,
         "t_us": _trace.now_us(),
-        "pid": os.getpid(),
-        "tid": threading.get_native_id(),
-    }
-    if fields:
-        event.update(fields)
-    recorder().record(event)
+        "pid": _PID,
+        "tid": _native_id(),
+        **fields,
+    })
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ an RNG stream — nothing here draws randomness or reorders work.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import os
 import threading
@@ -258,17 +259,26 @@ def histogram_quantile(state, q):
     return float(state["max"])  # pragma: no cover — count/counts agree
 
 
+_GENERATIONS = itertools.count()
+
+
 class MetricsRegistry:
     """A named collection of metrics with snapshot/merge semantics.
 
     One process-global instance backs the module accessors; tests may
     build private registries.  Creation is thread-safe and idempotent —
     concurrent :meth:`counter` calls for one name return the same object.
+
+    :attr:`generation` changes whenever metrics are dropped (:meth:`reset`,
+    ``snapshot(reset=True)``) and no two registries share a value, so a hot
+    call site may hold the metric objects it resolved and resolve them
+    again only when the generation it resolved them under has passed.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics = {}
+        self.generation = next(_GENERATIONS)
 
     def _resolve(self, name, cls, kwargs=None):
         metric = self._metrics.get(name)
@@ -308,6 +318,7 @@ class MetricsRegistry:
             metrics = dict(self._metrics)
             if reset:
                 self._metrics.clear()
+                self.generation = next(_GENERATIONS)
         out = {"counters": {}, "gauges": {}, "histograms": {}}
         for name, metric in sorted(metrics.items()):
             if isinstance(metric, Counter):
@@ -343,6 +354,7 @@ class MetricsRegistry:
         """Drop every metric."""
         with self._lock:
             self._metrics.clear()
+            self.generation = next(_GENERATIONS)
 
     def __len__(self):
         return len(self._metrics)

@@ -64,6 +64,23 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
+# span name -> (registry generation, calls, total_ns, us): the span's
+# metrics, resolved again only after the registry has dropped them.
+_SPAN_METRICS = {}
+
+
+def _span_metrics(name):
+    registry = _registry.global_registry()
+    metrics = _SPAN_METRICS.get(name)
+    if metrics is None or metrics[0] != registry.generation:
+        metrics = _SPAN_METRICS[name] = (
+            registry.generation,
+            registry.counter(f"span.{name}.calls"),
+            registry.counter(f"span.{name}.total_ns"),
+            registry.histogram(f"span.{name}.us"),
+        )
+    return metrics
+
 
 class Span:
     """One timed block; created per use (spans may nest and overlap)."""
@@ -99,12 +116,10 @@ class Span:
         # Re-check: telemetry may have been disabled mid-span (the worker
         # toggle); record only when still on, so snapshots stay consistent.
         if _registry.enabled():
-            registry = _registry.global_registry()
-            registry.counter(f"span.{self.name}.calls").inc()
-            registry.counter(f"span.{self.name}.total_ns").inc(duration_ns)
-            registry.histogram(f"span.{self.name}.us").observe(
-                duration_ns / 1000.0
-            )
+            _, calls, total_ns, us = _span_metrics(self.name)
+            calls.inc()
+            total_ns.inc(duration_ns)
+            us.observe(duration_ns / 1000.0)
             if _EXPORT_PATH is not None:
                 event = {
                     "kind": "span",

@@ -79,11 +79,22 @@ _CLOCK_OFFSET_US = 0
 _PROCESS_LABEL = None
 _CURRENT = contextvars.ContextVar("repro_obs_current_span", default=None)
 _SPAN_COUNTER = itertools.count(1)
+# Span ids' process prefix, read once per process (a forked child
+# refreshes it) instead of once per span.
+_PID_HEX = f"{os.getpid():x}"
+
+
+def _refresh_pid():
+    global _PID_HEX
+    _PID_HEX = f"{os.getpid():x}"
+
+
+os.register_at_fork(after_in_child=_refresh_pid)
 
 
 def new_span_id():
     """A span id unique within the trace: ``<pid hex>-<counter>``."""
-    return f"{os.getpid():x}-{next(_SPAN_COUNTER)}"
+    return f"{_PID_HEX}-{next(_SPAN_COUNTER)}"
 
 
 def active():

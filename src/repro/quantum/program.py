@@ -839,15 +839,24 @@ class CircuitProgram:
         self.steps = self._prefix_steps + self._suffix_steps
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
-        # Frozen at compile time so the telemetry publish per call is a
-        # tuple walk: the prefix kernels, then the block as one ``suffix``
-        # or, when it holds no weight gate, as its own steps.
+        # Frozen at compile time, so the telemetry publish per call is a
+        # walk over counters resolved once: the prefix kernels, then the
+        # block as one ``suffix`` or, when it holds no weight gate, as its
+        # own steps.
         block = ["suffix"] if self.suffix_has_weights else [
             step.kind for step in self._suffix_steps
         ]
-        self._forward_kinds = tuple(sorted(Counter(
+        forward_kinds = sorted(Counter(
             [step.kind for step in self._prefix_steps] + block
-        ).items()))
+        ).items())
+        self._published = (
+            ("program.evals", 1),
+            ("program.kernel_dispatches",
+             sum(count for _, count in forward_kinds)),
+            *((f"program.kernels.{kind}", count)
+              for kind, count in forward_kinds),
+        )
+        self._counters = None  # (registry generation, rows, [(counter, n)])
         # Rows with repeated inputs share an encoding (evolve_states) only
         # where that is exact and pays: a weight-free prefix that runs
         # full-register steps.  A first layer alone is a product build that
@@ -911,13 +920,18 @@ class CircuitProgram:
 
     def _publish(self, rows):
         if obs.enabled():
-            obs.counter("program.evals").inc()
-            obs.counter("program.rows").inc(rows)
-            obs.counter("program.kernel_dispatches").inc(
-                sum(count for _, count in self._forward_kinds)
-            )
-            for kind, count in self._forward_kinds:
-                obs.counter(f"program.kernels.{kind}").inc(count)
+            registry = obs.global_registry()
+            counters = self._counters
+            if counters is None or counters[0] != registry.generation:
+                counters = self._counters = (
+                    registry.generation,
+                    registry.counter("program.rows"),
+                    [(registry.counter(name), count)
+                     for name, count in self._published],
+                )
+            counters[1].inc(rows)
+            for counter, count in counters[2]:
+                counter.inc(count)
 
     def evolve(self, inputs=None, weights=None, batch_size=1):
         """Run the program from ``|0...0>``, returning ``(B, 2**n)``.
@@ -1045,7 +1059,7 @@ class CircuitProgram:
         if unitary is None:
             return _run(self._suffix_steps, phi, None, None)
         batch, dim = phi.shape[0], self.dim
-        transposed = np.swapaxes(unitary, -1, -2)  # rows U_g|l>, contiguous
+        transposed = unitary.swapaxes(-1, -2)  # rows U_g|l>, contiguous
         if rows is not None:
             out = np.matmul(phi[:, None, :], transposed[rows])
         else:
@@ -1122,9 +1136,9 @@ def compile_program(circuit):
     entry = _PROGRAM_CACHE.get(key)
     if entry is not None:
         snapshot, program, _ref = entry
-        # Tuple equality checks identity first per element, so a hit is a
+        # List equality checks identity first per element, so a hit is a
         # pointer walk in C; an equal-valued replacement compiles the same.
-        if snapshot == tuple(circuit.operations):
+        if snapshot == circuit.operations:
             if obs.enabled():
                 obs.counter("program.cache_hit").inc()
             return program
@@ -1137,5 +1151,5 @@ def compile_program(circuit):
         ref = None
         if len(_PROGRAM_CACHE) >= _CACHE_FALLBACK_LIMIT:
             _PROGRAM_CACHE.clear()
-    _PROGRAM_CACHE[key] = (tuple(circuit.operations), program, ref)
+    _PROGRAM_CACHE[key] = (list(circuit.operations), program, ref)
     return program

@@ -25,6 +25,8 @@ from __future__ import annotations
 import asyncio
 import time
 
+import numpy as np
+
 from repro import obs
 from repro.obs import spans as _spans
 from repro.obs import trace as _trace
@@ -156,7 +158,7 @@ class MicroBatcher:
             self._timer = None
         while self._queue:
             taken, rows = self._take_batch()
-            observations = [o for e in taken for o in e.observations]
+            observations = np.concatenate([e.observations for e in taken])
             agents = [a for e in taken for a in e.agents]
             greedy = [g for e in taken for g in e.greedy]
             try:

@@ -3,6 +3,9 @@
 :class:`AsyncServingClient` keeps one persistent HTTP/1.1 connection and
 is what the load generator and the tests drive; :class:`ServingClient`
 wraps ``http.client`` for synchronous callers (demo scripts, notebooks).
+:func:`read_message` is the HTTP/1.1 message reader both ends of an
+asyncio connection share: the server reads requests with it and
+:class:`AsyncServingClient` reads responses.
 """
 
 from __future__ import annotations
@@ -11,7 +14,85 @@ import asyncio
 import http.client
 import json
 
-__all__ = ["AsyncServingClient", "ServingClient", "ServerError"]
+__all__ = ["AsyncServingClient", "ServingClient", "ServerError",
+           "read_message"]
+
+# The longest head line accepted, as ``StreamReader.readline`` allows.
+_LINE_LIMIT = 2 ** 16
+
+
+def _head_end(buffer):
+    """``(end of the head's lines, start of the body)`` in ``buffer``, or
+    None while no empty line (``\\r\\n`` or a bare ``\\n``) ends a head."""
+    if buffer.startswith((b"\n", b"\r\n")):
+        return 0, 0  # an empty start line: a head with nothing in it
+    crlf = buffer.find(b"\n\r\n")
+    lf = buffer.find(b"\n\n")
+    if lf >= 0 and (crlf < 0 or lf < crlf):
+        return lf, lf + 2
+    if crlf >= 0:
+        return crlf, crlf + 3
+    return None
+
+
+def _check_line_lengths(data):
+    if len(data) > _LINE_LIMIT and (
+        max(map(len, data.split(b"\n"))) > _LINE_LIMIT
+    ):
+        raise ValueError(f"a head line is longer than {_LINE_LIMIT} bytes")
+
+
+async def read_message(reader, buffer):
+    """Read one HTTP/1.1 message: ``(start-line fields, headers, body)``,
+    or None when the stream ends before a message starts.
+
+    ``buffer`` is the connection's ``bytearray`` of bytes read but not yet
+    used.  The head is found in it and split in memory, reading more only
+    while it is incomplete, so a message written at once costs one read
+    for head and body together.  What follows the body (a pipelined next
+    message) stays in ``buffer``.  Header names are lower-cased.
+
+    A head ends at its first empty line, ``\\r\\n`` or a bare ``\\n``; a
+    stream that ends inside a head ends it too.  A start line of fewer
+    than two fields, a head line longer than 64 KiB or a bad
+    ``Content-Length`` raises ``ValueError``; a stream that ends inside a
+    body raises :class:`asyncio.IncompleteReadError`.
+    """
+    bounds = _head_end(buffer) if buffer else None
+    while bounds is None:
+        _check_line_lengths(buffer)
+        data = await reader.read(_LINE_LIMIT)
+        if not data:
+            if not buffer:
+                return None
+            bounds = len(buffer), len(buffer)
+            break
+        buffer += data
+        bounds = _head_end(buffer)
+    end, body_start = bounds
+    head = buffer[:end]
+    _check_line_lengths(head)
+    lines = head.decode("latin1").split("\n")
+    fields = lines[0].split()
+    if len(fields) < 2:
+        raise ValueError(f"malformed start line: {lines[0]!r}")
+    headers = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(":")
+        headers[key.strip().lower()] = value.strip()
+    length = int(headers.get("content-length", 0))
+    if length < 0:
+        raise ValueError(f"negative Content-Length: {length}")
+    body_end = body_start + length
+    while len(buffer) < body_end:
+        data = await reader.read(_LINE_LIMIT)
+        if not data:
+            raise asyncio.IncompleteReadError(bytes(buffer[body_start:]),
+                                              length)
+        buffer += data
+    body = bytes(buffer[body_start:body_end])
+    del buffer[:body_end]
+    return fields, headers, body
 
 
 class ServerError(RuntimeError):
@@ -35,11 +116,13 @@ class AsyncServingClient:
         self.port = int(port)
         self._reader = None
         self._writer = None
+        self._buffer = bytearray()
 
     async def connect(self):
         self._reader, self._writer = await asyncio.open_connection(
             self.host, self.port
         )
+        self._buffer.clear()
         return self
 
     async def close(self):
@@ -73,19 +156,11 @@ class AsyncServingClient:
         self._writer.write(head.encode("latin1") + body)
         await self._writer.drain()
 
-        status_line = await self._reader.readline()
-        if not status_line:
+        response = await read_message(self._reader, self._buffer)
+        if response is None:
             raise ConnectionError("server closed the connection")
-        status = int(status_line.split()[1])
-        headers = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = line.decode("latin1").partition(":")
-            headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0))
-        raw = await self._reader.readexactly(length) if length else b""
+        fields, _, raw = response
+        status = int(fields[1])
         document = json.loads(raw) if raw else {}
         if status != 200:
             raise ServerError(status, document.get("error", raw.decode()))

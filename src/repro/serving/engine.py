@@ -72,25 +72,23 @@ def build_inference_framework(spec):
 def select_actions(probs, greedy_mask, draws):
     """``(R,)`` actions from ``(R, A)`` probabilities.
 
-    Greedy rows take the argmax; the rest invert their pre-drawn uniform
-    through the categorical CDF (:func:`categorical_from_cdf`), whose
-    cumulative sums also carry the policy-row check for every row.  ``draws``
-    must hold one uniform per row — greedy rows' draws are simply unused,
-    which keeps the draw layout independent of the greedy pattern.  A row
-    that is not a distribution (non-finite, or no positive mass) raises
-    ``ValueError`` instead of silently becoming action 0.
+    Every row inverts its pre-drawn uniform through the categorical CDF
+    (:func:`categorical_from_cdf`), whose cumulative sums also carry the
+    policy-row check for every row; greedy rows then take their argmax
+    instead.  ``draws`` must hold one uniform per row — greedy rows' draws
+    are simply unused, which keeps the draw layout independent of the
+    greedy pattern.  The inversion works row by row, so a sampled row gets
+    the action it would get alone.  A row that is not a distribution
+    (non-finite, or no positive mass) raises ``ValueError`` instead of
+    silently becoming action 0.
     """
-    cdf = policy_cdf(probs)
-    greedy_mask = np.asarray(greedy_mask, dtype=bool)
-    actions = np.empty(cdf.shape[0], dtype=np.int64)
-    if greedy_mask.any():
+    actions = categorical_from_cdf(
+        policy_cdf(probs), np.asarray(draws, dtype=np.float64)
+    )
+    if any(greedy_mask):
+        greedy_mask = np.asarray(greedy_mask, dtype=bool)
         actions[greedy_mask] = np.argmax(
             np.asarray(probs)[greedy_mask], axis=1
-        )
-    sampled = ~greedy_mask
-    if sampled.any():
-        actions[sampled] = categorical_from_cdf(
-            cdf[sampled], np.asarray(draws, dtype=np.float64)[sampled]
         )
     return actions
 

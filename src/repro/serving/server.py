@@ -18,8 +18,9 @@ JSON access-log line at flush time (request id, batch id, queue-wait µs,
 flush reason) to stderr.
 
 Every request is checked before it joins a micro-batch: its observation
-width must equal the policy's, every value must be finite and every agent
-must be an integer in ``[0, n_agents)``.  A failure answers 400 for that
+width must equal the policy's, every value must be finite, every agent
+must be an integer in ``[0, n_agents)`` and ``greedy`` must be a JSON
+boolean (a list of them for a batch).  A failure answers 400 for that
 request alone; it never reaches the batch, so it cannot fail the requests
 flushed with it.  A failure while a batch is evaluated — a policy that is not a
 distribution (non-finite weights, say) or an engine fault — is the
@@ -49,31 +50,11 @@ from repro.obs import flight as _flight
 from repro.obs import trace as _trace
 from repro.marl.checkpoint import checkpoint_info
 from repro.serving.batcher import MicroBatcher, OverloadedError
+from repro.serving.client import read_message
 from repro.serving.engine import FrameworkSpec, PolicyEngine
 from repro.serving.reload import CheckpointWatcher
 
 __all__ = ["PolicyServer", "main"]
-
-
-async def _read_request(reader):
-    """Parse one HTTP/1.1 request; returns (method, path, headers, body)."""
-    request_line = await reader.readline()
-    if not request_line:
-        return None
-    parts = request_line.decode("latin1").split()
-    if len(parts) < 2:
-        raise ValueError(f"malformed request line: {request_line!r}")
-    method, path = parts[0], parts[1]
-    headers = {}
-    while True:
-        line = await reader.readline()
-        if line in (b"\r\n", b"\n", b""):
-            break
-        key, _, value = line.decode("latin1").partition(":")
-        headers[key.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", 0))
-    body = await reader.readexactly(length) if length else b""
-    return method, path, headers, body
 
 
 _STATUS_TEXT = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -92,11 +73,22 @@ def _agent_index(value):
     which ``int()`` cannot convert, and ``int(1.5)`` would quietly serve
     agent 1.
     """
+    if type(value) is int:  # not bool, which JSON's true and false become
+        return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ValueError(f"agent must be a finite integer, got {value!r}")
+
+
+def _greedy_flag(value):
+    """A request's greedy flag; anything but a JSON boolean raises
+    ``ValueError`` (answered 400).
+
+    Read by truthiness, the string ``"false"`` would serve the argmax.
+    """
+    if isinstance(value, bool):
+        return value
+    raise ValueError(f"greedy must be a boolean, got {value!r}")
 
 
 def _write_response(writer, status, document, keep_alive=True):
@@ -250,16 +242,18 @@ class PolicyServer:
     # -- request handling -----------------------------------------------------
 
     async def _handle_connection(self, reader, writer):
+        buffer = bytearray()  # read but not yet parsed (pipelined requests)
         try:
             while True:
                 try:
-                    request = await _read_request(reader)
+                    request = await read_message(reader, buffer)
                 except (ValueError, asyncio.IncompleteReadError,
                         ConnectionError):
                     break
                 if request is None:
                     break
-                method, path, headers, body = request
+                fields, headers, body = request
+                method, path = fields[0], fields[1]
                 keep_alive = headers.get("connection", "").lower() != "close"
                 try:
                     status, document = await self._dispatch(
@@ -382,7 +376,7 @@ class PolicyServer:
         if observation.ndim != 1:
             raise ValueError("observation must be a flat vector")
         agent = _agent_index(payload["agent"])
-        greedy = bool(payload.get("greedy", False))
+        greedy = _greedy_flag(payload.get("greedy", False))
         self._check_rows(observation[None], (agent,))
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self._submit(
@@ -390,7 +384,7 @@ class PolicyServer:
             )
         document = {
             "action": int(actions[0]),
-            "probs": [float(p) for p in probs[0]],
+            "probs": probs[0].tolist(),
             "generation": generation,
         }
         token = self._request_token(request_span)
@@ -405,10 +399,10 @@ class PolicyServer:
             raise ValueError("observations must be (R, obs_size)")
         agents = [_agent_index(a) for a in payload["agents"]]
         greedy = payload.get("greedy", False)
-        if isinstance(greedy, bool):
-            greedy = [greedy] * len(agents)
+        if isinstance(greedy, list):
+            greedy = [_greedy_flag(g) for g in greedy]
         else:
-            greedy = [bool(g) for g in greedy]
+            greedy = [_greedy_flag(greedy)] * len(agents)
         if len(agents) != observations.shape[0] or len(greedy) != len(agents):
             raise ValueError(
                 "observations, agents, and greedy must agree in length"
@@ -418,12 +412,9 @@ class PolicyServer:
             actions, probs, generation = await self._submit(
                 observations, agents, greedy
             )
-        document = {
-            "actions": [int(a) for a in actions],
-            "generation": generation,
-        }
+        document = {"actions": actions.tolist(), "generation": generation}
         if payload.get("return_probs", False):
-            document["probs"] = [[float(p) for p in row] for row in probs]
+            document["probs"] = probs.tolist()
         token = self._request_token(request_span)
         if token is not None:
             document["request_id"] = token

@@ -203,6 +203,33 @@ class TestPopulationActorGroup:
         # The loop restores the template's weights.
         assert np.array_equal(flat_team_vector(team), base)
 
+    @pytest.mark.parametrize("stacked", [True, False],
+                             ids=["stacked", "member_loop"])
+    @pytest.mark.parametrize("extra", [1, -1, 2])
+    def test_member_vectors_of_the_wrong_width_are_rejected(self, stacked,
+                                                            extra):
+        """Every agent would read a shifted window of a wider vector on the
+        stacked path; both paths reject it, with the member loop's message,
+        at construction and at every new generation."""
+        team = quantum_team()
+        base = flat_team_vector(team)
+        observations = np.random.default_rng(11).uniform(
+            0.0, 1.0, size=(2, team.n_agents, 3)
+        )
+        wrong = np.zeros((2, base.size + extra * team.n_agents))
+        message = (f"vector of size {wrong.shape[1]} does not match team "
+                   f"parameter count {base.size}")
+        with pytest.raises(ValueError, match=message):
+            PopulationActorGroup(team, wrong, stacked=stacked)
+        group = PopulationActorGroup(team, np.tile(base, (2, 1)),
+                                     stacked=stacked)
+        with pytest.raises(ValueError, match=message):
+            group.set_members(wrong)
+        # The generation in place still serves.
+        assert group.batch_probabilities(observations).shape == (
+            2, team.n_agents, SMALL_ENV.n_actions
+        )
+
     def test_shard_offset_slices_the_global_evaluation(self):
         """A shard's probabilities equal its rows of the full evaluation."""
         team = quantum_team()

@@ -1,9 +1,12 @@
 """Unit tests for the framework presets (Section IV-C)."""
 
+import copy
+
 import numpy as np
 import pytest
 
 from repro.config import SingleHopConfig, TrainingConfig, VQCConfig
+from repro.envs.vector import make_vector_env
 from repro.marl.actors import ClassicalActor, QuantumActor, RandomActor
 from repro.marl.critics import ClassicalCentralCritic, QuantumCentralCritic
 from repro.marl.frameworks import (
@@ -12,6 +15,7 @@ from repro.marl.frameworks import (
     evaluate_random_walk,
 )
 from repro.marl.rollout import VectorRolloutCollector
+from repro.marl.trainer import rollout_episode
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
 
@@ -209,3 +213,69 @@ class TestEvaluateValidation:
         with pytest.raises(ValueError,
                            match="^n_episodes must be an integer >= 1"):
             evaluate_random_walk(seed=1, env_config=ENV, n_episodes=0)
+
+
+class TestEvaluationStreams:
+    """Evaluation steps an env of its own, so evaluating between epochs
+    leaves every later training episode as it was, and a run of
+    evaluations gives what rolling the same episodes out on the training
+    env gives."""
+
+    ENV = SingleHopConfig(episode_limit=10)
+
+    def _framework(self, rollout_envs=1):
+        return build_framework(
+            "comp2", seed=1, env_config=self.ENV,
+            train_config=TrainingConfig(
+                episodes_per_epoch=4, actor_lr=1e-3, critic_lr=1e-3,
+                rollout_envs=rollout_envs,
+            ),
+        )
+
+    def _records(self, rollout_envs, evaluate_before=None, vectorized=False):
+        fw = self._framework(rollout_envs)
+        records = []
+        for epoch in range(3):
+            if epoch == evaluate_before:
+                fw.evaluate(n_episodes=2, vectorized=vectorized)
+            records.append(fw.trainer.train_epoch())
+        return records
+
+    @pytest.mark.parametrize("rollout_envs", [1, 4])
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["serial", "vectorized"])
+    def test_evaluating_between_epochs_leaves_training_unchanged(
+            self, vectorized, rollout_envs):
+        plain = self._records(rollout_envs)
+        evaluated = self._records(rollout_envs, evaluate_before=2,
+                                  vectorized=vectorized)
+        assert evaluated == plain
+
+    @pytest.mark.parametrize("vectorized", [False, True],
+                             ids=["serial", "vectorized"])
+    def test_evaluations_roll_out_on_a_copy_of_the_training_env(
+            self, vectorized):
+        fw = self._framework()
+        fw.train(n_epochs=2)
+        eval_rng = copy.deepcopy(fw._eval_rng)
+        results = [fw.evaluate(n_episodes=3, vectorized=vectorized)
+                   for _ in range(2)]
+        # The same episodes rolled out on the training env itself, which
+        # the evaluation no longer steps.
+        expected = []
+        for _ in range(2):
+            if vectorized:
+                collector = VectorRolloutCollector(
+                    make_vector_env(fw.env, 3), fw.actors
+                )
+                _, stats = collector.collect(3, eval_rng, greedy=True,
+                                             transitions=False)
+            else:
+                stats = [
+                    rollout_episode(fw.env, fw.actors, eval_rng,
+                                    greedy=True)[1]
+                    for _ in range(3)
+                ]
+            expected.append({key: float(np.mean([s[key] for s in stats]))
+                             for key in stats[0]})
+        assert results == expected

@@ -33,6 +33,7 @@ import pytest
 
 from repro import obs
 from repro.config import ServingConfig, SingleHopConfig, TrainingConfig
+from repro.marl.actors import categorical_from_cdf, policy_cdf
 from repro.marl.checkpoint import checkpoint_info, save_checkpoint
 from repro.marl.frameworks import build_framework
 from repro.serving import (
@@ -274,6 +275,148 @@ class TestPolicyEngine:
             engine.close()
 
 
+def _masked_select_actions(probs, greedy_mask, draws):
+    """The mask-based sampler: argmax on the greedy rows, the categorical
+    inversion on the rest only."""
+    cdf = policy_cdf(probs)
+    greedy_mask = np.asarray(greedy_mask, dtype=bool)
+    actions = np.empty(cdf.shape[0], dtype=np.int64)
+    if greedy_mask.any():
+        actions[greedy_mask] = np.argmax(probs[greedy_mask], axis=1)
+    sampled = ~greedy_mask
+    if sampled.any():
+        actions[sampled] = categorical_from_cdf(cdf[sampled], draws[sampled])
+    return actions
+
+
+class TestServedDecisionsAreBitIdentical:
+    """A fixed request sequence — mixed greedy masks, agent orders and
+    ``return_probs`` — served through ``PolicyEngine.act``, a coalescing
+    micro-batcher and HTTP gives exactly the reference bits: each
+    request's probabilities from ``rows_probabilities`` on its rows alone,
+    and actions from the mask-based sampler fed those probabilities and
+    the engine stream's draws in request order."""
+
+    SAMPLE_SEED = 5
+    SHAPES = [  # (agents, greedy mask, return_probs)
+        ([0, 1, 2, 3], [False] * 4, True),
+        ([3, 1], [True, False], False),
+        ([2], [False], True),
+        ([1, 1, 0, 2, 3], [False, True, False, True, False], True),
+        ([0, 3, 2, 1], [True] * 4, False),
+        ([2, 0], [False, False], False),
+        ([3], [True], True),
+    ]
+
+    def _requests(self):
+        rng = np.random.default_rng(42)
+        return [
+            (rng.uniform(size=(len(agents), ENV.observation_size)), agents,
+             greedy, return_probs)
+            for agents, greedy, return_probs in self.SHAPES
+        ]
+
+    def _reference(self, framework, requests):
+        draws = np.random.default_rng(self.SAMPLE_SEED)
+        expected = []
+        for observations, agents, greedy, _ in requests:
+            probs = framework.actors.rows_probabilities(observations, agents)
+            actions = _masked_select_actions(
+                probs, greedy, draws.random(len(agents))
+            )
+            expected.append((actions, probs))
+        return expected
+
+    def _engine(self, checkpoints):
+        return PolicyEngine(SPEC, checkpoint_path=checkpoints["paths"]["a"],
+                            sample_seed=self.SAMPLE_SEED)
+
+    @staticmethod
+    def _assert_same(served, expected):
+        for (actions, probs, generation), (want_actions, want_probs) in zip(
+                served, expected, strict=True):
+            assert actions.dtype == want_actions.dtype
+            assert actions.tolist() == want_actions.tolist()
+            assert probs.tobytes() == want_probs.tobytes()
+            assert generation == 1
+
+    def test_engine_act(self, checkpoints):
+        requests = self._requests()
+        expected = self._reference(checkpoints["frameworks"]["a"], requests)
+        engine = self._engine(checkpoints)
+        try:
+            served = [engine.act(observations, agents, greedy)
+                      for observations, agents, greedy, _ in requests]
+        finally:
+            engine.close()
+        self._assert_same(served, expected)
+
+    def test_one_coalesced_micro_batch(self, checkpoints):
+        # Rows of a batch of two or more are evaluated independently of
+        # each other; a lone row's measurement takes another matmul kernel
+        # and can differ in the last bit, so one-row requests are left out.
+        requests = [r for r in self._requests() if len(r[1]) > 1]
+        expected = self._reference(checkpoints["frameworks"]["a"], requests)
+        engine = self._engine(checkpoints)
+
+        async def scenario():
+            batcher = MicroBatcher(engine, max_batch=64, max_wait_us=200000)
+            served = await asyncio.gather(*(
+                batcher.submit(observations, agents, greedy)
+                for observations, agents, greedy, _ in requests
+            ))
+            return served, batcher.stats["batches"]
+
+        try:
+            served, batches = run(scenario())
+        finally:
+            engine.close()
+        assert batches == 1
+        self._assert_same(served, expected)
+
+    def test_http_responses(self, checkpoints):
+        requests = self._requests()
+        expected = self._reference(checkpoints["frameworks"]["a"], requests)
+
+        async def scenario():
+            config = ServingConfig(port=0, reload_poll_ms=0, max_wait_us=0,
+                                   sample_seed=self.SAMPLE_SEED)
+            server = PolicyServer(SPEC, config,
+                                  checkpoint_path=checkpoints["paths"]["a"])
+            await server.start()
+            documents = []
+            try:
+                async with AsyncServingClient("127.0.0.1",
+                                              server.port) as client:
+                    for observations, agents, greedy, with_probs in requests:
+                        if len(agents) == 1:
+                            documents.append(await client.act(
+                                observations[0], agents[0], greedy[0]
+                            ))
+                        else:
+                            documents.append(await client.act_batch(
+                                observations, agents, greedy=greedy,
+                                return_probs=with_probs,
+                            ))
+            finally:
+                await server.stop()
+            return documents
+
+        documents = run(scenario())
+        for document, (_, agents, _, with_probs), (actions, probs) in zip(
+                documents, requests, expected, strict=True):
+            assert document["generation"] == 1
+            if len(agents) == 1:
+                assert document["action"] == actions[0]
+                assert document["probs"] == probs[0].tolist()
+                continue
+            assert document["actions"] == actions.tolist()
+            if with_probs:
+                assert document["probs"] == probs.tolist()
+            else:
+                assert "probs" not in document
+
+
 class TestCheckpointWatcher:
     """Deterministic poll_once semantics (no thread, no server)."""
 
@@ -459,6 +602,185 @@ class TestServerHTTP:
         assert out["stats"]["batcher"]["rows"] >= 4
 
 
+class TestHTTPFraming:
+    """Raw bytes at the server: the head forms it answers, heads split
+    over writes, pipelining, ``Connection: close``, and the requests that
+    close their connection unanswered."""
+
+    @staticmethod
+    def _serve(checkpoints, scenario):
+        async def main():
+            config = ServingConfig(port=0, reload_poll_ms=0, max_wait_us=500)
+            server = PolicyServer(SPEC, config,
+                                  checkpoint_path=checkpoints["paths"]["a"])
+            await server.start()
+            try:
+                return await scenario(server.port)
+            finally:
+                await server.stop()
+
+        return run(main())
+
+    @staticmethod
+    def _act_request(eol=b"\r\n", connection=b"keep-alive"):
+        body = json.dumps({"observation": [0.5] * ENV.observation_size,
+                           "agent": 1, "greedy": True}).encode()
+        lines = [b"POST /v1/act HTTP/1.1", b"Host: 127.0.0.1",
+                 b"Content-Type: application/json",
+                 b"Content-Length: %d" % len(body),
+                 b"Connection: " + connection]
+        return eol.join(lines) + eol + eol + body
+
+    HEALTH = b"GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+
+    @staticmethod
+    async def _send(port, *chunks):
+        """Open a connection and write ``chunks`` with a pause between
+        them, so each reaches the server as its own segment."""
+        reader, writer = await asyncio.open_connection("127.0.0.1", port)
+        for i, chunk in enumerate(chunks):
+            if i:
+                await asyncio.sleep(0.02)
+            writer.write(chunk)
+            await writer.drain()
+        return reader, writer
+
+    @staticmethod
+    async def _response(reader):
+        """``(status, headers, document)`` of the next response, or None
+        when the server closed the connection without one."""
+        try:
+            head = await asyncio.wait_for(reader.readuntil(b"\r\n\r\n"), 30)
+        except asyncio.IncompleteReadError as exc:
+            assert exc.partial == b""
+            return None
+        except ConnectionResetError:
+            return None
+        lines = head.decode("latin1").split("\r\n")
+        status = int(lines[0].split()[1])
+        headers = dict(line.split(": ", 1) for line in lines[1:] if line)
+        body = await reader.readexactly(int(headers["Content-Length"]))
+        return status, headers, json.loads(body)
+
+    @staticmethod
+    async def _close(writer):
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except ConnectionError:
+            pass
+
+    @pytest.mark.parametrize("eol", [b"\r\n", b"\n"], ids=["crlf", "lf"])
+    def test_crlf_and_bare_lf_heads_are_answered(self, checkpoints, eol):
+        async def scenario(port):
+            reader, writer = await self._send(port, self._act_request(eol))
+            try:
+                return await self._response(reader)
+            finally:
+                await self._close(writer)
+
+        status, headers, document = self._serve(checkpoints, scenario)
+        assert status == 200
+        assert headers["Connection"] == "keep-alive"
+        assert document["generation"] == 1
+        assert 0 <= document["action"] < len(document["probs"])
+
+    def test_head_split_over_three_writes_is_answered(self, checkpoints):
+        request = self._act_request()
+        head_end = request.index(b"\r\n\r\n")
+        # Mid-line, then mid-terminator: neither piece ends a head.
+        cuts = (20, head_end + 3)
+
+        async def scenario(port):
+            reader, writer = await self._send(
+                port, request[:cuts[0]], request[cuts[0]:cuts[1]],
+                request[cuts[1]:],
+            )
+            try:
+                return await self._response(reader)
+            finally:
+                await self._close(writer)
+
+        status, _, document = self._serve(checkpoints, scenario)
+        assert status == 200
+        assert "action" in document
+
+    def test_pipelined_requests_are_answered_in_order(self, checkpoints):
+        async def scenario(port):
+            reader, writer = await self._send(
+                port, self._act_request() + self.HEALTH
+            )
+            try:
+                return [await self._response(reader) for _ in range(2)]
+            finally:
+                await self._close(writer)
+
+        (status_a, _, act), (status_b, _, health) = self._serve(
+            checkpoints, scenario
+        )
+        assert (status_a, status_b) == (200, 200)
+        assert "action" in act
+        assert health["status"] == "ok"
+
+    def test_connection_close_gets_one_response(self, checkpoints):
+        async def scenario(port):
+            # A second request queued behind the closing one is not served.
+            reader, writer = await self._send(
+                port, self._act_request(connection=b"close") + self.HEALTH
+            )
+            try:
+                return [await self._response(reader) for _ in range(2)]
+            finally:
+                await self._close(writer)
+
+        first, second = self._serve(checkpoints, scenario)
+        status, headers, document = first
+        assert status == 200
+        assert headers["Connection"] == "close"
+        assert "action" in document
+        assert second is None
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [b"GARBAGE\r\n\r\n",
+         b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * 70_000 + b"\r\n\r\n"],
+        ids=["malformed_request_line", "70kb_header_line"],
+    )
+    def test_unreadable_head_closes_only_its_connection(self, checkpoints,
+                                                        request_bytes):
+        async def scenario(port):
+            # A bystander connection, open before the bad head arrives.
+            other_reader, other_writer = await self._send(port)
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(request_bytes)
+                await writer.drain()
+            except ConnectionError:
+                pass  # the server may close before the write completes
+            try:
+                bad = await self._response(reader)
+            finally:
+                await self._close(writer)
+            try:
+                other_writer.write(self.HEALTH)
+                await other_writer.drain()
+                bystander = await self._response(other_reader)
+            finally:
+                await self._close(other_writer)
+            fresh_reader, fresh_writer = await self._send(port, self.HEALTH)
+            try:
+                fresh = await self._response(fresh_reader)
+            finally:
+                await self._close(fresh_writer)
+            return bad, bystander, fresh
+
+        bad, bystander, fresh = self._serve(checkpoints, scenario)
+        assert bad is None
+        for status, _, document in (bystander, fresh):
+            assert status == 200
+            assert document["status"] == "ok"
+
+
 class TestRequestValidation:
     """Each request is checked against the served policy before it joins
     a micro-batch: a malformed one answers 400 alone and never fails the
@@ -535,6 +857,42 @@ class TestRequestValidation:
         statuses, reply = self._serve(checkpoints, scenario, 500)
         assert statuses == [400, 400]
         assert 0 <= reply["action"] < ENV.n_clouds * len(ENV.packet_amounts)
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None, [False]],
+                             ids=["string", "zero", "one", "null", "list"])
+    def test_greedy_must_be_a_json_boolean(self, checkpoints, flag):
+        """Read by truthiness, ``"greedy": "false"`` served the argmax: a
+        flag that is not a JSON boolean (a list of them for a batch)
+        answers 400 naming it, and the connection keeps answering."""
+        observation = [0.5] * ENV.observation_size
+        bodies = [
+            ("/v1/act", {"observation": observation, "agent": 0,
+                         "greedy": flag}),
+            ("/v1/act-batch", {"observations": [observation] * 2,
+                               "agents": [0, 1], "greedy": [flag, flag]}),
+        ]
+        if not isinstance(flag, list):
+            bodies.append(("/v1/act-batch",
+                           {"observations": [observation] * 2,
+                            "agents": [0, 1], "greedy": flag}))
+
+        async def scenario(port):
+            failures = []
+            async with AsyncServingClient("127.0.0.1", port) as client:
+                for path, body in bodies:
+                    with pytest.raises(ServerError) as excinfo:
+                        await client.request("POST", path, body)
+                    failures.append(excinfo.value)
+                served = await client.act_batch(
+                    [observation] * 2, [0, 1], greedy=[True, False]
+                )
+            return failures, served
+
+        failures, served = self._serve(checkpoints, scenario, 500)
+        for failure in failures:
+            assert failure.status == 400
+            assert "greedy must be a boolean, got " in str(failure)
+        assert len(served["actions"]) == 2
 
     def test_agent_must_be_a_finite_integer(self, checkpoints):
         """``json.loads`` reads ``Infinity`` and ``1e999`` as infinite
