@@ -72,8 +72,9 @@ def categorical_from_cdf(cdf, draws):
     same normalised-cumsum inversion, one draw per row in row order.
     """
     cdf /= cdf[:, -1:]
-    actions = (cdf <= draws[:, None]).sum(axis=1)
-    return np.minimum(actions, cdf.shape[1] - 1)
+    # A row's last entry is now x / x = 1.0 exactly (or NaN), never <= a
+    # draw in [0, 1), so every count is below A.
+    return (cdf <= draws[:, None]).sum(axis=1)
 
 
 def categorical_from_draws(probs, draws):
@@ -260,7 +261,9 @@ class QuantumActor(Module):
         """Numpy ``(B, A)`` action probabilities from circuit expectations."""
         if self.policy_head == "born":
             return self._born_probs_np(outputs)
-        return _stable_softmax_np(outputs * self.logit_scale)
+        if self.logit_scale != 1.0:
+            outputs = outputs * self.logit_scale
+        return _stable_softmax_np(outputs)
 
     def sample_action(self, observation, rng):
         """Sample one action from the policy for a single observation."""

@@ -99,6 +99,16 @@ def _all_z_signs(observables, n_qubits):
     return signs
 
 
+def _signed_sums(psi, signs):
+    """``probabilities(psi) @ signs``, each row's bits independent of the
+    batch it came in: a lone row would take the matmul's one-row kernel,
+    which sums in another order, so it runs as the first of two."""
+    probs = _sv.probabilities(psi)
+    if probs.shape[0] == 1:
+        return (np.concatenate([probs, probs]) @ signs)[:1]
+    return probs @ signs
+
+
 def _normalise_run_args(n_inputs, inputs, batch_size):
     """``(inputs, batch)`` checked against the ``n_inputs`` features the
     circuit (or its compiled program) references."""
@@ -217,6 +227,8 @@ class StatevectorBackend:
         recognised by one cached lookup (:func:`_all_z_signs`) and costs one
         ``|psi|^2`` and one ``(B, dim) @ (dim, m)``.  Every other list (X/Y
         strings, the identity, Hamiltonians, shots) takes the general path.
+        A one-row batch is measured as the first of two rows, so a row gets
+        the same bits alone as inside any batch (:func:`_signed_sums`).
 
         The whole measurement runs under this backend's effective tier
         (``program=`` override or the global switch), so a
@@ -227,7 +239,7 @@ class StatevectorBackend:
         if exact_program:
             signs = _all_z_signs(observables, n_qubits)
             if signs is not None:
-                return _sv.probabilities(psi) @ signs
+                return _signed_sums(psi, signs)
         with _program.using_program(self._use_program()):
             columns = [None] * len(observables)
             if exact_program:
@@ -243,7 +255,7 @@ class StatevectorBackend:
                         n_qubits,
                         tuple(observables[j].wires for j in diag_indices),
                     )
-                    values = _sv.probabilities(psi) @ signs
+                    values = _signed_sums(psi, signs)
                     for column, j in enumerate(diag_indices):
                         columns[j] = values[:, column]
             for j, obs in enumerate(observables):

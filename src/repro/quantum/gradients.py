@@ -38,7 +38,7 @@ import numpy as np
 
 from repro.quantum import program as _program
 from repro.quantum import statevector as _sv
-from repro.quantum.backends import StatevectorBackend
+from repro.quantum.backends import StatevectorBackend, _all_z_signs
 from repro.quantum.observables import Hamiltonian, PauliString
 
 __all__ = [
@@ -188,7 +188,6 @@ def adjoint_backward(
     # Effective observable with per-sample coefficients: one reverse sweep
     # then serves every observable and every sample at once.
     paulis, coefficients = _flatten_observables(observables, upstream)
-    effective = Hamiltonian(coefficients, paulis)
     # Gates below the lowest one needing a gradient are never swept.
     stop = next(
         (i for i, op in enumerate(ops) if _needs_grad(op, input_grads)),
@@ -197,7 +196,8 @@ def adjoint_backward(
 
     if not _program.program_enabled():
         return _interpreted_adjoint(
-            circuit, effective, inputs, weights, batch, stop, input_grads
+            circuit, Hamiltonian(coefficients, paulis), inputs, weights,
+            batch, stop, input_grads,
         )
 
     # Program-compiled sweep: each gate's pre-planned inverse kernel is
@@ -216,16 +216,16 @@ def adjoint_backward(
             phi = prog.prefix_states(inputs, weights, batch)
             unitary = prog.suffix_unitary(weights)
             final = prog.apply_suffix(phi, unitary)
-        bra = effective.apply(final, n)
-        # beta_b = U_g^+ bra_b; as a row vector, bra_b^T conj(U_g).
-        beta = np.matmul(
-            bra.reshape(-1, n_groups, 1, dim), np.conj(unitary)
-        ).reshape(-1, n_groups, dim)
-        # M_g = sum_b |phi_b><beta_b| over the rows of group g.
-        fold = np.matmul(
-            np.transpose(phi.reshape(-1, n_groups, dim), (1, 2, 0)),
-            np.transpose(np.conj(beta), (1, 0, 2)),
-        )
+        bra = _bra(observables, paulis, coefficients, final, n)
+        if stop < split:
+            # A row sweep follows from (beta_b, phi_b): beta_b = U_g^+ bra_b,
+            # and M_g = sum_b |phi_b><beta_b| over the rows of group g.
+            beta = _pull_back(bra, unitary)
+            fold = _outer_sums(phi, beta, n_groups)
+            bra_ket = (beta, phi)
+        else:
+            # No row reads beta_b: M_g = (sum_b |phi_b><bra_b|) U_g.
+            fold = np.matmul(_outer_sums(phi, bra, n_groups), unitary)
         # Rows U_g e_l (bra half) and U_g M_g e_l = rows of M_g^T U_g^T.
         transposed = np.swapaxes(unitary, -1, -2)
         block = np.concatenate([
@@ -245,10 +245,9 @@ def adjoint_backward(
             None, gw,
         )
         top = split
-        bra_ket = (beta.reshape(batch, dim), phi)
     else:
         psi = states.final if reusable else prog.evolve(inputs, weights, batch)
-        bra_ket = (effective.apply(psi, n), psi)
+        bra_ket = (_bra(observables, paulis, coefficients, psi, n), psi)
     if stop < top:
         row_weights = _program.expand_weights(weights, batch)
         _sweep(
@@ -258,6 +257,41 @@ def adjoint_backward(
             lambda grads: grads, gi, gw,
         )
     return gi, gw
+
+
+def _bra(observables, paulis, coefficients, psi, n_qubits):
+    """``H_b |psi_b>`` for every row's effective observable
+    ``H_b = sum_j c_bj P_j``.
+
+    When every observable is a non-identity Z string (the actor's and the
+    critic's lists), ``H_b`` is one diagonal, ``sum_j c_bj s_j``: one
+    ``(B, m) @ (m, 2**n)`` product with the stacked sign table and one
+    multiply.  Any other list (X or Y strings, the identity, Hamiltonians)
+    applies ``H_b`` one Pauli string at a time.
+    """
+    signs = _all_z_signs(observables, n_qubits)
+    if signs is None:
+        return Hamiltonian(coefficients, paulis).apply(psi, n_qubits)
+    return (coefficients @ signs.T) * psi
+
+
+def _pull_back(bra, unitary):
+    """``beta_b = U_g^+ bra_b`` for every row (row ``b`` in group ``b % G``),
+    ``(B, 2**n)``; as a row vector, ``bra_b^T conj(U_g)``."""
+    n_groups, dim = unitary.shape[0], unitary.shape[-1]
+    return np.matmul(
+        bra.reshape(-1, n_groups, 1, dim), np.conj(unitary)
+    ).reshape(-1, dim)
+
+
+def _outer_sums(kets, bras, n_groups):
+    """``sum_b |ket_b><bra_b|`` over the rows of each group,
+    ``(G, 2**n, 2**n)``."""
+    dim = kets.shape[1]
+    return np.matmul(
+        np.transpose(kets.reshape(-1, n_groups, dim), (1, 2, 0)),
+        np.transpose(np.conj(bras).reshape(-1, n_groups, dim), (1, 0, 2)),
+    )
 
 
 def _folds(prog, batch, n_groups):

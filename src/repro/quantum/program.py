@@ -52,7 +52,6 @@ against it by the equivalence suite in ``tests/test_program.py``.
 
 from __future__ import annotations
 
-import dataclasses
 import weakref
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -128,9 +127,10 @@ def weight_groups(weights, batch):
     """``G`` of grouped ``(G, n)`` weights, which serve a ``k * G``-row batch
     (row ``b`` uses weight row ``b % G``; other batch sizes are rejected).
     A shared 1-D vector (or ``None``) is one group."""
-    if weights is None or np.ndim(weights) != 2:
+    shape = np.shape(weights)  # () for None
+    if len(shape) != 2:
         return 1
-    n_groups = np.shape(weights)[0]
+    n_groups = shape[0]
     if n_groups == 0 or batch % n_groups:
         raise ValueError(
             f"{n_groups} weight rows for batch {batch}: the batch must be a "
@@ -153,7 +153,8 @@ def _weight_rows(weights):
     weight row and ``None`` one empty row."""
     if weights is None:
         return np.empty((1, 0))
-    return np.atleast_2d(np.asarray(weights, dtype=np.float64))
+    weights = np.asarray(weights, dtype=np.float64)
+    return weights if weights.ndim >= 2 else weights.reshape(1, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +454,19 @@ class _OpPlan:
         return self._apply_dense(psi, self.inv_matrix)
 
     def apply_generator(self, psi):
+        """``G |psi>`` over the last axis of ``psi`` (any leading shape)."""
         if self.gen_kind == "diag":
             return psi * self.gen_data
         if self.gen_kind == "gather":
             source, phase = self.gen_data
-            taken = psi[:, source]
+            taken = psi.take(source, axis=-1)
             if phase is None:
                 return taken
             return np.multiply(taken, phase, out=taken)
-        return _sv.apply_matrix(psi, self.gen_data, self.wires, self.n_qubits)
+        flat = psi.reshape(-1, psi.shape[-1])
+        return _sv.apply_matrix(
+            flat, self.gen_data, self.wires, self.n_qubits
+        ).reshape(psi.shape)
 
     def _apply_rotation(self, psi, theta, sign, g_psi=None):
         """``exp(-i*sign*theta/2*G) |psi>`` through the generator kernel
@@ -472,10 +477,15 @@ class _OpPlan:
         if cos.ndim == 1:
             cos = cos[:, None]
             sin = sin[:, None]
+        return self.rotate(psi, cos, -1j * sin, g_psi)
+
+    def rotate(self, psi, cos, minus_i_sin, g_psi=None):
+        """``cos(t/2) psi - i sin(t/2) G psi`` from the half-angle's
+        ``cos`` and ``-1j * sin``, each broadcast against ``psi``."""
         # The generator kernel returns a fresh array: scale and add in place.
         if g_psi is None:
             g_psi = self.apply_generator(psi)
-        g_psi *= -1j * sin
+        g_psi *= minus_i_sin
         if self.proj is None:
             out = psi * cos
         else:
@@ -620,36 +630,64 @@ def _compile_op(op, n_qubits):
 # ---------------------------------------------------------------------------
 
 
+def _copy_cos(cos, sin, out):
+    np.copyto(out, cos)
+
+
+def _zero_minus_sin(cos, sin, out):
+    np.subtract(0.0, sin, out=out)
+
+
+def _zero_plus_sin(cos, sin, out):
+    np.add(0.0, sin, out=out)
+
+
+# Each nonzero part of a fresh wire's column under the rotation kernel,
+# ``|0> cos(t/2) + (G|0>) (-1j sin(t/2))``, as ``(amplitude, part, write)``
+# from the half-angle's cosine and sine; every other part is +0.  The
+# kernel's complex products reduce each part to one of these, signed zeros
+# included: ``rx`` makes ``(cos, +0)`` and ``(+0, 0 - sin)``, ``ry`` makes
+# ``(cos, +0)`` and ``(0 + sin, +0)``.  The zero added is what the kernel's
+# sums do to a ``-0`` sine: ``0 - sin`` and ``0 + sin`` are +0 at both
+# signed zeros.
+_FRESH_COLUMNS = {
+    "rx": ((0, "real", _copy_cos), (1, "imag", _zero_minus_sin)),
+    "ry": ((0, "real", _copy_cos), (1, "real", _zero_plus_sin)),
+}
+
+
 class _ProductLayer:
-    """A leading run of input-encoded one-qubit rotations of one kind on
-    wires ``0, 1, ..., k - 1``, in that order (every encoder's first layer).
+    """A leading run of input-encoded ``rx`` or ``ry`` rotations (one kind)
+    on wires ``0, 1, ..., k - 1``, in that order (every encoder's first
+    layer).
 
     On ``|0...0>`` such a run prepares a product state, built here without
     touching the full register.  Every wire's column is what the gate's
-    rotation kernel makes of a fresh ``|0>``,
-    ``|0> * cos + (G|0>) * (-1j * sin)``, with ``G|0>`` taken once from the
-    gate's compiled one-qubit generator kernel: the same elementwise
-    operations, so the same bits, zero signs included.  A Kronecker chain
-    then multiplies the columns in gate order with the batch rows last, so
-    numpy's inner loop runs over the rows.  On a fresh wire one term of
-    each rotation is exactly zero, so every amplitude is the product the
-    full-register kernels form, in the same order — only the sign of zero
-    amplitudes can differ (``docs/quantum_kernels.md``, "First encoding
-    layer").
+    rotation kernel makes of a fresh ``|0>``, written part by part into a
+    zeroed complex buffer from the half-angle's cosine and sine
+    (:data:`_FRESH_COLUMNS`): the same bits, zero signs included.  A
+    Kronecker chain then multiplies the columns in gate order with the
+    batch rows last, so numpy's inner loop runs over the rows.  On a fresh
+    wire one term of each rotation is exactly zero, so every amplitude is
+    the product the full-register kernels form, in the same order — only
+    the sign of zero amplitudes can differ (``docs/quantum_kernels.md``,
+    "First encoding layer").
     """
 
-    __slots__ = ("n_gates", "_zero", "_g_zero", "_indices", "_scales",
-                 "_stride")
+    __slots__ = ("n_gates", "_features", "_scales", "_parts", "_stride")
 
     def __init__(self, operations, n_qubits):
         self.n_gates = len(operations)
-        kernel = _compile_op(dataclasses.replace(operations[0], wires=(0,)), 1)
-        zero = _sv.zero_state(1, 1)
-        # ``(amplitude, 1)`` columns that broadcast over the batch rows.
-        self._zero = zero.T
-        self._g_zero = kernel.apply_generator(zero).T
-        self._indices = np.array([op.param.index for op in operations])
-        self._scales = np.array([op.param.scale for op in operations])
+        indices = [op.param.index for op in operations]
+        # Consecutive features (every encoder's) are read as a view.
+        first = indices[0]
+        self._features = (
+            slice(first, first + self.n_gates)
+            if indices == list(range(first, first + self.n_gates))
+            else np.array(indices)
+        )
+        self._scales = np.array([[op.param.scale] for op in operations])
+        self._parts = _FRESH_COLUMNS[operations[0].gate]
         # Wires past the run stay |0>: the product lands on every
         # ``stride``-th amplitude.
         self._stride = 2 ** (n_qubits - self.n_gates)
@@ -664,7 +702,8 @@ class _ProductLayer:
             if not (
                 op.is_input
                 and op.wires == (wire,)
-                and op.spec is operations[0].spec
+                and op.gate in _FRESH_COLUMNS
+                and op.gate == operations[0].gate
                 and plan.kind == "prot"
             ):
                 break
@@ -676,12 +715,15 @@ class _ProductLayer:
         if inputs is None:
             raise ValueError("circuit references inputs but none were given")
         # Gate-major and contiguous, as the rotation kernel took the angles.
-        half = 0.5 * (inputs[:, self._indices] * self._scales).T.ravel()
-        half = half.reshape(self.n_gates, 1, batch)
-        # ``(gate, amplitude, row)`` columns.
-        columns = (
-            self._zero * np.cos(half) + self._g_zero * (-1j * np.sin(half))
+        half = np.multiply(
+            inputs[:, self._features].T, self._scales, order="C"
         )
+        half *= 0.5
+        cos, sin = np.cos(half), np.sin(half)
+        # ``(gate, amplitude, row)`` columns.
+        columns = np.zeros((self.n_gates, 2, batch), np.complex128)
+        for amplitude, part, write in self._parts:
+            write(cos, sin, getattr(columns[:, amplitude], part))
         psi = columns[0]
         for column in columns[1:]:
             psi = (psi[:, None, :] * column[None, :, :]).reshape(-1, batch)
@@ -839,6 +881,15 @@ class CircuitProgram:
         self.steps = self._prefix_steps + self._suffix_steps
         self.prefix_has_weights = any(op.is_trainable for op in prefix)
         self.suffix_has_weights = any(op.is_trainable for op in suffix)
+        # The block's weight gates as one resolver, in step order: their
+        # columns of the angle table _block_states forms.
+        weighted = [step.resolver for step in self._suffix_steps
+                    if step.resolver is not None]
+        self._block_angles = (
+            "weight",
+            np.array([index for _, index, _ in weighted], dtype=np.intp),
+            np.array([scale for _, _, scale in weighted], dtype=np.float64),
+        )
         # Frozen at compile time, so the telemetry publish per call is a
         # walk over counters resolved once: the prefix kernels, then the
         # block as one ``suffix`` or, when it holds no weight gate, as its
@@ -1016,10 +1067,10 @@ class CircuitProgram:
     def suffix_unitary(self, weights):
         """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
         (a 1-D vector is one row, ``None`` one empty row), cached by weight
-        content.  Built by per-row kernels, so each is bit-identical
-        whatever the other rows.  The cache is scanned newest first: a
-        rollout round hits the entry built for the current weights, which
-        sits last.
+        content.  Built by per-row kernels (:meth:`_block_states`), so each
+        is bit-identical whatever the other rows.  The cache is scanned
+        newest first: a rollout round hits the entry built for the current
+        weights, which sits last.
 
         ``None`` when the block holds no weight gate: every weight row
         would get the same matrix, and :meth:`apply_suffix` runs such a
@@ -1039,18 +1090,52 @@ class CircuitProgram:
                 return unitary
         if obs.enabled():
             obs.counter("program.suffix_build").inc()
-        n_groups, dim = weights.shape[0], self.dim
-        # Row l of group g evolves the basis state |l>, so each (dim, dim)
-        # block of the result is U_g^T.
-        basis = np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1))
-        # An empty row gives a weight gate nothing to read: _resolve raises.
-        row_weights = np.repeat(weights, dim, axis=0) if weights.size else None
-        states = _run(self._suffix_steps, basis, None, row_weights)
-        unitary = np.transpose(states.reshape(n_groups, dim, dim), (0, 2, 1))
+        unitary = np.transpose(self._block_states(weights), (0, 2, 1))
         if len(cache) >= self._SUFFIX_CACHE_SIZE:
             cache.pop(0)
         cache.append((weights.copy(), unitary))
         return unitary
+
+    def _block_states(self, weights):
+        """``(G, 2**n, 2**n)``: row ``l`` of group ``g`` is the basis state
+        ``|l>`` run through the trailing block at weight row ``g``, so each
+        group is ``U_g^T``.
+
+        Every row of a group reads the same angles, so each weight gate's
+        factors are formed once per weight row, for all gates at once (a
+        rotation's ``cos`` and ``-1j * sin`` of the half-angle, a diagonal
+        gate's phase table), and broadcast over the group's ``2**n`` rows.
+        Every amplitude meets the elementwise operations a per-row kernel
+        applies, so each unitary keeps its bits whatever the other rows.
+        """
+        n_groups, dim = weights.shape[0], self.dim
+        psi = np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1, 1))
+        # An empty row gives a weight gate nothing to read: _resolve raises.
+        theta = _resolve(
+            self._block_angles, None, weights if weights.size else None
+        )
+        half = 0.5 * theta
+        cos = np.cos(half)[:, :, None, None]
+        minus_i_sin = (-1j * np.sin(half))[:, :, None, None]
+        column = 0  # the next weight gate's column of the angle table
+        for step in self._suffix_steps:
+            if step.kind == "prot":
+                psi = step.rotate(psi, cos[:, column], minus_i_sin[:, column])
+            elif step.kind == "pdiag":
+                phases = _diag_phases(theta[:, column], *step.coeff)
+                psi = psi * phases[:, None, :]
+            else:
+                # Constant steps, and dense weight gates from one angle
+                # per row, run on the rows.
+                rows_theta = (
+                    None if step.resolver is None
+                    else np.repeat(theta[:, column], dim)
+                )
+                psi = step.apply_forward(
+                    psi.reshape(-1, dim), rows_theta
+                ).reshape(psi.shape)
+            column += step.resolver is not None
+        return psi
 
     def apply_suffix(self, phi, unitary, rows=None):
         """``U_g |phi_b>`` with ``g = b % G`` or ``rows[b]``: one ``(1, dim)

@@ -19,13 +19,14 @@ flush reason) to stderr.
 
 Every request is checked before it joins a micro-batch: its observation
 width must equal the policy's, every value must be finite, every agent
-must be an integer in ``[0, n_agents)`` and ``greedy`` must be a JSON
-boolean (a list of them for a batch).  A failure answers 400 for that
-request alone; it never reaches the batch, so it cannot fail the requests
-flushed with it.  A failure while a batch is evaluated — a policy that is not a
-distribution (non-finite weights, say) or an engine fault — is the
-server's, not the request's: every request in that batch answers 500
-naming the cause, and the server keeps serving.
+must be an integer in ``[0, n_agents)``, ``greedy`` must be a JSON
+boolean (a list of them for a batch) and so must ``return_probs``.  A
+failure answers 400 for that request alone; it never reaches the batch,
+so it cannot fail the requests flushed with it.  A failure while a batch
+is evaluated — a policy that is not a distribution (non-finite weights,
+say) or an engine fault — is the server's, not the request's: every
+request in that batch answers 500 naming the cause, and the server keeps
+serving.
 
 Connections are keep-alive; each request parks on the batcher until its
 micro-batch flushes, so thousands of idle connections cost only their
@@ -80,15 +81,17 @@ def _agent_index(value):
     raise ValueError(f"agent must be a finite integer, got {value!r}")
 
 
-def _greedy_flag(value):
-    """A request's greedy flag; anything but a JSON boolean raises
-    ``ValueError`` (answered 400).
+def _flag(name, value):
+    """A request's boolean field ``name`` (``greedy``, ``return_probs``);
+    anything but a JSON boolean raises ``ValueError`` (answered 400).
 
-    Read by truthiness, the string ``"false"`` would serve the argmax.
+    Read by truthiness, the string ``"false"`` would count as true: it
+    served the argmax as ``greedy`` and sent probabilities as
+    ``return_probs``.
     """
     if isinstance(value, bool):
         return value
-    raise ValueError(f"greedy must be a boolean, got {value!r}")
+    raise ValueError(f"{name} must be a boolean, got {value!r}")
 
 
 def _write_response(writer, status, document, keep_alive=True):
@@ -376,7 +379,7 @@ class PolicyServer:
         if observation.ndim != 1:
             raise ValueError("observation must be a flat vector")
         agent = _agent_index(payload["agent"])
-        greedy = _greedy_flag(payload.get("greedy", False))
+        greedy = _flag("greedy", payload.get("greedy", False))
         self._check_rows(observation[None], (agent,))
         with obs.span("serving.request") as request_span:
             actions, probs, generation = await self._submit(
@@ -400,9 +403,12 @@ class PolicyServer:
         agents = [_agent_index(a) for a in payload["agents"]]
         greedy = payload.get("greedy", False)
         if isinstance(greedy, list):
-            greedy = [_greedy_flag(g) for g in greedy]
+            greedy = [_flag("greedy", g) for g in greedy]
         else:
-            greedy = [_greedy_flag(greedy)] * len(agents)
+            greedy = [_flag("greedy", greedy)] * len(agents)
+        return_probs = _flag(
+            "return_probs", payload.get("return_probs", False)
+        )
         if len(agents) != observations.shape[0] or len(greedy) != len(agents):
             raise ValueError(
                 "observations, agents, and greedy must agree in length"
@@ -413,7 +419,7 @@ class PolicyServer:
                 observations, agents, greedy
             )
         document = {"actions": actions.tolist(), "generation": generation}
-        if payload.get("return_probs", False):
+        if return_probs:
             document["probs"] = probs.tolist()
         token = self._request_token(request_span)
         if token is not None:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.quantum import gradients
+from repro.quantum import program as qprog
 from repro.quantum import statevector as _sv
 from repro.quantum.backends import DensityMatrixBackend, StatevectorBackend
 from repro.quantum.channels import NoiseModel
@@ -402,6 +403,195 @@ class TestSweepMatchesPerGateReference:
             assert gi.tobytes() == gi_ref.tobytes()
         else:
             assert gi is None and gi_ref is None
+
+
+# -- the diagonal bra and the fold without beta -------------------------------
+
+
+def _beta_fold_backward(circuit, observables, inputs, weights, upstream,
+                        input_grads):
+    """The program-tier adjoint that pulled every row's bra back through
+    its unitary, ``beta_b = U_g^+ H_b psi_b``, and folded
+    ``M_g = sum_b |phi_b><beta_b|``, with ``H_b`` applied one Pauli string
+    at a time.  The reference for the fold that skips ``beta``."""
+    prog = qprog.compile_program(circuit)
+    ops = circuit.operations
+    batch, dim, split = upstream.shape[0], prog.dim, prog.split
+    n_groups = qprog.weight_groups(weights, batch)
+    paulis, coefficients = gradients._flatten_observables(
+        observables, upstream
+    )
+    effective = Hamiltonian(coefficients, paulis)
+    stop = next(
+        (i for i, op in enumerate(ops)
+         if gradients._needs_grad(op, input_grads)),
+        len(ops),
+    )
+    gi, gw = gradients._gradient_buffers(circuit, weights, batch, input_grads)
+    top = len(ops)
+    if gradients._folds(prog, batch, n_groups):
+        phi = prog.prefix_states(inputs, weights, batch)
+        unitary = prog.suffix_unitary(weights)
+        bra = effective.apply(prog.apply_suffix(phi, unitary), N_QUBITS)
+        beta = np.matmul(
+            bra.reshape(-1, n_groups, 1, dim), np.conj(unitary)
+        ).reshape(-1, n_groups, dim)
+        fold = np.matmul(
+            np.transpose(phi.reshape(-1, n_groups, dim), (1, 2, 0)),
+            np.transpose(np.conj(beta), (1, 0, 2)),
+        )
+        transposed = np.swapaxes(unitary, -1, -2)
+        block = np.concatenate([
+            transposed, np.matmul(np.swapaxes(fold, -1, -2), transposed)
+        ]).reshape(2 * n_groups * dim, dim)
+
+        def group_angle(op):
+            ref = op.param
+            if (ref is not None and ref.kind == "weight"
+                    and np.ndim(weights) == 2):
+                return np.repeat(weights[:, ref.index] * ref.scale, dim)
+            return circuit.resolve_angle(op, None, weights)
+
+        gradients._sweep(
+            prog, circuit, block, range(top - 1, max(stop, split) - 1, -1),
+            group_angle,
+            lambda grads: grads.reshape(-1, n_groups, dim).sum(axis=2),
+            None, gw,
+        )
+        top = split
+        bra_ket = (beta.reshape(batch, dim), phi)
+    else:
+        psi = prog.evolve(inputs, weights, batch)
+        bra_ket = (effective.apply(psi, N_QUBITS), psi)
+    if stop < top:
+        row_weights = qprog.expand_weights(weights, batch)
+        gradients._sweep(
+            prog, circuit, np.concatenate(bra_ket),
+            range(top - 1, stop - 1, -1),
+            lambda op: circuit.resolve_angle(op, inputs, row_weights),
+            lambda grads: grads, gi, gw,
+        )
+    return gi, gw
+
+
+def _relative_error(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestDiagonalBra:
+    """Every observable a non-identity Z string: the effective observable
+    is one diagonal, ``sum_j c_bj s_j``, applied as one multiply."""
+
+    @pytest.mark.parametrize(
+        "wire_sets",
+        [((0,), (1,), (2,)), ((0, 1), (2,), (0, 1, 2), (1,))],
+        ids=["single_z", "z_strings"],
+    )
+    def test_equals_hamiltonian_apply(self, wire_sets):
+        rng = np.random.default_rng(len(wire_sets))
+        observables = [PauliString({w: "Z" for w in ws}) for ws in wire_sets]
+        psi = rng.normal(size=(500, DIM)) + 1j * rng.normal(size=(500, DIM))
+        coefficients = rng.normal(size=(500, len(observables)))
+        bra = gradients._bra(
+            observables, observables, coefficients, psi, N_QUBITS
+        )
+        want = Hamiltonian(coefficients, observables).apply(psi, N_QUBITS)
+        assert np.linalg.norm(bra - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "observables",
+        [
+            [PauliString.z(0), PauliString({1: "X"}), PauliString.z(2)],
+            [PauliString({0: "Y", 1: "Z"}), PauliString.z(2)],
+            [Hamiltonian([0.5, -1.5], [PauliString.z(0), PauliString.z(1)]),
+             PauliString.z(2)],
+            [PauliString(), PauliString.z(1)],
+            [PauliString.z(0), PauliString({1: "Z", 2: "Z"})],
+        ],
+        ids=["x", "y", "hamiltonian", "identity", "z_strings"],
+    )
+    def test_only_z_string_lists_skip_hamiltonian_apply(
+        self, observables, monkeypatch
+    ):
+        applied = []
+        apply = Hamiltonian.apply
+
+        def spy(self, psi, n_qubits):
+            applied.append(psi.shape[0])
+            return apply(self, psi, n_qubits)
+
+        monkeypatch.setattr(Hamiltonian, "apply", spy)
+        rng = np.random.default_rng(4)
+        vqc = build_vqc(N_QUBITS, 6, 18, seed=3)
+        batch = 4 * DIM
+        adjoint_backward(
+            vqc.circuit, observables, rng.uniform(size=(batch, 6)),
+            vqc.initial_weights(rng),
+            rng.normal(size=(batch, len(observables))),
+        )
+        diagonal = all(
+            isinstance(o, PauliString) and o.is_diagonal
+            and not o.is_identity()
+            for o in observables
+        )
+        assert applied == ([] if diagonal else [batch])
+
+
+class TestFoldWithoutBeta:
+    """When no row sweep follows the fold, ``M_g = (sum_b |phi_b><bra_b|)
+    U_g`` skips every row's ``beta_b``; the gradients are the beta-fold's
+    to rounding."""
+
+    @pytest.mark.parametrize("observables", ["z", "hamiltonian"])
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS)
+    def test_matches_the_beta_fold(self, kind, n_groups, input_grads,
+                                   observables):
+        circuit, n_inputs, _ = _sweep_case(kind)
+        observables = _sweep_observables(observables)
+        rng = np.random.default_rng(n_groups)
+        batch = n_groups * 3 * DIM  # B > G * 2**n
+        weights = rng.uniform(0, 2 * np.pi, (n_groups, circuit.n_weights))
+        args = (
+            circuit, observables, rng.uniform(size=(batch, n_inputs)),
+            weights, rng.normal(size=(batch, len(observables))), input_grads,
+        )
+        gi, gw = adjoint_backward(*args[:-1], input_grads=input_grads)
+        gi_ref, gw_ref = _beta_fold_backward(*args)
+        assert _relative_error(gw, gw_ref) <= 1e-12
+        if input_grads:
+            assert _relative_error(gi, gi_ref) <= 1e-12
+        else:
+            assert gi is None and gi_ref is None
+
+    @pytest.mark.parametrize("input_grads", [True, False])
+    @pytest.mark.parametrize("n_groups", [1, 4])
+    @pytest.mark.parametrize("kind", _SWEEP_KINDS)
+    def test_beta_only_before_a_row_sweep(self, kind, n_groups, input_grads,
+                                          sweep_rows, monkeypatch):
+        pulled = []
+        pull_back = gradients._pull_back
+
+        def spy(bra, unitary):
+            pulled.append(bra.shape[0])
+            return pull_back(bra, unitary)
+
+        monkeypatch.setattr(gradients, "_pull_back", spy)
+        circuit, n_inputs, has_block = _sweep_case(kind)
+        rng = np.random.default_rng(8)
+        batch = n_groups * 3 * DIM
+        adjoint_backward(
+            circuit, all_z_observables(N_QUBITS),
+            rng.uniform(size=(batch, n_inputs)),
+            rng.uniform(0, 2 * np.pi, (n_groups, circuit.n_weights)),
+            rng.normal(size=(batch, N_QUBITS)), input_grads=input_grads,
+        )
+        assert sweep_rows[0] == (
+            2 * n_groups * DIM if has_block else 2 * batch
+        )
+        row_sweep_follows = has_block and len(sweep_rows) == 2
+        assert pulled == ([batch] if row_sweep_follows else [])
 
 
 # -- the fold starting from the forward's states --------------------------------

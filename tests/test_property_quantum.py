@@ -8,13 +8,15 @@ Invariants checked on randomly generated circuits and states:
 - gradients: adjoint and parameter-shift agree on arbitrary circuits;
 - density matrices: trace one, Hermitian, purity <= 1 under any channel;
 - encodings: angle encoding is injective in expectation space for a single
-  qubit (monotone regions), multi-layer encoding consumes the right count.
+  qubit (monotone regions), multi-layer encoding consumes the right count;
+- batch composition: a row's bits do not depend on how its batch is split.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.marl.actors import QuantumActor, QuantumActorGroup
 from repro.quantum import channels as ch
 from repro.quantum import density as dm
 from repro.quantum import statevector as sv
@@ -22,6 +24,7 @@ from repro.quantum.backends import StatevectorBackend
 from repro.quantum.circuit import ParameterRef, QuantumCircuit
 from repro.quantum.gradients import adjoint_backward, parameter_shift_backward
 from repro.quantum.observables import all_z_observables
+from repro.quantum.vqc import build_vqc
 
 MAX_EXAMPLES = 25
 
@@ -176,3 +179,90 @@ class TestDensityInvariants:
         channel = factory(p)
         total = sum(k.conj().T @ k for k in channel.kraus_operators)
         assert np.allclose(total, np.eye(2), atol=1e-10)
+
+
+# -- batch composition --------------------------------------------------------
+
+
+@st.composite
+def batch_splits(draw, max_batch=12):
+    """``(batch, bounds)``: a batch size and the bounds of a random split
+    of its rows into consecutive chunks, one-row chunks included."""
+    batch = draw(st.integers(1, max_batch))
+    cuts = draw(st.sets(st.integers(1, batch - 1))) if batch > 1 else set()
+    return batch, [0, *sorted(cuts), batch]
+
+
+def _in_chunks(bounds, evaluate):
+    """``evaluate(lo, hi)`` over every chunk, concatenated."""
+    return np.concatenate(
+        [evaluate(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    )
+
+
+class TestBatchComposition:
+    """A row's bits never depend on the batch it is evaluated in: every
+    forward entry point gives ``==`` bits over random splits of one batch,
+    one-row chunks included (a lone row is measured like any other)."""
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(split=batch_splits(), n_features=st.sampled_from([4, 16]),
+           seed=st.integers(0, 10_000))
+    def test_backend_entry_points(self, split, n_features, seed):
+        batch, bounds = split
+        rng = np.random.default_rng(seed)
+        vqc = build_vqc(4, n_features, 50, seed=seed % 5)
+        circuit, observables = vqc.circuit, vqc.observables
+        inputs = rng.uniform(size=(batch, n_features))
+        # Repeated rows: the critic-shaped prefix shares their encoding.
+        inputs[1::3] = inputs[0::3][:len(inputs[1::3])]
+        weights = rng.uniform(0, 2 * np.pi, size=(3, 50))
+        rows = rng.integers(0, 3, size=batch)
+        backend = StatevectorBackend()
+        calls = {
+            "run": lambda lo, hi: backend.run(
+                circuit, observables, inputs[lo:hi], weights[0]
+            ),
+            "run_states": lambda lo, hi: backend.run_states(
+                circuit, observables, inputs[lo:hi], weights[0]
+            )[0],
+            "run_rows": lambda lo, hi: backend.run_rows(
+                circuit, observables, inputs[lo:hi], weights, rows[lo:hi]
+            ),
+        }
+        for name, call in calls.items():
+            whole = call(0, batch)
+            assert _in_chunks(bounds, call).tobytes() == whole.tobytes(), name
+
+    @settings(max_examples=MAX_EXAMPLES, deadline=None)
+    @given(split=batch_splits(), seed=st.integers(0, 10_000))
+    def test_actor_team_entry_points(self, split, seed):
+        batch, bounds = split
+        rng = np.random.default_rng(seed)
+        vqc = build_vqc(4, 4, 50, seed=seed % 5)
+        team = QuantumActorGroup([
+            QuantumActor(vqc, np.random.default_rng(seed + agent))
+            for agent in range(4)
+        ])
+        observations = rng.uniform(size=(batch, 4, 4))
+        flat = observations.reshape(batch * 4, 4)
+        agents = rng.integers(0, 4, size=batch * 4)
+        row_bounds = [4 * bound for bound in bounds]
+
+        def rows(lo, hi):
+            return team.rows_probabilities(flat[lo:hi], agents[lo:hi])
+
+        assert _in_chunks(row_bounds, rows).tobytes() == (
+            rows(0, 4 * batch).tobytes()
+        )
+        # One-row chunks of the ragged form: every row alone.
+        assert _in_chunks(list(range(4 * batch + 1)), rows).tobytes() == (
+            rows(0, 4 * batch).tobytes()
+        )
+
+        def copies(lo, hi):
+            return team.batch_probabilities(observations[lo:hi])
+
+        assert _in_chunks(bounds, copies).tobytes() == (
+            copies(0, batch).tobytes()
+        )

@@ -352,10 +352,9 @@ class TestServedDecisionsAreBitIdentical:
         self._assert_same(served, expected)
 
     def test_one_coalesced_micro_batch(self, checkpoints):
-        # Rows of a batch of two or more are evaluated independently of
-        # each other; a lone row's measurement takes another matmul kernel
-        # and can differ in the last bit, so one-row requests are left out.
-        requests = [r for r in self._requests() if len(r[1]) > 1]
+        # Every row of a batch is evaluated independently of the others,
+        # one-row requests included: each gets the bits it gets alone.
+        requests = self._requests()
         expected = self._reference(checkpoints["frameworks"]["a"], requests)
         engine = self._engine(checkpoints)
 
@@ -893,6 +892,31 @@ class TestRequestValidation:
             assert failure.status == 400
             assert "greedy must be a boolean, got " in str(failure)
         assert len(served["actions"]) == 2
+
+    @pytest.mark.parametrize("flag", ["false", 0, 1, None, [True]],
+                             ids=["string", "zero", "one", "null", "list"])
+    def test_return_probs_must_be_a_json_boolean(self, checkpoints, flag):
+        """Read by truthiness, ``"return_probs": "false"`` was answered
+        with ``probs``: a flag that is not a JSON boolean answers 400
+        naming it, and the connection keeps answering."""
+        observation = [0.5] * ENV.observation_size
+        body = {"observations": [observation] * 2, "agents": [0, 1],
+                "return_probs": flag}
+
+        async def scenario(port):
+            async with AsyncServingClient("127.0.0.1", port) as client:
+                with pytest.raises(ServerError) as excinfo:
+                    await client.request("POST", "/v1/act-batch", body)
+                served = await client.act_batch(
+                    [observation] * 2, [0, 1], return_probs=False
+                )
+            return excinfo.value, served
+
+        failure, served = self._serve(checkpoints, scenario, 500)
+        assert failure.status == 400
+        assert "return_probs must be a boolean, got " in str(failure)
+        assert len(served["actions"]) == 2
+        assert "probs" not in served
 
     def test_agent_must_be_a_finite_integer(self, checkpoints):
         """``json.loads`` reads ``Infinity`` and ``1e999`` as infinite
