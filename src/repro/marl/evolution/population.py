@@ -111,7 +111,7 @@ class PopulationActorGroup(ActorGroup):
         if member_vectors is None:
             member_vectors = team_vector[None, :]
         self.set_members(member_vectors)
-        self.set_row_offset(row_offset)
+        self.row_offset = int(row_offset)
         self.stacked = bool(stacked)
         # The stacked path needs every actor's trainable state to be the
         # single per-agent weight vector the shared circuit consumes (true
@@ -145,12 +145,10 @@ class PopulationActorGroup(ActorGroup):
                 f"team parameter count {self._n_parameters}"
             )
         self.member_vectors = member_vectors
-        self._row_weights = None
 
     def set_row_offset(self, row_offset):
         """Adopt this process's global first-row index (worker shards)."""
         self.row_offset = int(row_offset)
-        self._row_weights = None
 
     def load_broadcast(self, payload):
         """Rebuild the generation from a ``(base, sigma, seeds)`` broadcast.
@@ -220,16 +218,13 @@ class PopulationActorGroup(ActorGroup):
         )
 
     def _stacked_probabilities(self, observations):
-        """One per-sample-weight circuit evaluation for every row and agent;
-        the weight matrix is built once per generation and row count."""
+        """One per-sample-weight circuit evaluation for every row and agent."""
         template = self.template
         n_rows, n_agents = observations.shape[0], observations.shape[1]
         flat_obs = observations.reshape(n_rows * n_agents, -1)
-        if self._row_weights is None or self._row_weights[0] != n_rows:
-            self._row_weights = (n_rows, self._member_row_weights(n_rows))
         outputs = template._fast_backend.run(
             template._circuit, template._observables, flat_obs,
-            self._row_weights[1],
+            self._member_row_weights(n_rows),
         )
         return template._head_actor._probs_np(outputs).reshape(
             n_rows, n_agents, -1

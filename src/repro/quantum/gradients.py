@@ -217,15 +217,12 @@ def adjoint_backward(
             unitary = prog.suffix_unitary(weights)
             final = prog.apply_suffix(phi, unitary)
         bra = _bra(observables, paulis, coefficients, final, n)
+        # M_g = sum_b |phi_b><beta_b| over the rows of group g, with
+        # beta_b = U_g^+ bra_b: (sum_b |phi_b><bra_b|) U_g.
+        fold = np.matmul(_outer_sums(phi, bra, n_groups), unitary)
         if stop < split:
-            # A row sweep follows from (beta_b, phi_b): beta_b = U_g^+ bra_b,
-            # and M_g = sum_b |phi_b><beta_b| over the rows of group g.
-            beta = _pull_back(bra, unitary)
-            fold = _outer_sums(phi, beta, n_groups)
-            bra_ket = (beta, phi)
-        else:
-            # No row reads beta_b: M_g = (sum_b |phi_b><bra_b|) U_g.
-            fold = np.matmul(_outer_sums(phi, bra, n_groups), unitary)
+            # The row sweep below the split starts from (beta_b, phi_b).
+            bra_ket = (_pull_back(bra, unitary), phi)
         # Rows U_g e_l (bra half) and U_g M_g e_l = rows of M_g^T U_g^T.
         transposed = np.swapaxes(unitary, -1, -2)
         block = np.concatenate([

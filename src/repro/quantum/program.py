@@ -52,6 +52,7 @@ against it by the equivalence suite in ``tests/test_program.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import weakref
 from collections import Counter, namedtuple
 from contextlib import contextmanager
@@ -630,54 +631,34 @@ def _compile_op(op, n_qubits):
 # ---------------------------------------------------------------------------
 
 
-def _copy_cos(cos, sin, out):
-    np.copyto(out, cos)
-
-
-def _zero_minus_sin(cos, sin, out):
-    np.subtract(0.0, sin, out=out)
-
-
-def _zero_plus_sin(cos, sin, out):
-    np.add(0.0, sin, out=out)
-
-
-# Each nonzero part of a fresh wire's column under the rotation kernel,
-# ``|0> cos(t/2) + (G|0>) (-1j sin(t/2))``, as ``(amplitude, part, write)``
-# from the half-angle's cosine and sine; every other part is +0.  The
-# kernel's complex products reduce each part to one of these, signed zeros
-# included: ``rx`` makes ``(cos, +0)`` and ``(+0, 0 - sin)``, ``ry`` makes
-# ``(cos, +0)`` and ``(0 + sin, +0)``.  The zero added is what the kernel's
-# sums do to a ``-0`` sine: ``0 - sin`` and ``0 + sin`` are +0 at both
-# signed zeros.
-_FRESH_COLUMNS = {
-    "rx": ((0, "real", _copy_cos), (1, "imag", _zero_minus_sin)),
-    "ry": ((0, "real", _copy_cos), (1, "real", _zero_plus_sin)),
-}
-
-
 class _ProductLayer:
-    """A leading run of input-encoded ``rx`` or ``ry`` rotations (one kind)
-    on wires ``0, 1, ..., k - 1``, in that order (every encoder's first
-    layer).
+    """A leading run of input-encoded one-qubit rotations of one kind on
+    wires ``0, 1, ..., k - 1``, in that order (every encoder's first layer).
 
     On ``|0...0>`` such a run prepares a product state, built here without
     touching the full register.  Every wire's column is what the gate's
-    rotation kernel makes of a fresh ``|0>``, written part by part into a
-    zeroed complex buffer from the half-angle's cosine and sine
-    (:data:`_FRESH_COLUMNS`): the same bits, zero signs included.  A
-    Kronecker chain then multiplies the columns in gate order with the
-    batch rows last, so numpy's inner loop runs over the rows.  On a fresh
-    wire one term of each rotation is exactly zero, so every amplitude is
-    the product the full-register kernels form, in the same order — only
-    the sign of zero amplitudes can differ (``docs/quantum_kernels.md``,
-    "First encoding layer").
+    rotation kernel makes of a fresh ``|0>``,
+    ``|0> * cos + (G|0>) * (-1j * sin)``, with ``G|0>`` taken once from the
+    gate's compiled one-qubit generator kernel: the same elementwise
+    operations, so the same bits, zero signs included.  A Kronecker chain
+    then multiplies the columns in gate order with the batch rows last, so
+    numpy's inner loop runs over the rows.  On a fresh wire one term of
+    each rotation is exactly zero, so every amplitude is the product the
+    full-register kernels form, in the same order — only the sign of zero
+    amplitudes can differ (``docs/quantum_kernels.md``, "First encoding
+    layer").
     """
 
-    __slots__ = ("n_gates", "_features", "_scales", "_parts", "_stride")
+    __slots__ = ("n_gates", "_zero", "_g_zero", "_features", "_scales",
+                 "_stride")
 
     def __init__(self, operations, n_qubits):
         self.n_gates = len(operations)
+        kernel = _compile_op(dataclasses.replace(operations[0], wires=(0,)), 1)
+        zero = _sv.zero_state(1, 1)
+        # ``(amplitude, 1)`` columns that broadcast over the batch rows.
+        self._zero = zero.T
+        self._g_zero = kernel.apply_generator(zero).T
         indices = [op.param.index for op in operations]
         # Consecutive features (every encoder's) are read as a view.
         first = indices[0]
@@ -687,7 +668,6 @@ class _ProductLayer:
             else np.array(indices)
         )
         self._scales = np.array([[op.param.scale] for op in operations])
-        self._parts = _FRESH_COLUMNS[operations[0].gate]
         # Wires past the run stay |0>: the product lands on every
         # ``stride``-th amplitude.
         self._stride = 2 ** (n_qubits - self.n_gates)
@@ -702,8 +682,7 @@ class _ProductLayer:
             if not (
                 op.is_input
                 and op.wires == (wire,)
-                and op.gate in _FRESH_COLUMNS
-                and op.gate == operations[0].gate
+                and op.spec is operations[0].spec
                 and plan.kind == "prot"
             ):
                 break
@@ -719,11 +698,11 @@ class _ProductLayer:
             inputs[:, self._features].T, self._scales, order="C"
         )
         half *= 0.5
-        cos, sin = np.cos(half), np.sin(half)
+        half = half[:, None, :]
         # ``(gate, amplitude, row)`` columns.
-        columns = np.zeros((self.n_gates, 2, batch), np.complex128)
-        for amplitude, part, write in self._parts:
-            write(cos, sin, getattr(columns[:, amplitude], part))
+        columns = (
+            self._zero * np.cos(half) + self._g_zero * (-1j * np.sin(half))
+        )
         psi = columns[0]
         for column in columns[1:]:
             psi = (psi[:, None, :] * column[None, :, :]).reshape(-1, batch)
@@ -1067,10 +1046,10 @@ class CircuitProgram:
     def suffix_unitary(self, weights):
         """``(G, 2**n, 2**n)`` trailing-block unitaries, one per weight row
         (a 1-D vector is one row, ``None`` one empty row), cached by weight
-        content.  Built by per-row kernels (:meth:`_block_states`), so each
-        is bit-identical whatever the other rows.  The cache is scanned
-        newest first: a rollout round hits the entry built for the current
-        weights, which sits last.
+        content.  Built by :meth:`_block_states` from each weight row's own
+        factors, so each is bit-identical whatever the other rows.  The
+        cache is scanned newest first: a rollout round hits the entry built
+        for the current weights, which sits last.
 
         ``None`` when the block holds no weight gate: every weight row
         would get the same matrix, and :meth:`apply_suffix` runs such a

@@ -538,9 +538,9 @@ class TestDiagonalBra:
 
 
 class TestFoldWithoutBeta:
-    """When no row sweep follows the fold, ``M_g = (sum_b |phi_b><bra_b|)
-    U_g`` skips every row's ``beta_b``; the gradients are the beta-fold's
-    to rounding."""
+    """The fold is ``M_g = (sum_b |phi_b><bra_b|) U_g``, with no row's
+    ``beta_b``; ``beta_b`` is formed only for a row sweep below the split.
+    The gradients are the beta-fold's to rounding."""
 
     @pytest.mark.parametrize("observables", ["z", "hamiltonian"])
     @pytest.mark.parametrize("input_grads", [True, False])

@@ -28,7 +28,11 @@ from repro.quantum.encoding import (
     DataReuploadingEncoding,
     MultiLayerAngleEncoding,
 )
-from repro.quantum.templates import BasicEntanglerTemplate
+from repro.quantum.templates import (
+    BasicEntanglerTemplate,
+    RandomLayerTemplate,
+    StronglyEntanglingTemplate,
+)
 from repro.quantum.gates import GATE_REGISTRY
 from repro.quantum.gradients import adjoint_backward
 from repro.quantum.observables import Hamiltonian, PauliString, all_z_observables
@@ -601,6 +605,52 @@ class TestSuffixCache:
         assert program.suffix_unitary(sets[0]) is unitaries[0]
 
 
+class TestTrailingBlockBuild:
+    """``_block_states`` forms each weight gate's factors once per weight
+    row and broadcasts them over the group's basis rows: its states are
+    ``tobytes`` equal to the per-row kernels run on the tiled basis."""
+
+    @staticmethod
+    def _circuit(name):
+        if name == "all_gates":
+            return _all_gates_circuit()
+        circuit = QuantumCircuit(4)
+        AngleEncoding(4).apply(circuit)
+        if name == "random":
+            RandomLayerTemplate(4, 50, seed=0).apply(circuit)
+        else:
+            StronglyEntanglingTemplate(4, 2).apply(circuit)
+        return circuit
+
+    @pytest.mark.parametrize("n_groups", [1, 4, 64])
+    @pytest.mark.parametrize(
+        "name, gates",
+        [
+            ("random", {"crx", "cry", "crz", "rx", "ry", "rz"}),
+            ("strong", {"cnot", "ry", "rz"}),
+            ("all_gates", {"crx", "cry", "crz", "rx", "rz", "cnot"}),
+        ],
+        ids=["random", "strong", "all_gates"],
+    )
+    def test_states_are_the_per_row_bits(self, rng, name, gates, n_groups):
+        circuit = self._circuit(name)
+        program = compile_program(circuit)
+        block = circuit.operations[program.split:]
+        assert {op.spec.name for op in block} == gates
+        dim = program.dim
+        weights = rng.uniform(
+            -np.pi, np.pi, size=(n_groups, circuit.n_weights)
+        )
+        basis = np.tile(np.eye(dim, dtype=np.complex128), (n_groups, 1))
+        per_row = qprog._run(
+            program._suffix_steps, basis, None,
+            np.repeat(weights, dim, axis=0),
+        )
+        states = program._block_states(weights)
+        assert states.shape == (n_groups, dim, dim)
+        assert states.tobytes() == per_row.tobytes()
+
+
 class TestFirstEncodingLayer:
     """The product-state build of the leading encoding layer gives the
     values the per-op kernels do (``array_equal``: only zero signs may
@@ -662,6 +712,28 @@ class TestFirstEncodingLayer:
         assert states.tobytes() == psi.tobytes()
         assert program.prefix_states(inputs, None, batch).tobytes() == (
             psi.tobytes()
+        )
+
+    @pytest.mark.parametrize(
+        "names",
+        [("RX", "RX", "RX", "RX"), ("Ry", "RY", "ry", "rY")],
+        ids=["upper", "mixed_case"],
+    )
+    def test_gate_names_in_any_case(self, rng, names):
+        """The layer is detected by its resolved gate spec: the gate's
+        name in any case gives the same layer and the same bits."""
+        circuits = []
+        for cased in (names, [name.lower() for name in names]):
+            circuit = QuantumCircuit(4)
+            for wire, name in enumerate(cased):
+                circuit.add(name, (wire,), ParameterRef.input(wire, scale=2.0))
+            circuits.append(circuit)
+        inputs = rng.uniform(-1.0, 1.0, size=(5, 4))
+        inputs[0] = 0.0
+        got, want = (compile_program(circuit) for circuit in circuits)
+        assert got._layer is not None and got._layer.n_gates == 4
+        assert got.prefix_states(inputs, None, 5).tobytes() == (
+            want.prefix_states(inputs, None, 5).tobytes()
         )
 
     def test_folded_adjoint_unchanged(self, rng, sweep_rows):
